@@ -53,6 +53,7 @@ class RunManifest:
     seed: Optional[int]
     tolerances: dict
     version: str
+    options: dict = dataclasses.field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -62,9 +63,12 @@ def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
+    if text.lstrip().startswith(("{", "[")):
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise InvalidParameterError(
+                f"JSON config must be an object, got {type(doc).__name__}")
+        return doc
     out = {}
     for line in text.splitlines():
         line = line.strip()
@@ -130,16 +134,27 @@ def _write_manifest(manifest: RunManifest, out: Optional[str]) -> None:
 
 
 def _manifest(command: str, params: SystemParams, dist: DensityDistribution,
-              seed: Optional[int], tolerances: dict) -> RunManifest:
+              seed: Optional[int], tolerances: dict,
+              options: Optional[dict] = None) -> RunManifest:
     return RunManifest(command=command, params=dataclasses.asdict(params),
                        distribution=dist.describe(), seed=seed,
-                       tolerances=tolerances, version=__version__)
+                       tolerances=tolerances, version=__version__,
+                       options=options or {})
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
+    return value
 
 
 def _float_list(raw: str, flag: str) -> List[float]:
     vals = [float(v) for v in raw.split(",") if v.strip()]
     if not vals:
         raise _UsageError(f"{flag} needs at least one value")
+    if not all(math.isfinite(v) for v in vals):
+        raise _UsageError(f"{flag} values must be finite, got {raw!r}")
     return vals
 
 
@@ -188,7 +203,8 @@ def cmd_solve(args) -> int:
     fields = ["density", "radius_m", "bs_power_w", "users"]
     _emit(rows, fields, args.format, args.out, summary=summary)
     _write_manifest(_manifest("solve", params, dist, None,
-                              {"constraint_rel_tol": 1e-4}), args.out)
+                              {"constraint_rel_tol": 1e-4},
+                              {"mode": args.mode}), args.out)
     return EXIT_OK
 
 
@@ -290,7 +306,7 @@ def _build_parser() -> _Parser:
 
     sv = sub.add_parser("solve", help="solve for the optimal adaptation policy")
     common(sv)
-    sv.add_argument("--u-avg", type=float, required=True,
+    sv.add_argument("--u-avg", type=_finite_float, required=True,
                     help="required long-term average supported users")
     sv.add_argument("--mode", choices=("exact", "hse"), default="exact")
     sv.set_defaults(func=cmd_solve)
@@ -306,7 +322,7 @@ def _build_parser() -> _Parser:
     sc = sub.add_parser("schemes",
                         help="run all four reduced-complexity schemes at one target")
     common(sc)
-    sc.add_argument("--u-avg", type=float, required=True)
+    sc.add_argument("--u-avg", type=_finite_float, required=True)
     sc.set_defaults(func=cmd_schemes)
     return parser
 

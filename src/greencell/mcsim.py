@@ -10,9 +10,6 @@ import numpy as np
 from .params import SystemParams
 from .scaling import stpc_power
 
-# counter-based generator so runs are reproducible across machines
-RNG_ALGORITHM = "numpy-philox"
-
 _TRIAL_CHUNK = 20_000
 
 

@@ -14,13 +14,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .metrics import PolicyMetrics
-from .numerics import (Bracket, NoSignChangeError, bisect, expect,
-                       grow_bracket, lambert_w0)
+from .numerics import (ConvergenceError, as_arrays, gauss_legendre,
+                       lambert_w0, newton_log, shaped)
+# bound here for perfbench/selftest.py, which checks its tracer rebinds it
+from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
 from .scaling import bs_power_x, max_range_x
 from .traffic import DensityDistribution
 
-_LN2 = math.log(2.0)
 
 CASE_A = "case_A"  # power cap becomes binding only after switch-on
 CASE_B = "case_B"  # cap binds immediately: constant-power transmission when on
@@ -35,17 +36,6 @@ class InfeasibleError(ValueError):
             f"achievable {max_achievable:.6g} under the BS power cap")
         self.u_avg = u_avg
         self.max_achievable = max_achievable
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Lagrange multiplier of the long-term throughput constraint."""
-
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -75,147 +65,170 @@ class CriticalDensities:
         return self.lambda1 if self.case_tag == CASE_A else self.lambda3
 
 
-def lagrangian_x(x: float, density: float, mu: float, p: SystemParams) -> float:
+def lagrangian_x(x, density, mu: float, p: SystemParams):
     """Per-density Lagrangian L = consumption - mu * supported users, in x space."""
-    return bs_power_x(x, density, p) - mu * math.pi * density * x
+    shape, (x, lam) = as_arrays(x, density)
+    return shaped(bs_power_x(x, lam, p) - mu * math.pi * lam * x, shape)
 
 
-def x1_star(density: float, mu: float, p: SystemParams,
-            rel_tol: float = 1e-10) -> float:
+def x1_star(density, mu: float, p: SystemParams):
     """Interior stationary point: unique positive root of dL/dx = 0.
 
-    The derivative tends to -mu*pi*lambda as x -> 0+ (the power term's slope
-    vanishes for pathloss exponents above 2) and grows without bound, so a
-    doubling bracket always straddles the root.
+    Elementwise over densities.  The power term's slope
+    Pt'(x) = d1 x^(alpha/2-1) e^y (alpha/2 (1 - e^-y) + y), y = D2 pi lambda
+    x ln 2, vanishes as x -> 0+ for pathloss exponents above 2 and grows
+    without bound, so Pt'(x) = mu pi lambda / a has exactly one root.  Its
+    logarithm is convex and increasing in log x; Newton there starts from
+    the closed form ``hse_x1``, which drops the first term of Pt' and so
+    lies above the root, and descends monotonically onto it.
     """
-    if density <= 0.0:
-        raise ValueError(f"density must be positive, got {density}")
+    shape, (lam,) = as_arrays(density)
+    if (lam <= 0.0).any():
+        raise ValueError(f"density must be positive, got {lam.min()}")
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     c = derive_constants(p)
-    alpha = p.pathloss_exp
-    q = c.d2 * math.pi * density
-    target = mu * math.pi * density / p.amp_scaling
+    h = 0.5 * p.pathloss_exp
 
-    def dpt_dx(x: float) -> float:
-        nats = q * x * _LN2
-        if nats > 700.0:
-            return math.inf
-        e = math.exp(nats)
-        return (0.5 * alpha * c.d1 * x ** (0.5 * alpha - 1.0) * (e - 1.0)
-                + c.d1 * q * _LN2 * x ** (0.5 * alpha) * e)
+    def log_slope(x, qp, log_rhs):
+        # log(Pt'(x) / target) and its derivative in log x
+        y = qp * x
+        em = -np.expm1(-y)
+        t = h * em + y
+        return ((h - 1.0) * np.log(x) + y + np.log(t) - log_rhs,
+                (h * (h - 1.0) * em + (2.0 * h + y) * y) / t)
 
-    f = lambda x: dpt_dx(x) - target
-    try:
-        bracket = grow_bracket(f, 1e-30, 1.0)
-    except NoSignChangeError as exc:
-        raise NoSignChangeError(
-            f"stationarity bracket failed at density={density}, mu={mu}: {exc}")
-    return bisect(f, bracket, rel_tol=rel_tol)
+    qp = c.d3 * math.pi * lam
+    log_rhs = np.log(mu * math.pi * lam / (p.amp_scaling * c.d1))
+    x = newton_log(log_slope, hse_x1(lam, mu, p), qp, log_rhs)
+    return shaped(x, shape)
 
 
-def x2_star(density: float, p: SystemParams, rel_tol: float = 1e-10) -> float:
+def x2_star(density, p: SystemParams):
     """Largest admissible x: consumption pinned at the BS power cap."""
-    return max_range_x(density, p.max_bs_power, p, rel_tol=rel_tol)
+    return max_range_x(density, p.max_bs_power, p)
 
 
-def subproblem(density: float, mu: float, p: SystemParams) -> float:
+def subproblem(density, mu: float, p: SystemParams):
     """Pointwise minimizer of the per-density Lagrangian over x >= 0.
 
     Returns the interior stationary point when it is admissible and beats
     switching off, the power-capped point when the stationary one violates
-    the cap, and 0 otherwise.
+    the cap, and 0 otherwise.  Elementwise over densities.
     """
-    if density <= 0.0 or mu <= 0.0:
-        return 0.0
-    x1 = x1_star(density, mu, p)
-    if bs_power_x(x1, density, p) <= p.max_bs_power:
-        return x1 if lagrangian_x(x1, density, mu, p) < 0.0 else 0.0
-    x2 = x2_star(density, p)
-    return x2 if lagrangian_x(x2, density, mu, p) < 0.0 else 0.0
+    shape, (lam,) = as_arrays(density)
+    out = np.zeros_like(lam)
+    on = lam > 0.0
+    if mu > 0.0 and on.any():
+        lam = lam[on]
+        x = x1_star(lam, mu, p)
+        capped = bs_power_x(x, lam, p) > p.max_bs_power
+        if capped.any():
+            x[capped] = x2_star(lam[capped], p)
+        out[on] = np.where(lagrangian_x(x, lam, mu, p) < 0.0, x, 0.0)
+    return shaped(out, shape)
 
 
-def _scan_root(f, lam_lo: float, lam_hi: float, increasing: bool,
-               rel_tol: float = 1e-10) -> float:
-    """Root of a monotone function of density on a geometric scan grid.
+# sign each threshold function takes past its root: L along x1* falls,
+# consumption along x1* rises, L along x2* falls
+_PAST_ROOT = np.array([[-1.0], [1.0], [-1.0]])
 
-    Returns ``inf`` when the crossing lies beyond ``lam_hi`` and ``0.0``
-    when it lies below ``lam_lo``.
+
+def _threshold_values(lams: np.ndarray, mu: float,
+                      p: SystemParams) -> np.ndarray:
+    """The three threshold functions, row i at densities ``lams[i]``.
+
+    Signs are flipped so that every row is positive past its root.
     """
-    n = max(8, int(math.ceil(10.0 * math.log10(lam_hi / lam_lo))))
-    grid = np.geomspace(lam_lo, lam_hi, n)
-    prev_lam, prev_val = grid[0], f(grid[0])
-    crossed_sign = 1.0 if increasing else -1.0
-    if prev_val * crossed_sign > 0.0:
-        return 0.0
-    for lam in grid[1:]:
-        val = f(lam)
-        if val == 0.0:
-            return float(lam)
-        if val * crossed_sign > 0.0:
-            return bisect(f, Bracket.from_function(f, float(prev_lam), float(lam)),
-                          rel_tol=rel_tol)
-        prev_lam, prev_val = lam, val
-    return math.inf
+    x = np.concatenate([np.ravel(x1_star(lams[:2], mu, p)),
+                        np.ravel(x2_star(lams[2], p))]).reshape(lams.shape)
+    power = bs_power_x(x, lams, p)
+    rows = power - mu * math.pi * lams * x
+    rows[1] = power[1] - p.max_bs_power
+    return rows * _PAST_ROOT
 
 
 def critical_densities(mu: float, p: SystemParams, lambda_max: float,
                        scan_factor: float = 1e3) -> CriticalDensities:
     """The three threshold densities for a given dual variable.
 
-    Each is found by bisection over density using the proved monotone sign
-    structure of its defining function.  Crossings outside
-    (0, scan_factor * lambda_max] are clamped to inf; below, to 0.
+    Each defining function is monotone in density.  All three are evaluated
+    on one geometric scan grid over [1e-6, scan_factor] * lambda_max; the
+    first grid cell where a function crosses is then bisected, the three
+    cells together, until its width is below 1e-10 * max(1, lambda), the
+    stopping rule of ``numerics.bisect``.  A crossing above the grid is
+    reported as inf, one below it as 0.
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     lam_lo = lambda_max * 1e-6
     lam_hi = lambda_max * scan_factor
-
-    def along_x1(g):
-        def f(lam):
-            return g(x1_star(lam, mu, p), lam)
-        return f
-
-    lam1 = _scan_root(
-        along_x1(lambda x, lam: lagrangian_x(x, lam, mu, p)),
-        lam_lo, lam_hi, increasing=False)
-    lam2 = _scan_root(
-        along_x1(lambda x, lam: bs_power_x(x, lam, p) - p.max_bs_power),
-        lam_lo, lam_hi, increasing=True)
-    lam3 = _scan_root(
-        lambda lam: lagrangian_x(x2_star(lam, p), lam, mu, p),
-        lam_lo, lam_hi, increasing=False)
-    return CriticalDensities(lambda1=lam1, lambda2=lam2, lambda3=lam3)
+    n = max(8, int(math.ceil(10.0 * math.log10(lam_hi / lam_lo))))
+    grid = np.geomspace(lam_lo, lam_hi, n)
+    vals = _threshold_values(np.broadcast_to(grid, (3, n)), mu, p)
+    roots = np.full(3, math.inf)
+    # rows without a bracket keep a dummy one and are never active
+    lo, hi = np.full(3, lam_lo), np.full(3, lam_lo)
+    active = np.zeros(3, dtype=bool)
+    for i, row in enumerate(vals):
+        hits = np.flatnonzero(row >= 0.0)
+        if not hits.size:
+            continue
+        j = hits[0]
+        if j == 0 and row[0] > 0.0:
+            roots[i] = 0.0
+        elif row[j] == 0.0:
+            roots[i] = grid[j]
+        else:
+            lo[i], hi[i], active[i] = grid[j - 1], grid[j], True
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        done = active & (hi - lo <= 1e-10 * np.maximum(1.0, mid))
+        roots[done] = mid[done]
+        active &= ~done
+        if not active.any():
+            break
+        v = _threshold_values(mid[:, None], mu, p)[:, 0]
+        hit = active & (v == 0.0)
+        roots[hit] = mid[hit]
+        active &= ~hit
+        hi = np.where(active & (v > 0.0), mid, hi)
+        lo = np.where(active & (v < 0.0), mid, lo)
+    else:
+        raise ConvergenceError("threshold bisection did not converge")
+    return CriticalDensities(lambda1=float(roots[0]), lambda2=float(roots[1]),
+                             lambda3=float(roots[2]))
 
 
 # --- closed forms under the high-spectrum-efficiency approximation ---------
 
-def hse_x1(density: float, mu: float, p: SystemParams) -> float:
+def hse_x1(density, mu: float, p: SystemParams):
     """Closed-form stationary point when the per-cell load exponent is large."""
-    if density <= 0.0:
-        raise ValueError(f"density must be positive, got {density}")
+    shape, (lam,) = as_arrays(density)
+    if (lam <= 0.0).any():
+        raise ValueError(f"density must be positive, got {lam.min()}")
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     c = derive_constants(p)
     alpha = p.pathloss_exp
-    k = 2.0 * c.d3 * math.pi * density / alpha
+    k = 2.0 * c.d3 * math.pi * lam / alpha
     arg = k * (mu / (p.amp_scaling * c.d1 * c.d3)) ** (2.0 / alpha)
-    return lambert_w0(arg) / k
+    return shaped(lambert_w0(arg) / k, shape)
 
 
-def hse_x2(density: float, p: SystemParams) -> float:
+def hse_x2(density, p: SystemParams):
     """Closed-form power-capped point when the load exponent is large."""
-    if density <= 0.0:
-        raise ValueError(f"density must be positive, got {density}")
+    shape, (lam,) = as_arrays(density)
+    if (lam <= 0.0).any():
+        raise ValueError(f"density must be positive, got {lam.min()}")
     c = derive_constants(p)
     alpha = p.pathloss_exp
     pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
     if pt_max <= 0.0:
         raise ValueError("max_bs_power must exceed static_power")
-    k = 2.0 * c.d3 * math.pi * density / alpha
+    k = 2.0 * c.d3 * math.pi * lam / alpha
     arg = k * (pt_max / c.d1) ** (2.0 / alpha)
-    return lambert_w0(arg) / k
+    return shaped(lambert_w0(arg) / k, shape)
 
 
 def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
@@ -297,21 +310,25 @@ class AdaptationPolicy:
         }
 
 
-def _policy_x(density: float, mu: float, crits: CriticalDensities,
-              p: SystemParams, mode: str) -> float:
-    if density <= 0.0:
-        return 0.0
-    if mode == "exact":
-        return subproblem(density, mu, p)
-    if crits.case_tag == CASE_A:
-        if density <= crits.lambda1:
-            return 0.0
-        if density <= crits.lambda2:
-            return hse_x1(density, mu, p)
-        return hse_x2(density, p)
-    if density <= crits.lambda3:
-        return 0.0
-    return hse_x2(density, p)
+def _policy_x(lams: np.ndarray, mu: float, crits: CriticalDensities,
+              p: SystemParams, mode: str = "exact") -> np.ndarray:
+    """x = R^2 of the policy with thresholds ``crits``, by regime.
+
+    Off at or below the switch-on cut-off; then, in case A, the stationary
+    point up to lambda2; the power-capped point above.  ``mode="hse"``
+    takes both points from their closed forms.
+    """
+    xs = np.zeros_like(lams)
+    on = lams > max(crits.on_cutoff, 0.0)
+    stationary = on & (lams <= crits.lambda2) if crits.case_tag == CASE_A \
+        else np.zeros_like(on)
+    capped = on & ~stationary
+    x1_fn, x2_fn = (x1_star, x2_star) if mode == "exact" else (hse_x1, hse_x2)
+    if stationary.any():
+        xs[stationary] = x1_fn(lams[stationary], mu, p)
+    if capped.any():
+        xs[capped] = x2_fn(lams[capped], p)
+    return xs
 
 
 def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
@@ -325,21 +342,19 @@ def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
         crits = critical_densities(mu, p, lambda_max)
     else:
         crits = hse_critical_densities(mu, p)
-    grid = set(np.linspace(0.0, lambda_max, grid_size))
-    for c in (crits.lambda1, crits.lambda2, crits.lambda3):
-        if 0.0 < c < lambda_max:
-            grid.add(c)
-            grid.add(np.nextafter(c, lambda_max))
-    lams = np.array(sorted(grid))
-    xs = np.array([0.0 if mu <= 0.0 else _policy_x(lam, mu, crits, p, mode)
-                   for lam in lams])
-    # ties at the switch-on threshold resolve to off, matching radius_at
-    xs[lams <= crits.on_cutoff] = 0.0
-    radii = np.sqrt(xs)
-    powers = np.array([bs_power_x(x, lam, p) for x, lam in zip(xs, lams)])
+    inner = _breakpoints(crits, lambda_max)
+    lams = np.unique(np.concatenate([
+        np.linspace(0.0, lambda_max, grid_size), inner,
+        np.nextafter(inner, lambda_max)]))
+    xs = _policy_x(lams, mu, crits, p, mode)
     return AdaptationPolicy(mu=mu, criticals=crits, lambdas=lams,
-                            radii=radii, powers=powers, mode=mode,
-                            lambda_max=lambda_max)
+                            radii=np.sqrt(xs), powers=bs_power_x(xs, lams, p),
+                            mode=mode, lambda_max=lambda_max)
+
+
+def _breakpoints(crits: CriticalDensities, lambda_max: float) -> list:
+    return [c for c in (crits.lambda1, crits.lambda2, crits.lambda3)
+            if 0.0 < c < lambda_max]
 
 
 def _avg_throughput(mu: float, dist: DensityDistribution, p: SystemParams,
@@ -348,17 +363,17 @@ def _avg_throughput(mu: float, dist: DensityDistribution, p: SystemParams,
         return 0.0
     if crits is None:
         crits = critical_densities(mu, p, dist.lambda_max)
-    pts = [c for c in (crits.lambda1, crits.lambda2, crits.lambda3)
-           if 0.0 < c < dist.lambda_max]
-    return expect(lambda lam: math.pi * lam * subproblem(lam, mu, p),
-                  dist, breakpoints=pts)
+    rule = gauss_legendre(dist, 0.0, dist.lambda_max,
+                          _breakpoints(crits, dist.lambda_max))
+    return rule.integrate(math.pi * rule.nodes
+                          * _policy_x(rule.nodes, mu, crits, p))
 
 
 def max_achievable_throughput(dist: DensityDistribution,
                               p: SystemParams) -> float:
     """Long-term throughput of the always-at-cap policy (the feasibility bound)."""
-    return expect(lambda lam: math.pi * lam * x2_star(lam, p) if lam > 0 else 0.0,
-                  dist)
+    rule = gauss_legendre(dist, 0.0, dist.lambda_max)
+    return rule.integrate(math.pi * rule.nodes * x2_star(rule.nodes, p))
 
 
 def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
@@ -371,8 +386,8 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     throughput-versus-mu curve, the nearest policy from above is returned and
     its achieved throughput is reported in the metrics.
     """
-    if u_avg <= 0.0:
-        raise ValueError(f"u_avg must be positive, got {u_avg}")
+    if not (math.isfinite(u_avg) and u_avg > 0.0):
+        raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
     cap = max_achievable_throughput(dist, p)
     if cap < u_avg:
         raise InfeasibleError(u_avg, cap)
@@ -405,28 +420,34 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     mu = hi
     policy = policy_for_mu(mu, p, dist.lambda_max, grid_size=grid_size,
                            mode=mode)
-    metrics = _exact_policy_metrics(mu, policy.criticals, dist, p)
-    return policy, metrics
+    if mode == "exact":
+        return policy, _exact_policy_metrics(mu, policy.criticals, dist, p)
+    # ROADMAP known defect, unchanged here: hse mode reports the exact
+    # policy's averages, with its own cut-off for on-probability and peak
+    return policy, _exact_policy_metrics(
+        mu, critical_densities(mu, p, dist.lambda_max), dist, p,
+        cutoff=policy.criticals.on_cutoff)
 
 
 def _exact_policy_metrics(mu: float, crits: CriticalDensities,
-                          dist: DensityDistribution,
-                          p: SystemParams) -> PolicyMetrics:
-    pts = [c for c in (crits.lambda1, crits.lambda2, crits.lambda3)
-           if 0.0 < c < dist.lambda_max]
+                          dist: DensityDistribution, p: SystemParams,
+                          cutoff: Optional[float] = None) -> PolicyMetrics:
+    """Metrics of the exact policy with thresholds ``crits``.
 
-    def power(lam: float) -> float:
-        return bs_power_x(subproblem(lam, mu, p), lam, p)
-
-    def users(lam: float) -> float:
-        return math.pi * lam * subproblem(lam, mu, p)
-
-    avg_power = expect(power, dist, breakpoints=pts)
-    avg_users = expect(users, dist, breakpoints=pts)
-    cut = min(crits.on_cutoff, dist.lambda_max)
+    ``cutoff`` (default: the policy's own) bounds the on-probability and
+    the peak-power scan.
+    """
+    rule = gauss_legendre(dist, 0.0, dist.lambda_max,
+                          _breakpoints(crits, dist.lambda_max))
+    x = _policy_x(rule.nodes, mu, crits, p)
+    avg_power = rule.integrate(bs_power_x(x, rule.nodes, p))
+    avg_users = rule.integrate(math.pi * rule.nodes * x)
+    cut = min(crits.on_cutoff if cutoff is None else cutoff, dist.lambda_max)
     on_prob = 1.0 - float(dist.cdf(cut))
     grid = np.linspace(cut, dist.lambda_max, 257) if cut < dist.lambda_max \
         else np.array([dist.lambda_max])
-    peak = max((power(lam) for lam in grid if lam > 0.0), default=p.sleep_power)
+    grid = grid[grid > 0.0]
+    peak = float(np.max(bs_power_x(_policy_x(grid, mu, crits, p), grid, p))) \
+        if grid.size else p.sleep_power
     return PolicyMetrics(avg_power_w=avg_power, avg_users=avg_users,
                          on_probability=on_prob, peak_bs_power_w=peak)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import bisect, grow_bracket
+from .numerics import as_arrays, lambert_w0, newton_log, shaped
 from .params import SystemParams, derive_constants
 
 _LN2 = math.log(2.0)
@@ -62,16 +62,24 @@ def stpc_power(distance, n_users, p: SystemParams):
     return out if out.ndim else float(out)
 
 
-def transmit_power_x(x: float, density: float, p: SystemParams) -> float:
-    """Average transmit power as a function of x = R^2 (the solver's variable)."""
-    if x <= 0.0 or density < 0.0:
-        return 0.0
-    c = derive_constants(p)
-    bits = c.d2 * math.pi * density * x
-    if bits > EXPONENT_GUARD_BITS:
-        raise PowerOverflowError(
-            f"load exponent {bits} bits exceeds guard ({EXPONENT_GUARD_BITS})")
-    return c.d1 * x ** (0.5 * p.pathloss_exp) * math.expm1(bits * _LN2)
+def transmit_power_x(x, density, p: SystemParams):
+    """Average transmit power as a function of x = R^2 (the solver's variable).
+
+    Zero where x <= 0 or density < 0; elementwise for arrays.
+    """
+    shape, (x, lam) = as_arrays(x, density)
+    out = np.zeros_like(x)
+    on = (x > 0.0) & (lam >= 0.0)
+    if on.any():
+        c = derive_constants(p)
+        xo = x[on]
+        bits = c.d2 * math.pi * lam[on] * xo
+        if bits.max() > EXPONENT_GUARD_BITS:
+            raise PowerOverflowError(
+                f"load exponent {bits.max()} bits exceeds guard "
+                f"({EXPONENT_GUARD_BITS})")
+        out[on] = c.d1 * xo ** (0.5 * p.pathloss_exp) * np.expm1(bits * _LN2)
+    return shaped(out, shape)
 
 
 def avg_transmit_power(radius: float, density: float, p: SystemParams) -> float:
@@ -106,82 +114,59 @@ def avg_transmit_power_exact(radius: float, density: float,
     return c.d1 * geom * math.expm1(ex)
 
 
-def bs_power_x(x: float, density: float, p: SystemParams) -> float:
+def bs_power_x(x, density, p: SystemParams):
     """BS consumption in x = R^2: a * Pt + Pc when on, sleep power when off."""
-    if x <= 0.0:
-        return p.sleep_power
-    return p.amp_scaling * transmit_power_x(x, density, p) + p.static_power
+    shape, (x, lam) = as_arrays(x, density)
+    on = p.amp_scaling * transmit_power_x(x, lam, p) + p.static_power
+    return shaped(np.where(x > 0.0, on, p.sleep_power), shape)
 
 
-def bs_power(radius: float, density: float, p: SystemParams) -> float:
+def bs_power(radius, density, p: SystemParams):
     """BS power consumption; discontinuous at R = 0 (sleep mode) by design."""
     return bs_power_x(radius * radius, density, p)
 
 
-def max_range_x(density: float, budget: float, p: SystemParams,
-                rel_tol: float = 1e-10) -> float:
-    """Largest x = R^2 whose BS consumption stays within ``budget`` at ``density``."""
+def max_range_x(density, budget: float, p: SystemParams):
+    """Largest x = R^2 whose BS consumption stays within ``budget`` at ``density``.
+
+    Elementwise over densities.  Newton in log x on log Pt(x) = log target,
+    seeded by the high-spectrum-efficiency form (2^(D2 pi lambda x) - 1
+    replaced by its exponential, solved with Lambert W), which lies below
+    the root; log Pt is convex and increasing in log x, so after the first
+    step Newton descends monotonically onto the root.
+    """
     if budget <= p.static_power:
         raise InfeasibleBudgetError(
             f"budget {budget} W does not exceed static power {p.static_power} W")
-    if density <= 0.0:
-        raise ValueError(f"density must be positive, got {density}")
-    target = (budget - p.static_power) / p.amp_scaling
+    shape, (lam,) = as_arrays(density)
+    if (lam <= 0.0).any():
+        raise ValueError(f"density must be positive, got {lam.min()}")
+    c = derive_constants(p)
+    half_alpha = 0.5 * p.pathloss_exp
+    ratio = (budget - p.static_power) / (p.amp_scaling * c.d1)
+    log_ratio = math.log(ratio)
 
-    def f(x: float) -> float:
-        c = derive_constants(p)
-        bits = c.d2 * math.pi * density * x
-        if bits > 700.0 / _LN2:
-            return math.inf  # far past the budget; sign is all that matters
-        return transmit_power_x(x, density, p) - target
+    def log_power(x, qp):
+        # log(Pt / target) and its slope in log x, with y = qp * x nats;
+        # written with 1 - e^-y so that neither overflows
+        y = qp * x
+        em = -np.expm1(-y)
+        return (half_alpha * np.log(x) + y + np.log(em) - log_ratio,
+                half_alpha + y / em)
 
-    bracket = grow_bracket(f, 0.0, 1.0)
-    return bisect(f, bracket, rel_tol=rel_tol)
+    qp = c.d3 * math.pi * lam
+    k = qp / half_alpha
+    seed = lambert_w0(k * ratio ** (1.0 / half_alpha)) / k
+    x = newton_log(log_power, seed, qp)
+    return shaped(x, shape)
 
 
-def max_range(density: float, budget: float, p: SystemParams,
-              rel_tol: float = 1e-10) -> float:
+def max_range(density, budget: float, p: SystemParams):
     """Coverage radius with consumption exactly at ``budget``; decreasing in density."""
-    return math.sqrt(max_range_x(density, budget, p, rel_tol=rel_tol))
+    shape, (x,) = as_arrays(max_range_x(density, budget, p))
+    return shaped(np.sqrt(x), shape)
 
 
 def throughput(radius: float, density: float) -> float:
     """Average number of simultaneously supported users, pi * lambda * R^2."""
     return math.pi * density * radius * radius
-
-
-def budget_x_vec(densities: np.ndarray, transmit_budget: float,
-                 p: SystemParams, iterations: int = 80) -> np.ndarray:
-    """Vectorized solve of D1 x^(alpha/2) (2^(D2 pi lam x) - 1) = budget.
-
-    Bisection carried out elementwise over ``densities`` (all > 0); used by
-    the scheme searches where x must be tabulated on dense density grids.
-    """
-    c = derive_constants(p)
-    lam = np.asarray(densities, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ValueError("densities must be positive")
-    if transmit_budget <= 0.0:
-        raise InfeasibleBudgetError(
-            f"transmit budget must be positive, got {transmit_budget}")
-    half_alpha = 0.5 * p.pathloss_exp
-
-    def over(x):
-        bits = np.minimum(c.d2 * math.pi * lam * x, 700.0 / _LN2)
-        with np.errstate(over="ignore"):
-            val = c.d1 * x ** half_alpha * np.expm1(bits * _LN2)
-        return val >= transmit_budget
-
-    hi = np.ones_like(lam)
-    for _ in range(200):
-        mask = ~over(hi)
-        if not mask.any():
-            break
-        hi = np.where(mask, hi * 2.0, hi)
-    lo = np.zeros_like(lam)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        mask = over(mid)
-        hi = np.where(mask, mid, hi)
-        lo = np.where(mask, lo, mid)
-    return 0.5 * (lo + hi)

