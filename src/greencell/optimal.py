@@ -14,8 +14,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .metrics import PolicyMetrics
-from .numerics import (ConvergenceError, as_arrays, gauss_legendre,
-                       lambert_w0, newton_log, shaped)
+from .numerics import (as_arrays, gauss_legendre, lambert_w0, newton_log,
+                       shaped)
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
@@ -42,8 +42,7 @@ class InfeasibleError(ValueError):
 class CriticalDensities:
     """Density thresholds separating off / stationary / power-capped regimes.
 
-    Values may be ``inf`` when the defining crossing lies beyond the scan
-    ceiling (never reached) or ``0.0`` when it lies below it.
+    Values outside ``THRESHOLD_BAND`` * lambda_max are reported as 0 or inf.
     """
 
     lambda1: float
@@ -54,8 +53,6 @@ class CriticalDensities:
     def case_tag(self) -> str:
         # relative tolerance avoids tag flip-flop at near-equality
         if self.lambda2 == self.lambda1:
-            return CASE_A
-        if math.isinf(self.lambda1) and math.isinf(self.lambda2):
             return CASE_A
         return CASE_A if self.lambda2 >= self.lambda1 * (1.0 - 1e-9) else CASE_B
 
@@ -129,75 +126,67 @@ def subproblem(density, mu: float, p: SystemParams):
     return shaped(out, shape)
 
 
-# sign each threshold function takes past its root: L along x1* falls,
-# consumption along x1* rises, L along x2* falls
-_PAST_ROOT = np.array([[-1.0], [1.0], [-1.0]])
+# thresholds below / above this band, times lambda_max, are reported as 0 / inf
+THRESHOLD_BAND = (1e-6, 1e3)
 
 
-def _threshold_values(lams: np.ndarray, mu: float,
-                      p: SystemParams) -> np.ndarray:
-    """The three threshold functions, row i at densities ``lams[i]``.
-
-    Signs are flipped so that every row is positive past its root.
-    """
-    x = np.concatenate([np.ravel(x1_star(lams[:2], mu, p)),
-                        np.ravel(x2_star(lams[2], p))]).reshape(lams.shape)
-    power = bs_power_x(x, lams, p)
-    rows = power - mu * math.pi * lams * x
-    rows[1] = power[1] - p.max_bs_power
-    return rows * _PAST_ROOT
-
-
-def critical_densities(mu: float, p: SystemParams, lambda_max: float,
-                       scan_factor: float = 1e3) -> CriticalDensities:
+def critical_densities(mu: float, p: SystemParams,
+                       lambda_max: float) -> CriticalDensities:
     """The three threshold densities for a given dual variable.
 
-    Each defining function is monotone in density.  All three are evaluated
-    on one geometric scan grid over [1e-6, scan_factor] * lambda_max; the
-    first grid cell where a function crosses is then bisected, the three
-    cells together, until its width is below 1e-10 * max(1, lambda), the
-    stopping rule of ``numerics.bisect``.  A crossing above the grid is
-    reported as inf, one below it as 0.
+    On the stationary curve dP/dx = mu pi lambda, with load exponent
+    y = d3 pi lambda x (nats), h = alpha/2 and E = 1 - e^-y,
+    a d1 x^h = mu y e^-y / (d3 (hE + y)), so a Pt = mu y E / (d3 (hE + y)),
+    and lambda = y / (d3 pi x) rises with y.  lambda1 (L = 0) solves
+    y - yE/(hE + y) = d3 Pc / mu; lambda2 (P = Pmax) solves
+    yE/(hE + y) = d3 (Pmax - Pc) / mu, and is inf once the right side
+    reaches 1.  Both left sides rise with y; one Newton in log y solves
+    both.  lambda3 (P = Pmax and L = 0 on the capped curve) is closed form:
+    y3 = d3 Pmax / mu, and a d1 x^h (e^y3 - 1) = Pmax - Pc.
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    lam_lo = lambda_max * 1e-6
-    lam_hi = lambda_max * scan_factor
-    n = max(8, int(math.ceil(10.0 * math.log10(lam_hi / lam_lo))))
-    grid = np.geomspace(lam_lo, lam_hi, n)
-    vals = _threshold_values(np.broadcast_to(grid, (3, n)), mu, p)
-    roots = np.full(3, math.inf)
-    # rows without a bracket keep a dummy one and are never active
-    lo, hi = np.full(3, lam_lo), np.full(3, lam_lo)
-    active = np.zeros(3, dtype=bool)
-    for i, row in enumerate(vals):
-        hits = np.flatnonzero(row >= 0.0)
-        if not hits.size:
-            continue
-        j = hits[0]
-        if j == 0 and row[0] > 0.0:
-            roots[i] = 0.0
-        elif row[j] == 0.0:
-            roots[i] = grid[j]
-        else:
-            lo[i], hi[i], active[i] = grid[j - 1], grid[j], True
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        done = active & (hi - lo <= 1e-10 * np.maximum(1.0, mid))
-        roots[done] = mid[done]
-        active &= ~done
-        if not active.any():
-            break
-        v = _threshold_values(mid[:, None], mu, p)[:, 0]
-        hit = active & (v == 0.0)
-        roots[hit] = mid[hit]
-        active &= ~hit
-        hi = np.where(active & (v > 0.0), mid, hi)
-        lo = np.where(active & (v < 0.0), mid, lo)
-    else:
-        raise ConvergenceError("threshold bisection did not converge")
-    return CriticalDensities(lambda1=float(roots[0]), lambda2=float(roots[1]),
-                             lambda3=float(roots[2]))
+    c = derive_constants(p)
+    h = 0.5 * p.pathloss_exp
+    pc, pmax = p.static_power, p.max_bs_power
+
+    def log_load(y, cap, log_r):
+        # log of either left side minus log_r, and its slope in log y;
+        # w = E - y e^-y >= 0 keeps both slopes free of cancellation
+        em = -np.expm1(-y)
+        t = h * em + y
+        ye = y * np.exp(-y)
+        w = em - ye
+        return (np.where(cap, np.log(em) - np.log1p(h * em / y),
+                         np.log(y) + np.log1p(-em / t)) - log_r,
+                np.where(cap, ye / em + h * w / t,
+                         1.0 + y / t * (w / (t - em))))
+
+    # right sides d3 Pc / mu, d3 (Pmax - Pc) / mu; the seeds bound the roots
+    # from the asymptotes yh/(h+1), y - 1 (above) and y/(h+1), y/(h+y) (below)
+    r = (c.d3 * pc / mu, c.d3 * (pmax - pc) / mu)
+    log_lam = [-math.inf, math.inf]  # lambda1 = 0, lambda2 = inf unless solved
+    rows, seeds = [], []
+    if r[0] > 0.0:  # else Pc = 0 and the BS is always on
+        rows.append(0)
+        seeds.append(min(r[0] * (h + 1.0) / h, r[0] + 1.0))
+    if r[1] < 1.0:  # else the stationary point never reaches the cap
+        rows.append(1)
+        seeds.append(max(r[1] * (h + 1.0), h * r[1] / (1.0 - r[1])))
+    ys = newton_log(log_load, np.array(seeds), np.array(rows) == 1,
+                    np.log(np.array(r)[rows]))
+    for i, y in zip(rows, ys.tolist()):
+        h_log_x = (math.log(mu * y / (p.amp_scaling * c.d1 * c.d3)) - y
+                   - math.log(h * -math.expm1(-y) + y))
+        log_lam[i] = math.log(y / (c.d3 * math.pi)) - h_log_x / h
+    y3 = c.d3 * pmax / mu
+    h_log_x3 = (math.log((pmax - pc) / (p.amp_scaling * c.d1)) - y3
+                - math.log(-math.expm1(-y3)))
+    log_lam.append(math.log(y3 / (c.d3 * math.pi)) - h_log_x3 / h)
+    log_lo, log_hi = (math.log(f * lambda_max) for f in THRESHOLD_BAND)
+    roots = [0.0 if v < log_lo else math.inf if v > log_hi else math.exp(v)
+             for v in log_lam]
+    return CriticalDensities(*roots)
 
 
 # --- closed forms under the high-spectrum-efficiency approximation ---------
@@ -280,9 +269,7 @@ class AdaptationPolicy:
 
     @property
     def breakpoints(self) -> Tuple[float, ...]:
-        crits = (self.criticals.lambda1, self.criticals.lambda2,
-                 self.criticals.lambda3)
-        return tuple(sorted({c for c in crits if 0.0 < c < self.lambda_max}))
+        return tuple(_breakpoints(self.criticals, self.lambda_max))
 
     def radius_at(self, density: float) -> float:
         """Radius interpolated piecewise-linearly in x = R^2; off below the cut-off."""
@@ -353,16 +340,15 @@ def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
 
 
 def _breakpoints(crits: CriticalDensities, lambda_max: float) -> list:
-    return [c for c in (crits.lambda1, crits.lambda2, crits.lambda3)
-            if 0.0 < c < lambda_max]
+    return sorted({c for c in (crits.lambda1, crits.lambda2, crits.lambda3)
+                   if 0.0 < c < lambda_max})
 
 
-def _avg_throughput(mu: float, dist: DensityDistribution, p: SystemParams,
-                    crits: Optional[CriticalDensities] = None) -> float:
+def _avg_throughput(mu: float, dist: DensityDistribution,
+                    p: SystemParams) -> float:
     if mu <= 0.0:
         return 0.0
-    if crits is None:
-        crits = critical_densities(mu, p, dist.lambda_max)
+    crits = critical_densities(mu, p, dist.lambda_max)
     rule = gauss_legendre(dist, 0.0, dist.lambda_max,
                           _breakpoints(crits, dist.lambda_max))
     return rule.integrate(math.pi * rule.nodes

@@ -77,7 +77,8 @@ def from_table(lams: Sequence[float], weights: Sequence[float]) -> DensityDistri
     """Custom density from (lambda, relative weight) pairs.
 
     Weights are interpolated piecewise-linearly and renormalized with
-    trapezoidal integration; the support is [0, max(lams)].
+    trapezoidal integration; the support is [0, max(lams)].  So the cdf is
+    quadratic inside each cell, and ``ppf`` solves that quadratic.
     """
     lams = np.asarray(lams, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -95,9 +96,13 @@ def from_table(lams: Sequence[float], weights: Sequence[float]) -> DensityDistri
     if not total > 0.0:
         raise ValueError("weights integrate to zero")
     dens = weights / total
-    cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (dens[1:] + dens[:-1]) * np.diff(lams))])
-    cum /= cum[-1]
+    width = np.diff(lams)
+    slope = np.diff(dens) / np.where(width > 0.0, width, 1.0)
+    cum = np.append(0.0, np.cumsum(0.5 * (dens[1:] + dens[:-1]) * width))
+
+    def cell(edges, v):
+        return np.clip(np.searchsorted(edges, v, side="right") - 1,
+                       0, width.size - 1)
 
     def pdf(lam):
         lam = np.asarray(lam, dtype=float)
@@ -106,12 +111,21 @@ def from_table(lams: Sequence[float], weights: Sequence[float]) -> DensityDistri
 
     def cdf(lam):
         lam = np.asarray(lam, dtype=float)
-        out = np.interp(lam, lams, cum, left=0.0, right=1.0)
+        k = cell(lams, lam)
+        t = np.clip(lam - lams[k], 0.0, width[k])
+        out = np.where(lam >= m, 1.0, np.clip(
+            cum[k] + t * (dens[k] + 0.5 * slope[k] * t), 0.0, 1.0))
         return out if out.ndim else float(out)
 
     def ppf(u):
-        u = np.asarray(u, dtype=float)
-        out = np.interp(u, cum, lams)
+        # root of cum + dens t + slope t^2/2 = u, stable as slope or dens -> 0
+        u = np.clip(np.asarray(u, dtype=float), 0.0, cum[-1])
+        k = cell(cum, u)
+        v = u - cum[k]
+        d = dens[k]
+        root = d + np.sqrt(np.maximum(d * d + 2.0 * slope[k] * v, 0.0))
+        t = np.divide(2.0 * v, root, out=np.zeros_like(v), where=root > 0.0)
+        out = lams[k] + np.clip(t, 0.0, width[k])
         return out if out.ndim else float(out)
 
     digest = hashlib.sha256(np.concatenate([lams, dens]).tobytes()).hexdigest()

@@ -1,3 +1,11 @@
+from hypothesis import settings
+
+# property tests draw the same examples on every run, with no time limit per
+# example and no example database written to disk
+settings.register_profile("greencell", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("greencell")
+
 ACCEPTANCE_LINES = []
 
 

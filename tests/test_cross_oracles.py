@@ -1,14 +1,17 @@
-"""Cross-oracles for the array kernels and the Gauss-Legendre rule.
+"""Cross-oracles for the kernels, the thresholds and the Gauss-Legendre rule.
 
 The per-density kernels (Newton in log x) are checked against scalar
 bisection on their defining equations, scalar calls against array calls,
-and the fixed quadrature rule against adaptive ``scipy.integrate.quad``.
+the load-exponent thresholds against a scan and bisection of their
+defining functions, and the fixed quadrature rule against adaptive
+``scipy.integrate.quad``.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, strategies as st
 from scipy import integrate
 
 from greencell import cli
@@ -16,7 +19,7 @@ from greencell.numerics import (bisect, expect, gauss_legendre, grow_bracket,
                                 lambert_w0)
 from greencell.optimal import (critical_densities, hse_x1, hse_x2,
                                lagrangian_x, subproblem, x1_star, x2_star)
-from greencell.params import derive_constants
+from greencell.params import SystemParams, derive_constants
 from greencell.scaling import bs_power_x, max_range_x, transmit_power_x
 from greencell.traffic import from_table, triangular
 
@@ -116,6 +119,93 @@ def test_scalar_and_array_calls_are_bit_identical(config):
                    for x, lam in zip(xs, DENSITIES)]
         np.testing.assert_array_equal(np.array(scalars),
                                       kernel(xs, DENSITIES), err_msg=name)
+
+
+# sign each threshold function takes past its root: L along x1* falls,
+# consumption along x1* rises, L along x2* falls
+_PAST_ROOT = np.array([[-1.0], [1.0], [-1.0]])
+
+
+def _threshold_values(lams, mu, p):
+    """The three threshold functions, row i at densities ``lams[i]``."""
+    x = np.concatenate([np.ravel(x1_star(lams[:2], mu, p)),
+                        np.ravel(x2_star(lams[2], p))]).reshape(lams.shape)
+    power = bs_power_x(x, lams, p)
+    rows = power - mu * math.pi * lams * x
+    rows[1] = power[1] - p.max_bs_power
+    return rows * _PAST_ROOT
+
+
+def _ref_critical_densities(mu, p, lambda_max):
+    """Thresholds by a geometric scan over [1e-6, 1e3] * lambda_max and a
+    bisection of the first crossing cell down to relative width 1e-14."""
+    grid = np.geomspace(1e-6 * lambda_max, 1e3 * lambda_max, 90)
+    vals = _threshold_values(np.broadcast_to(grid, (3, grid.size)), mu, p)
+    roots = []
+    for i, row in enumerate(vals):
+        hits = np.flatnonzero(row >= 0.0)
+        if not hits.size:
+            roots.append(math.inf)
+            continue
+        j = hits[0]
+        if j == 0:
+            roots.append(0.0 if row[0] > 0.0 else grid[0])
+            continue
+        lo, hi = grid[j - 1], grid[j]
+        while hi - lo > 1e-14 * hi:
+            mid = 0.5 * (lo + hi)
+            lams = np.full((3, 1), mid)
+            if _threshold_values(lams, mu, p)[i, 0] >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
+_valid_params = st.builds(
+    lambda alpha, pc, gap, amp: SystemParams(
+        pathloss_exp=alpha, static_power=pc, max_bs_power=pc + gap,
+        amp_scaling=amp),
+    st.floats(2.1, 6.0), st.floats(0.0, 300.0),
+    st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e), st.floats(1.0, 10.0))
+
+
+@given(p=_valid_params,
+       log_mu=st.floats(-3.0, 4.0),
+       log_eps=st.one_of(st.none(), st.floats(-15.0, 0.0)))
+def test_thresholds_match_scan_and_bisection(p, log_mu, log_eps):
+    # log_eps puts mu just above d3 (Pmax - Pc), where lambda2 runs off to
+    # inf; otherwise mu is log-uniform on [1e-3, 1e4]
+    if log_eps is None:
+        mu = 10.0 ** log_mu
+    else:
+        mu = derive_constants(p).d3 * (p.max_bs_power - p.static_power) \
+            * (1.0 + 10.0 ** log_eps)
+    crits = critical_densities(mu, p, LAMBDA_MAX)
+    got = [crits.lambda1, crits.lambda2, crits.lambda3]
+    want = _ref_critical_densities(mu, p, LAMBDA_MAX)
+    event("finite: " + " ".join(n for n, v in zip(("l1", "l2", "l3"), got)
+                                if 0.0 < v < math.inf))
+    for name, g, w in zip(("lambda1", "lambda2", "lambda3"), got, want):
+        if g in (0.0, math.inf) or w in (0.0, math.inf):
+            assert g == w, name
+        else:
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0), name
+    # the defining equations, through the kernels
+    lam1, lam2, lam3 = got
+    if 0.0 < lam1 < math.inf:
+        x = x1_star(lam1, mu, p)
+        on = mu * math.pi * lam1 * x
+        assert bs_power_x(x, lam1, p) == pytest.approx(on, rel=1e-11)
+    if 0.0 < lam2 < math.inf:
+        x = x1_star(lam2, mu, p)
+        assert bs_power_x(x, lam2, p) == pytest.approx(p.max_bs_power,
+                                                       rel=1e-11)
+    if 0.0 < lam3 < math.inf:
+        x = x2_star(lam3, p)
+        assert mu * math.pi * lam3 * x == pytest.approx(p.max_bs_power,
+                                                        rel=1e-11)
 
 
 def _quad(g, dist, points=()):

@@ -6,6 +6,7 @@ import pytest
 from greencell import cli, optimal
 from greencell.metrics import evaluate
 from greencell.optimal import CASE_A, CASE_B, solve
+from greencell.traffic import from_table
 
 
 def _context(path):
@@ -45,3 +46,15 @@ def test_table_is_on_right_after_switch_on():
     assert policy.radii[i - 1] == 0.0
     assert policy.radii[i] ** 2 == pytest.approx(
         optimal.x1_star(float(policy.lambdas[i]), policy.mu, p), rel=1e-12)
+
+
+def test_on_probability_is_the_pdf_mass_above_the_cut_off():
+    # an uneven table: inside a cell its cdf is quadratic, and a cdf
+    # interpolated linearly there missed the mass above the cut-off
+    p, _ = _context("configs/low_static.cfg")
+    dist = from_table([0.0, 1e-5, 3e-5, 6e-5, 1e-4], [0.2, 1.0, 0.1, 0.8, 0.3])
+    policy, reported = solve(20.0, dist, p)
+    assert 6e-5 < policy.criticals.on_cutoff < 1e-4  # inside the last cell
+    table = _table_metrics(policy, dist, p)
+    assert reported.on_probability == pytest.approx(table.on_probability,
+                                                    rel=1e-12)

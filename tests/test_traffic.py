@@ -88,3 +88,37 @@ class TestCustomTable:
         dist = from_csv(path)
         assert dist.lambda_max == 1e-4
         assert dist.pdf(5e-5) == pytest.approx(2e4, rel=1e-9)
+
+
+class TestTableCdf:
+    """An uneven table, where the cdf's curvature inside each cell shows."""
+
+    def setup_method(self):
+        self.knots = [0.0, 1e-5, 3e-5, 6e-5, 1e-4]
+        self.dist = from_table(self.knots, [0.2, 1.0, 0.1, 0.8, 0.3])
+
+    def test_cdf_is_the_integral_of_the_pdf(self):
+        grid = np.linspace(0.0, 1e-4, 97)
+        want = [integrate.quad(self.dist.pdf, 0.0, lam,
+                               points=[k for k in self.knots if 0 < k < lam]
+                               or None, epsabs=0.0, epsrel=1e-13)[0]
+                for lam in grid]
+        np.testing.assert_allclose(self.dist.cdf(grid), want, rtol=0.0,
+                                   atol=1e-12)
+        assert self.dist.cdf(-1e-5) == 0.0 and self.dist.cdf(2e-4) == 1.0
+
+    def test_ppf_inverts_cdf(self):
+        u = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_allclose(self.dist.cdf(self.dist.ppf(u)), u,
+                                   rtol=0.0, atol=1e-12)
+        assert isinstance(self.dist.ppf(0.3), float)
+
+    def test_kolmogorov_smirnov(self):
+        # against a cdf built from the pdf alone: the trapezoid sums of a
+        # piecewise-linear pdf on a grid through its knots
+        fine = np.linspace(0.0, 1e-4, 200_001)
+        cum = integrate.cumulative_trapezoid(self.dist.pdf(fine), fine,
+                                             initial=0.0)
+        xs = self.dist.sample(make_rng(5), size=100_000)
+        result = stats.kstest(xs, lambda lam: np.interp(lam, fine, cum))
+        assert result.pvalue > 0.01
