@@ -37,11 +37,16 @@ def as_arrays(*values):
     bit-identical.
     """
     arrays = [np.asarray(v, dtype=float) for v in values]
-    shape = arrays[0].shape
-    if any(a.shape != shape for a in arrays):
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        arrays = [np.broadcast_to(a, shape) for a in arrays]
-    return shape, [a.ravel() for a in arrays]
+    shape = np.broadcast(*arrays).shape
+    flat = []
+    for a in arrays:
+        if a.shape != shape:
+            # filling a fresh array costs a fraction of np.broadcast_to
+            full = np.empty(shape)
+            full[...] = a
+            a = full
+        flat.append(a.ravel())
+    return shape, flat
 
 
 def shaped(flat: np.ndarray, shape):

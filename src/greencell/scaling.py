@@ -126,27 +126,35 @@ def bs_power(radius, density, p: SystemParams):
     return bs_power_x(radius * radius, density, p)
 
 
-def max_range_x(density, budget: float, p: SystemParams):
+def max_range_x(density, budget, p: SystemParams):
     """Largest x = R^2 whose BS consumption stays within ``budget`` at ``density``.
 
-    Elementwise over densities.  Newton in log x on log Pt(x) = log target,
-    seeded by the high-spectrum-efficiency form (2^(D2 pi lambda x) - 1
-    replaced by its exponential, solved with Lambert W), which lies below
-    the root; log Pt is convex and increasing in log x, so after the first
-    step Newton descends monotonically onto the root.
+    Elementwise over densities and budgets, which broadcast against each
+    other.  Newton in log x on log Pt(x) = log target, seeded by the
+    high-spectrum-efficiency form (2^(D2 pi lambda x) - 1 replaced by its
+    exponential, solved with Lambert W), which lies below the root; log Pt
+    is convex and increasing in log x, so after the first step Newton
+    descends monotonically onto the root.
     """
-    if budget <= p.static_power:
+    budget = np.asarray(budget, dtype=float)
+    budgets = budget.ravel().tolist()
+    if min(budgets) <= p.static_power:
         raise InfeasibleBudgetError(
-            f"budget {budget} W does not exceed static power {p.static_power} W")
-    shape, (lam,) = as_arrays(density)
-    if (lam <= 0.0).any():
-        raise ValueError(f"density must be positive, got {lam.min()}")
+            f"budget {min(budgets)} W does not exceed static power "
+            f"{p.static_power} W")
     c = derive_constants(p)
     half_alpha = 0.5 * p.pathloss_exp
-    ratio = (budget - p.static_power) / (p.amp_scaling * c.d1)
-    log_ratio = math.log(ratio)
+    # per budget, in Python floats, so that every element of an array budget
+    # gets the bits of a scalar call
+    ratios = [(b - p.static_power) / (p.amp_scaling * c.d1) for b in budgets]
+    shape, (lam, log_ratio, scale) = as_arrays(density, *(
+        np.array(v).reshape(budget.shape)
+        for v in ([math.log(r) for r in ratios],
+                  [r ** (1.0 / half_alpha) for r in ratios])))
+    if (lam <= 0.0).any():
+        raise ValueError(f"density must be positive, got {lam.min()}")
 
-    def log_power(x, qp):
+    def log_power(x, qp, log_ratio):
         # log(Pt / target) and its slope in log x, with y = qp * x nats;
         # written with 1 - e^-y so that neither overflows
         y = qp * x
@@ -156,8 +164,8 @@ def max_range_x(density, budget: float, p: SystemParams):
 
     qp = c.d3 * math.pi * lam
     k = qp / half_alpha
-    seed = lambert_w0(k * ratio ** (1.0 / half_alpha)) / k
-    x = newton_log(log_power, seed, qp)
+    seed = lambert_w0(k * scale) / k
+    x = newton_log(log_power, seed, qp, log_ratio)
     return shaped(x, shape)
 
 
