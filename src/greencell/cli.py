@@ -162,6 +162,9 @@ def cmd_validate_scaling(args) -> int:
     params, dist = _build_context(_load_config(args.config))
     radii = _float_list(args.radii, "--radii")
     densities = _float_list(args.densities, "--densities")
+    for flag, vals in (("--radii", radii), ("--densities", densities)):
+        if min(vals) < 0.0:
+            raise _UsageError(f"{flag} values must be >= 0, got {min(vals)!r}")
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
     rng = mcsim.make_rng(args.seed)

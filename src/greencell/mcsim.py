@@ -11,6 +11,8 @@ from .params import SystemParams
 from .scaling import stpc_power
 
 _TRIAL_CHUNK = 20_000
+# most users drawn and powered at once; bounds the simulator's working memory
+_PIECE_USERS = 1 << 16
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -33,6 +35,12 @@ class McEstimate:
             raise ValueError("std_err must be >= 0")
 
 
+def _check_nonneg_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def sample_users(density: float, radius: float,
                  rng: np.random.Generator) -> np.ndarray:
     """One realization of user distances in a disc of the given radius.
@@ -40,8 +48,7 @@ def sample_users(density: float, radius: float,
     The count is Poisson with mean lambda * pi * R^2; given the count each
     distance has pdf 2r/R^2 on [0, R] (uniform placement in the disc).
     """
-    if density < 0.0 or radius < 0.0:
-        raise ValueError("density and radius must be >= 0")
+    _check_nonneg_finite(density=density, radius=radius)
     mean_count = density * math.pi * radius * radius
     n = rng.poisson(mean_count)
     return radius * np.sqrt(rng.random(n))
@@ -53,29 +60,20 @@ def simulate_total_power(density: float, radius: float, p: SystemParams,
 
     Each trial draws a Poisson user population, places it uniformly in the
     disc and sums the short-term power control output; trials with zero
-    users contribute zero.
+    users contribute zero.  Per chunk of trials the Poisson counts are drawn
+    first, then the users piece by piece (see ``_trial_sums``), so memory
+    stays bounded however large ``density * radius**2`` grows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_nonneg_finite(density=density, radius=radius)
     mean_count = density * math.pi * radius * radius
-    per_trial = np.empty(trials, dtype=float)
+    per_trial = np.zeros(trials)
     done = 0
     while done < trials:
         chunk = min(_TRIAL_CHUNK, trials - done)
         counts = rng.poisson(mean_count, chunk)
-        total = int(counts.sum())
-        if total == 0:
-            per_trial[done:done + chunk] = 0.0
-        else:
-            dist = radius * np.sqrt(rng.random(total))
-            n_rep = np.repeat(counts, counts).astype(float)
-            powers = stpc_power(dist, n_rep, p)
-            # reduceat needs in-range boundaries; zero-count trials are zeroed after
-            bounds = np.minimum(np.concatenate([[0], np.cumsum(counts)[:-1]]),
-                                total - 1)
-            sums = np.add.reduceat(powers, bounds)
-            sums[counts == 0] = 0.0
-            per_trial[done:done + chunk] = sums
+        _trial_sums(per_trial[done:done + chunk], counts, radius, p, rng)
         done += chunk
     mean = float(per_trial.mean())
     if trials > 1:
@@ -83,6 +81,33 @@ def simulate_total_power(density: float, radius: float, p: SystemParams,
     else:
         se = 0.0
     return McEstimate(mean=mean, std_err=se, trials=trials)
+
+
+def _trial_sums(out: np.ndarray, counts: np.ndarray, radius: float,
+                p: SystemParams, rng: np.random.Generator) -> None:
+    """Write each non-empty trial's summed STPC power into ``out``.
+
+    The users are drawn and powered in pieces of at most ``_PIECE_USERS``
+    users, split at trial boundaries; a piece holds at least one trial, so
+    one trial larger than the bound is a piece of its own.  Consecutive
+    ``rng.random`` calls continue one stream, and every trial is reduced
+    over the same elements in the same order, so the sums do not depend on
+    the piece size.  Empty trials are left untouched.
+    """
+    ends = np.cumsum(counts)
+    first, start = 0, 0
+    while first < counts.size:
+        last = max(int(np.searchsorted(ends, start + _PIECE_USERS,
+                                       side="right")), first + 1)
+        stop = int(ends[last - 1])
+        if stop > start:
+            piece = counts[first:last]
+            dist = radius * np.sqrt(rng.random(stop - start))
+            powers = stpc_power(dist, np.repeat(piece, piece).astype(float), p)
+            busy = piece > 0
+            offsets = ends[first:last][busy] - piece[busy] - start
+            out[first:last][busy] = np.add.reduceat(powers, offsets)
+        first, start = last, stop
 
 
 def simulate_outage(distance: float, n_users: int, per_user_power: float,
@@ -95,6 +120,7 @@ def simulate_outage(distance: float, n_users: int, per_user_power: float,
     """
     if n_users < 1 or trials < 1:
         raise ValueError("n_users and trials must be >= 1")
+    _check_nonneg_finite(distance=distance, per_user_power=per_user_power)
     ell = p.coding_blocks
     gain = per_user_power * p.ref_pathloss \
         * min(p.ref_distance / distance, 1.0) ** p.pathloss_exp \

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from greencell import cli, suboptimal
+from greencell import cli, mcsim, suboptimal
 from greencell.cli import EXIT_OK, EXIT_USAGE, main
 from greencell.optimal import solve
 from greencell.params import InvalidParameterError, SystemParams
@@ -38,6 +38,46 @@ def test_sweep_rejects_non_finite_entry_in_list(capsys):
     code = main(["sweep", "--u-avg", "40,nan", "--schemes", "optimal"])
     assert code == EXIT_USAGE
     assert "--u-avg" in capsys.readouterr().err
+
+
+BAD_SIZES = (-1000.0, -1e-5) + NON_FINITE
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES)
+@pytest.mark.parametrize("name", ["density", "radius"])
+def test_simulate_total_power_rejects_bad_geometry(name, bad):
+    args = {"density": 1e-5, "radius": 1000.0, name: bad}
+    with pytest.raises(ValueError, match=name):
+        mcsim.simulate_total_power(args["density"], args["radius"], P, 10,
+                                   mcsim.make_rng(0))
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES)
+@pytest.mark.parametrize("name", ["distance", "per_user_power"])
+def test_simulate_outage_rejects_bad_link(name, bad):
+    args = {"distance": 200.0, "per_user_power": 1.0, name: bad}
+    with pytest.raises(ValueError, match=name):
+        mcsim.simulate_outage(args["distance"], 1, args["per_user_power"], P,
+                              10, mcsim.make_rng(0))
+
+
+@pytest.mark.parametrize("flag", ["--radii", "--densities"])
+def test_validate_scaling_rejects_negative_grid(flag, capsys):
+    code = main(["validate-scaling", "--trials", "10", f"{flag}=1e-6,-1000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+def test_validate_scaling_zero_grid_is_all_zero(capsys):
+    code = main(["validate-scaling", "--trials", "10", "--radii", "0,250",
+                 "--densities", "0"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == EXIT_OK
+    assert len(lines) == 3
+    for line in lines[1:]:
+        assert [float(v) for v in line.split(",")[2:6]] == [0.0] * 4
 
 
 def _solve_manifest(tmp_path, capsys, name, *extra):

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from greencell import mcsim
 from greencell.mcsim import (McEstimate, make_rng, sample_users,
                              simulate_outage, simulate_total_power)
 from greencell.params import SystemParams
@@ -68,6 +71,101 @@ class TestSimulateTotalPower:
         est = simulate_total_power(1e-5, 500.0, P, 45_000, make_rng(8))
         assert est.trials == 45_000
         assert est.std_err > 0.0
+
+
+def whole_chunk_oracle(density, radius, p, trials, rng):
+    """The whole-chunk simulator: every user of a 20k-trial chunk at once.
+
+    The same stream order as ``simulate_total_power`` (a chunk's counts,
+    then its uniforms), with one ``reduceat`` over the chunk.  Its offsets
+    are the start of every non-empty trial; clipping the offsets of trailing
+    empty trials to the last element instead would drop the last user of
+    the trial before them.
+    """
+    mean_count = density * math.pi * radius * radius
+    per_trial = np.zeros(trials)
+    done = 0
+    while done < trials:
+        chunk = min(20_000, trials - done)
+        counts = rng.poisson(mean_count, chunk)
+        total = int(counts.sum())
+        if total:
+            dist = radius * np.sqrt(rng.random(total))
+            powers = stpc_power(dist, np.repeat(counts, counts).astype(float),
+                                p)
+            busy = counts > 0
+            sums = np.zeros(chunk)
+            sums[busy] = np.add.reduceat(powers,
+                                         (np.cumsum(counts) - counts)[busy])
+            per_trial[done:done + chunk] = sums
+        done += chunk
+    se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return McEstimate(mean=float(per_trial.mean()), std_err=se, trials=trials)
+
+
+VALIDATE_GRID = [(r, lam) for r in (250.0, 500.0, 1000.0, 2000.0)
+                 for lam in (1e-6, 1e-5, 5e-5)]
+
+
+class TestPieces:
+    """Drawing users piece by piece leaves every estimate bit-identical."""
+
+    @pytest.mark.parametrize("i", range(len(VALIDATE_GRID)))
+    def test_validate_grid_matches_whole_chunk(self, i):
+        # seed 1002 at (250 m, 1e-5) ends its chunk with empty trials after
+        # a three-user trial
+        radius, lam = VALIDATE_GRID[i]
+        seed = 1000 + 2 * i
+        got = simulate_total_power(lam, radius, P, 20_000, make_rng(seed))
+        want = whole_chunk_oracle(lam, radius, P, 20_000, make_rng(seed))
+        assert got == want
+
+    @pytest.mark.parametrize("lam, radius, trials", [
+        (1e-5, 1000.0, 1),
+        (1e-5, 1000.0, 45_000),
+        (2e-7, 500.0, 30_000),   # ~85% of trials empty
+    ])
+    def test_edge_cases_match_whole_chunk(self, lam, radius, trials):
+        got = simulate_total_power(lam, radius, P, trials, make_rng(13))
+        want = whole_chunk_oracle(lam, radius, P, trials, make_rng(13))
+        assert got == want
+
+    def test_last_user_before_trailing_empty_trials_counts(self):
+        trials, lam, radius, seed = 20, 1e-6, 500.0, 0
+        counts = make_rng(seed).poisson(lam * math.pi * radius ** 2, trials)
+        last = int(np.flatnonzero(counts)[-1])
+        assert last < trials - 1 and counts[last] >= 2
+        rng = make_rng(seed)
+        rng.poisson(lam * math.pi * radius ** 2, trials)
+        dist = radius * np.sqrt(rng.random(int(counts.sum())))
+        sums, start = [], 0
+        for n in counts:
+            sums.append(float(np.sum(stpc_power(dist[start:start + n],
+                                                float(n), P))) if n else 0.0)
+            start += n
+        est = simulate_total_power(lam, radius, P, trials, make_rng(seed))
+        assert est.mean == pytest.approx(np.mean(sums), rel=1e-12)
+
+    @given(piece=st.sampled_from([1, 7, 1 << 10, 1 << 16, 1 << 40]),
+           lam=st.floats(0.0, 5e-5), radius=st.floats(0.0, 500.0),
+           trials=st.integers(1, 2_500), seed=st.integers(0, 2 ** 32))
+    def test_piece_size_is_invisible(self, piece, lam, radius, trials, seed):
+        want = simulate_total_power(lam, radius, P, trials, make_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_PIECE_USERS", piece)
+            got = simulate_total_power(lam, radius, P, trials, make_rng(seed))
+        assert got == want
+
+    def test_memory_stays_bounded(self):
+        # 12.6M users in one chunk: whole-chunk arrays peak near 600 MB
+        tracemalloc.start()
+        try:
+            simulate_total_power(5e-5, 2000.0, SystemParams(), 20_000,
+                                 make_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
 
 class TestSimulateOutage:
