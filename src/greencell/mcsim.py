@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams
-from .scaling import stpc_power
+from .scaling import _check_nonneg_finite, stpc_power
 
 _TRIAL_CHUNK = 20_000
 # most users drawn and powered at once; bounds the simulator's working memory
@@ -33,12 +33,6 @@ class McEstimate:
             raise ValueError("trials must be >= 1")
         if self.std_err < 0.0:
             raise ValueError("std_err must be >= 0")
-
-
-def _check_nonneg_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def sample_users(density: float, radius: float,

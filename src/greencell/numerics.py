@@ -1,17 +1,13 @@
-"""Shared numerical kernels: Lambert W, root finding, Gauss-Legendre expectations."""
+"""Shared numerics: Lambert W, scalar roots and minima, Gauss-Legendre rules."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-
-class NoSignChangeError(ValueError):
-    """The supplied interval does not bracket a sign change."""
 
 
 class ConvergenceError(RuntimeError):
@@ -54,76 +50,91 @@ def shaped(flat: np.ndarray, shape):
     return float(flat[0]) if shape == () else flat.reshape(shape)
 
 
-# --- root finding -----------------------------------------------------------
+# --- scalar roots and minima ------------------------------------------------
 
-@dataclass(frozen=True)
-class Bracket:
-    """A sign-changing interval [lo, hi] for a scalar root."""
+def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
+                     x: float, tol: float,
+                     known: Optional[tuple] = None) -> float:
+    """Root of g between ``good`` (g >= 0) and ``bad`` (g < 0), either order.
 
-    lo: float
-    hi: float
-    f_lo_sign: int
-    f_hi_sign: int
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.f_lo_sign == self.f_hi_sign:
-            raise NoSignChangeError(
-                f"no sign change on [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def from_function(cls, f: Callable[[float], float],
-                      lo: float, hi: float) -> "Bracket":
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            # degenerate: widen an epsilon so bisect still works
-            return cls(lo, hi, -1 if fhi > 0 else 1, 1 if fhi > 0 else -1)
-        if flo * fhi > 0.0:
-            raise NoSignChangeError(
-                f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-        return cls(lo, hi, int(math.copysign(1, flo)), int(math.copysign(1, fhi)))
-
-
-def bisect(f: Callable[[float], float], bracket: Bracket,
-           rel_tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Bisection on a bracketed root.
-
-    Terminates when the bracket width drops below rel_tol * max(1, |x|).
-    Monotone convergence; raises ConvergenceError after max_iter halvings.
+    ``fn(x)`` returns g(x) and its slope, or None for the secant through the
+    last point (``known``, an (x, g) pair, on the first step).  Newton starts
+    from ``x``; a point outside the bracket, which each evaluation shrinks,
+    is replaced by its midpoint.  Steps aim ``tol / 2`` past the root into
+    the good side, so the result is an evaluated point with g >= 0 within
+    about ``tol`` of the root, or the good end once the bracket is narrower
+    than ``tol`` or after 100 evaluations.
     """
-    lo, hi = bracket.lo, bracket.hi
-    sign_lo = bracket.f_lo_sign
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(1.0, abs(mid)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if math.copysign(1, fm) == sign_lo:
-            lo = mid
+    prev = known
+    for _ in range(100):
+        if abs(bad - good) <= tol:
+            break
+        if not min(good, bad) < x < max(good, bad):
+            x = 0.5 * (good + bad)
+        g, slope = fn(x)
+        good, bad = (x, bad) if g >= 0.0 else (good, x)
+        if slope is None and prev is not None and x != prev[0]:
+            slope = (g - prev[1]) / (x - prev[0])
+        prev = (x, g)
+        step = -g / slope if slope else math.nan
+        if abs(step) <= tol and g >= 0.0:
+            return x
+        x += step + math.copysign(0.5 * tol, good - bad)
+    return good
+
+
+def minimize_bounded(fn: Callable[[float], float], lo: float, hi: float,
+                     xatol: float) -> tuple:
+    """(x, fn(x)) minimizing ``fn`` on [lo, hi] by Brent's bounded method.
+
+    Golden-section and parabolic steps (Forsythe, Malcolm and Moler's FMIN),
+    step for step as SciPy's ``minimize_scalar(method="bounded")``: the same
+    points and the same result.  The end points are never evaluated; the
+    search stops within about ``xatol`` or after 500 evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # xf is the best point so far, nfc and fulc the second and third best
+    xf = nfc = fulc = lo + golden_mean * (hi - lo)
+    fx = fnfc = ffulc = fn(xf)
+    rat = e = 0.0
+    for _ in range(499):  # evaluations after the first
+        xm = 0.5 * (lo + hi)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(xf - xm) <= tol2 - 0.5 * (hi - lo):
+            break
+        golden = abs(e) <= tol1
+        if not golden:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            golden = not (abs(p) < abs(0.5 * q * r)
+                          and q * (lo - xf) < p < q * (hi - xf))
+            if not golden:
+                rat = p / q
+                if xf + rat - lo < tol2 or hi - (xf + rat) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (lo if xf >= xm else hi) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = fn(x)
+        if fu <= fx:
+            lo, hi = (xf, hi) if x >= xf else (lo, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
         else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not converge in {max_iter} iterations on "
-        f"[{bracket.lo}, {bracket.hi}]")
-
-
-def grow_bracket(f: Callable[[float], float], lo: float, hi0: float,
-                 max_doublings: int = 200) -> Bracket:
-    """Double ``hi`` from ``hi0`` until [lo, hi] brackets a sign change."""
-    flo = f(lo)
-    hi = hi0
-    for _ in range(max_doublings):
-        fhi = f(hi)
-        if flo == 0.0 or flo * fhi <= 0.0:
-            return Bracket(lo, hi,
-                           int(math.copysign(1, flo)) if flo != 0 else -1,
-                           int(math.copysign(1, fhi)) if fhi != 0 else 1)
-        hi *= 2.0
-    raise NoSignChangeError(
-        f"no sign change found while doubling up to hi={hi}")
+            lo, hi = (x, hi) if x < xf else (lo, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf, fx
 
 
 # a step below this leaves an error of about its square: full double precision

@@ -82,12 +82,20 @@ def transmit_power_x(x, density, p: SystemParams):
     return shaped(out, shape)
 
 
+def _check_nonneg_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def avg_transmit_power(radius: float, density: float, p: SystemParams) -> float:
     """Average BS transmit power D1 * R^alpha * (2^(D2*pi*lambda*R^2) - 1).
 
     Strictly increasing in both arguments on the positive quadrant and
-    convex in x = R^2; zero when either argument is zero.
+    convex in x = R^2; zero when either argument is zero.  A negative or
+    non-finite argument raises ValueError.
     """
+    _check_nonneg_finite(radius=radius, density=density)
     return transmit_power_x(radius * radius, density, p)
 
 
@@ -99,8 +107,10 @@ def avg_transmit_power_exact(radius: float, density: float,
     exact exponent base (2^(v/W) - 1 instead of (ln 2) v/W), so it equals the
     expectation of the per-user power over the Poisson population exactly.
     Intended for validation; the scaling law above is the modeling surface.
+    A negative or non-finite argument raises ValueError.
     """
-    if radius <= 0.0 or density < 0.0:
+    _check_nonneg_finite(radius=radius, density=density)
+    if radius == 0.0:
         return 0.0
     c = derive_constants(p)
     alpha = p.pathloss_exp

@@ -7,28 +7,26 @@ for the original problem and upper-bounds the optimal consumption.
 
 A target above a scheme's throughput cap (the always-on policy at the power
 cap for ARw, the fixed radius that just meets the cap at full load for FRw)
-is rejected before any search.  ARwOFC ranks its consumption levels with a
-trapezoid tail table, several levels per kernel call, then re-solves the
-winner's cut-off by quadrature.  FRwOFC runs a bounded scalar search over
-its feasible interval of cut-offs, whose edge is found by Newton on the tail
-first moment, and reports metrics on its own quadrature rule.
+is rejected before any search.  Cut-offs and levels are Newton roots
+(``numerics.bracketed_newton``) on exact derivatives; ARwOFC then finds the
+root of its cost's level derivative, and FRwOFC runs Brent's bounded search
+(``numerics.minimize_bounded``) below its feasibility edge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .metrics import PolicyMetrics
-from .numerics import Bracket, QuadratureRule, bisect, gauss_legendre
+from .numerics import bracketed_newton, gauss_legendre, minimize_bounded
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import conditional_expect  # noqa: F401
 from .optimal import InfeasibleError
-from .params import SystemParams
+from .params import SystemParams, derive_constants
 from .scaling import bs_power, max_range_x
 from .traffic import DensityDistribution
 
@@ -37,13 +35,10 @@ FRW_OOFC = "FRwoOFC"
 ARW_OFC = "ARwOFC"
 ARW_OOFC = "ARwoOFC"
 
-_GRID = 512  # ARwOFC consumption levels scanned
-_LAM_GRID = 513  # densities in the ARwOFC trapezoid tail table
-# levels per kernel call in the ARwOFC scan.  The kernel's temporaries grow
-# with the call: a single 512-level call raises a sweep's peak RSS by about
-# 38 MB, 32 levels by about 4 MB and 8 levels by under 2 MB.
-_LEVELS_PER_CALL = 8
 _BIG = 1e30  # finite stand-in for an infeasible search point
+_CUT_TOL = 1e-14  # cut-off root tolerance, relative to lambda_max
+_LEVEL_TOL = 1e-14  # level root tolerance, relative to Pmax
+_SEARCH_TOL = 1e-9  # ARwOFC level search tolerance, relative to Pmax
 
 
 @dataclass(frozen=True)
@@ -80,19 +75,10 @@ def _check_target(u_avg: float) -> None:
         raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
 
 
-def _tail_rule(dist: DensityDistribution, cutoff: float) -> QuadratureRule:
-    return gauss_legendre(dist, cutoff, dist.lambda_max)
-
-
 def _tail_mean_density(dist: DensityDistribution, cutoff: float) -> float:
     """Unnormalized tail first moment of the density distribution."""
-    rule = _tail_rule(dist, cutoff)
+    rule = gauss_legendre(dist, cutoff, dist.lambda_max)
     return rule.integrate(rule.nodes)
-
-
-def _tail_users(rule: QuadratureRule, pf: float, p: SystemParams) -> float:
-    """Tail throughput with the range tracking consumption level ``pf``."""
-    return rule.integrate(math.pi * rule.nodes * max_range_x(rule.nodes, pf, p))
 
 
 def _frw_point(cutoff: float, u_avg: float, dist: DensityDistribution,
@@ -103,7 +89,7 @@ def _frw_point(cutoff: float, u_avg: float, dist: DensityDistribution,
     when it breaks the cap, which is checked at the highest density only
     since transmit power grows with density at fixed radius.
     """
-    rule = _tail_rule(dist, cutoff)
+    rule = gauss_legendre(dist, cutoff, dist.lambda_max)
     t1 = rule.integrate(rule.nodes)
     if not t1 > 0.0:
         return None
@@ -131,41 +117,15 @@ def _frw_result(tag: str, cutoff: float, point: tuple,
                         fixed_power=None, metrics=metrics)
 
 
-def _frw_edge(u_avg: float, dist: DensityDistribution, x_cap: float) -> float:
-    """Largest cut-off c with pi x_cap T1(c) = u_avg, T1 the tail first moment.
-
-    Newton with the exact slope dT1/dc = -c f(c), kept inside a bracket
-    that bisection shrinks whenever a step would leave it (or f(c) = 0).
-    Callers have checked that c = 0 is feasible; the satisfied side of the
-    bracket is returned if 100 steps do not close it.
-    """
-    lo, hi = 0.0, dist.lambda_max
-    tol = 1e-13 * hi
-    c = 0.5 * hi
-    for _ in range(100):
-        if hi - lo <= tol:
-            break
-        gap = math.pi * x_cap * _tail_mean_density(dist, c) - u_avg
-        if gap >= 0.0:
-            lo = c
-        else:
-            hi = c
-        slope = -math.pi * x_cap * c * float(dist.pdf(c))
-        step = c - gap / slope if slope < 0.0 else math.nan
-        if abs(step - c) <= tol:
-            return step
-        c = step if lo < step < hi else 0.5 * (lo + hi)
-    return lo
-
-
 def frw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
             force_cutoff: Optional[float] = None) -> SchemeResult:
     """Fixed radius with an on/off cut-off.
 
     For each cut-off the radius is the smallest one whose tail throughput
-    meets the floor.  Cut-offs past the feasibility edge ``_frw_edge`` break
-    the cap, so a bounded scalar search runs on [0, edge], and the better
-    of its result and the two end points wins.
+    meets the floor.  Cut-offs past the feasibility edge, where the tail
+    first moment T1 has pi x_cap T1(c) = u_avg, break the cap, so a bounded
+    scalar search runs on [0, edge], and the better of its result and the
+    two end points wins.
     """
     _check_target(u_avg)
     m = dist.lambda_max
@@ -183,13 +143,15 @@ def frw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
         at = _frw_point(cutoff, u_avg, dist, x_cap)
         return _BIG if at is None else _frw_cost(cutoff, at, dist, p)
 
-    edge = _frw_edge(u_avg, dist, x_cap)
-    res = optimize.minimize_scalar(objective, bounds=(0.0, edge),
-                                   method="bounded",
-                                   options={"xatol": m * 1e-9})
+    def gap(cutoff: float) -> tuple:  # dT1/dc = -c f(c)
+        return (math.pi * x_cap * _tail_mean_density(dist, cutoff) - u_avg,
+                -math.pi * x_cap * cutoff * float(dist.pdf(cutoff)))
+
+    edge = bracketed_newton(gap, 0.0, m, 0.5 * m, _CUT_TOL * m)
+    found, _ = minimize_bounded(objective, 0.0, edge, m * 1e-9)
     # the bounded search never evaluates the end points, and the optimum
     # often lies at one of them
-    best_cut = min((0.0, float(res.x), edge), key=objective)
+    best_cut = min((0.0, found, edge), key=objective)
     return _frw_result(FRW_OFC, best_cut,
                        _frw_point(best_cut, u_avg, dist, x_cap), dist, p)
 
@@ -200,128 +162,147 @@ def frw_oofc(u_avg: float, dist: DensityDistribution,
     return frw_ofc(u_avg, dist, p, force_cutoff=0.0)
 
 
-def _level_costs(pfs: np.ndarray, u_avg: float, dist: DensityDistribution,
-                 p: SystemParams, lam_grid: np.ndarray,
-                 pdf_grid: np.ndarray) -> np.ndarray:
-    """Average consumption at each consumption level in ``pfs``; _BIG where
-    the level cannot meet the floor.
+class _ArwTail(NamedTuple):
+    """Tail integrals at one (cut-off c, level pf) pair; see ``_arw_tail``."""
 
-    Tail throughput is tabulated with trapezoids over a dense density grid,
-    ``_LEVELS_PER_CALL`` levels per kernel call; accurate enough to rank
-    candidates, with the winner re-solved by quadrature afterwards.  The
-    cut-off is where the tail throughput falls to the floor.
+    users: float  # U
+    level: float  # I
+    x_cut: float  # x(c), 0 at c = 0
+
+
+def _arw_tail(dist: DensityDistribution, cutoff: float, pf: float,
+              p: SystemParams) -> _ArwTail:
+    """U, I and x(c) from one kernel call on the tail rule.
+
+    U = integral over [c, lambda_max] of pi lam x f, x = max_range_x(lam, pf);
+    I = integral of lam x / (alpha/2 + y / (1 - e^-y)) f, y = d3 pi lam x.
+    Then dU/dpf = pi I / (pf - Pc) and dU/dc = -pi c x(c) f(c).
     """
-    cutoffs = np.full(pfs.size, np.nan)
-    width = np.diff(lam_grid)
-    for s in range(0, pfs.size, _LEVELS_PER_CALL):
-        xs = max_range_x(lam_grid, pfs[s:s + _LEVELS_PER_CALL, None], p)
-        integ = math.pi * lam_grid * xs * pdf_grid
-        seg = 0.5 * (integ[:, 1:] + integ[:, :-1]) * width
-        tails = np.cumsum(seg[:, ::-1], axis=1)
-        for j, tail in enumerate(tails):
-            if tail[-1] >= u_avg:
-                # tail decreases along the grid; invert by interpolation
-                cutoffs[s + j] = np.interp(u_avg, np.append(0.0, tail),
-                                           lam_grid[::-1])
-    costs = np.full(pfs.size, _BIG)
-    ok = ~np.isnan(cutoffs)
-    on_prob = 1.0 - np.asarray(dist.cdf(cutoffs[ok]), dtype=float)
-    costs[ok] = pfs[ok] * on_prob + p.sleep_power * (1.0 - on_prob)
-    return costs
+    rule = gauss_legendre(dist, cutoff, dist.lambda_max)
+    n = rule.nodes.size
+    xs = max_range_x(np.append(rule.nodes, cutoff) if cutoff > 0.0
+                     else rule.nodes, pf, p)
+    x = xs[:n]
+    y = derive_constants(p).d3 * math.pi * rule.nodes * x
+    return _ArwTail(rule.integrate(math.pi * rule.nodes * x),
+                    rule.integrate(rule.nodes * x / (
+                        0.5 * p.pathloss_exp - y / np.expm1(-y))),
+                    float(xs[n]) if cutoff > 0.0 else 0.0)
 
 
-def _accurate_cutoff(pf: float, u_avg: float, dist: DensityDistribution,
-                     p: SystemParams) -> Optional[float]:
-    """Largest cut-off whose quadrature tail throughput still meets the floor."""
-    def tail(cut: float) -> float:
-        return _tail_users(_tail_rule(dist, cut), pf, p)
+def _arw_cutoff(u_avg: float, dist: DensityDistribution, p: SystemParams,
+                pf: float, start: float) -> tuple:
+    """(c, tail at c): the largest cut-off meeting the floor at level ``pf``,
+    by Newton from ``start``.  Callers have checked that c = 0 meets it."""
+    tails = {}
 
-    if tail(0.0) < u_avg:
-        return None
-    lo, hi = 0.0, dist.lambda_max
-    for _ in range(60):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if tail(mid) >= u_avg:
-            lo = mid
-        else:
-            hi = mid
-    return lo  # the satisfied side, so the constraint holds at the result
+    def gap(c: float) -> tuple:
+        tails[c] = tail = _arw_tail(dist, c, pf, p)
+        return tail.users - u_avg, \
+            -math.pi * c * tail.x_cut * float(dist.pdf(c))
+
+    m = dist.lambda_max
+    c = bracketed_newton(gap, 0.0, m, start, _CUT_TOL * m)
+    return c, tails[c] if c in tails else _arw_tail(dist, c, pf, p)
+
+
+def _arw_level(u_avg: float, dist: DensityDistribution, p: SystemParams,
+               cutoff: float, top: _ArwTail) -> tuple:
+    """(pf, tail at pf): the lowest level meeting the floor above ``cutoff``.
+
+    ``top``, the tail at Pmax, meets it.  Each step is Newton's on
+    log U = log u_avg in s = log(pf - Pc), where log U is close to linear
+    (dlog U/ds = pi I / U), handed to the root finder as a step in pf, where
+    the tolerance is set.
+    """
+    pc, pmax = p.static_power, p.max_bs_power
+    levels = {}
+
+    def gap(pf: float) -> tuple:
+        levels[pf] = tail = top if pf == pmax \
+            else _arw_tail(dist, cutoff, pf, p)
+        g = math.log(tail.users / u_avg)
+        rate = math.pi * tail.level / tail.users
+        move = (pf - pc) * math.expm1(-g / rate)
+        # the slope for which a Newton step in pf makes this move
+        return g, -g / move if move else rate / (pf - pc)
+
+    g, slope = gap(pmax)
+    pf = bracketed_newton(gap, pmax, pc, pmax - g / slope, _LEVEL_TOL * pmax)
+    return pf, levels[pf]
+
+
+def _level_balance(pf: float, cutoff: float, tail: _ArwTail,
+                   dist: DensityDistribution, p: SystemParams) -> float:
+    """log(B / (1 - F(c))), of the sign of -dJ/dpf.
+
+    Along the cut-off c(pf) that holds the floor, J = pf (1 - F(c)) +
+    Ps F(c) has dJ/dpf = 1 - F(c) - B, B = (pf - Ps) / (pf - Pc) I / (c x(c)),
+    which grows without bound as c -> 0; the log stays near linear.
+    """
+    if cutoff <= 0.0:
+        return math.inf
+    ratio = (pf - p.sleep_power) / (pf - p.static_power)
+    return math.log(ratio * tail.level / (cutoff * tail.x_cut)
+                    / (1.0 - float(dist.cdf(cutoff))))
 
 
 def arw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
             force_cutoff: Optional[float] = None) -> SchemeResult:
     """Consumption pinned at one level when on, with an on/off cut-off.
 
-    The range tracks the largest radius affordable at the chosen level; the
-    cut-off is pushed as high as the throughput floor allows, and the level
-    minimizing (level * on-probability) wins.
+    The range tracks the largest radius affordable at the level, and the
+    cut-off is pushed as high as the floor allows.  The level minimizing
+    J = level (1 - F(c)) + Ps F(c) wins: Pmax when dJ/dpf <= 0 there,
+    otherwise the root of dJ/dpf between the lowest feasible level and Pmax,
+    found by a secant search; the best level evaluated is kept.
     """
     _check_target(u_avg)
+    pmax, m = p.max_bs_power, dist.lambda_max
+    top = _arw_tail(dist, force_cutoff or 0.0, pmax, p)
+    if top.users < u_avg:
+        raise InfeasibleError(u_avg, top.users)
     if force_cutoff is not None:
-        return _arw_fixed_cutoff(u_avg, dist, p, force_cutoff)
-    cap = _tail_users(_tail_rule(dist, 0.0), p.max_bs_power, p)
-    if cap < u_avg:
-        raise InfeasibleError(u_avg, cap)
-    m = dist.lambda_max
-    lam_grid = np.linspace(m * 1e-9, m, _LAM_GRID)
-    pdf_grid = np.asarray(dist.pdf(lam_grid), dtype=float)
-    pfs = np.linspace(p.static_power, p.max_bs_power, _GRID + 1)[1:]
+        pf, tail = _arw_level(u_avg, dist, p, force_cutoff, top)
+        tag = ARW_OOFC if force_cutoff == 0.0 else ARW_OFC
+        return _arw_result(tag, pf, force_cutoff, tail.users, dist, p)
+    cutoff, tail = _arw_cutoff(u_avg, dist, p, pmax, 0.5 * m)
+    last = best = (pmax, cutoff, tail)
+    balance = _level_balance(pmax, cutoff, tail, dist, p)
 
-    def fast_cost(pf: float) -> float:
-        return float(_level_costs(np.array([pf]), u_avg, dist, p,
-                                  lam_grid, pdf_grid)[0])
+    def balance_at(pf: float) -> tuple:
+        nonlocal last, best
+        at, c, tail = last
+        # start from the last level's cut-off, moved along dc/dpf
+        drop = c * tail.x_cut * float(dist.pdf(c))  # -dU/dc / pi
+        if drop > 0.0:
+            dc = tail.level / ((at - p.static_power) * drop)
+            c = min(max(c + dc * (pf - at), 0.0), m)
+        last = (pf, *_arw_cutoff(u_avg, dist, p, pf, c))
+        if _arw_cost(*last[:2], dist, p) < _arw_cost(*best[:2], dist, p):
+            best = last
+        return _level_balance(*last, dist, p), None
 
-    costs = _level_costs(pfs, u_avg, dist, p, lam_grid, pdf_grid)
-    i = int(np.argmin(costs))
-    levels = [p.max_bs_power]  # meets the floor: the cap covers it
-    if costs[i] < _BIG:
-        lo = float(pfs[max(i - 1, 0)])
-        hi = float(pfs[min(i + 1, len(pfs) - 1)])
-        res = optimize.minimize_scalar(
-            fast_cost, bounds=(lo, hi), method="bounded",
-            options={"xatol": p.max_bs_power * 1e-9})
-        best = float(res.x) if res.fun <= costs[i] else float(pfs[i])
-        levels = [best, float(pfs[i])] + levels
-    for pf in levels:  # the cap, last, always has a cut-off
-        cutoff = _accurate_cutoff(pf, u_avg, dist, p)
-        if cutoff is not None:
-            break
-    return _arw_result(ARW_OFC, pf, cutoff, dist, p)
+    if balance < 0.0:
+        lowest, _ = _arw_level(u_avg, dist, p, 0.0, top)
+        bracketed_newton(balance_at, lowest, pmax, 0.5 * (lowest + pmax),
+                         _SEARCH_TOL * pmax, known=(pmax, balance))
+    pf, cutoff, tail = best
+    return _arw_result(ARW_OFC, pf, cutoff, tail.users, dist, p)
 
 
-def _arw_fixed_cutoff(u_avg: float, dist: DensityDistribution,
-                      p: SystemParams, cutoff: float) -> SchemeResult:
-    """Smallest consumption level meeting the floor at a pinned cut-off."""
-    _check_target(u_avg)
-    rule = _tail_rule(dist, cutoff)
-
-    def tail(pf: float) -> float:
-        return _tail_users(rule, pf, p)
-
-    if tail(p.max_bs_power) < u_avg:
-        raise InfeasibleError(u_avg, tail(p.max_bs_power))
-
-    def f(pf: float) -> float:
-        return tail(pf) - u_avg
-
-    eps = (p.max_bs_power - p.static_power) * 1e-9
-    pf = bisect(f, Bracket.from_function(f, p.static_power + eps,
-                                         p.max_bs_power), rel_tol=1e-10)
-    if f(pf) < 0.0:
-        pf = min(pf * (1.0 + 1e-9) + eps, p.max_bs_power)
-    tag = ARW_OOFC if cutoff == 0.0 else ARW_OFC
-    return _arw_result(tag, pf, cutoff, dist, p)
-
-
-def _arw_result(tag: str, pf: float, cutoff: float,
-                dist: DensityDistribution, p: SystemParams) -> SchemeResult:
+def _arw_cost(pf: float, cutoff: float, dist: DensityDistribution,
+              p: SystemParams) -> float:
     on_prob = 1.0 - float(dist.cdf(cutoff))
-    avg_users = _tail_users(_tail_rule(dist, cutoff), pf, p)
-    avg_power = pf * on_prob + p.sleep_power * (1.0 - on_prob)
-    metrics = PolicyMetrics(avg_power_w=avg_power, avg_users=avg_users,
-                            on_probability=on_prob, peak_bs_power_w=pf)
+    return pf * on_prob + p.sleep_power * (1.0 - on_prob)
+
+
+def _arw_result(tag: str, pf: float, cutoff: float, avg_users: float,
+                dist: DensityDistribution, p: SystemParams) -> SchemeResult:
+    metrics = PolicyMetrics(avg_power_w=_arw_cost(pf, cutoff, dist, p),
+                            avg_users=avg_users,
+                            on_probability=1.0 - float(dist.cdf(cutoff)),
+                            peak_bs_power_w=pf)
     return SchemeResult(scheme=tag, cutoff=cutoff, fixed_radius=None,
                         fixed_power=pf, metrics=metrics)
 
@@ -329,4 +310,4 @@ def _arw_result(tag: str, pf: float, cutoff: float,
 def arw_oofc(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> SchemeResult:
     """Constant consumption, always on: the cut-off pinned to zero."""
-    return _arw_fixed_cutoff(u_avg, dist, p, 0.0)
+    return arw_ofc(u_avg, dist, p, force_cutoff=0.0)

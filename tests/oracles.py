@@ -1,0 +1,114 @@
+"""Reference algorithms the tests check greencell against.
+
+Plain bisection (``Bracket``, ``bisect``, ``grow_bracket``) is the oracle
+for the Newton kernels and thresholds, and ``accurate_cutoff`` is the
+bisection the ARwOFC scheme used for its cut-off before it moved to Newton
+on exact derivatives.  None of this is used by the package itself.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+from greencell.numerics import ConvergenceError, gauss_legendre
+from greencell.scaling import max_range_x
+
+
+class NoSignChangeError(ValueError):
+    """The supplied interval does not bracket a sign change."""
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """A sign-changing interval [lo, hi] for a scalar root."""
+
+    lo: float
+    hi: float
+    f_lo_sign: int
+    f_hi_sign: int
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if self.f_lo_sign == self.f_hi_sign:
+            raise NoSignChangeError(
+                f"no sign change on [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def from_function(cls, f: Callable[[float], float],
+                      lo: float, hi: float) -> "Bracket":
+        flo, fhi = f(lo), f(hi)
+        if flo == 0.0:
+            # degenerate: widen an epsilon so bisect still works
+            return cls(lo, hi, -1 if fhi > 0 else 1, 1 if fhi > 0 else -1)
+        if flo * fhi > 0.0:
+            raise NoSignChangeError(
+                f"f({lo})={flo} and f({hi})={fhi} have the same sign")
+        return cls(lo, hi, int(math.copysign(1, flo)), int(math.copysign(1, fhi)))
+
+
+def bisect(f: Callable[[float], float], bracket: Bracket,
+           rel_tol: float = 1e-10, max_iter: int = 200) -> float:
+    """Bisection on a bracketed root.
+
+    Terminates when the bracket width drops below rel_tol * max(1, |x|).
+    Monotone convergence; raises ConvergenceError after max_iter halvings.
+    """
+    lo, hi = bracket.lo, bracket.hi
+    sign_lo = bracket.f_lo_sign
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rel_tol * max(1.0, abs(mid)):
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if math.copysign(1, fm) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError(
+        f"bisection did not converge in {max_iter} iterations on "
+        f"[{bracket.lo}, {bracket.hi}]")
+
+
+def grow_bracket(f: Callable[[float], float], lo: float, hi0: float,
+                 max_doublings: int = 200) -> Bracket:
+    """Double ``hi`` from ``hi0`` until [lo, hi] brackets a sign change."""
+    flo = f(lo)
+    hi = hi0
+    for _ in range(max_doublings):
+        fhi = f(hi)
+        if flo == 0.0 or flo * fhi <= 0.0:
+            return Bracket(lo, hi,
+                           int(math.copysign(1, flo)) if flo != 0 else -1,
+                           int(math.copysign(1, fhi)) if fhi != 0 else 1)
+        hi *= 2.0
+    raise NoSignChangeError(
+        f"no sign change found while doubling up to hi={hi}")
+
+
+def arw_tail_users(pf, cutoff, dist, p) -> float:
+    """Tail throughput above ``cutoff`` with the range tracking level ``pf``."""
+    rule = gauss_legendre(dist, cutoff, dist.lambda_max)
+    return rule.integrate(math.pi * rule.nodes * max_range_x(rule.nodes, pf, p))
+
+
+def accurate_cutoff(pf, u_avg, dist, p) -> Optional[float]:
+    """Largest cut-off whose quadrature tail throughput still meets the
+    floor, by bisection to an absolute width of 1e-12; None when even the
+    always-on tail misses it."""
+    if arw_tail_users(pf, 0.0, dist, p) < u_avg:
+        return None
+    lo, hi = 0.0, dist.lambda_max
+    for _ in range(60):
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if arw_tail_users(pf, mid, dist, p) >= u_avg:
+            lo = mid
+        else:
+            hi = mid
+    return lo  # the satisfied side, so the constraint holds at the result

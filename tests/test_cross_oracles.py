@@ -15,14 +15,14 @@ from hypothesis import event, given, strategies as st
 from scipy import integrate
 
 from greencell import cli
-from greencell.numerics import (bisect, expect, gauss_legendre, grow_bracket,
-                                lambert_w0)
+from greencell.numerics import expect, gauss_legendre, lambert_w0
 from greencell.optimal import (critical_densities, hse_x1, hse_x2,
                                lagrangian_x, subproblem, x1_star, x2_star)
 from greencell.params import SystemParams, derive_constants
 from greencell.scaling import (InfeasibleBudgetError, bs_power_x,
                                max_range_x, transmit_power_x)
 from greencell.traffic import from_table, triangular
+from oracles import bisect, grow_bracket
 
 CONFIGS = ("configs/baseline.json", "configs/low_static.cfg")
 MUS = (0.3, 1.05, 3.0)

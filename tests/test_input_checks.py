@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from greencell import cli, mcsim, suboptimal
+from greencell import cli, mcsim, scaling, suboptimal
 from greencell.cli import EXIT_OK, EXIT_USAGE, main
 from greencell.optimal import solve
 from greencell.params import InvalidParameterError, SystemParams
@@ -59,6 +59,24 @@ def test_simulate_outage_rejects_bad_link(name, bad):
     with pytest.raises(ValueError, match=name):
         mcsim.simulate_outage(args["distance"], 1, args["per_user_power"], P,
                               10, mcsim.make_rng(0))
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES)
+@pytest.mark.parametrize("name", ["density", "radius"])
+@pytest.mark.parametrize("law", [scaling.avg_transmit_power,
+                                 scaling.avg_transmit_power_exact])
+def test_transmit_power_laws_reject_bad_geometry(law, name, bad):
+    args = {"density": 1e-5, "radius": 1000.0, name: bad}
+    with pytest.raises(ValueError, match=name):
+        law(args["radius"], args["density"], P)
+
+
+@pytest.mark.parametrize("law", [scaling.avg_transmit_power,
+                                 scaling.avg_transmit_power_exact])
+def test_transmit_power_laws_give_zero_at_zero_geometry(law):
+    assert law(0.0, 1e-5, P) == 0.0
+    assert law(1000.0, 0.0, P) == 0.0
+    assert law(0.0, 0.0, P) == 0.0
 
 
 @pytest.mark.parametrize("flag", ["--radii", "--densities"])

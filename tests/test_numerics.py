@@ -1,14 +1,17 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.special
+from scipy import optimize
 
 from greencell import numerics
-from greencell.numerics import (Bracket, NoSignChangeError,
-                                NonFiniteIntegrandError, bisect,
-                                conditional_expect, expect, grow_bracket,
-                                lambert_w0)
+from greencell.numerics import (NonFiniteIntegrandError, bracketed_newton,
+                                conditional_expect, expect, lambert_w0,
+                                minimize_bounded)
+from oracles import Bracket, NoSignChangeError, bisect, grow_bracket
 from greencell.optimal import x1_star
 from greencell.params import SystemParams
 from greencell.traffic import triangular
@@ -71,6 +74,81 @@ class TestBisect:
         f = lambda x: x - 1000.0
         b = grow_bracket(f, 0.0, 1.0)
         assert b.lo <= 1000.0 <= b.hi
+
+
+class TestBracketedNewton:
+    def _logged(self, g, slope=None):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return g(x), None if slope is None else slope(x)
+        return fn, calls
+
+    def test_root_from_either_side_is_on_the_good_side(self):
+        # g >= 0 below sqrt(2) here, so the good end is the low one
+        g = lambda x: 2.0 - x * x
+        fn, calls = self._logged(g, lambda x: -2.0 * x)
+        for start in (0.5, 1.9):
+            root = bracketed_newton(fn, 0.0, 2.0, start, 1e-12)
+            assert g(root) >= 0.0
+            assert root == pytest.approx(math.sqrt(2.0), abs=2e-12)
+            assert root in calls  # an evaluated point
+        assert len(calls) <= 16
+
+    def test_ends_in_either_order(self):
+        g = lambda x: x - 3.0  # good side above the root
+        fn, _ = self._logged(g, lambda x: 1.0)
+        root = bracketed_newton(fn, 10.0, 0.0, 1.0, 1e-12)
+        assert 3.0 <= root <= 3.0 + 1e-12
+
+    def test_secant_without_a_slope(self):
+        g = lambda x: math.exp(-x) - 0.25  # good side below log 4
+        fn, calls = self._logged(g)
+        root = bracketed_newton(fn, 0.0, 5.0, 2.0, 1e-12,
+                                known=(5.0, g(5.0)))
+        assert root == pytest.approx(math.log(4.0), abs=2e-12)
+        assert g(root) >= 0.0
+        assert len(calls) <= 12
+
+    def test_zero_slope_falls_back_to_bisection(self):
+        g = lambda x: 1.0 if x < 0.3 else -1.0
+        fn, calls = self._logged(g, lambda x: 0.0)
+        root = bracketed_newton(fn, 0.0, 1.0, 0.9, 1e-9)
+        assert 0.3 - 1e-9 <= root < 0.3
+        assert len(calls) <= 35
+
+
+class TestMinimizeBounded:
+    # odd cases put the minimum within the search's tolerance of an end,
+    # where a parabolic step has to be pulled back from the bound
+    @pytest.mark.parametrize("case", range(40))
+    def test_takes_the_reference_method_step_for_step(self, case):
+        rng = np.random.default_rng(case)
+        a, b, c = rng.uniform(-3.0, 3.0, 3)
+        lo, hi = sorted(rng.uniform(-5.0, 5.0, 2))
+        xatol = 10.0 ** rng.uniform(-12.0, -3.0)
+        if case % 2:
+            tol = 1.5e-8 * max(abs(lo), abs(hi)) + xatol
+            c = (lo if case % 4 == 1 else hi) + rng.uniform(-1.0, 1.0) * tol
+            b = 0.0
+
+        def f(x):
+            return (x - c) ** 2 * (1.0 + 0.3 * math.sin(a * x)) \
+                + b * abs(x) ** 1.5
+        ref_points, points = [], []
+        res = optimize.minimize_scalar(
+            lambda x: ref_points.append(x) or f(x), bounds=(lo, hi),
+            method="bounded", options={"xatol": xatol})
+        got = minimize_bounded(lambda x: points.append(x) or f(x), lo, hi,
+                               xatol)
+        assert points == ref_points
+        assert got == (float(res.x), float(res.fun))
+
+
+def test_package_imports_without_scipy():
+    code = "import sys, greencell; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestExpectation:

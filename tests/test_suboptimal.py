@@ -17,6 +17,7 @@ from greencell.scaling import bs_power, max_range, max_range_x
 from greencell.suboptimal import (ARW_OFC, ARW_OOFC, FRW_OFC, FRW_OOFC,
                                   arw_ofc, arw_oofc, frw_ofc, frw_oofc)
 from greencell.traffic import from_table, triangular
+from oracles import Bracket, accurate_cutoff, arw_tail_users, bisect
 
 P = SystemParams(static_power=60.0)
 DIST = triangular(1e-4)
@@ -180,7 +181,8 @@ TABLE_AT_ZERO = from_table([0.0, 2.5e-5, 5e-5, 7.5e-5, 1e-4],
 SWEEP_POOL_TARGETS = (50.724, 53.554, 54.905, 54.989, 55.063, 58.552, 58.705,
                       59.895, 111.686, 112.387, 112.954, 116.135)
 BIG = 1e30
-SCAN_LEVELS, SCAN_DENSITIES = suboptimal._GRID, suboptimal._LAM_GRID
+# the levels and densities of the trapezoid scan ARwOFC used to rank levels
+SCAN_LEVELS, SCAN_DENSITIES = 512, 513
 
 
 def _context(config):
@@ -218,7 +220,8 @@ def _level_rows(config, dist):
 
 
 def _ref_arw_ofc(u_avg, config, dist):
-    """ARwOFC as a per-level loop, refined and re-solved as in the scheme."""
+    """ARwOFC as it was searched before its Newton rewrite: a trapezoid-ranked
+    per-level loop, refined by a bounded search and re-solved by bisection."""
     p, _ = _context(config)
     lam_grid, pdf_grid = _scan_grid(dist)
     pfs, rows = _level_rows(config, dist)
@@ -237,10 +240,10 @@ def _ref_arw_ofc(u_avg, config, dist):
                       float(pfs[min(i + 1, pfs.size - 1)])),
         method="bounded", options={"xatol": p.max_bs_power * 1e-9})
     pf = float(res.x) if res.fun <= costs[i] else float(pfs[i])
-    cutoff = suboptimal._accurate_cutoff(pf, u_avg, dist, p)
+    cutoff = accurate_cutoff(pf, u_avg, dist, p)
     if cutoff is None:
         pf = float(pfs[i])
-        cutoff = suboptimal._accurate_cutoff(pf, u_avg, dist, p)
+        cutoff = accurate_cutoff(pf, u_avg, dist, p)
     return pf, cutoff
 
 
@@ -273,35 +276,123 @@ def _ref_frw_power(u_avg, dist, p):
     return min(float(res.fun), float(costs[i]))
 
 
+def _arw_power(pf, cutoff, dist, p):
+    on_prob = 1.0 - float(dist.cdf(cutoff))
+    return pf * on_prob + p.sleep_power * (1.0 - on_prob)
+
+
+def _assert_meets_floor(res, u_avg, dist, p):
+    """The result's tail throughput, recomputed by quadrature, is the one
+    it reports and meets the floor."""
+    users = arw_tail_users(res.fixed_power, res.cutoff, dist, p)
+    assert res.metrics.avg_users == users
+    assert users >= u_avg
+
+
 @pytest.mark.parametrize("dist", [DIST, TABLE1], ids=["triangular", "table1"])
 @pytest.mark.parametrize("config", CONFIGS)
-def test_arw_ofc_equals_the_per_level_loop(config, dist):
+def test_arw_ofc_is_no_worse_than_the_per_level_loop(config, dist):
     p, _ = _context(config)
     cap = max_achievable_throughput(dist, p)
     for frac in (0.03, 0.2, 0.35, 0.55, 0.8, 0.97):
         u = frac * cap
         res = arw_ofc(u, dist, p)
         pf, cutoff = _ref_arw_ofc(u, config, dist)
-        assert (res.fixed_power, res.cutoff) == (pf, cutoff), frac
-        assert res.metrics == suboptimal._arw_result(
-            ARW_OFC, pf, cutoff, dist, p).metrics, frac
+        assert res.metrics.avg_power_w <= \
+            _arw_power(pf, cutoff, dist, p) * (1.0 + 1e-12), frac
+        assert res.metrics.avg_power_w == _arw_power(
+            res.fixed_power, res.cutoff, dist, p)
+        _assert_meets_floor(res, u, dist, p)
 
 
 def test_arw_ofc_falls_back_to_the_cap_level_just_below_the_cap():
-    # the trapezoid table undercounts this profile's cap by about 8e-6, so
-    # at this target no scanned level meets the floor, though the cap does
+    # the trapezoid table the level scan used undercounts this profile's cap
+    # by about 8e-6, so at this target it found no level, though the cap
+    # level meets the floor
     p, _ = _context("baseline.json")
     cap = max_achievable_throughput(TABLE_AT_ZERO, p)
     u = cap * (1.0 - 2e-6)
-    lam_grid, pdf_grid = _scan_grid(TABLE_AT_ZERO)
-    xs = max_range_x(lam_grid, p.max_bs_power, p)
-    assert _ref_level_cost(xs, p.max_bs_power, u, TABLE_AT_ZERO, p,
-                           lam_grid, pdf_grid) == BIG
     res = arw_ofc(u, TABLE_AT_ZERO, p)
     assert res.fixed_power == p.max_bs_power
-    assert res.cutoff == suboptimal._accurate_cutoff(
-        p.max_bs_power, u, TABLE_AT_ZERO, p)
-    assert res.metrics.avg_users >= u
+    assert 0.0 < res.cutoff
+    _assert_meets_floor(res, u, TABLE_AT_ZERO, p)
+
+
+def _scan_power(u_avg, dist, p, levels=128):
+    """Least ARwOFC power over ``levels`` evenly spaced levels up to Pmax,
+    each with its cut-off bisected on the quadrature tail throughput."""
+    best = math.inf
+    for pf in np.linspace(p.static_power, p.max_bs_power, levels + 1)[1:]:
+        cutoff = accurate_cutoff(float(pf), u_avg, dist, p)
+        if cutoff is not None:
+            best = min(best, _arw_power(float(pf), cutoff, dist, p))
+    return best
+
+
+@settings(max_examples=8)
+@given(pc=st.floats(20.0, 140.0), alpha=st.sampled_from([3.0, 3.7]),
+       frac=st.floats(0.02, 0.999),
+       dist=st.sampled_from([DIST, TABLE1, TABLE_AT_ZERO]))
+# the level search runs, and the cap level wins without one
+@example(pc=60.0, alpha=3.7, frac=0.6, dist=DIST)
+@example(pc=140.0, alpha=3.0, frac=0.5, dist=TABLE1)
+def test_arw_ofc_is_no_worse_than_the_128_level_scan(pc, alpha, frac, dist):
+    p = SystemParams(static_power=pc, pathloss_exp=alpha)
+    u = frac * max_achievable_throughput(dist, p)
+    res = arw_ofc(u, dist, p)
+    assert res.metrics.avg_power_w <= _scan_power(u, dist, p) * (1.0 + 1e-9)
+    _assert_meets_floor(res, u, dist, p)
+
+
+@pytest.mark.parametrize("dist", [DIST, TABLE1, TABLE_AT_ZERO],
+                         ids=["triangular", "table1", "table_at_zero"])
+@pytest.mark.parametrize("config", CONFIGS)
+def test_arw_oofc_level_is_the_bisected_root(config, dist):
+    # the lowest level whose always-on throughput meets the floor, against
+    # bisection on the same quadrature down to 1e-14 relative
+    p, _ = _context(config)
+    cap = max_achievable_throughput(dist, p)
+    for frac in (1e-4, 0.03, 0.3, 0.7, 0.99, 1.0 - 1e-9):
+        u = frac * cap
+
+        def gap(pf):
+            return arw_tail_users(pf, 0.0, dist, p) - u
+        eps = (p.max_bs_power - p.static_power) * 1e-12
+        want = bisect(gap, Bracket.from_function(
+            gap, p.static_power + eps, p.max_bs_power), rel_tol=1e-14)
+        res = arw_oofc(u, dist, p)
+        assert res.fixed_power <= want * (1.0 + 1e-12), frac
+        assert res.fixed_power >= want * (1.0 - 1e-12), frac
+        _assert_meets_floor(res, u, dist, p)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_level_derivative_matches_central_differences(config):
+    # dJ/dpf = (1 - F(c)) (1 - e^balance), along the cut-off c(pf) that
+    # holds the floor; checked against central differences of J itself
+    p, _ = _context(config)
+    u = 0.4 * max_achievable_throughput(DIST, p)
+    lowest = arw_oofc(u, DIST, p).fixed_power
+    m = DIST.lambda_max
+
+    def cost(pf):
+        cutoff, tail = suboptimal._arw_cutoff(u, DIST, p, pf, 0.5 * m)
+        return _arw_power(pf, cutoff, DIST, p), cutoff, tail
+
+    h = 1e-3
+    for frac in (0.2, 0.5, 0.9):
+        pf = lowest + frac * (p.max_bs_power - lowest)
+        _, cutoff, tail = cost(pf)
+        on_prob = 1.0 - float(DIST.cdf(cutoff))
+        got = on_prob * -math.expm1(
+            suboptimal._level_balance(pf, cutoff, tail, DIST, p))
+        want = (cost(pf + h)[0] - cost(pf - h)[0]) / (2.0 * h)
+        assert got == pytest.approx(want, rel=1e-6), frac
+        # and the level slope of the tail throughput, dU/dpf = pi I / (pf - Pc)
+        du = (suboptimal._arw_tail(DIST, cutoff, pf + h, p).users
+              - suboptimal._arw_tail(DIST, cutoff, pf - h, p).users) / (2 * h)
+        assert math.pi * tail.level / (pf - p.static_power) == \
+            pytest.approx(du, rel=1e-6), frac
 
 
 @settings(max_examples=12)
@@ -388,11 +479,10 @@ def test_sweep_pool_dominance_chains(sweep_pool, config):
 
 # --- deterministic cost guard: kernel calls and their sizes -----------------
 
-# the ARwOFC scan may pass at most 8 levels of its density grid per kernel
-# call: the kernel's temporaries grow with the call and set the sweep's peak
-# RSS (about +4 MB at 32 levels, +38 MB at all 512)
-MAX_LEVELS_PER_CALL = 8
-MAX_CALL_ELEMENTS = MAX_LEVELS_PER_CALL * SCAN_DENSITIES
+# no kernel call may exceed the 8 levels x 513 densities the ARwOFC level
+# scan passed per call: the kernel's temporaries grow with the call and set
+# the sweep's peak RSS (about +4 MB at 32 levels, +38 MB at all 512)
+MAX_CALL_ELEMENTS = 8 * SCAN_DENSITIES
 
 
 class _KernelLog:
@@ -443,12 +533,12 @@ def test_feasible_search_stays_batched(kernel_log, scheme):
     scheme(55.063, dist, p)
     assert not kernel_log.evaluated
     assert max(kernel_log.sizes) <= MAX_CALL_ELEMENTS
+    assert kernel_log.multi_level == 0
     if scheme is arw_ofc:
-        # the levels in chunks, then the refinement and the cut-off
-        # re-solve; a call per level would make 563 here
-        assert kernel_log.multi_level <= SCAN_LEVELS // MAX_LEVELS_PER_CALL
-        assert len(kernel_log.sizes) <= 128
-    else:
-        assert kernel_log.multi_level == 0
+        # the cap level wins here: the always-on cap, then Newton on the
+        # cut-off; the level scan it replaced made 115 calls
+        assert len(kernel_log.sizes) <= 24
+    if scheme is arw_oofc:
+        assert len(kernel_log.sizes) <= 12
     if scheme in (frw_ofc, frw_oofc):
         assert len(kernel_log.sizes) == 1  # the capped radius at lambda_max
