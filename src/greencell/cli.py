@@ -206,7 +206,7 @@ def cmd_solve(args) -> int:
     fields = ["density", "radius_m", "bs_power_w", "users"]
     _emit(rows, fields, args.format, args.out, summary=summary)
     _write_manifest(_manifest("solve", params, dist, None,
-                              {"constraint_rel_tol": 1e-4},
+                              {"dual_tol": optimal.DUAL_TOL},
                               {"mode": args.mode}), args.out)
     return EXIT_OK
 
@@ -253,7 +253,7 @@ def cmd_sweep(args) -> int:
     fields = ["scheme", "u_avg", "feasible", "avg_power_w", "on_probability"]
     _emit(rows, fields, args.format, args.out)
     _write_manifest(_manifest("sweep", params, dist, None,
-                              {"constraint_rel_tol": 1e-4}), args.out)
+                              {"dual_tol": optimal.DUAL_TOL}), args.out)
     return EXIT_OK
 
 
@@ -279,8 +279,7 @@ def cmd_schemes(args) -> int:
               "fixed_power_w", "avg_power_w", "avg_users", "on_probability",
               "peak_bs_power_w"]
     _emit(rows, fields, args.format, args.out)
-    _write_manifest(_manifest("schemes", params, dist, None,
-                              {"constraint_rel_tol": 1e-4}), args.out)
+    _write_manifest(_manifest("schemes", params, dist, None, {}), args.out)
     return EXIT_OK
 
 

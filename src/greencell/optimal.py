@@ -14,8 +14,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .metrics import PolicyMetrics
-from .numerics import (as_arrays, gauss_legendre, lambert_w0, newton_log,
-                       shaped)
+from .numerics import (as_arrays, bracketed_newton, gauss_legendre,
+                       lambert_w0, newton_log, shaped)
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
@@ -362,14 +362,20 @@ def max_achievable_throughput(dist: DensityDistribution,
     return rule.integrate(math.pi * rule.nodes * x2_star(rule.nodes, p))
 
 
+# the dual search stops within this fraction of its bracket's upper end
+DUAL_TOL = 1e-13
+
+
 def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
-          grid_size: int = 2048, constraint_rel_tol: float = 1e-4,
           mode: str = "exact") -> Tuple[AdaptationPolicy, PolicyMetrics]:
     """Minimize long-term consumption subject to a long-term throughput floor.
 
-    Outer bisection on the dual variable until the achieved throughput matches
-    ``u_avg`` within tolerance.  When ``u_avg`` falls inside a jump of the
-    throughput-versus-mu curve, the nearest policy from above is returned and
+    The dual variable mu is bracketed by doubling from 1, then found by
+    secant steps on g(mu) = throughput(mu) - ``u_avg`` (``bracketed_newton``)
+    to within ``DUAL_TOL`` times the bracket's upper end.  The result is an
+    evaluated mu on the floor's satisfied side, so the reported throughput
+    is never below ``u_avg``.  When ``u_avg`` falls inside a jump of the
+    throughput-versus-mu curve, that is the nearest mu above the jump, and
     its achieved throughput is reported in the metrics.
     """
     if not (math.isfinite(u_avg) and u_avg > 0.0):
@@ -378,34 +384,20 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     if cap < u_avg:
         raise InfeasibleError(u_avg, cap)
 
-    def achieved(mu: float) -> float:
-        return _avg_throughput(mu, dist, p)
+    def gap(mu: float) -> tuple:
+        return _avg_throughput(mu, dist, p) - u_avg, None
 
-    lo, e_lo = 0.0, 0.0
-    hi = 1.0
-    e_hi = achieved(hi)
-    while e_hi < u_avg:
-        lo, e_lo = hi, e_hi
+    lo, g_lo, hi = 0.0, -u_avg, 1.0
+    g_hi, _ = gap(hi)
+    while g_hi < 0.0:
+        lo, g_lo = hi, g_hi
         hi *= 2.0
         if hi > 1e12:
-            raise InfeasibleError(u_avg, e_hi)
-        e_hi = achieved(hi)
-    # bisect, keeping hi on the satisfied side
-    for _ in range(200):
-        if abs(e_hi - u_avg) <= constraint_rel_tol * u_avg:
-            break
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break  # throughput jump: accept the nearest-above dual point
-        mid = 0.5 * (lo + hi)
-        e_mid = achieved(mid)
-        if e_mid >= u_avg:
-            hi, e_hi = mid, e_mid
-        else:
-            lo, e_lo = mid, e_mid
-
-    mu = hi
-    policy = policy_for_mu(mu, p, dist.lambda_max, grid_size=grid_size,
-                           mode=mode)
+            raise InfeasibleError(u_avg, g_hi + u_avg)
+        g_hi, _ = gap(hi)
+    mu = bracketed_newton(gap, hi, lo, hi - g_hi * (hi - lo) / (g_hi - g_lo),
+                          DUAL_TOL * hi, known=(hi, g_hi))
+    policy = policy_for_mu(mu, p, dist.lambda_max, mode=mode)
     if mode == "exact":
         return policy, _exact_policy_metrics(mu, policy.criticals, dist, p)
     # ROADMAP known defect, unchanged here: hse mode reports the exact

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +21,6 @@ class PowerOverflowError(OverflowError):
 
 class InfeasibleBudgetError(ValueError):
     """The requested power budget cannot cover the static consumption."""
-
-
-@dataclass(frozen=True)
-class CellState:
-    """A (coverage radius, user density) operating point."""
-
-    radius: float
-    density: float
-
-    def __post_init__(self):
-        if self.radius < 0.0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if self.density < 0.0:
-            raise ValueError(f"density must be >= 0, got {self.density}")
 
 
 def stpc_power(distance, n_users, p: SystemParams):

@@ -94,6 +94,8 @@ def _frw_point(cutoff: float, u_avg: float, dist: DensityDistribution,
     if not t1 > 0.0:
         return None
     r_f = math.sqrt(u_avg / (math.pi * t1))
+    while math.pi * r_f * r_f * t1 < u_avg:  # the root can round below
+        r_f = math.nextafter(r_f, math.inf)
     return None if r_f * r_f > x_cap * (1.0 + 1e-12) else (rule, t1, r_f)
 
 

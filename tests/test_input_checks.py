@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from greencell import cli, mcsim, scaling, suboptimal
+from greencell import cli, mcsim, optimal, scaling, suboptimal
 from greencell.cli import EXIT_OK, EXIT_USAGE, main
 from greencell.optimal import solve
 from greencell.params import InvalidParameterError, SystemParams
@@ -98,20 +98,27 @@ def test_validate_scaling_zero_grid_is_all_zero(capsys):
         assert [float(v) for v in line.split(",")[2:6]] == [0.0] * 4
 
 
-def _solve_manifest(tmp_path, capsys, name, *extra):
+def _cli_manifest(tmp_path, capsys, name, *extra, command="solve"):
     out = tmp_path / name
-    code = main(["solve", "--u-avg", "50", "--out", str(out), *extra])
+    code = main([command, "--u-avg", "50", "--out", str(out), *extra])
     capsys.readouterr()
     assert code == EXIT_OK
     return json.loads((tmp_path / f"{name}.manifest.json").read_text())
 
 
 def test_manifest_records_mode(tmp_path, capsys):
-    exact = _solve_manifest(tmp_path, capsys, "exact.csv")
-    hse = _solve_manifest(tmp_path, capsys, "hse.csv", "--mode", "hse")
+    exact = _cli_manifest(tmp_path, capsys, "exact.csv")
+    hse = _cli_manifest(tmp_path, capsys, "hse.csv", "--mode", "hse")
     assert exact["options"] == {"mode": "exact"}
     assert hse["options"] == {"mode": "hse"}
     assert exact != hse
+    # the dual search's tolerance, in the commands that run it
+    sweep = _cli_manifest(tmp_path, capsys, "sweep.csv", command="sweep")
+    schemes = _cli_manifest(tmp_path, capsys, "schemes.csv",
+                              command="schemes")
+    for manifest in (exact, hse, sweep):
+        assert manifest["tolerances"] == {"dual_tol": optimal.DUAL_TOL}
+    assert schemes["tolerances"] == {}
 
 
 def test_manifest_tells_density_tables_apart(tmp_path, capsys):
@@ -123,7 +130,7 @@ def test_manifest_tells_density_tables_apart(tmp_path, capsys):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps({"static_power": 60,
                                    "density_csv": str(table)}))
-        manifests.append(_solve_manifest(tmp_path, capsys, f"{name}.out",
+        manifests.append(_cli_manifest(tmp_path, capsys, f"{name}.out",
                                          "--config", str(cfg)))
     a, b = (m["distribution"] for m in manifests)
     assert a["lambda_max"] == b["lambda_max"]

@@ -236,7 +236,15 @@ class TestSolve:
     def test_constraint_tightness(self):
         for u_avg in (30.0, 80.0):
             _, metrics = solve(u_avg, DIST, P)
-            assert abs(metrics.avg_users - u_avg) <= 1e-4 * u_avg
+            assert 0.0 <= metrics.avg_users - u_avg <= 1e-10 * u_avg
+
+    def test_throughput_jump_returns_the_nearest_mu_above(self, monkeypatch):
+        # no mu meets a target inside the step exactly
+        jump = 3.3
+        monkeypatch.setattr(optimal, "_avg_throughput",
+                            lambda mu, dist, p: 80.0 if mu >= jump else 20.0)
+        pol, _ = solve(50.0, DIST, P)
+        assert jump <= pol.mu <= jump * (1.0 + 1e-12)
 
     def test_infeasible_reports_ceiling(self):
         cap = max_achievable_throughput(DIST, P)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from greencell.params import SystemParams
-from greencell.scaling import (CellState, InfeasibleBudgetError,
-                               PowerOverflowError, avg_transmit_power,
-                               avg_transmit_power_exact, bs_power, max_range,
-                               stpc_power, throughput)
+from greencell.scaling import (InfeasibleBudgetError, PowerOverflowError,
+                               avg_transmit_power, avg_transmit_power_exact,
+                               bs_power, max_range, stpc_power, throughput)
 
 P = SystemParams()
 
@@ -140,10 +139,3 @@ class TestThroughput:
     def test_quadratic_in_radius(self):
         assert throughput(2000.0, 1e-5) == pytest.approx(
             4.0 * throughput(1000.0, 1e-5), rel=1e-12)
-
-
-def test_cell_state_validation():
-    with pytest.raises(ValueError):
-        CellState(radius=-1.0, density=1e-5)
-    with pytest.raises(ValueError):
-        CellState(radius=1.0, density=-1e-5)

@@ -171,9 +171,16 @@ class TestCrossSchemeStructure:
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = ("baseline.json", "low_static.cfg")
-# table profile 1 of the benchmark's solve pool
+# the table profiles 0, 1 and 2 of the benchmark's solve pool
+TABLE0 = from_table(np.linspace(0.0, 1e-4, 9),
+                    [0.25, 6.25, 9.25, 6.25, 6.25, 4.25, 2.25, 6.25, 7.25])
 TABLE1 = from_table(np.linspace(0.0, 1e-4, 9),
                     [0.25, 5.25, 8.25, 7.25, 6.25, 5.25, 5.25, 6.25, 5.25])
+TABLE2 = from_table(np.linspace(0.0, 1e-4, 9),
+                    [0.25, 6.25, 8.25, 5.25, 4.25, 8.25, 9.25, 2.25, 3.25])
+POOL_DISTS = {"triangular": DIST, "table0": TABLE0, "table1": TABLE1,
+              "table2": TABLE2}
+SCHEMES = (frw_ofc, frw_oofc, arw_ofc, arw_oofc)
 # a table density whose pdf is positive at 0
 TABLE_AT_ZERO = from_table([0.0, 2.5e-5, 5e-5, 7.5e-5, 1e-4],
                            [1.0, 3.0, 2.0, 4.0, 1.0])
@@ -477,6 +484,40 @@ def test_sweep_pool_dominance_chains(sweep_pool, config):
                 assert a is not None and a <= b, (u, inner)
 
 
+# --- the throughput floor and optimal <= ARwOFC on the pool densities -------
+
+@pytest.mark.parametrize("dist", POOL_DISTS.values(), ids=POOL_DISTS.keys())
+@pytest.mark.parametrize("config", CONFIGS)
+def test_every_reported_throughput_meets_the_floor(config, dist):
+    # exactly: no result may round below the target it was asked for
+    p, _ = _context(config)
+    cap = max_achievable_throughput(dist, p)
+    feasible = 0
+    for u in (np.linspace(0.05, 0.99, 12) * cap).tolist():
+        reported = {"optimal": solve(u, dist, p)[1]}
+        for scheme in SCHEMES:
+            try:
+                reported[scheme.__name__] = scheme(u, dist, p).metrics
+            except InfeasibleError:
+                pass
+        for name, m in reported.items():
+            assert m.avg_users >= u, (name, u, m.avg_users)
+        feasible += len(reported)
+    assert feasible >= 12 * 3  # optimal and both ARw schemes reach 99%
+
+
+@pytest.mark.parametrize("dist", POOL_DISTS.values(), ids=POOL_DISTS.keys())
+@pytest.mark.parametrize("config", CONFIGS)
+def test_optimal_is_no_worse_than_arw_ofc(config, dist):
+    p, _ = _context(config)
+    cap = max_achievable_throughput(dist, p)
+    for frac in (0.5, 0.6, 0.8, 0.9, 0.99):
+        u = frac * cap
+        opt = solve(u, dist, p)[1].avg_power_w
+        assert opt <= arw_ofc(u, dist, p).metrics.avg_power_w * (1.0 + 1e-9), \
+            frac
+
+
 # --- deterministic cost guard: kernel calls and their sizes -----------------
 
 # no kernel call may exceed the 8 levels x 513 densities the ARwOFC level
@@ -514,8 +555,6 @@ def kernel_log(monkeypatch):
     log.evaluated = evaluated
     return log
 
-
-SCHEMES = (frw_ofc, frw_oofc, arw_ofc, arw_oofc)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda f: f.__name__)
