@@ -1,4 +1,4 @@
-"""Shared numerics: Lambert W, scalar roots and minima, Gauss-Legendre rules."""
+"""Shared numerics: Lambert W, one scalar root finder, Gauss-Legendre rules."""
 
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ def shaped(flat: np.ndarray, shape):
     return float(flat[0]) if shape == () else flat.reshape(shape)
 
 
-# --- scalar roots and minima ------------------------------------------------
+# --- scalar roots -----------------------------------------------------------
 
 def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
                      x: float, tol: float,
@@ -81,60 +81,6 @@ def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
             return x
         x += step + math.copysign(0.5 * tol, good - bad)
     return good
-
-
-def minimize_bounded(fn: Callable[[float], float], lo: float, hi: float,
-                     xatol: float) -> tuple:
-    """(x, fn(x)) minimizing ``fn`` on [lo, hi] by Brent's bounded method.
-
-    Golden-section and parabolic steps (Forsythe, Malcolm and Moler's FMIN),
-    step for step as SciPy's ``minimize_scalar(method="bounded")``: the same
-    points and the same result.  The end points are never evaluated; the
-    search stops within about ``xatol`` or after 500 evaluations.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    # xf is the best point so far, nfc and fulc the second and third best
-    xf = nfc = fulc = lo + golden_mean * (hi - lo)
-    fx = fnfc = ffulc = fn(xf)
-    rat = e = 0.0
-    for _ in range(499):  # evaluations after the first
-        xm = 0.5 * (lo + hi)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(xf - xm) <= tol2 - 0.5 * (hi - lo):
-            break
-        golden = abs(e) <= tol1
-        if not golden:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            golden = not (abs(p) < abs(0.5 * q * r)
-                          and q * (lo - xf) < p < q * (hi - xf))
-            if not golden:
-                rat = p / q
-                if xf + rat - lo < tol2 or hi - (xf + rat) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (lo if xf >= xm else hi) - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = fn(x)
-        if fu <= fx:
-            lo, hi = (xf, hi) if x >= xf else (lo, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            lo, hi = (x, hi) if x < xf else (lo, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-    return xf, fx
 
 
 # a step below this leaves an error of about its square: full double precision

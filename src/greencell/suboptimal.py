@@ -7,10 +7,10 @@ for the original problem and upper-bounds the optimal consumption.
 
 A target above a scheme's throughput cap (the always-on policy at the power
 cap for ARw, the fixed radius that just meets the cap at full load for FRw)
-is rejected before any search.  Cut-offs and levels are Newton roots
-(``numerics.bracketed_newton``) on exact derivatives; ARwOFC then finds the
-root of its cost's level derivative, and FRwOFC runs Brent's bounded search
-(``numerics.minimize_bounded``) below its feasibility edge.
+is rejected before any search.  Cut-offs and levels are roots found by
+``numerics.bracketed_newton`` on exact derivatives, and so are the optima:
+ARwOFC's of its cost's level derivative, FRwOFC's of its cost's cut-off
+derivative below its feasibility edge.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .metrics import PolicyMetrics
-from .numerics import bracketed_newton, gauss_legendre, minimize_bounded
+from .numerics import bracketed_newton, gauss_legendre
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import conditional_expect  # noqa: F401
 from .optimal import InfeasibleError
@@ -35,7 +35,6 @@ FRW_OOFC = "FRwoOFC"
 ARW_OFC = "ARwOFC"
 ARW_OOFC = "ARwoOFC"
 
-_BIG = 1e30  # finite stand-in for an infeasible search point
 _CUT_TOL = 1e-14  # cut-off root tolerance, relative to lambda_max
 _LEVEL_TOL = 1e-14  # level root tolerance, relative to Pmax
 _SEARCH_TOL = 1e-9  # ARwOFC level search tolerance, relative to Pmax
@@ -75,93 +74,101 @@ def _check_target(u_avg: float) -> None:
         raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
 
 
-def _tail_mean_density(dist: DensityDistribution, cutoff: float) -> float:
-    """Unnormalized tail first moment of the density distribution."""
-    rule = gauss_legendre(dist, cutoff, dist.lambda_max)
-    return rule.integrate(rule.nodes)
+class _FrwCut(NamedTuple):
+    """The fixed-radius policy at one cut-off; see ``_frw_cut``."""
+
+    cutoff: float
+    t1: float  # tail first moment T1(c)
+    radius: float  # r_f
+    cost: float  # J(c)
+    slope: float  # h(c), of the sign of dJ/dc
 
 
-def _frw_point(cutoff: float, u_avg: float, dist: DensityDistribution,
-               x_cap: float) -> Optional[tuple]:
-    """(tail rule, tail first moment, fixed radius) at one cut-off.
+def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
+             p: SystemParams, x_cap: float) -> _FrwCut:
+    """T1, the smallest radius meeting the floor, the cost J and h at one
+    cut-off in [0, edge], where T1 > 0, all on one tail rule.
 
-    The radius is the smallest whose tail throughput meets the floor; None
-    when it breaks the cap, which is checked at the highest density only
-    since transmit power grows with density at fixed radius.
+    InfeasibleError when the radius breaks the cap, which is checked at the
+    highest density only since transmit power grows with density at fixed
+    radius.  With x_f = u_avg / (pi T1(c)), dT1/dc = -c f(c) gives dx_f/dc =
+    x_f c f(c) / T1, so J(c) = integral over [c, lambda_max] of P(x_f, lam) f
+    + Ps F(c) has dJ/dc = f(c) h(c), h = Ps - P(x_f, c) + c x_f / T1 times
+    the tail integral of a Pt'(x_f, lam) f.
     """
     rule = gauss_legendre(dist, cutoff, dist.lambda_max)
     t1 = rule.integrate(rule.nodes)
-    if not t1 > 0.0:
-        return None
     r_f = math.sqrt(u_avg / (math.pi * t1))
     while math.pi * r_f * r_f * t1 < u_avg:  # the root can round below
         r_f = math.nextafter(r_f, math.inf)
-    return None if r_f * r_f > x_cap * (1.0 + 1e-12) else (rule, t1, r_f)
-
-
-def _frw_cost(cutoff: float, point: tuple, dist: DensityDistribution,
-              p: SystemParams) -> float:
-    rule, _, r_f = point
-    return rule.integrate(bs_power(r_f, rule.nodes, p)) \
+    x = r_f * r_f
+    if x > x_cap * (1.0 + 1e-12):
+        raise InfeasibleError(u_avg, math.pi * x_cap * t1)
+    cost = rule.integrate(bs_power(r_f, rule.nodes, p)) \
         + p.sleep_power * float(dist.cdf(cutoff))
+    # Pt'(x) = d1 x^(alpha/2-1) (alpha/2 (e^y - 1) + y e^y), y = d3 pi lam x
+    c, h = derive_constants(p), 0.5 * p.pathloss_exp
+    y = c.d3 * math.pi * rule.nodes * x
+    tail = rule.integrate(c.d1 * x ** (h - 1.0) * (h * np.expm1(y)
+                                                  + y * np.exp(y)))
+    slope = p.sleep_power - bs_power(r_f, cutoff, p) \
+        + cutoff * x / t1 * p.amp_scaling * tail
+    return _FrwCut(cutoff, t1, r_f, cost, slope)
 
 
-def _frw_result(tag: str, cutoff: float, point: tuple,
-                dist: DensityDistribution, p: SystemParams) -> SchemeResult:
+def _frw_result(tag: str, at: _FrwCut, dist: DensityDistribution,
+                p: SystemParams) -> SchemeResult:
     """The scheme's result, with metrics on its own tail rule."""
-    _, t1, r_f = point
     metrics = PolicyMetrics(
-        avg_power_w=_frw_cost(cutoff, point, dist, p),
-        avg_users=math.pi * r_f * r_f * t1,
-        on_probability=1.0 - float(dist.cdf(cutoff)),
-        peak_bs_power_w=bs_power(r_f, dist.lambda_max, p))
-    return SchemeResult(scheme=tag, cutoff=cutoff, fixed_radius=r_f,
+        avg_power_w=at.cost,
+        avg_users=math.pi * at.radius * at.radius * at.t1,
+        on_probability=1.0 - float(dist.cdf(at.cutoff)),
+        peak_bs_power_w=bs_power(at.radius, dist.lambda_max, p))
+    return SchemeResult(scheme=tag, cutoff=at.cutoff, fixed_radius=at.radius,
                         fixed_power=None, metrics=metrics)
 
 
-def frw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
-            force_cutoff: Optional[float] = None) -> SchemeResult:
+def frw_ofc(u_avg: float, dist: DensityDistribution,
+            p: SystemParams) -> SchemeResult:
     """Fixed radius with an on/off cut-off.
 
     For each cut-off the radius is the smallest one whose tail throughput
     meets the floor.  Cut-offs past the feasibility edge, where the tail
-    first moment T1 has pi x_cap T1(c) = u_avg, break the cap, so a bounded
-    scalar search runs on [0, edge], and the better of its result and the
-    two end points wins.
+    first moment T1 has pi x_cap T1(c) = u_avg, break the cap.  Below it the
+    cost falls while h(c) < 0, so when h changes sign on [0, edge] a secant
+    search finds its root; the cheapest cut-off evaluated wins, the two end
+    points among them.
     """
     _check_target(u_avg)
     m = dist.lambda_max
     x_cap = max_range_x(m, p.max_bs_power, p)
-    first = 0.0 if force_cutoff is None else force_cutoff
-    point = _frw_point(first, u_avg, dist, x_cap)
-    if point is None:
-        raise InfeasibleError(
-            u_avg, math.pi * x_cap * _tail_mean_density(dist, first))
-    if force_cutoff is not None:
-        tag = FRW_OOFC if force_cutoff == 0.0 else FRW_OFC
-        return _frw_result(tag, force_cutoff, point, dist, p)
-
-    def objective(cutoff: float) -> float:
-        at = _frw_point(cutoff, u_avg, dist, x_cap)
-        return _BIG if at is None else _frw_cost(cutoff, at, dist, p)
+    start = _frw_cut(0.0, u_avg, dist, p, x_cap)
 
     def gap(cutoff: float) -> tuple:  # dT1/dc = -c f(c)
-        return (math.pi * x_cap * _tail_mean_density(dist, cutoff) - u_avg,
+        rule = gauss_legendre(dist, cutoff, m)
+        return (math.pi * x_cap * rule.integrate(rule.nodes) - u_avg,
                 -math.pi * x_cap * cutoff * float(dist.pdf(cutoff)))
 
     edge = bracketed_newton(gap, 0.0, m, 0.5 * m, _CUT_TOL * m)
-    found, _ = minimize_bounded(objective, 0.0, edge, m * 1e-9)
-    # the bounded search never evaluates the end points, and the optimum
-    # often lies at one of them
-    best_cut = min((0.0, found, edge), key=objective)
-    return _frw_result(FRW_OFC, best_cut,
-                       _frw_point(best_cut, u_avg, dist, x_cap), dist, p)
+    found = {0.0: start, edge: _frw_cut(edge, u_avg, dist, p, x_cap)}
+    if start.slope < 0.0 < found[edge].slope:
+
+        def slope(cutoff: float) -> tuple:
+            found[cutoff] = at = _frw_cut(cutoff, u_avg, dist, p, x_cap)
+            return at.slope, None
+
+        bracketed_newton(slope, edge, 0.0, 0.5 * edge, _CUT_TOL * m)
+    return _frw_result(FRW_OFC, min(found.values(), key=lambda at: at.cost),
+                       dist, p)
 
 
 def frw_oofc(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> SchemeResult:
-    """Fixed radius, always on: the cut-off pinned to zero."""
-    return frw_ofc(u_avg, dist, p, force_cutoff=0.0)
+    """Fixed radius, always on: the cut-off 0."""
+    _check_target(u_avg)
+    x_cap = max_range_x(dist.lambda_max, p.max_bs_power, p)
+    return _frw_result(FRW_OOFC, _frw_cut(0.0, u_avg, dist, p, x_cap),
+                       dist, p)
 
 
 class _ArwTail(NamedTuple):
@@ -249,8 +256,18 @@ def _level_balance(pf: float, cutoff: float, tail: _ArwTail,
                     / (1.0 - float(dist.cdf(cutoff))))
 
 
-def arw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
-            force_cutoff: Optional[float] = None) -> SchemeResult:
+def _arw_top(u_avg: float, dist: DensityDistribution,
+             p: SystemParams) -> _ArwTail:
+    """The always-on tail at Pmax, or InfeasibleError past the ARw cap."""
+    _check_target(u_avg)
+    top = _arw_tail(dist, 0.0, p.max_bs_power, p)
+    if top.users < u_avg:
+        raise InfeasibleError(u_avg, top.users)
+    return top
+
+
+def arw_ofc(u_avg: float, dist: DensityDistribution,
+            p: SystemParams) -> SchemeResult:
     """Consumption pinned at one level when on, with an on/off cut-off.
 
     The range tracks the largest radius affordable at the level, and the
@@ -259,15 +276,8 @@ def arw_ofc(u_avg: float, dist: DensityDistribution, p: SystemParams,
     otherwise the root of dJ/dpf between the lowest feasible level and Pmax,
     found by a secant search; the best level evaluated is kept.
     """
-    _check_target(u_avg)
+    top = _arw_top(u_avg, dist, p)
     pmax, m = p.max_bs_power, dist.lambda_max
-    top = _arw_tail(dist, force_cutoff or 0.0, pmax, p)
-    if top.users < u_avg:
-        raise InfeasibleError(u_avg, top.users)
-    if force_cutoff is not None:
-        pf, tail = _arw_level(u_avg, dist, p, force_cutoff, top)
-        tag = ARW_OOFC if force_cutoff == 0.0 else ARW_OFC
-        return _arw_result(tag, pf, force_cutoff, tail.users, dist, p)
     cutoff, tail = _arw_cutoff(u_avg, dist, p, pmax, 0.5 * m)
     last = best = (pmax, cutoff, tail)
     balance = _level_balance(pmax, cutoff, tail, dist, p)
@@ -311,5 +321,6 @@ def _arw_result(tag: str, pf: float, cutoff: float, avg_users: float,
 
 def arw_oofc(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> SchemeResult:
-    """Constant consumption, always on: the cut-off pinned to zero."""
-    return arw_ofc(u_avg, dist, p, force_cutoff=0.0)
+    """Constant consumption, always on: the lowest level meeting the floor."""
+    pf, tail = _arw_level(u_avg, dist, p, 0.0, _arw_top(u_avg, dist, p))
+    return _arw_result(ARW_OOFC, pf, 0.0, tail.users, dist, p)

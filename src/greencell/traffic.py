@@ -41,8 +41,9 @@ class DensityDistribution:
 
 def triangular(lambda_max: float) -> DensityDistribution:
     """Symmetric triangular density on [0, lambda_max], peak 2/lambda_max at the midpoint."""
-    if not lambda_max > 0.0:
-        raise ValueError(f"lambda_max must be positive, got {lambda_max}")
+    if not (np.isfinite(lambda_max) and lambda_max > 0.0):
+        raise ValueError(
+            f"lambda_max must be finite and positive, got {lambda_max}")
     m = lambda_max
     half = 0.5 * m
 
@@ -84,6 +85,9 @@ def from_table(lams: Sequence[float], weights: Sequence[float]) -> DensityDistri
     weights = np.asarray(weights, dtype=float)
     if lams.ndim != 1 or lams.shape != weights.shape or lams.size < 2:
         raise ValueError("need matching 1-d arrays with at least two points")
+    for name, values in (("lams", lams), ("weights", weights)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {values.tolist()}")
     order = np.argsort(lams)
     lams, weights = lams[order], weights[order]
     if lams[0] < 0.0 or np.any(weights < 0.0):

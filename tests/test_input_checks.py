@@ -9,7 +9,7 @@ from greencell import cli, mcsim, optimal, scaling, suboptimal
 from greencell.cli import EXIT_OK, EXIT_USAGE, main
 from greencell.optimal import solve
 from greencell.params import InvalidParameterError, SystemParams
-from greencell.traffic import from_csv, triangular
+from greencell.traffic import from_csv, from_table, triangular
 
 P = SystemParams(static_power=60.0)
 DIST = triangular(1e-4)
@@ -143,6 +143,32 @@ def test_table_digest_ignores_row_order_and_scale(tmp_path):
     first.write_text("0,1\n5e-5,2\n1e-4,1\n")
     second.write_text("1e-4,2\n0,2\n5e-5,4\n")
     assert from_csv(first).describe() == from_csv(second).describe()
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_triangular_rejects_non_finite_lambda_max(bad):
+    with pytest.raises(ValueError, match="lambda_max must be finite"):
+        triangular(bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["lams", "weights"])
+def test_from_table_rejects_non_finite_entries(name, bad):
+    # a knot at inf would become lambda_max; a weight at inf makes pdf NaN
+    table = {"lams": [0.0, 5e-5, 1e-4], "weights": [1.0, 2.0, 1.0]}
+    table[name][1 if name == "weights" else 2] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        from_table(table["lams"], table["weights"])
+
+
+def test_cli_rejects_non_finite_lambda_max(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("lambda_max = inf\n")
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "lambda_max must be finite" in captured.err
+    assert captured.out == ""
 
 
 def test_triangular_description_unchanged():

@@ -9,9 +9,9 @@ from scipy import optimize
 
 from greencell import numerics
 from greencell.numerics import (NonFiniteIntegrandError, bracketed_newton,
-                                conditional_expect, expect, lambert_w0,
-                                minimize_bounded)
-from oracles import Bracket, NoSignChangeError, bisect, grow_bracket
+                                conditional_expect, expect, lambert_w0)
+from oracles import (Bracket, NoSignChangeError, bisect, grow_bracket,
+                     minimize_bounded)
 from greencell.optimal import x1_star
 from greencell.params import SystemParams
 from greencell.traffic import triangular
@@ -120,8 +120,9 @@ class TestBracketedNewton:
 
 
 class TestMinimizeBounded:
-    # odd cases put the minimum within the search's tolerance of an end,
-    # where a parabolic step has to be pulled back from the bound
+    # the oracle for FRwOFC's cut-off, itself checked against SciPy; odd
+    # cases put the minimum within the search's tolerance of an end, where a
+    # parabolic step has to be pulled back from the bound
     @pytest.mark.parametrize("case", range(40))
     def test_takes_the_reference_method_step_for_step(self, case):
         rng = np.random.default_rng(case)

@@ -17,7 +17,8 @@ from greencell.scaling import bs_power, max_range, max_range_x
 from greencell.suboptimal import (ARW_OFC, ARW_OOFC, FRW_OFC, FRW_OOFC,
                                   arw_ofc, arw_oofc, frw_ofc, frw_oofc)
 from greencell.traffic import from_table, triangular
-from oracles import Bracket, accurate_cutoff, arw_tail_users, bisect
+from oracles import (Bracket, accurate_cutoff, arw_tail_users, bisect,
+                     minimize_bounded)
 
 P = SystemParams(static_power=60.0)
 DIST = triangular(1e-4)
@@ -64,14 +65,6 @@ class TestFixedRadiusAlwaysOn:
 
 
 class TestFixedRadiusWithCutoff:
-    def test_pinned_cutoff_reduces_to_always_on(self, results):
-        pinned = frw_ofc(U_AVG, DIST, P, force_cutoff=0.0)
-        free = results[FRW_OOFC]
-        assert pinned.fixed_radius == pytest.approx(free.fixed_radius,
-                                                    rel=1e-10)
-        assert pinned.metrics.avg_power_w == pytest.approx(
-            free.metrics.avg_power_w, rel=1e-8)
-
     def test_tail_throughput_met(self, results):
         res = results[FRW_OFC]
         achieved = math.pi * res.fixed_radius ** 2 * conditional_expect(
@@ -102,15 +95,11 @@ class TestAdaptiveRangeAlwaysOn:
         with pytest.raises(InfeasibleError):
             arw_oofc(140.0, DIST, P)
 
+    def test_always_on(self, results):
+        assert results[ARW_OOFC].cutoff == 0.0
+
 
 class TestAdaptiveRangeWithCutoff:
-    def test_pinned_cutoff_reduces_to_always_on(self, results):
-        pinned = arw_ofc(U_AVG, DIST, P, force_cutoff=0.0)
-        free = results[ARW_OOFC]
-        assert pinned.fixed_power == pytest.approx(free.fixed_power,
-                                                   rel=1e-8)
-        assert pinned.cutoff == 0.0
-
     def test_tail_throughput_met(self, results):
         res = results[ARW_OFC]
         achieved = conditional_expect(
@@ -402,6 +391,62 @@ def test_level_derivative_matches_central_differences(config):
             pytest.approx(du, rel=1e-6), frac
 
 
+def _frw_edge(u_avg, dist, p):
+    """(edge, x_cap): the largest cut-off at which the fixed radius meeting
+    the floor stays within the cap, bisected on its satisfied side."""
+    m = dist.lambda_max
+    x_cap = max_range_x(m, p.max_bs_power, p)
+    lo, hi = 0.0, m
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        rule = gauss_legendre(dist, mid, m)
+        if math.pi * x_cap * rule.integrate(rule.nodes) >= u_avg:
+            lo = mid
+        else:
+            hi = mid
+    return lo, x_cap
+
+
+def _frw_cap(dist, p):
+    return math.pi * max_range_x(dist.lambda_max, p.max_bs_power, p) \
+        * expect(lambda lam: lam, dist)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_cutoff_derivative_matches_central_differences(config):
+    # dJ/dc = f(c) h(c), along the radius x_f(c) that holds the floor;
+    # checked against central differences of J itself
+    p, dist = _context(config)
+    u = 0.4 * _frw_cap(dist, p)
+    edge, x_cap = _frw_edge(u, dist, p)
+
+    def cut(c):
+        return suboptimal._frw_cut(c, u, dist, p, x_cap)
+
+    step = 1e-7 * edge
+    for frac in (0.2, 0.5, 0.8):
+        c = frac * edge
+        want = (cut(c + step).cost - cut(c - step).cost) / (2.0 * step)
+        assert float(dist.pdf(c)) * cut(c).slope == \
+            pytest.approx(want, rel=1e-6), frac
+
+
+@settings(max_examples=12)
+@given(pc=st.floats(20.0, 140.0), alpha=st.sampled_from([3.0, 3.7]),
+       frac=st.floats(0.02, 0.999),
+       dist=st.sampled_from([DIST, TABLE1, TABLE_AT_ZERO]))
+def test_cutoff_derivative_changes_sign_at_most_once(pc, alpha, frac, dist):
+    # the cost is unimodal below the feasibility edge, which the search for
+    # the root of h and its comparison with the end points rely on
+    p = SystemParams(static_power=pc, pathloss_exp=alpha)
+    u = frac * _frw_cap(dist, p)
+    edge, x_cap = _frw_edge(u, dist, p)
+    signs = [suboptimal._frw_cut(float(c), u, dist, p, x_cap).slope > 0.0
+             for c in np.linspace(0.0, edge, 64)]
+    assert sum(a != b for a, b in zip(signs, signs[1:])) <= 1
+    assert not signs[0]
+
+
 @settings(max_examples=12)
 @given(pc=st.floats(20.0, 140.0), alpha=st.sampled_from([3.0, 3.7]),
        frac=st.floats(0.02, 0.999),
@@ -418,6 +463,25 @@ def test_frw_ofc_is_no_worse_than_the_512_point_scan(pc, alpha, frac, dist):
     got = frw_ofc(u, dist, p).metrics.avg_power_w
     assert got <= want * (1.0 + 1e-9)
 
+
+
+@settings(max_examples=12)
+@given(pc=st.floats(20.0, 140.0), alpha=st.sampled_from([3.0, 3.7]),
+       frac=st.floats(0.02, 0.999),
+       dist=st.sampled_from([DIST, TABLE1, TABLE_AT_ZERO]))
+def test_frw_ofc_matches_brents_minimum_of_the_cost(pc, alpha, frac, dist):
+    # the root of h against Brent's bounded minimiser on J over [0, edge],
+    # with the two end points it never evaluates
+    p = SystemParams(static_power=pc, pathloss_exp=alpha)
+    u = frac * _frw_cap(dist, p)
+    edge, x_cap = _frw_edge(u, dist, p)
+
+    def cost(c):
+        return suboptimal._frw_cut(c, u, dist, p, x_cap).cost
+    _, inner = minimize_bounded(cost, 0.0, edge, 1e-9 * dist.lambda_max)
+    want = min(inner, cost(0.0), cost(edge))
+    got = frw_ofc(u, dist, p).metrics.avg_power_w
+    assert got == pytest.approx(want, rel=1e-12)
 
 def test_frw_ofc_stays_always_on_when_sleeping_saves_nothing():
     # with sleep power equal to static power a cut-off only widens the
