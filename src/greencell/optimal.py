@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -48,6 +49,10 @@ class CriticalDensities:
     lambda1: float
     lambda2: float
     lambda3: float
+    # x = R^2 just above the switch-on cut-off, and d log(cut-off) / d log mu;
+    # set by ``critical_densities`` (0 where the cut-off is 0 or not solved)
+    on_x: float = 0.0
+    on_elasticity: float = 0.0
 
     @property
     def case_tag(self) -> str:
@@ -85,20 +90,23 @@ def x1_star(density, mu: float, p: SystemParams):
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     c = derive_constants(p)
-    h = 0.5 * p.pathloss_exp
-
-    def log_slope(x, qp, log_rhs):
-        # log(Pt'(x) / target) and its derivative in log x
-        y = qp * x
-        em = -np.expm1(-y)
-        t = h * em + y
-        return ((h - 1.0) * np.log(x) + y + np.log(t) - log_rhs,
-                (h * (h - 1.0) * em + (2.0 * h + y) * y) / t)
-
     qp = c.d3 * math.pi * lam
     log_rhs = np.log(mu * math.pi * lam / (p.amp_scaling * c.d1))
-    x = newton_log(log_slope, hse_x1(lam, mu, p), qp, log_rhs)
+    x = newton_log(partial(_x1_log_slope, h=0.5 * p.pathloss_exp),
+                   hse_x1(lam, mu, p), qp, log_rhs)
     return shaped(x, shape)
+
+
+def _x1_log_slope(x, qp, log_rhs, h):
+    """log(Pt'(x) / target) - ``log_rhs`` and its derivative s in log x.
+
+    y = ``qp`` x; the stationary point's own log-x slope in mu is 1 / s.
+    """
+    y = qp * x
+    em = -np.expm1(-y)
+    t = h * em + y
+    return ((h - 1.0) * np.log(x) + y + np.log(t) - log_rhs,
+            (h * (h - 1.0) * em + (2.0 * h + y) * y) / t)
 
 
 def x2_star(density, p: SystemParams):
@@ -128,6 +136,8 @@ def subproblem(density, mu: float, p: SystemParams):
 
 # thresholds below / above this band, times lambda_max, are reported as 0 / inf
 THRESHOLD_BAND = (1e-6, 1e3)
+# threshold roots stop within this distance in log y
+THRESHOLD_TOL = 1e-14
 
 
 def critical_densities(mu: float, p: SystemParams,
@@ -140,9 +150,17 @@ def critical_densities(mu: float, p: SystemParams,
     and lambda = y / (d3 pi x) rises with y.  lambda1 (L = 0) solves
     y - yE/(hE + y) = d3 Pc / mu; lambda2 (P = Pmax) solves
     yE/(hE + y) = d3 (Pmax - Pc) / mu, and is inf once the right side
-    reaches 1.  Both left sides rise with y; one Newton in log y solves
-    both.  lambda3 (P = Pmax and L = 0 on the capped curve) is closed form:
-    y3 = d3 Pmax / mu, and a d1 x^h (e^y3 - 1) = Pmax - Pc.
+    reaches 1.  Both left sides rise with y; each is solved by Newton in
+    log y (``bracketed_newton``, on Python floats) inside a bracket from
+    its asymptotes.  lambda3 (P = Pmax and L = 0 on the capped curve) is
+    closed form: y3 = d3 Pmax / mu, and a d1 x^h (e^y3 - 1) = Pmax - Pc.
+
+    The result also carries what the dual slope needs at the switch-on
+    cut-off (lambda1 in case A, lambda3 in case B): x just above it and
+    its elasticity in mu.  With q = d log y1 / d log mu = -1 / (the log-y
+    slope of lambda1's equation), d log lambda1 / d log mu =
+    q (1 - (1 - y - y (h e^-y + 1) / (hE + y)) / h) - 1/h, and
+    d log lambda3 / d log mu = -(1 + y3 / (h E3)).
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -150,43 +168,71 @@ def critical_densities(mu: float, p: SystemParams,
     h = 0.5 * p.pathloss_exp
     pc, pmax = p.static_power, p.max_bs_power
 
-    def log_load(y, cap, log_r):
-        # log of either left side minus log_r, and its slope in log y;
-        # w = E - y e^-y >= 0 keeps both slopes free of cancellation
-        em = -np.expm1(-y)
+    def log_load(s, cap, log_r):
+        # log of either left side at y = e^s minus log_r, and its slope in
+        # s; w = E - y e^-y >= 0 keeps both slopes free of cancellation
+        y = math.exp(s)
+        em = -math.expm1(-y)
         t = h * em + y
-        ye = y * np.exp(-y)
+        ye = y * math.exp(-y)
         w = em - ye
-        return (np.where(cap, np.log(em) - np.log1p(h * em / y),
-                         np.log(y) + np.log1p(-em / t)) - log_r,
-                np.where(cap, ye / em + h * w / t,
-                         1.0 + y / t * (w / (t - em))))
+        if cap:
+            return (math.log(em) - math.log1p(h * em / y) - log_r,
+                    ye / em + h * w / t)
+        return s + math.log1p(-em / t) - log_r, 1.0 + y / t * (w / (t - em))
 
-    # right sides d3 Pc / mu, d3 (Pmax - Pc) / mu; the seeds bound the roots
-    # from the asymptotes yh/(h+1), y - 1 (above) and y/(h+1), y/(h+y) (below)
-    r = (c.d3 * pc / mu, c.d3 * (pmax - pc) / mu)
+    def solve_log_y(cap, r, seed, other):
+        # y at the root and the slope there; Newton starts from the seed,
+        # which lies above the root for lambda1 and below it for lambda2
+        log_r = math.log(r)
+        s0 = math.log(seed)
+        g0, slope0 = log_load(s0, cap, log_r)
+        if (g0 >= 0.0) == cap:  # on the wrong side by rounding: at the root
+            return seed, slope0
+        good, bad = (math.log(other), s0) if cap else (s0, math.log(other))
+        # the first step, aimed past the root as ``bracketed_newton`` aims
+        # its own, so that a seed at the root does not fall back to halving
+        s = bracketed_newton(
+            lambda v: log_load(v, cap, log_r), good, bad,
+            s0 - g0 / slope0 + math.copysign(0.5 * THRESHOLD_TOL, good - bad),
+            THRESHOLD_TOL)
+        return math.exp(s), log_load(s, cap, log_r)[1]
+
+    def h_log_x(y):
+        # h log x on the stationary curve at load exponent y
+        return (math.log(mu * y / (p.amp_scaling * c.d1 * c.d3)) - y
+                - math.log(h * -math.expm1(-y) + y))
+
+    # right sides d3 Pc / mu, d3 (Pmax - Pc) / mu; the left sides lie
+    # between y h/(h+1) or y - 1 and y (lambda1), and between
+    # y/(h+1+y) and y/(h+1) or y/(h+y) (lambda2), which bracket each root
+    r1, r2 = c.d3 * pc / mu, c.d3 * (pmax - pc) / mu
     log_lam = [-math.inf, math.inf]  # lambda1 = 0, lambda2 = inf unless solved
-    rows, seeds = [], []
-    if r[0] > 0.0:  # else Pc = 0 and the BS is always on
-        rows.append(0)
-        seeds.append(min(r[0] * (h + 1.0) / h, r[0] + 1.0))
-    if r[1] < 1.0:  # else the stationary point never reaches the cap
-        rows.append(1)
-        seeds.append(max(r[1] * (h + 1.0), h * r[1] / (1.0 - r[1])))
-    ys = newton_log(log_load, np.array(seeds), np.array(rows) == 1,
-                    np.log(np.array(r)[rows]))
-    for i, y in zip(rows, ys.tolist()):
-        h_log_x = (math.log(mu * y / (p.amp_scaling * c.d1 * c.d3)) - y
-                   - math.log(h * -math.expm1(-y) + y))
-        log_lam[i] = math.log(y / (c.d3 * math.pi)) - h_log_x / h
+    on_a = (0.0, 0.0)
+    if r1 > 0.0:  # else Pc = 0 and the BS is always on
+        y, slope = solve_log_y(False, r1, min(r1 * (h + 1.0) / h, r1 + 1.0),
+                               r1)
+        e = -math.expm1(-y)
+        log_x = h_log_x(y) / h
+        log_lam[0] = math.log(y / (c.d3 * math.pi)) - log_x
+        on_a = (math.exp(log_x),
+                -(1.0 - (1.0 - y - y * (h * math.exp(-y) + 1.0)
+                         / (h * e + y)) / h) / slope - 1.0 / h)
+    if r2 < 1.0:  # else the stationary point never reaches the cap
+        y, _ = solve_log_y(True, r2, max(r2 * (h + 1.0), h * r2 / (1.0 - r2)),
+                           r2 * (h + 1.0) / (1.0 - r2))
+        log_lam[1] = math.log(y / (c.d3 * math.pi)) - h_log_x(y) / h
     y3 = c.d3 * pmax / mu
-    h_log_x3 = (math.log((pmax - pc) / (p.amp_scaling * c.d1)) - y3
-                - math.log(-math.expm1(-y3)))
-    log_lam.append(math.log(y3 / (c.d3 * math.pi)) - h_log_x3 / h)
+    e3 = -math.expm1(-y3)
+    log_x3 = (math.log((pmax - pc) / (p.amp_scaling * c.d1)) - y3
+              - math.log(e3)) / h
+    log_lam.append(math.log(y3 / (c.d3 * math.pi)) - log_x3)
     log_lo, log_hi = (math.log(f * lambda_max) for f in THRESHOLD_BAND)
     roots = [0.0 if v < log_lo else math.inf if v > log_hi else math.exp(v)
              for v in log_lam]
-    return CriticalDensities(*roots)
+    on_b = (math.exp(log_x3), -(1.0 + y3 / (h * e3)))
+    on = on_a if CriticalDensities(*roots).case_tag == CASE_A else on_b
+    return CriticalDensities(*roots, *on)
 
 
 # --- closed forms under the high-spectrum-efficiency approximation ---------
@@ -297,19 +343,26 @@ class AdaptationPolicy:
         }
 
 
+def _regimes(lams: np.ndarray, crits: CriticalDensities) -> tuple:
+    """Masks of the stationary and the power-capped densities in ``lams``.
+
+    Off at or below the switch-on cut-off; then, in case A, the stationary
+    point up to lambda2; the power-capped point above.
+    """
+    on = lams > max(crits.on_cutoff, 0.0)
+    stationary = on & (lams <= crits.lambda2) if crits.case_tag == CASE_A \
+        else np.zeros_like(on)
+    return stationary, on & ~stationary
+
+
 def _policy_x(lams: np.ndarray, mu: float, crits: CriticalDensities,
               p: SystemParams, mode: str = "exact") -> np.ndarray:
     """x = R^2 of the policy with thresholds ``crits``, by regime.
 
-    Off at or below the switch-on cut-off; then, in case A, the stationary
-    point up to lambda2; the power-capped point above.  ``mode="hse"``
-    takes both points from their closed forms.
+    ``mode="hse"`` takes both points from their closed forms.
     """
     xs = np.zeros_like(lams)
-    on = lams > max(crits.on_cutoff, 0.0)
-    stationary = on & (lams <= crits.lambda2) if crits.case_tag == CASE_A \
-        else np.zeros_like(on)
-    capped = on & ~stationary
+    stationary, capped = _regimes(lams, crits)
     x1_fn, x2_fn = (x1_star, x2_star) if mode == "exact" else (hse_x1, hse_x2)
     if stationary.any():
         xs[stationary] = x1_fn(lams[stationary], mu, p)
@@ -318,8 +371,12 @@ def _policy_x(lams: np.ndarray, mu: float, crits: CriticalDensities,
     return xs
 
 
+POLICY_GRID = 2048  # default uniform grid of a policy table
+
+
 def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
-                  grid_size: int = 2048, mode: str = "exact") -> AdaptationPolicy:
+                  grid_size: int = POLICY_GRID,
+                  mode: str = "exact") -> AdaptationPolicy:
     """Tabulate the per-density minimizer over a uniform grid plus the cut-offs."""
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
@@ -329,6 +386,12 @@ def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
         crits = critical_densities(mu, p, lambda_max)
     else:
         crits = hse_critical_densities(mu, p)
+    return _tabulate(mu, crits, p, lambda_max, grid_size, mode)
+
+
+def _tabulate(mu: float, crits: CriticalDensities, p: SystemParams,
+              lambda_max: float, grid_size: int,
+              mode: str) -> AdaptationPolicy:
     inner = _breakpoints(crits, lambda_max)
     lams = np.unique(np.concatenate([
         np.linspace(0.0, lambda_max, grid_size), inner,
@@ -344,15 +407,47 @@ def _breakpoints(crits: CriticalDensities, lambda_max: float) -> list:
                    if 0.0 < c < lambda_max})
 
 
-def _avg_throughput(mu: float, dist: DensityDistribution,
-                    p: SystemParams) -> float:
-    if mu <= 0.0:
-        return 0.0
-    crits = critical_densities(mu, p, dist.lambda_max)
+def _policy_on_rule(mu: float, crits: CriticalDensities,
+                    dist: DensityDistribution, p: SystemParams) -> tuple:
+    """The exact policy with thresholds ``crits`` on its quadrature rule.
+
+    Returns (``crits``, the rule split at the thresholds, x at its nodes).
+    """
     rule = gauss_legendre(dist, 0.0, dist.lambda_max,
                           _breakpoints(crits, dist.lambda_max))
-    return rule.integrate(math.pi * rule.nodes
-                          * _policy_x(rule.nodes, mu, crits, p))
+    return crits, rule, _policy_x(rule.nodes, mu, crits, p)
+
+
+def _avg_throughput(mu: float, dist: DensityDistribution,
+                    p: SystemParams) -> tuple:
+    """One dual evaluation: u(mu), its exact slope du/dmu, and the state used.
+
+    u is the long-term throughput E[pi lambda x] of the exact policy at
+    ``mu``; the state is ``_policy_on_rule``'s (thresholds, rule, x), from
+    which ``solve`` reports the metrics of its final mu.  The slope has two
+    terms.  On the stationary segment x1* solves log Pt'(x) =
+    log(mu pi lambda / (a d1)), so dx1*/dmu = x1* / (mu s), with s the
+    log-x slope of the left side at x1*; the capped point does not move
+    with mu.  The switch-on cut-off lambda_on moves, which adds
+    -pi lambda_on x(lambda_on+) f(lambda_on) dlambda_on/dmu.  x is
+    continuous at lambda2, which adds nothing.
+    """
+    state = crits, rule, x = _policy_on_rule(
+        mu, critical_densities(mu, p, dist.lambda_max), dist, p)
+    lams = rule.nodes
+    stationary, _ = _regimes(lams, crits)
+    dx = np.zeros_like(x)
+    if stationary.any():
+        lam, xs = lams[stationary], x[stationary]
+        _, s = _x1_log_slope(xs, derive_constants(p).d3 * math.pi * lam, 0.0,
+                             0.5 * p.pathloss_exp)
+        dx[stationary] = xs / (mu * s)
+    slope = rule.integrate(math.pi * lams * dx)
+    cut = crits.on_cutoff
+    if 0.0 < cut < dist.lambda_max:
+        slope -= (math.pi * cut * crits.on_x * dist.pdf(cut)
+                  * crits.on_elasticity * cut / mu)
+    return rule.integrate(math.pi * lams * x), slope, state
 
 
 def max_achievable_throughput(dist: DensityDistribution,
@@ -371,53 +466,75 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     """Minimize long-term consumption subject to a long-term throughput floor.
 
     The dual variable mu is bracketed by doubling from 1, then found by
-    secant steps on g(mu) = throughput(mu) - ``u_avg`` (``bracketed_newton``)
-    to within ``DUAL_TOL`` times the bracket's upper end.  The result is an
-    evaluated mu on the floor's satisfied side, so the reported throughput
-    is never below ``u_avg``.  When ``u_avg`` falls inside a jump of the
-    throughput-versus-mu curve, that is the nearest mu above the jump, and
-    its achieved throughput is reported in the metrics.
+    Newton steps on g(mu) = throughput(mu) - ``u_avg`` with the exact
+    slope du/dmu of each dual evaluation (``_avg_throughput``), safeguarded
+    by the bracket (``bracketed_newton``) and starting from the bracket end
+    nearer the floor, to within ``DUAL_TOL`` times the bracket's upper end.
+    The result is an evaluated mu on the floor's satisfied side, so the
+    reported throughput is never below ``u_avg``.  When ``u_avg`` falls
+    inside a jump of the throughput-versus-mu curve, that is the nearest mu
+    above the jump, and its achieved throughput is reported in the metrics.
+    The thresholds, rule and x of that last satisfied evaluation give the
+    policy table's thresholds and the reported averages, so neither is
+    computed twice.
     """
     if not (math.isfinite(u_avg) and u_avg > 0.0):
         raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
     cap = max_achievable_throughput(dist, p)
     if cap < u_avg:
         raise InfeasibleError(u_avg, cap)
+    satisfied = []  # (mu, state) of the latest evaluation with g >= 0
 
     def gap(mu: float) -> tuple:
-        return _avg_throughput(mu, dist, p) - u_avg, None
+        u, slope, state = _avg_throughput(mu, dist, p)
+        if u >= u_avg:
+            satisfied[:] = [mu, state]
+        return u - u_avg, slope
 
-    lo, g_lo, hi = 0.0, -u_avg, 1.0
-    g_hi, _ = gap(hi)
+    lo, g_lo, s_lo, hi = 0.0, -u_avg, 0.0, 1.0
+    g_hi, s_hi = gap(hi)
     while g_hi < 0.0:
-        lo, g_lo = hi, g_hi
+        lo, g_lo, s_lo = hi, g_hi, s_hi
         hi *= 2.0
         if hi > 1e12:
             raise InfeasibleError(u_avg, g_hi + u_avg)
-        g_hi, _ = gap(hi)
-    mu = bracketed_newton(gap, hi, lo, hi - g_hi * (hi - lo) / (g_hi - g_lo),
-                          DUAL_TOL * hi, known=(hi, g_hi))
-    policy = policy_for_mu(mu, p, dist.lambda_max, mode=mode)
+        g_hi, s_hi = gap(hi)
+    # the first step is Newton's from the end nearer the floor, else from
+    # the other end; with neither inside, bracketed_newton halves
+    ends = sorted([(lo, g_lo, s_lo), (hi, g_hi, s_hi)],
+                  key=lambda end: abs(end[1]))
+    starts = [end - g / s if s else math.nan for end, g, s in ends]
+    bracketed_newton(gap, hi, lo, next((x for x in starts if lo < x < hi),
+                                       math.nan), DUAL_TOL * hi)
+    # its result is its good end, the latest evaluated mu with g >= 0
+    mu, state = satisfied
     if mode == "exact":
-        return policy, _exact_policy_metrics(mu, policy.criticals, dist, p)
+        policy = _tabulate(mu, state[0], p, dist.lambda_max, POLICY_GRID,
+                           mode)
+        return policy, _state_metrics(mu, state, dist, p)
+    policy = policy_for_mu(mu, p, dist.lambda_max, mode=mode)
     # ROADMAP known defect, unchanged here: hse mode reports the exact
     # policy's averages, with its own cut-off for on-probability and peak
-    return policy, _exact_policy_metrics(
-        mu, critical_densities(mu, p, dist.lambda_max), dist, p,
-        cutoff=policy.criticals.on_cutoff)
+    return policy, _state_metrics(mu, state, dist, p,
+                                  cutoff=policy.criticals.on_cutoff)
 
 
 def _exact_policy_metrics(mu: float, crits: CriticalDensities,
-                          dist: DensityDistribution, p: SystemParams,
-                          cutoff: Optional[float] = None) -> PolicyMetrics:
-    """Metrics of the exact policy with thresholds ``crits``.
+                          dist: DensityDistribution,
+                          p: SystemParams) -> PolicyMetrics:
+    """Metrics of the exact policy with thresholds ``crits``, built anew."""
+    return _state_metrics(mu, _policy_on_rule(mu, crits, dist, p), dist, p)
+
+
+def _state_metrics(mu: float, state: tuple, dist: DensityDistribution,
+                   p: SystemParams,
+                   cutoff: Optional[float] = None) -> PolicyMetrics:
+    """Metrics of the exact policy from ``_policy_on_rule``'s state.
 
     ``cutoff`` (default: the policy's own) bounds the on-probability and
     the peak-power scan.
     """
-    rule = gauss_legendre(dist, 0.0, dist.lambda_max,
-                          _breakpoints(crits, dist.lambda_max))
-    x = _policy_x(rule.nodes, mu, crits, p)
+    crits, rule, x = state
     avg_power = rule.integrate(bs_power_x(x, rule.nodes, p))
     avg_users = rule.integrate(math.pi * rule.nodes * x)
     cut = min(crits.on_cutoff if cutoff is None else cutoff, dist.lambda_max)

@@ -35,6 +35,11 @@ class SystemParams:
     amp_scaling: float = 1.0           # amplifier/feeder loss factor, >= 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"{f.name} must be finite, got {value}")
         if not self.pathloss_exp > 2.0:
             raise InvalidParameterError(
                 f"pathloss_exp must exceed 2, got {self.pathloss_exp}")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -168,6 +169,24 @@ def test_cli_rejects_non_finite_lambda_max(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert "lambda_max must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", [f.name for f in fields(SystemParams)])
+def test_params_reject_non_finite_fields(name, bad):
+    with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+        SystemParams(**{name: bad})
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+def test_cli_rejects_non_finite_power_cap(tmp_path, capsys, raw):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text(f"max_bs_power = {raw}\n")
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "max_bs_power must be finite" in captured.err
     assert captured.out == ""
 
 

@@ -241,8 +241,10 @@ class TestSolve:
     def test_throughput_jump_returns_the_nearest_mu_above(self, monkeypatch):
         # no mu meets a target inside the step exactly
         jump = 3.3
+        real = optimal._avg_throughput
         monkeypatch.setattr(optimal, "_avg_throughput",
-                            lambda mu, dist, p: 80.0 if mu >= jump else 20.0)
+                            lambda mu, dist, p: (80.0 if mu >= jump else 20.0,
+                                                 None, real(mu, dist, p)[2]))
         pol, _ = solve(50.0, DIST, P)
         assert jump <= pol.mu <= jump * (1.0 + 1e-12)
 
