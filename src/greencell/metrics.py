@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import expect
+from .numerics import gauss_legendre
 from .params import SystemParams
-from .scaling import bs_power, throughput
+from .scaling import bs_power_x
 from .traffic import DensityDistribution
 
 
@@ -31,37 +32,35 @@ class PolicyMetrics:
         }
 
 
-def evaluate(radius_fn: Callable[[float], float], dist: DensityDistribution,
-             p: SystemParams, breakpoints: Sequence[float] = (),
-             grid_size: int = 513) -> PolicyMetrics:
+def evaluate(radius_fn: Callable, dist: DensityDistribution, p: SystemParams,
+             breakpoints: Sequence[float] = ()) -> PolicyMetrics:
     """Metrics of an arbitrary density -> radius map.
 
-    ``breakpoints`` are the map's discontinuities (on/off cut-offs); they are
-    passed through to the quadrature and used to bound the on-probability
-    and peak-power evaluations.
+    ``radius_fn`` is called once, on an array of densities: the nodes of
+    one Gauss-Legendre rule split at ``breakpoints`` (the map's
+    discontinuities, such as on/off cut-offs), each breakpoint and the
+    density just above it, and lambda_max.  A scalar return is a constant
+    radius.  Power, users and on-probability are integrated on the rule;
+    the peak is the largest consumption over all the points, which is the
+    largest while on, since off consumes Ps <= Pc (Ps when never on).  A
+    negative or non-finite radius raises ValueError.
     """
-    pts = [b for b in breakpoints if 0.0 < b < dist.lambda_max]
-
-    def power(lam: float) -> float:
-        return bs_power(radius_fn(lam), lam, p)
-
-    def users(lam: float) -> float:
-        return throughput(radius_fn(lam), lam)
-
-    avg_power = expect(power, dist, breakpoints=pts)
-    avg_users = expect(users, dist, breakpoints=pts)
-    on_prob = expect(lambda lam: 1.0 if radius_fn(lam) > 0.0 else 0.0,
-                     dist, breakpoints=pts)
-    grid = np.linspace(0.0, dist.lambda_max, grid_size)
-    peak = max((power(float(lam)) for lam in grid if radius_fn(float(lam)) > 0.0),
-               default=p.sleep_power)
-    for b in pts:
-        # peaks sit at cut-offs; sample both sides
-        for lam in (b, np.nextafter(b, dist.lambda_max)):
-            if radius_fn(float(lam)) > 0.0:
-                peak = max(peak, power(float(lam)))
-    peak = max(peak, power(dist.lambda_max)
-               if radius_fn(dist.lambda_max) > 0.0 else p.sleep_power)
-    return PolicyMetrics(avg_power_w=avg_power, avg_users=avg_users,
-                         on_probability=min(max(on_prob, 0.0), 1.0),
-                         peak_bs_power_w=peak)
+    m = dist.lambda_max
+    pts = np.array([b for b in breakpoints if 0.0 < b < m], dtype=float)
+    rule = gauss_legendre(dist, 0.0, m, pts)
+    n = rule.nodes.size
+    lams = np.concatenate([rule.nodes, pts, np.nextafter(pts, m), [m]])
+    radii = np.broadcast_to(np.asarray(radius_fn(lams), dtype=float),
+                            lams.shape)
+    bad = ~(np.isfinite(radii) & (radii >= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"radius_fn returned {radii[i]} at density "
+                         f"{lams[i]}; radii must be finite and >= 0")
+    x = radii * radii
+    power = bs_power_x(x, lams, p)
+    return PolicyMetrics(
+        avg_power_w=rule.integrate(power[:n]),
+        avg_users=rule.integrate(math.pi * rule.nodes * x[:n]),
+        on_probability=min(max(rule.integrate(radii[:n] > 0.0), 0.0), 1.0),
+        peak_bs_power_w=float(power.max()))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -308,6 +308,7 @@ class AdaptationPolicy:
     powers: np.ndarray
     mode: str  # "exact" or "hse"
     lambda_max: float
+    params: SystemParams
 
     @property
     def case_tag(self) -> str:
@@ -317,13 +318,15 @@ class AdaptationPolicy:
     def breakpoints(self) -> Tuple[float, ...]:
         return tuple(_breakpoints(self.criticals, self.lambda_max))
 
-    def radius_at(self, density: float) -> float:
-        """Radius interpolated piecewise-linearly in x = R^2; off below the cut-off."""
-        cut = self.criticals.on_cutoff
-        if density <= cut or density <= 0.0:
-            return 0.0
-        x = np.interp(density, self.lambdas, self.radii ** 2)
-        return math.sqrt(max(x, 0.0))
+    def radius_at(self, density):
+        """Radius at ``density`` from the per-density kernels; elementwise.
+
+        Off at or below the cut-off.  The table (``lambdas``, ``radii``,
+        ``powers``) is output only: this does not interpolate it.
+        """
+        shape, (lams,) = as_arrays(density)
+        return shaped(np.sqrt(_policy_x(lams, self.mu, self.criticals,
+                                        self.params, self.mode)), shape)
 
     def rows(self):
         for lam, r, pw in zip(self.lambdas, self.radii, self.powers):
@@ -371,11 +374,10 @@ def _policy_x(lams: np.ndarray, mu: float, crits: CriticalDensities,
     return xs
 
 
-POLICY_GRID = 2048  # default uniform grid of a policy table
+POLICY_GRID = 2048  # uniform grid of a policy table
 
 
 def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
-                  grid_size: int = POLICY_GRID,
                   mode: str = "exact") -> AdaptationPolicy:
     """Tabulate the per-density minimizer over a uniform grid plus the cut-offs."""
     if mode not in ("exact", "hse"):
@@ -386,20 +388,19 @@ def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
         crits = critical_densities(mu, p, lambda_max)
     else:
         crits = hse_critical_densities(mu, p)
-    return _tabulate(mu, crits, p, lambda_max, grid_size, mode)
+    return _tabulate(mu, crits, p, lambda_max, mode)
 
 
 def _tabulate(mu: float, crits: CriticalDensities, p: SystemParams,
-              lambda_max: float, grid_size: int,
-              mode: str) -> AdaptationPolicy:
+              lambda_max: float, mode: str) -> AdaptationPolicy:
     inner = _breakpoints(crits, lambda_max)
     lams = np.unique(np.concatenate([
-        np.linspace(0.0, lambda_max, grid_size), inner,
+        np.linspace(0.0, lambda_max, POLICY_GRID), inner,
         np.nextafter(inner, lambda_max)]))
     xs = _policy_x(lams, mu, crits, p, mode)
     return AdaptationPolicy(mu=mu, criticals=crits, lambdas=lams,
                             radii=np.sqrt(xs), powers=bs_power_x(xs, lams, p),
-                            mode=mode, lambda_max=lambda_max)
+                            mode=mode, lambda_max=lambda_max, params=p)
 
 
 def _breakpoints(crits: CriticalDensities, lambda_max: float) -> list:
@@ -407,34 +408,25 @@ def _breakpoints(crits: CriticalDensities, lambda_max: float) -> list:
                    if 0.0 < c < lambda_max})
 
 
-def _policy_on_rule(mu: float, crits: CriticalDensities,
-                    dist: DensityDistribution, p: SystemParams) -> tuple:
-    """The exact policy with thresholds ``crits`` on its quadrature rule.
-
-    Returns (``crits``, the rule split at the thresholds, x at its nodes).
-    """
-    rule = gauss_legendre(dist, 0.0, dist.lambda_max,
-                          _breakpoints(crits, dist.lambda_max))
-    return crits, rule, _policy_x(rule.nodes, mu, crits, p)
-
-
 def _avg_throughput(mu: float, dist: DensityDistribution,
                     p: SystemParams) -> tuple:
     """One dual evaluation: u(mu), its exact slope du/dmu, and the state used.
 
     u is the long-term throughput E[pi lambda x] of the exact policy at
-    ``mu``; the state is ``_policy_on_rule``'s (thresholds, rule, x), from
-    which ``solve`` reports the metrics of its final mu.  The slope has two
-    terms.  On the stationary segment x1* solves log Pt'(x) =
+    ``mu``; the state is (thresholds, the rule split at them, x at its
+    nodes), from which ``solve`` reports the averages of its final mu.  The
+    slope has two terms.  On the stationary segment x1* solves log Pt'(x) =
     log(mu pi lambda / (a d1)), so dx1*/dmu = x1* / (mu s), with s the
     log-x slope of the left side at x1*; the capped point does not move
     with mu.  The switch-on cut-off lambda_on moves, which adds
     -pi lambda_on x(lambda_on+) f(lambda_on) dlambda_on/dmu.  x is
     continuous at lambda2, which adds nothing.
     """
-    state = crits, rule, x = _policy_on_rule(
-        mu, critical_densities(mu, p, dist.lambda_max), dist, p)
+    crits = critical_densities(mu, p, dist.lambda_max)
+    rule = gauss_legendre(dist, 0.0, dist.lambda_max,
+                          _breakpoints(crits, dist.lambda_max))
     lams = rule.nodes
+    x = _policy_x(lams, mu, crits, p)
     stationary, _ = _regimes(lams, crits)
     dx = np.zeros_like(x)
     if stationary.any():
@@ -447,7 +439,7 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     if 0.0 < cut < dist.lambda_max:
         slope -= (math.pi * cut * crits.on_x * dist.pdf(cut)
                   * crits.on_elasticity * cut / mu)
-    return rule.integrate(math.pi * lams * x), slope, state
+    return rule.integrate(math.pi * lams * x), slope, (crits, rule, x)
 
 
 def max_achievable_throughput(dist: DensityDistribution,
@@ -476,7 +468,7 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     above the jump, and its achieved throughput is reported in the metrics.
     The thresholds, rule and x of that last satisfied evaluation give the
     policy table's thresholds and the reported averages, so neither is
-    computed twice.
+    computed twice; the reported peak is the table's (``_state_metrics``).
     """
     if not (math.isfinite(u_avg) and u_avg > 0.0):
         raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
@@ -508,41 +500,25 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
                                        math.nan), DUAL_TOL * hi)
     # its result is its good end, the latest evaluated mu with g >= 0
     mu, state = satisfied
-    if mode == "exact":
-        policy = _tabulate(mu, state[0], p, dist.lambda_max, POLICY_GRID,
-                           mode)
-        return policy, _state_metrics(mu, state, dist, p)
-    policy = policy_for_mu(mu, p, dist.lambda_max, mode=mode)
-    # ROADMAP known defect, unchanged here: hse mode reports the exact
-    # policy's averages, with its own cut-off for on-probability and peak
-    return policy, _state_metrics(mu, state, dist, p,
-                                  cutoff=policy.criticals.on_cutoff)
+    policy = _tabulate(mu, state[0], p, dist.lambda_max, mode) \
+        if mode == "exact" else policy_for_mu(mu, p, dist.lambda_max, mode)
+    return policy, _state_metrics(state, policy, dist, p)
 
 
-def _exact_policy_metrics(mu: float, crits: CriticalDensities,
-                          dist: DensityDistribution,
-                          p: SystemParams) -> PolicyMetrics:
-    """Metrics of the exact policy with thresholds ``crits``, built anew."""
-    return _state_metrics(mu, _policy_on_rule(mu, crits, dist, p), dist, p)
+def _state_metrics(state: tuple, policy: AdaptationPolicy,
+                   dist: DensityDistribution,
+                   p: SystemParams) -> PolicyMetrics:
+    """Metrics of ``policy`` from the state of ``solve``'s last evaluation.
 
-
-def _state_metrics(mu: float, state: tuple, dist: DensityDistribution,
-                   p: SystemParams,
-                   cutoff: Optional[float] = None) -> PolicyMetrics:
-    """Metrics of the exact policy from ``_policy_on_rule``'s state.
-
-    ``cutoff`` (default: the policy's own) bounds the on-probability and
-    the peak-power scan.
+    The averages integrate the exact policy's x on the state's rule (ROADMAP
+    known defect: in hse mode too).  The on-probability is the pdf mass
+    above ``policy``'s cut-off, and the peak is the largest consumption in
+    its table, whose grid holds each threshold and the density just above.
     """
-    crits, rule, x = state
-    avg_power = rule.integrate(bs_power_x(x, rule.nodes, p))
-    avg_users = rule.integrate(math.pi * rule.nodes * x)
-    cut = min(crits.on_cutoff if cutoff is None else cutoff, dist.lambda_max)
-    on_prob = 1.0 - float(dist.cdf(cut))
-    grid = np.linspace(cut, dist.lambda_max, 257) if cut < dist.lambda_max \
-        else np.array([dist.lambda_max])
-    grid = grid[grid > 0.0]
-    peak = float(np.max(bs_power_x(_policy_x(grid, mu, crits, p), grid, p))) \
-        if grid.size else p.sleep_power
-    return PolicyMetrics(avg_power_w=avg_power, avg_users=avg_users,
-                         on_probability=on_prob, peak_bs_power_w=peak)
+    _, rule, x = state
+    cut = min(policy.criticals.on_cutoff, dist.lambda_max)
+    return PolicyMetrics(
+        avg_power_w=rule.integrate(bs_power_x(x, rule.nodes, p)),
+        avg_users=rule.integrate(math.pi * rule.nodes * x),
+        on_probability=1.0 - float(dist.cdf(cut)),
+        peak_bs_power_w=float(policy.powers.max()))

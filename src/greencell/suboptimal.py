@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .metrics import PolicyMetrics
-from .numerics import bracketed_newton, gauss_legendre
+from .numerics import as_arrays, bracketed_newton, gauss_legendre, shaped
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import conditional_expect  # noqa: F401
 from .optimal import InfeasibleError
@@ -50,14 +50,17 @@ class SchemeResult:
     fixed_power: Optional[float]
     metrics: PolicyMetrics
 
-    def radius_at(self, density: float, p: SystemParams) -> float:
-        if density < self.cutoff:
-            return 0.0
+    def radius_at(self, density, p: SystemParams):
+        """Radius at ``density``, elementwise; 0 below the cut-off."""
+        shape, (lam,) = as_arrays(density)
+        r = np.zeros_like(lam)
+        on = lam >= self.cutoff
         if self.fixed_radius is not None:
-            return self.fixed_radius
-        if density <= 0.0:
-            return 0.0
-        return math.sqrt(max_range_x(density, self.fixed_power, p))
+            r[on] = self.fixed_radius
+        else:
+            on &= lam > 0.0
+            r[on] = np.sqrt(max_range_x(lam[on], self.fixed_power, p))
+        return shaped(r, shape)
 
     def summary(self) -> dict:
         out = {"scheme": self.scheme, "cutoff": self.cutoff}

@@ -5,6 +5,7 @@ from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
 
 from greencell import cli, optimal
+from greencell.metrics import evaluate
 from greencell.optimal import (CASE_A, CASE_B, critical_densities,
                                max_achievable_throughput, solve)
 from greencell.params import SystemParams
@@ -99,6 +100,7 @@ def test_metrics_are_those_of_the_final_evaluation(config, fraction):
     p, dist = cli._build_context(cli._load_config(config))
     pol, reported = solve(fraction * max_achievable_throughput(dist, p),
                           dist, p)
-    assert reported == optimal._exact_policy_metrics(pol.mu, pol.criticals,
-                                                     dist, p)
+    want = evaluate(pol.radius_at, dist, p, breakpoints=pol.breakpoints)
+    for field, value in reported.as_dict().items():
+        assert value == pytest.approx(getattr(want, field), rel=1e-12), field
     assert pol.criticals == critical_densities(pol.mu, p, dist.lambda_max)

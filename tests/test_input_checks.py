@@ -4,10 +4,12 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from greencell import cli, mcsim, optimal, scaling, suboptimal
 from greencell.cli import EXIT_OK, EXIT_USAGE, main
+from greencell.metrics import evaluate
 from greencell.optimal import solve
 from greencell.params import InvalidParameterError, SystemParams
 from greencell.traffic import from_csv, from_table, triangular
@@ -42,6 +44,19 @@ def test_sweep_rejects_non_finite_entry_in_list(capsys):
 
 
 BAD_SIZES = (-1000.0, -1e-5) + NON_FINITE
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES)
+def test_evaluate_rejects_bad_radius(bad):
+    # a negative radius squares into positive power and users while
+    # counting as off, so no metric of it would mean anything
+    with pytest.raises(ValueError, match="at density"):
+        evaluate(lambda lam: bad, DIST, P)
+    cut = 5e-5
+    with pytest.raises(ValueError, match=f"at density {cut}"):
+        # bad at the cut-off only, which is no quadrature node
+        evaluate(lambda lam: np.where(lam == cut, bad, 300.0), DIST, P,
+                 breakpoints=(cut,))
 
 
 @pytest.mark.parametrize("bad", BAD_SIZES)

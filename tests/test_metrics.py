@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from greencell.metrics import PolicyMetrics, evaluate
-from greencell.optimal import policy_for_mu, solve
+from greencell.optimal import solve
 from greencell.params import SystemParams
+from greencell.scaling import bs_power
 from greencell.suboptimal import frw_oofc
 from greencell.traffic import triangular
 
@@ -27,22 +29,25 @@ def test_evaluate_always_off_policy():
 def test_evaluate_matches_solver_metrics():
     pol, solver_metrics = solve(60.0, DIST, P)
     metrics = evaluate(pol.radius_at, DIST, P, breakpoints=pol.breakpoints)
-    assert metrics.avg_power_w == pytest.approx(solver_metrics.avg_power_w,
-                                                rel=1e-3)
-    assert metrics.avg_users == pytest.approx(solver_metrics.avg_users,
-                                              rel=1e-3)
+    for field, value in solver_metrics.as_dict().items():
+        assert getattr(metrics, field) == pytest.approx(value, rel=1e-12), \
+            field
+
+
+def test_evaluate_calls_the_radius_map_once_on_an_array():
+    calls = []
+
+    def radius(lams):
+        calls.append(lams)
+        return np.where(lams > 5e-5, 300.0, 0.0)
+
+    metrics = evaluate(radius, DIST, P, breakpoints=(5e-5,))
+    assert len(calls) == 1 and calls[0].ndim == 1
+    assert 5e-5 in calls[0] and DIST.lambda_max in calls[0]
     assert metrics.on_probability == pytest.approx(
-        solver_metrics.on_probability, rel=1e-6)
-
-
-def test_tabulation_grid_is_converged():
-    mu = 1.2
-    coarse = policy_for_mu(mu, P, DIST.lambda_max, grid_size=2048)
-    fine = policy_for_mu(mu, P, DIST.lambda_max, grid_size=4096)
-    a = evaluate(coarse.radius_at, DIST, P, breakpoints=coarse.breakpoints)
-    b = evaluate(fine.radius_at, DIST, P, breakpoints=fine.breakpoints)
-    assert a.avg_power_w == pytest.approx(b.avg_power_w, rel=1e-3)
-    assert a.avg_users == pytest.approx(b.avg_users, rel=1e-3)
+        1.0 - float(DIST.cdf(5e-5)), rel=1e-13)
+    assert metrics.peak_bs_power_w == pytest.approx(
+        bs_power(300.0, DIST.lambda_max, P), rel=1e-15)
 
 
 def test_optimal_beats_fixed_radius_always_on():

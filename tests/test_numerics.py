@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,7 +149,11 @@ class TestMinimizeBounded:
 
 
 def test_package_imports_without_scipy():
-    code = "import sys, greencell; assert 'scipy' not in sys.modules"
+    # the child imports greencell from where this process found it, so the
+    # test needs no PYTHONPATH or installed package
+    src = str(Path(numerics.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import greencell; "
+            "assert 'scipy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True)
 
 

@@ -180,7 +180,7 @@ class TestClosedForms:
 
 class TestPolicyTabulation:
     def test_off_region_and_monotonicity(self):
-        pol = policy_for_mu(2.0, P, LAMBDA_MAX, grid_size=256)
+        pol = policy_for_mu(2.0, P, LAMBDA_MAX)
         cut = pol.criticals.on_cutoff
         off = pol.lambdas <= cut
         assert np.all(pol.radii[off] == 0.0)
@@ -191,13 +191,13 @@ class TestPolicyTabulation:
         assert pol.powers.max() <= P.max_bs_power * (1.0 + 1e-9)
 
     def test_zero_price_means_always_off(self):
-        pol = policy_for_mu(0.0, P, LAMBDA_MAX, grid_size=64)
+        pol = policy_for_mu(0.0, P, LAMBDA_MAX)
         assert np.all(pol.radii == 0.0)
         assert np.all(pol.powers == P.sleep_power)
 
     def test_first_case_branch_structure(self):
         mu = 2.0
-        pol = policy_for_mu(mu, P60, LAMBDA_MAX, grid_size=256)
+        pol = policy_for_mu(mu, P60, LAMBDA_MAX)
         crits = pol.criticals
         assert pol.case_tag == CASE_A
         for lam in np.linspace(LAMBDA_MAX / 256, LAMBDA_MAX, 40):
@@ -225,7 +225,7 @@ class TestPolicyTabulation:
                 assert x == pytest.approx(x2_star(lam, P140), rel=1e-6)
 
     def test_radius_interpolation_respects_cutoff(self):
-        pol = policy_for_mu(2.0, P, LAMBDA_MAX, grid_size=256)
+        pol = policy_for_mu(2.0, P, LAMBDA_MAX)
         cut = pol.criticals.on_cutoff
         assert pol.radius_at(cut * 0.5) == 0.0
         above = min(cut * 1.05, LAMBDA_MAX)

@@ -33,8 +33,22 @@ def test_table_matches_reported_metrics(config, u_avg, case):
     policy, reported = solve(u_avg, dist, p)
     assert policy.case_tag == case
     table = _table_metrics(policy, dist, p)
-    assert table.avg_users == pytest.approx(reported.avg_users, rel=1e-6)
-    assert table.avg_power_w == pytest.approx(reported.avg_power_w, rel=1e-6)
+    assert table.avg_users == pytest.approx(reported.avg_users, rel=1e-12)
+    assert table.avg_power_w == pytest.approx(reported.avg_power_w, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "hse"])
+def test_radius_at_is_exact_and_elementwise(mode):
+    # radius_at calls the kernels, so at the table's own grid it gives the
+    # table's radii bit for bit, and a float gives a float
+    p, dist = _context("configs/baseline.json")
+    policy, _ = solve(60.0, dist, p, mode=mode)
+    assert np.array_equal(policy.radius_at(policy.lambdas), policy.radii)
+    i = int(np.argmax(policy.radii))
+    one = policy.radius_at(float(policy.lambdas[i]))
+    assert isinstance(one, float) and one == policy.radii[i]
+    assert policy.radius_at(policy.lambdas.reshape(-1, 1)).shape == \
+        (policy.lambdas.size, 1)
 
 
 def test_table_is_on_right_after_switch_on():

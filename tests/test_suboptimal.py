@@ -495,14 +495,24 @@ def test_frw_ofc_stays_always_on_when_sleeping_saves_nothing():
 @pytest.mark.parametrize("u_avg", (20.0, 55.063, 58.705))
 @pytest.mark.parametrize("config", CONFIGS)
 def test_frw_metrics_describe_the_returned_policy(config, u_avg):
-    p, dist = _context(config)
-    for scheme in (frw_ofc, frw_oofc):
-        res = scheme(u_avg, dist, p)
-        want = evaluate(lambda lam: res.radius_at(lam, p), dist, p,
-                        breakpoints=(res.cutoff,))
-        for field, value in res.metrics.as_dict().items():
-            assert value == pytest.approx(getattr(want, field), rel=1e-9), \
-                (scheme.__name__, field)
+    # every scheme's and solve's reported numbers are those of the object
+    # returned, as metrics.evaluate integrates it, on a smooth and a kinked pdf
+    p, tri = _context(config)
+    for dist in (tri, TABLE1):
+        for scheme in (*SCHEMES, solve):
+            res = scheme(u_avg, dist, p)
+            if scheme is solve:
+                policy, reported = res
+                want = evaluate(policy.radius_at, dist, p,
+                                breakpoints=policy.breakpoints)
+            else:
+                reported = res.metrics
+                want = evaluate(lambda lam: res.radius_at(lam, p), dist, p,
+                                breakpoints=(res.cutoff,))
+            for field, value in reported.as_dict().items():
+                assert value == pytest.approx(getattr(want, field),
+                                              rel=1e-12), \
+                    (scheme.__name__, dist.kind, field)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
