@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,19 +53,18 @@ def shaped(flat: np.ndarray, shape):
 # --- scalar roots -----------------------------------------------------------
 
 def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
-                     x: float, tol: float,
-                     known: Optional[tuple] = None) -> float:
+                     x: float, tol: float) -> float:
     """Root of g between ``good`` (g >= 0) and ``bad`` (g < 0), either order.
 
     ``fn(x)`` returns g(x) and its slope, or None for the secant through the
-    last point (``known``, an (x, g) pair, on the first step).  Newton starts
-    from ``x``; a point outside the bracket, which each evaluation shrinks,
-    is replaced by its midpoint.  Steps aim ``tol / 2`` past the root into
-    the good side, so the result is an evaluated point with g >= 0 within
-    about ``tol`` of the root, or the good end once the bracket is narrower
-    than ``tol`` or after 100 evaluations.
+    point evaluated before (after the first point, the midpoint).  Newton
+    starts from ``x``; a point outside the bracket, which each evaluation
+    shrinks, is replaced by its midpoint.  Steps aim ``tol / 2`` past the
+    root into the good side, so the result is an evaluated point with
+    g >= 0 within about ``tol`` of the root, or the good end once the
+    bracket is narrower than ``tol`` or after 100 evaluations.
     """
-    prev = known
+    prev = None
     for _ in range(100):
         if abs(bad - good) <= tol:
             break

@@ -108,7 +108,9 @@ def params_from_mapping(mapping: dict) -> SystemParams:
             if key in resolved:
                 raise InvalidParameterError(
                     f"both {key} and its dB alternate given in configuration")
-            resolved[key] = int(raw) if key == "coding_blocks" else float(raw)
+            value = float(raw)  # a fraction reaches SystemParams' check
+            integral = key == "coding_blocks" and value.is_integer()
+            resolved[key] = int(value) if integral else value
         else:
             raise InvalidParameterError(f"unknown configuration key: {key}")
     return SystemParams(**resolved)

@@ -1,16 +1,13 @@
 """Reduced-complexity adaptation schemes: fixed or power-capped range, with or
 without an on/off traffic cut-off.
 
-All four are one-dimensional constrained searches over (cut-off density,
-fixed radius) or (cut-off density, fixed consumption) pairs; each is feasible
-for the original problem and upper-bounds the optimal consumption.
-
-A target above a scheme's throughput cap (the always-on policy at the power
-cap for ARw, the fixed radius that just meets the cap at full load for FRw)
-is rejected before any search.  Cut-offs and levels are roots found by
-``numerics.bracketed_newton`` on exact derivatives, and so are the optima:
-ARwOFC's of its cost's level derivative, FRwOFC's of its cost's cut-off
-derivative below its feasibility edge.
+Range adaptation sets the policy above a cut-off density c: one fixed radius
+(FRw) or one consumption level (ARw), the least that meets the throughput
+floor.  On/off control sets c: 0 for the always-on schemes, the cheapest up
+to the family's feasibility edge for the OFC ones, which share one search.
+Each result is feasible and upper-bounds the optimal consumption.  A target
+above a family's throughput cap is rejected before any search; every root
+is found by ``numerics.bracketed_newton`` on exact derivatives.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ ARW_OOFC = "ARwoOFC"
 
 _CUT_TOL = 1e-14  # cut-off root tolerance, relative to lambda_max
 _LEVEL_TOL = 1e-14  # level root tolerance, relative to Pmax
-_SEARCH_TOL = 1e-9  # ARwOFC level search tolerance, relative to Pmax
 
 
 @dataclass(frozen=True)
@@ -77,27 +73,69 @@ def _check_target(u_avg: float) -> None:
         raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
 
 
-class _FrwCut(NamedTuple):
-    """The fixed-radius policy at one cut-off; see ``_frw_cut``."""
+class _Cut(NamedTuple):
+    """A family's policy at a cut-off c in [0, edge] that meets the floor,
+    its cost J(c) and h = gain - loss, where dJ/dc = f(c) h(c)."""
 
     cutoff: float
-    t1: float  # tail first moment T1(c)
-    radius: float  # r_f
-    cost: float  # J(c)
-    slope: float  # h(c), of the sign of dJ/dc
+    radius: Optional[float]  # FRw's fixed radius
+    level: Optional[float]  # ARw's fixed consumption
+    users: float
+    cost: float
+    gain: float
+    loss: float
+
+
+def _cheapest_cutoff(at_edge: _Cut, point, falls_at_zero: bool,
+                     m: float) -> _Cut:
+    """The cheapest cut-off on [0, edge], from the point at the edge.
+
+    h changes sign at most once there, from - to +.  So the edge wins when
+    h(edge) <= 0; when h(0) >= 0 as well (not ``falls_at_zero``) J rises
+    from 0, which wins.  Otherwise a secant search finds the root of
+    log(gain / loss), of the sign of h and close to linear where h is flat;
+    ``point(c, near)`` gives the family's point at c, started from the one
+    evaluated last.  The cheapest point evaluated wins.
+    """
+    if at_edge.gain <= at_edge.loss:
+        return at_edge
+    if not falls_at_zero:
+        return min(point(0.0, at_edge), at_edge, key=lambda at: at.cost)
+    found = [at_edge]
+    edge, g_edge = at_edge.cutoff, math.log(at_edge.gain / at_edge.loss)
+
+    def log_ratio(cutoff: float) -> tuple:
+        at = point(cutoff, found[-1])
+        found.append(at)
+        g = math.log(at.gain / at.loss)
+        # the first secant runs through the edge, later ones through the
+        # point before, as bracketed_newton draws them
+        return g, (g - g_edge) / (cutoff - edge) if len(found) == 2 else None
+
+    bracketed_newton(log_ratio, edge, 0.0, 0.5 * edge, _CUT_TOL * m)
+    return min(found, key=lambda at: at.cost)
+
+
+def _result(tag: str, at: _Cut, dist: DensityDistribution,
+            p: SystemParams) -> SchemeResult:
+    peak = at.level if at.radius is None \
+        else bs_power(at.radius, dist.lambda_max, p)
+    metrics = PolicyMetrics(avg_power_w=at.cost, avg_users=at.users,
+                            on_probability=1.0 - float(dist.cdf(at.cutoff)),
+                            peak_bs_power_w=peak)
+    return SchemeResult(scheme=tag, cutoff=at.cutoff, fixed_radius=at.radius,
+                        fixed_power=at.level, metrics=metrics)
 
 
 def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
-             p: SystemParams, x_cap: float) -> _FrwCut:
-    """T1, the smallest radius meeting the floor, the cost J and h at one
-    cut-off in [0, edge], where T1 > 0, all on one tail rule.
+             p: SystemParams) -> _Cut:
+    """The smallest radius meeting the floor above a cut-off in [0, edge],
+    on one tail rule.
 
-    InfeasibleError when the radius breaks the cap, which is checked at the
-    highest density only since transmit power grows with density at fixed
-    radius.  With x_f = u_avg / (pi T1(c)), dT1/dc = -c f(c) gives dx_f/dc =
-    x_f c f(c) / T1, so J(c) = integral over [c, lambda_max] of P(x_f, lam) f
-    + Ps F(c) has dJ/dc = f(c) h(c), h = Ps - P(x_f, c) + c x_f / T1 times
-    the tail integral of a Pt'(x_f, lam) f.
+    With x_f = u_avg / (pi T1(c)), T1 the tail first moment, dT1/dc =
+    -c f(c) gives dx_f/dc = x_f c f(c) / T1, so J(c) = integral over
+    [c, lambda_max] of P(x_f, lam) f + Ps F(c) has loss P(x_f, c) - Ps and
+    gain c x_f / T1 times the tail integral of a Pt'(x_f, lam) f.
     """
     rule = gauss_legendre(dist, cutoff, dist.lambda_max)
     t1 = rule.integrate(rule.nodes)
@@ -105,8 +143,6 @@ def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
     while math.pi * r_f * r_f * t1 < u_avg:  # the root can round below
         r_f = math.nextafter(r_f, math.inf)
     x = r_f * r_f
-    if x > x_cap * (1.0 + 1e-12):
-        raise InfeasibleError(u_avg, math.pi * x_cap * t1)
     cost = rule.integrate(bs_power(r_f, rule.nodes, p)) \
         + p.sleep_power * float(dist.cdf(cutoff))
     # Pt'(x) = d1 x^(alpha/2-1) (alpha/2 (e^y - 1) + y e^y), y = d3 pi lam x
@@ -114,64 +150,54 @@ def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
     y = c.d3 * math.pi * rule.nodes * x
     tail = rule.integrate(c.d1 * x ** (h - 1.0) * (h * np.expm1(y)
                                                   + y * np.exp(y)))
-    slope = p.sleep_power - bs_power(r_f, cutoff, p) \
-        + cutoff * x / t1 * p.amp_scaling * tail
-    return _FrwCut(cutoff, t1, r_f, cost, slope)
+    return _Cut(cutoff, r_f, None, math.pi * r_f * r_f * t1, cost,
+                gain=cutoff * x / t1 * p.amp_scaling * tail,
+                loss=bs_power(r_f, cutoff, p) - p.sleep_power)
 
 
-def _frw_result(tag: str, at: _FrwCut, dist: DensityDistribution,
-                p: SystemParams) -> SchemeResult:
-    """The scheme's result, with metrics on its own tail rule."""
-    metrics = PolicyMetrics(
-        avg_power_w=at.cost,
-        avg_users=math.pi * at.radius * at.radius * at.t1,
-        on_probability=1.0 - float(dist.cdf(at.cutoff)),
-        peak_bs_power_w=bs_power(at.radius, dist.lambda_max, p))
-    return SchemeResult(scheme=tag, cutoff=at.cutoff, fixed_radius=at.radius,
-                        fixed_power=None, metrics=metrics)
+def _frw_reach(dist: DensityDistribution, cutoff: float,
+               x_cap: float) -> float:
+    """pi x_cap T1(c), the most a radius within the cap at lambda_max, where
+    transmit power peaks, serves above the cut-off."""
+    rule = gauss_legendre(dist, cutoff, dist.lambda_max)
+    return math.pi * x_cap * rule.integrate(rule.nodes)
+
+
+def _frw_x_cap(u_avg: float, dist: DensityDistribution,
+               p: SystemParams) -> float:
+    """x_cap, or InfeasibleError past the FRw cap, the reach at c = 0."""
+    _check_target(u_avg)
+    x_cap = max_range_x(dist.lambda_max, p.max_bs_power, p)
+    cap = _frw_reach(dist, 0.0, x_cap)
+    if cap < u_avg:
+        raise InfeasibleError(u_avg, cap)
+    return x_cap
 
 
 def frw_ofc(u_avg: float, dist: DensityDistribution,
             p: SystemParams) -> SchemeResult:
     """Fixed radius with an on/off cut-off.
 
-    For each cut-off the radius is the smallest one whose tail throughput
-    meets the floor.  Cut-offs past the feasibility edge, where the tail
-    first moment T1 has pi x_cap T1(c) = u_avg, break the cap.  Below it the
-    cost falls while h(c) < 0, so when h changes sign on [0, edge] a secant
-    search finds its root; the cheapest cut-off evaluated wins, the two end
-    points among them.
+    The edge is the cut-off whose reach is the target, by Newton; h(0) =
+    Ps - Pc, so a search runs only when sleeping saves power.
     """
-    _check_target(u_avg)
+    x_cap = _frw_x_cap(u_avg, dist, p)
     m = dist.lambda_max
-    x_cap = max_range_x(m, p.max_bs_power, p)
-    start = _frw_cut(0.0, u_avg, dist, p, x_cap)
-
-    def gap(cutoff: float) -> tuple:  # dT1/dc = -c f(c)
-        rule = gauss_legendre(dist, cutoff, m)
-        return (math.pi * x_cap * rule.integrate(rule.nodes) - u_avg,
-                -math.pi * x_cap * cutoff * float(dist.pdf(cutoff)))
-
-    edge = bracketed_newton(gap, 0.0, m, 0.5 * m, _CUT_TOL * m)
-    found = {0.0: start, edge: _frw_cut(edge, u_avg, dist, p, x_cap)}
-    if start.slope < 0.0 < found[edge].slope:
-
-        def slope(cutoff: float) -> tuple:
-            found[cutoff] = at = _frw_cut(cutoff, u_avg, dist, p, x_cap)
-            return at.slope, None
-
-        bracketed_newton(slope, edge, 0.0, 0.5 * edge, _CUT_TOL * m)
-    return _frw_result(FRW_OFC, min(found.values(), key=lambda at: at.cost),
-                       dist, p)
+    edge = bracketed_newton(  # dT1/dc = -c f(c)
+        lambda c: (_frw_reach(dist, c, x_cap) - u_avg,
+                   -math.pi * x_cap * c * float(dist.pdf(c))),
+        0.0, m, 0.5 * m, _CUT_TOL * m)
+    best = _cheapest_cutoff(_frw_cut(edge, u_avg, dist, p),
+                            lambda c, near: _frw_cut(c, u_avg, dist, p),
+                            p.sleep_power < p.static_power, m)
+    return _result(FRW_OFC, best, dist, p)
 
 
 def frw_oofc(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> SchemeResult:
     """Fixed radius, always on: the cut-off 0."""
-    _check_target(u_avg)
-    x_cap = max_range_x(dist.lambda_max, p.max_bs_power, p)
-    return _frw_result(FRW_OOFC, _frw_cut(0.0, u_avg, dist, p, x_cap),
-                       dist, p)
+    _frw_x_cap(u_avg, dist, p)
+    return _result(FRW_OOFC, _frw_cut(0.0, u_avg, dist, p), dist, p)
 
 
 class _ArwTail(NamedTuple):
@@ -202,61 +228,17 @@ def _arw_tail(dist: DensityDistribution, cutoff: float, pf: float,
                     float(xs[n]) if cutoff > 0.0 else 0.0)
 
 
-def _arw_cutoff(u_avg: float, dist: DensityDistribution, p: SystemParams,
-                pf: float, start: float) -> tuple:
-    """(c, tail at c): the largest cut-off meeting the floor at level ``pf``,
-    by Newton from ``start``.  Callers have checked that c = 0 meets it."""
-    tails = {}
-
-    def gap(c: float) -> tuple:
-        tails[c] = tail = _arw_tail(dist, c, pf, p)
-        return tail.users - u_avg, \
-            -math.pi * c * tail.x_cut * float(dist.pdf(c))
-
-    m = dist.lambda_max
-    c = bracketed_newton(gap, 0.0, m, start, _CUT_TOL * m)
-    return c, tails[c] if c in tails else _arw_tail(dist, c, pf, p)
-
-
-def _arw_level(u_avg: float, dist: DensityDistribution, p: SystemParams,
-               cutoff: float, top: _ArwTail) -> tuple:
-    """(pf, tail at pf): the lowest level meeting the floor above ``cutoff``.
-
-    ``top``, the tail at Pmax, meets it.  Each step is Newton's on
-    log U = log u_avg in s = log(pf - Pc), where log U is close to linear
-    (dlog U/ds = pi I / U), handed to the root finder as a step in pf, where
-    the tolerance is set.
-    """
-    pc, pmax = p.static_power, p.max_bs_power
-    levels = {}
-
-    def gap(pf: float) -> tuple:
-        levels[pf] = tail = top if pf == pmax \
-            else _arw_tail(dist, cutoff, pf, p)
-        g = math.log(tail.users / u_avg)
-        rate = math.pi * tail.level / tail.users
-        move = (pf - pc) * math.expm1(-g / rate)
-        # the slope for which a Newton step in pf makes this move
-        return g, -g / move if move else rate / (pf - pc)
-
-    g, slope = gap(pmax)
-    pf = bracketed_newton(gap, pmax, pc, pmax - g / slope, _LEVEL_TOL * pmax)
-    return pf, levels[pf]
-
-
-def _level_balance(pf: float, cutoff: float, tail: _ArwTail,
-                   dist: DensityDistribution, p: SystemParams) -> float:
-    """log(B / (1 - F(c))), of the sign of -dJ/dpf.
-
-    Along the cut-off c(pf) that holds the floor, J = pf (1 - F(c)) +
-    Ps F(c) has dJ/dpf = 1 - F(c) - B, B = (pf - Ps) / (pf - Pc) I / (c x(c)),
-    which grows without bound as c -> 0; the log stays near linear.
-    """
-    if cutoff <= 0.0:
-        return math.inf
-    ratio = (pf - p.sleep_power) / (pf - p.static_power)
-    return math.log(ratio * tail.level / (cutoff * tail.x_cut)
-                    / (1.0 - float(dist.cdf(cutoff))))
+def _arw_at(cutoff: float, pf: float, tail: _ArwTail,
+            dist: DensityDistribution, p: SystemParams) -> _Cut:
+    """The ARw point at (c, pf) on the floor, where dpf/dc = c x(c) f(c)
+    (pf - Pc) / I, so J(c) = pf (1 - F(c)) + Ps F(c) has loss pf - Ps and
+    gain (1 - F(c)) c x(c) (pf - Pc) / I."""
+    on_prob = 1.0 - float(dist.cdf(cutoff))
+    return _Cut(cutoff, None, pf, tail.users,
+                pf * on_prob + p.sleep_power * (1.0 - on_prob),
+                gain=on_prob * cutoff * tail.x_cut * (pf - p.static_power)
+                / tail.level,
+                loss=pf - p.sleep_power)
 
 
 def _arw_top(u_avg: float, dist: DensityDistribution,
@@ -269,61 +251,72 @@ def _arw_top(u_avg: float, dist: DensityDistribution,
     return top
 
 
+def _arw_edge(u_avg: float, dist: DensityDistribution, p: SystemParams,
+              top: _ArwTail) -> _Cut:
+    """The largest cut-off meeting the floor at Pmax, by Newton."""
+    pmax, m = p.max_bs_power, dist.lambda_max
+    tails = {0.0: top}
+
+    def gap(c: float) -> tuple:
+        tails[c] = tail = _arw_tail(dist, c, pmax, p)
+        return tail.users - u_avg, \
+            -math.pi * c * tail.x_cut * float(dist.pdf(c))
+
+    c = bracketed_newton(gap, 0.0, m, 0.5 * m, _CUT_TOL * m)
+    return _arw_at(c, pmax, tails[c], dist, p)
+
+
+def _level_step(tail: _ArwTail, pf: float, u_avg: float,
+                p: SystemParams) -> tuple:
+    """g = log(U / u_avg) at level ``pf`` and the slope for which a step in
+    pf makes Newton's step on log U = log u_avg in s = log(pf - Pc), where
+    log U is close to linear (dlog U/ds = pi I / U)."""
+    pc = p.static_power
+    g = math.log(tail.users / u_avg)
+    rate = math.pi * tail.level / tail.users
+    move = (pf - pc) * math.expm1(-g / rate)
+    return g, -g / move if move else rate / (pf - pc)
+
+
+def _arw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
+             p: SystemParams, start: float) -> _Cut:
+    """The lowest level meeting the floor above a cut-off in [0, edge], by
+    Newton from ``start``; Pmax meets it, the good end unevaluated.  Steps
+    and tolerance are in pf, however close the level is to Pc."""
+    pmax = p.max_bs_power
+    tails = {}
+
+    def gap(pf: float) -> tuple:
+        tails[pf] = tail = _arw_tail(dist, cutoff, pf, p)
+        return _level_step(tail, pf, u_avg, p)
+
+    pf = bracketed_newton(gap, pmax, p.static_power, start, _LEVEL_TOL * pmax)
+    return _arw_at(cutoff, pf, tails[pf] if pf in tails
+                   else _arw_tail(dist, cutoff, pf, p), dist, p)
+
+
 def arw_ofc(u_avg: float, dist: DensityDistribution,
             p: SystemParams) -> SchemeResult:
-    """Consumption pinned at one level when on, with an on/off cut-off.
+    """Consumption pinned at one level when on, the range the largest it
+    affords, with an on/off cut-off; h(0) = Ps - pf < 0."""
+    at_edge = _arw_edge(u_avg, dist, p, _arw_top(u_avg, dist, p))
 
-    The range tracks the largest radius affordable at the level, and the
-    cut-off is pushed as high as the floor allows.  The level minimizing
-    J = level (1 - F(c)) + Ps F(c) wins: Pmax when dJ/dpf <= 0 there,
-    otherwise the root of dJ/dpf between the lowest feasible level and Pmax,
-    found by a secant search; the best level evaluated is kept.
-    """
-    top = _arw_top(u_avg, dist, p)
-    pmax, m = p.max_bs_power, dist.lambda_max
-    cutoff, tail = _arw_cutoff(u_avg, dist, p, pmax, 0.5 * m)
-    last = best = (pmax, cutoff, tail)
-    balance = _level_balance(pmax, cutoff, tail, dist, p)
+    def point(cutoff: float, near: _Cut) -> _Cut:
+        # near's level moved along dpf/dc = gain f(c) / (1 - F(c))
+        c = near.cutoff
+        rate = near.gain * float(dist.pdf(c)) / (1.0 - float(dist.cdf(c)))
+        return _arw_cut(cutoff, u_avg, dist, p,
+                        near.level + rate * (cutoff - c))
 
-    def balance_at(pf: float) -> tuple:
-        nonlocal last, best
-        at, c, tail = last
-        # start from the last level's cut-off, moved along dc/dpf
-        drop = c * tail.x_cut * float(dist.pdf(c))  # -dU/dc / pi
-        if drop > 0.0:
-            dc = tail.level / ((at - p.static_power) * drop)
-            c = min(max(c + dc * (pf - at), 0.0), m)
-        last = (pf, *_arw_cutoff(u_avg, dist, p, pf, c))
-        if _arw_cost(*last[:2], dist, p) < _arw_cost(*best[:2], dist, p):
-            best = last
-        return _level_balance(*last, dist, p), None
-
-    if balance < 0.0:
-        lowest, _ = _arw_level(u_avg, dist, p, 0.0, top)
-        bracketed_newton(balance_at, lowest, pmax, 0.5 * (lowest + pmax),
-                         _SEARCH_TOL * pmax, known=(pmax, balance))
-    pf, cutoff, tail = best
-    return _arw_result(ARW_OFC, pf, cutoff, tail.users, dist, p)
-
-
-def _arw_cost(pf: float, cutoff: float, dist: DensityDistribution,
-              p: SystemParams) -> float:
-    on_prob = 1.0 - float(dist.cdf(cutoff))
-    return pf * on_prob + p.sleep_power * (1.0 - on_prob)
-
-
-def _arw_result(tag: str, pf: float, cutoff: float, avg_users: float,
-                dist: DensityDistribution, p: SystemParams) -> SchemeResult:
-    metrics = PolicyMetrics(avg_power_w=_arw_cost(pf, cutoff, dist, p),
-                            avg_users=avg_users,
-                            on_probability=1.0 - float(dist.cdf(cutoff)),
-                            peak_bs_power_w=pf)
-    return SchemeResult(scheme=tag, cutoff=cutoff, fixed_radius=None,
-                        fixed_power=pf, metrics=metrics)
+    best = _cheapest_cutoff(at_edge, point, True, dist.lambda_max)
+    return _result(ARW_OFC, best, dist, p)
 
 
 def arw_oofc(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> SchemeResult:
-    """Constant consumption, always on: the lowest level meeting the floor."""
-    pf, tail = _arw_level(u_avg, dist, p, 0.0, _arw_top(u_avg, dist, p))
-    return _arw_result(ARW_OOFC, pf, 0.0, tail.users, dist, p)
+    """Constant consumption, always on: the level at the cut-off 0, by
+    Newton from the step the always-on tail at Pmax gives."""
+    pmax = p.max_bs_power
+    g, slope = _level_step(_arw_top(u_avg, dist, p), pmax, u_avg, p)
+    return _result(ARW_OOFC, _arw_cut(0.0, u_avg, dist, p, pmax - g / slope),
+                   dist, p)

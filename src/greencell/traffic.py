@@ -150,6 +150,9 @@ def from_csv(path) -> DensityDistribution:
                 lam, w = float(row[0]), float(row[1])
             except ValueError:
                 continue  # header
+            except IndexError:
+                raise ValueError(f"density CSV row {row!r} has no weight "
+                                 "column") from None
             lams.append(lam)
             weights.append(w)
     return from_table(lams, weights)

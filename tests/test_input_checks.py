@@ -219,3 +219,34 @@ def test_json_config_must_be_an_object(tmp_path, capsys):
     code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
     assert code == EXIT_USAGE
     assert "JSON config must be an object" in capsys.readouterr().err
+
+
+def test_json_config_rejects_fractional_coding_blocks(tmp_path, capsys):
+    # int() would read 1.5 as 1 before SystemParams could check it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coding_blocks": 1.5}))
+    with pytest.raises(InvalidParameterError, match="coding_blocks"):
+        cli._build_context(cli._load_config(str(cfg)))
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "coding_blocks" in captured.err
+    assert captured.out == ""
+    # a whole number, written either way, is still the int field
+    cfg.write_text(json.dumps({"coding_blocks": 2.0}))
+    p, _ = cli._build_context(cli._load_config(str(cfg)))
+    assert p.coding_blocks == 2 and isinstance(p.coding_blocks, int)
+
+
+def test_density_csv_row_without_a_weight_is_an_error(tmp_path, capsys):
+    table = tmp_path / "short.csv"
+    table.write_text("lambda,weight\n0,1\n1e-5\n1e-4,1\n")
+    with pytest.raises(ValueError, match="1e-5"):
+        from_csv(table)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"density_csv": str(table)}))
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error:") and "1e-5" in captured.err
+    assert captured.out == ""

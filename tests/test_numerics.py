@@ -106,8 +106,7 @@ class TestBracketedNewton:
     def test_secant_without_a_slope(self):
         g = lambda x: math.exp(-x) - 0.25  # good side below log 4
         fn, calls = self._logged(g)
-        root = bracketed_newton(fn, 0.0, 5.0, 2.0, 1e-12,
-                                known=(5.0, g(5.0)))
+        root = bracketed_newton(fn, 0.0, 5.0, 2.0, 1e-12)
         assert root == pytest.approx(math.log(4.0), abs=2e-12)
         assert g(root) >= 0.0
         assert len(calls) <= 12

@@ -364,27 +364,15 @@ def test_arw_oofc_level_is_the_bisected_root(config, dist):
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_level_derivative_matches_central_differences(config):
-    # dJ/dpf = (1 - F(c)) (1 - e^balance), along the cut-off c(pf) that
-    # holds the floor; checked against central differences of J itself
+    # dU/dpf = pi I / (pf - Pc) at the cut-off that meets the floor at pf
     p, _ = _context(config)
     u = 0.4 * max_achievable_throughput(DIST, p)
     lowest = arw_oofc(u, DIST, p).fixed_power
-    m = DIST.lambda_max
-
-    def cost(pf):
-        cutoff, tail = suboptimal._arw_cutoff(u, DIST, p, pf, 0.5 * m)
-        return _arw_power(pf, cutoff, DIST, p), cutoff, tail
-
     h = 1e-3
     for frac in (0.2, 0.5, 0.9):
         pf = lowest + frac * (p.max_bs_power - lowest)
-        _, cutoff, tail = cost(pf)
-        on_prob = 1.0 - float(DIST.cdf(cutoff))
-        got = on_prob * -math.expm1(
-            suboptimal._level_balance(pf, cutoff, tail, DIST, p))
-        want = (cost(pf + h)[0] - cost(pf - h)[0]) / (2.0 * h)
-        assert got == pytest.approx(want, rel=1e-6), frac
-        # and the level slope of the tail throughput, dU/dpf = pi I / (pf - Pc)
+        cutoff = accurate_cutoff(pf, u, DIST, p)
+        tail = suboptimal._arw_tail(DIST, cutoff, pf, p)
         du = (suboptimal._arw_tail(DIST, cutoff, pf + h, p).users
               - suboptimal._arw_tail(DIST, cutoff, pf - h, p).users) / (2 * h)
         assert math.pi * tail.level / (pf - p.static_power) == \
@@ -412,37 +400,54 @@ def _frw_cap(dist, p):
         * expect(lambda lam: lam, dist)
 
 
+def _family(family, u_avg, dist, p):
+    """(edge, point at a cut-off) of one family at ``u_avg``."""
+    if family == "frw":
+        edge, _ = _frw_edge(u_avg, dist, p)
+        return edge, lambda c: suboptimal._frw_cut(c, u_avg, dist, p)
+    top = suboptimal._arw_top(u_avg, dist, p)
+    edge = suboptimal._arw_edge(u_avg, dist, p, top).cutoff
+    return edge, lambda c: suboptimal._arw_cut(c, u_avg, dist, p,
+                                               p.max_bs_power)
+
+
+def _family_cap(family, dist, p):
+    return _frw_cap(dist, p) if family == "frw" \
+        else max_achievable_throughput(dist, p)
+
+
 @pytest.mark.parametrize("config", CONFIGS)
 def test_cutoff_derivative_matches_central_differences(config):
-    # dJ/dc = f(c) h(c), along the radius x_f(c) that holds the floor;
-    # checked against central differences of J itself
+    # dJ/dc = f(c) h(c), h = gain - loss, along the radius x_f(c) or the
+    # level pf(c) that holds the floor; against central differences of J
     p, dist = _context(config)
-    u = 0.4 * _frw_cap(dist, p)
-    edge, x_cap = _frw_edge(u, dist, p)
-
-    def cut(c):
-        return suboptimal._frw_cut(c, u, dist, p, x_cap)
-
-    step = 1e-7 * edge
-    for frac in (0.2, 0.5, 0.8):
-        c = frac * edge
-        want = (cut(c + step).cost - cut(c - step).cost) / (2.0 * step)
-        assert float(dist.pdf(c)) * cut(c).slope == \
-            pytest.approx(want, rel=1e-6), frac
+    for family in ("frw", "arw"):
+        u = 0.4 * _family_cap(family, dist, p)
+        edge, cut = _family(family, u, dist, p)
+        step = 1e-7 * edge
+        for frac in (0.2, 0.5, 0.8):
+            c = frac * edge
+            want = (cut(c + step).cost - cut(c - step).cost) / (2.0 * step)
+            at = cut(c)
+            assert float(dist.pdf(c)) * (at.gain - at.loss) == \
+                pytest.approx(want, rel=1e-6), (family, frac)
 
 
 @settings(max_examples=12)
 @given(pc=st.floats(20.0, 140.0), alpha=st.sampled_from([3.0, 3.7]),
        frac=st.floats(0.02, 0.999),
-       dist=st.sampled_from([DIST, TABLE1, TABLE_AT_ZERO]))
-def test_cutoff_derivative_changes_sign_at_most_once(pc, alpha, frac, dist):
-    # the cost is unimodal below the feasibility edge, which the search for
-    # the root of h and its comparison with the end points rely on
+       dist=st.sampled_from([DIST, TABLE1, TABLE_AT_ZERO]),
+       family=st.sampled_from(["frw", "arw"]))
+def test_cutoff_derivative_changes_sign_at_most_once(pc, alpha, frac, dist,
+                                                     family):
+    # the cost is unimodal below the feasibility edge, which lets the edge
+    # win without a search when h(edge) <= 0, and the search for the root
+    # of h find the cheapest cut-off otherwise
     p = SystemParams(static_power=pc, pathloss_exp=alpha)
-    u = frac * _frw_cap(dist, p)
-    edge, x_cap = _frw_edge(u, dist, p)
-    signs = [suboptimal._frw_cut(float(c), u, dist, p, x_cap).slope > 0.0
-             for c in np.linspace(0.0, edge, 64)]
+    u = frac * _family_cap(family, dist, p)
+    edge, cut = _family(family, u, dist, p)
+    points = [cut(float(c)) for c in np.linspace(0.0, edge, 64)]
+    signs = [at.gain > at.loss for at in points]
     assert sum(a != b for a, b in zip(signs, signs[1:])) <= 1
     assert not signs[0]
 
@@ -474,10 +479,10 @@ def test_frw_ofc_matches_brents_minimum_of_the_cost(pc, alpha, frac, dist):
     # with the two end points it never evaluates
     p = SystemParams(static_power=pc, pathloss_exp=alpha)
     u = frac * _frw_cap(dist, p)
-    edge, x_cap = _frw_edge(u, dist, p)
+    edge, _ = _frw_edge(u, dist, p)
 
     def cost(c):
-        return suboptimal._frw_cut(c, u, dist, p, x_cap).cost
+        return suboptimal._frw_cut(c, u, dist, p).cost
     _, inner = minimize_bounded(cost, 0.0, edge, 1e-9 * dist.lambda_max)
     want = min(inner, cost(0.0), cost(edge))
     got = frw_ofc(u, dist, p).metrics.avg_power_w
@@ -655,3 +660,22 @@ def test_feasible_search_stays_batched(kernel_log, scheme):
         assert len(kernel_log.sizes) <= 12
     if scheme in (frw_ofc, frw_oofc):
         assert len(kernel_log.sizes) == 1  # the capped radius at lambda_max
+
+
+def test_arw_ofc_kernel_calls_stay_bounded_on_the_grid(kernel_log):
+    # the cut-off search against the level search it replaced, which made
+    # 7,999 kernel calls on this 288-case grid, 82 in its costliest call
+    worst = total = 0
+    for pc in (20.0, 42.5, 60.0, 100.0, 120.0, 140.0):
+        for alpha in (3.0, 3.7):
+            p = SystemParams(static_power=pc, pathloss_exp=alpha)
+            for dist in (DIST, TABLE1, TABLE_AT_ZERO):
+                cap = max_achievable_throughput(dist, p)
+                for frac in (0.01, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.99):
+                    kernel_log.sizes.clear()
+                    arw_ofc(frac * cap, dist, p)
+                    worst = max(worst, len(kernel_log.sizes))
+                    total += len(kernel_log.sizes)
+    assert worst <= 82
+    assert total <= 7999
+    assert not kernel_log.evaluated
