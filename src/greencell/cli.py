@@ -128,18 +128,17 @@ def _emit(rows: List[dict], fieldnames: Sequence[str], fmt: str,
             sys.stdout.write(json.dumps(summary, indent=2) + "\n")
 
 
-def _write_manifest(manifest: RunManifest, out: Optional[str]) -> None:
-    if out is not None:
-        Path(str(out) + ".manifest.json").write_text(manifest.to_json() + "\n")
-
-
-def _manifest(command: str, params: SystemParams, dist: DensityDistribution,
-              seed: Optional[int], tolerances: dict,
-              options: Optional[dict] = None) -> RunManifest:
-    return RunManifest(command=command, params=dataclasses.asdict(params),
-                       distribution=dist.describe(), seed=seed,
-                       tolerances=tolerances, version=__version__,
-                       options=options or {})
+def _write_manifest(args, command: str, params: SystemParams,
+                    dist: DensityDistribution, seed: Optional[int],
+                    tolerances: dict, **options) -> None:
+    """Write ``args.out``'s manifest; ``options`` are the command's inputs."""
+    if args.out is not None:
+        manifest = RunManifest(
+            command=command, params=dataclasses.asdict(params),
+            distribution=dist.describe(), seed=seed, tolerances=tolerances,
+            version=__version__, options=dict(options, format=args.format))
+        Path(str(args.out) + ".manifest.json").write_text(
+            manifest.to_json() + "\n")
 
 
 def _finite_float(raw: str) -> float:
@@ -184,8 +183,9 @@ def cmd_validate_scaling(args) -> int:
     fields = ["radius_m", "density", "analytic_w", "exact_w", "mc_mean_w",
               "mc_stderr_w", "within_3se"]
     _emit(rows, fields, args.format, args.out)
-    _write_manifest(_manifest("validate-scaling", params, dist, args.seed,
-                              {"band_stderr": 3.0}), args.out)
+    _write_manifest(args, "validate-scaling", params, dist, args.seed,
+                    {"band_stderr": 3.0}, radii=radii, densities=densities,
+                    trials=args.trials)
     return EXIT_OK if all_ok else EXIT_VALIDATION_FAILED
 
 
@@ -205,9 +205,9 @@ def cmd_solve(args) -> int:
     summary["u_avg_requested"] = args.u_avg
     fields = ["density", "radius_m", "bs_power_w", "users"]
     _emit(rows, fields, args.format, args.out, summary=summary)
-    _write_manifest(_manifest("solve", params, dist, None,
-                              {"dual_tol": optimal.DUAL_TOL},
-                              {"mode": args.mode}), args.out)
+    _write_manifest(args, "solve", params, dist, None,
+                    {"dual_tol": optimal.DUAL_TOL}, mode=args.mode,
+                    u_avg=args.u_avg)
     return EXIT_OK
 
 
@@ -252,8 +252,9 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (r["scheme"], r["u_avg"]))
     fields = ["scheme", "u_avg", "feasible", "avg_power_w", "on_probability"]
     _emit(rows, fields, args.format, args.out)
-    _write_manifest(_manifest("sweep", params, dist, None,
-                              {"dual_tol": optimal.DUAL_TOL}), args.out)
+    _write_manifest(args, "sweep", params, dist, None,
+                    {"dual_tol": optimal.DUAL_TOL}, u_avg=u_avgs,
+                    schemes=schemes)
     return EXIT_OK
 
 
@@ -279,7 +280,8 @@ def cmd_schemes(args) -> int:
               "fixed_power_w", "avg_power_w", "avg_users", "on_probability",
               "peak_bs_power_w"]
     _emit(rows, fields, args.format, args.out)
-    _write_manifest(_manifest("schemes", params, dist, None, {}), args.out)
+    _write_manifest(args, "schemes", params, dist, None, {},
+                    u_avg=args.u_avg)
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Tuple
 
 import numpy as np
@@ -442,11 +442,24 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     return rule.integrate(math.pi * lams * x), slope, (crits, rule, x)
 
 
+# One entry: sweep and schemes ask for one (dist, p) many times in a row.
+# More would serve only repeated independent solves, which the CLI never runs.
+@lru_cache(maxsize=1)
+def cap_tail(dist: DensityDistribution, p: SystemParams) -> tuple:
+    """``solve``'s bound and the ARw and FRw caps: the rule on [0, lambda_max]
+    and x2_star on its nodes, then at lambda_max (one call); read-only."""
+    rule = gauss_legendre(dist, 0.0, dist.lambda_max)
+    x = x2_star(np.append(rule.nodes, dist.lambda_max), p)
+    for a in (rule.nodes, rule.weights, x):
+        a.flags.writeable = False
+    return rule, x
+
+
 def max_achievable_throughput(dist: DensityDistribution,
                               p: SystemParams) -> float:
     """Long-term throughput of the always-at-cap policy (the feasibility bound)."""
-    rule = gauss_legendre(dist, 0.0, dist.lambda_max)
-    return rule.integrate(math.pi * rule.nodes * x2_star(rule.nodes, p))
+    rule, x = cap_tail(dist, p)
+    return rule.integrate(math.pi * rule.nodes * x[:-1])
 
 
 # the dual search stops within this fraction of its bracket's upper end

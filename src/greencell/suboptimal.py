@@ -22,7 +22,7 @@ from .metrics import PolicyMetrics
 from .numerics import as_arrays, bracketed_newton, gauss_legendre, shaped
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import conditional_expect  # noqa: F401
-from .optimal import InfeasibleError
+from .optimal import InfeasibleError, cap_tail
 from .params import SystemParams, derive_constants
 from .scaling import bs_power, max_range_x
 from .traffic import DensityDistribution
@@ -127,6 +127,12 @@ def _result(tag: str, at: _Cut, dist: DensityDistribution,
                         fixed_power=at.level, metrics=metrics)
 
 
+def _tail_rule(dist: DensityDistribution, cutoff: float, p: SystemParams):
+    """The rule on [cutoff, lambda_max]; at cut-off 0, the cap tail's."""
+    return cap_tail(dist, p)[0] if cutoff == 0.0 \
+        else gauss_legendre(dist, cutoff, dist.lambda_max)
+
+
 def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> _Cut:
     """The smallest radius meeting the floor above a cut-off in [0, edge],
@@ -137,7 +143,7 @@ def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
     [c, lambda_max] of P(x_f, lam) f + Ps F(c) has loss P(x_f, c) - Ps and
     gain c x_f / T1 times the tail integral of a Pt'(x_f, lam) f.
     """
-    rule = gauss_legendre(dist, cutoff, dist.lambda_max)
+    rule = _tail_rule(dist, cutoff, p)
     t1 = rule.integrate(rule.nodes)
     r_f = math.sqrt(u_avg / (math.pi * t1))
     while math.pi * r_f * r_f * t1 < u_avg:  # the root can round below
@@ -155,11 +161,11 @@ def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
                 loss=bs_power(r_f, cutoff, p) - p.sleep_power)
 
 
-def _frw_reach(dist: DensityDistribution, cutoff: float,
-               x_cap: float) -> float:
+def _frw_reach(dist: DensityDistribution, cutoff: float, x_cap: float,
+               p: SystemParams) -> float:
     """pi x_cap T1(c), the most a radius within the cap at lambda_max, where
     transmit power peaks, serves above the cut-off."""
-    rule = gauss_legendre(dist, cutoff, dist.lambda_max)
+    rule = _tail_rule(dist, cutoff, p)
     return math.pi * x_cap * rule.integrate(rule.nodes)
 
 
@@ -167,8 +173,8 @@ def _frw_x_cap(u_avg: float, dist: DensityDistribution,
                p: SystemParams) -> float:
     """x_cap, or InfeasibleError past the FRw cap, the reach at c = 0."""
     _check_target(u_avg)
-    x_cap = max_range_x(dist.lambda_max, p.max_bs_power, p)
-    cap = _frw_reach(dist, 0.0, x_cap)
+    x_cap = float(cap_tail(dist, p)[1][-1])
+    cap = _frw_reach(dist, 0.0, x_cap, p)
     if cap < u_avg:
         raise InfeasibleError(u_avg, cap)
     return x_cap
@@ -184,7 +190,7 @@ def frw_ofc(u_avg: float, dist: DensityDistribution,
     x_cap = _frw_x_cap(u_avg, dist, p)
     m = dist.lambda_max
     edge = bracketed_newton(  # dT1/dc = -c f(c)
-        lambda c: (_frw_reach(dist, c, x_cap) - u_avg,
+        lambda c: (_frw_reach(dist, c, x_cap, p) - u_avg,
                    -math.pi * x_cap * c * float(dist.pdf(c))),
         0.0, m, 0.5 * m, _CUT_TOL * m)
     best = _cheapest_cutoff(_frw_cut(edge, u_avg, dist, p),
@@ -210,16 +216,19 @@ class _ArwTail(NamedTuple):
 
 def _arw_tail(dist: DensityDistribution, cutoff: float, pf: float,
               p: SystemParams) -> _ArwTail:
-    """U, I and x(c) from one kernel call on the tail rule.
+    """U, I and x(c) from one kernel call on the tail rule, or the cap tail.
 
     U = integral over [c, lambda_max] of pi lam x f, x = max_range_x(lam, pf);
     I = integral of lam x / (alpha/2 + y / (1 - e^-y)) f, y = d3 pi lam x.
     Then dU/dpf = pi I / (pf - Pc) and dU/dc = -pi c x(c) f(c).
     """
-    rule = gauss_legendre(dist, cutoff, dist.lambda_max)
+    rule = _tail_rule(dist, cutoff, p)
     n = rule.nodes.size
-    xs = max_range_x(np.append(rule.nodes, cutoff) if cutoff > 0.0
-                     else rule.nodes, pf, p)
+    if cutoff == 0.0 and pf == p.max_bs_power:
+        xs = cap_tail(dist, p)[1]
+    else:
+        xs = max_range_x(np.append(rule.nodes, cutoff) if cutoff > 0.0
+                         else rule.nodes, pf, p)
     x = xs[:n]
     y = derive_constants(p).d3 * math.pi * rule.nodes * x
     return _ArwTail(rule.integrate(math.pi * rule.nodes * x),
@@ -243,7 +252,7 @@ def _arw_at(cutoff: float, pf: float, tail: _ArwTail,
 
 def _arw_top(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> _ArwTail:
-    """The always-on tail at Pmax, or InfeasibleError past the ARw cap."""
+    """The cap tail, or InfeasibleError past its U, ``solve``'s bound."""
     _check_target(u_avg)
     top = _arw_tail(dist, 0.0, p.max_bs_power, p)
     if top.users < u_avg:

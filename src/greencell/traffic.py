@@ -140,19 +140,20 @@ def from_table(lams: Sequence[float], weights: Sequence[float]) -> DensityDistri
 
 
 def from_csv(path) -> DensityDistribution:
-    """Load a two-column (lambda, relative weight) CSV; a header row is optional."""
-    lams, weights = [], []
+    """Load a (lambda, relative weight) CSV; its first row may be a header."""
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                lam, w = float(row[0]), float(row[1])
-            except ValueError:
+        rows = [row for row in csv.reader(fh)
+                if row and not row[0].strip().startswith("#")]
+    lams, weights = [], []
+    for k, row in enumerate(rows):
+        lam = None
+        try:
+            lam = float(row[0])
+            weights.append(float(row[1]))
+        except (ValueError, IndexError):
+            if k == 0 and lam is None:
                 continue  # header
-            except IndexError:
-                raise ValueError(f"density CSV row {row!r} has no weight "
-                                 "column") from None
-            lams.append(lam)
-            weights.append(w)
+            raise ValueError(f"density CSV row {row!r} is not a lambda and "
+                             "a weight") from None
+        lams.append(lam)
     return from_table(lams, weights)

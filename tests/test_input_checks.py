@@ -125,8 +125,9 @@ def _cli_manifest(tmp_path, capsys, name, *extra, command="solve"):
 def test_manifest_records_mode(tmp_path, capsys):
     exact = _cli_manifest(tmp_path, capsys, "exact.csv")
     hse = _cli_manifest(tmp_path, capsys, "hse.csv", "--mode", "hse")
-    assert exact["options"] == {"mode": "exact"}
-    assert hse["options"] == {"mode": "hse"}
+    assert exact["options"] == {"mode": "exact", "u_avg": 50.0,
+                                "format": "csv"}
+    assert hse["options"] == {"mode": "hse", "u_avg": 50.0, "format": "csv"}
     assert exact != hse
     # the dual search's tolerance, in the commands that run it
     sweep = _cli_manifest(tmp_path, capsys, "sweep.csv", command="sweep")
@@ -135,6 +136,43 @@ def test_manifest_records_mode(tmp_path, capsys):
     for manifest in (exact, hse, sweep):
         assert manifest["tolerances"] == {"dual_tol": optimal.DUAL_TOL}
     assert schemes["tolerances"] == {}
+
+
+# per command: base arguments, and inputs each of which alone changes the
+# output; --config is covered by the params and distribution records
+MANIFEST_INPUTS = {
+    "solve": (["--u-avg", "50"],
+              [["--u-avg", "51"], ["--mode", "hse"], ["--format", "json"]]),
+    "sweep": (["--u-avg", "30,50"],
+              [["--u-avg", "40,50"], ["--schemes", "optimal,arwofc"],
+               ["--format", "json"]]),
+    "schemes": (["--u-avg", "50"], [["--u-avg", "51"], ["--format", "json"]]),
+    "validate-scaling": (
+        ["--trials", "10", "--radii", "1000", "--densities", "1e-5"],
+        [["--radii", "500"], ["--densities", "2e-5"], ["--trials", "11"],
+         ["--seed", "5"], ["--format", "json"]]),
+}
+
+
+@pytest.mark.parametrize("command", MANIFEST_INPUTS)
+def test_manifest_records_every_input_that_changes_the_output(
+        tmp_path, capsys, command):
+    base, changes = MANIFEST_INPUTS[command]
+
+    def run(name, *extra):
+        out = tmp_path / name
+        code = main([command, *base, *extra, "--out", str(out)])
+        capsys.readouterr()
+        assert code in (EXIT_OK, cli.EXIT_VALIDATION_FAILED)
+        manifest = tmp_path / f"{name}.manifest.json"
+        return out.read_bytes(), manifest.read_text()
+
+    output, manifest = run("first")
+    assert run("again") == (output, manifest)
+    for k, change in enumerate(changes):
+        changed_output, changed_manifest = run(f"changed{k}", *change)
+        assert changed_output != output, change
+        assert changed_manifest != manifest, change
 
 
 def test_manifest_tells_density_tables_apart(tmp_path, capsys):
@@ -250,3 +288,29 @@ def test_density_csv_row_without_a_weight_is_an_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert captured.err.startswith("error:") and "1e-5" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("0,1\n5e-5,abc\n1e-4,1\n", "abc"),
+    ("0,abc\n5e-5,2\n1e-4,1\n", "abc"),  # a header has no number first
+    ("# comment\n0,1\nlambda,weight\n1e-4,1\n", "lambda"),
+])
+def test_density_csv_row_that_does_not_parse_is_an_error(tmp_path, capsys,
+                                                         text, bad):
+    # only the first row that is not a comment may be a header
+    table = tmp_path / "typo.csv"
+    table.write_text(text)
+    with pytest.raises(ValueError, match=bad):
+        from_csv(table)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"density_csv": str(table)}))
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error:") and bad in captured.err
+
+
+def test_density_csv_header_may_follow_comments(tmp_path):
+    table = tmp_path / "header.csv"
+    table.write_text("# knots\n\nlambda,weight\n0,0\n5e-5,2\n1e-4,0\n")
+    assert from_csv(table).pdf(5e-5) == pytest.approx(2e4, rel=1e-12)

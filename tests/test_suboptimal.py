@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import optimize
 
-from greencell import cli, suboptimal
+from greencell import cli, optimal, suboptimal
 from greencell import metrics as metrics_module
 from greencell.metrics import evaluate
 from greencell.numerics import conditional_expect, expect, gauss_legendre
@@ -522,15 +522,18 @@ def test_frw_metrics_describe_the_returned_policy(config, u_avg):
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_infeasible_targets_report_the_schemes_caps(config):
-    p, dist = _context(config)
-    arw_cap = max_achievable_throughput(dist, p)
-    frw_cap = math.pi * max_range_x(dist.lambda_max, p.max_bs_power, p) \
-        * expect(lambda lam: lam, dist)
-    for scheme, cap in ((arw_ofc, arw_cap), (arw_oofc, arw_cap),
-                        (frw_ofc, frw_cap), (frw_oofc, frw_cap)):
-        with pytest.raises(InfeasibleError) as info:
-            scheme(cap * 1.001, dist, p)
-        assert info.value.max_achievable == cap, scheme.__name__
+    # the ARw cap is solve's feasibility bound, bit for bit
+    p, _ = _context(config)
+    for dist in POOL_DISTS.values():
+        arw_cap = max_achievable_throughput(dist, p)
+        frw_cap = math.pi * max_range_x(dist.lambda_max, p.max_bs_power, p) \
+            * expect(lambda lam: lam, dist)
+        for scheme, cap in ((arw_ofc, arw_cap), (arw_oofc, arw_cap),
+                            (frw_ofc, frw_cap), (frw_oofc, frw_cap)):
+            with pytest.raises(InfeasibleError) as info:
+                scheme(cap * 1.001, dist, p)
+            assert info.value.max_achievable == cap, \
+                (scheme.__name__, dist.kind)
 
 
 @pytest.fixture(scope="module")
@@ -623,7 +626,9 @@ class _KernelLog:
 @pytest.fixture
 def kernel_log(monkeypatch):
     log = _KernelLog(suboptimal.max_range_x)
-    monkeypatch.setattr(suboptimal, "max_range_x", log)
+    # optimal's binding makes the cap tail's call
+    for module in (suboptimal, optimal):
+        monkeypatch.setattr(module, "max_range_x", log)
     evaluated = []
 
     def no_evaluate(*args, **kwargs):
@@ -650,7 +655,7 @@ def test_feasible_search_stays_batched(kernel_log, scheme):
     p, dist = _context("baseline.json")
     scheme(55.063, dist, p)
     assert not kernel_log.evaluated
-    assert max(kernel_log.sizes) <= MAX_CALL_ELEMENTS
+    assert max(kernel_log.sizes, default=0) <= MAX_CALL_ELEMENTS
     assert kernel_log.multi_level == 0
     if scheme is arw_ofc:
         # the cap level wins here: the always-on cap, then Newton on the
@@ -659,7 +664,9 @@ def test_feasible_search_stays_batched(kernel_log, scheme):
     if scheme is arw_oofc:
         assert len(kernel_log.sizes) <= 12
     if scheme in (frw_ofc, frw_oofc):
-        assert len(kernel_log.sizes) == 1  # the capped radius at lambda_max
+        # the cap tail: the capped x on the full rule and at lambda_max
+        full = gauss_legendre(dist, 0.0, dist.lambda_max).nodes.size
+        assert kernel_log.sizes == [full + 1]
 
 
 def test_arw_ofc_kernel_calls_stay_bounded_on_the_grid(kernel_log):
