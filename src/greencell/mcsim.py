@@ -1,4 +1,4 @@
-"""Monte Carlo ground truth: Poisson user placement, Rayleigh fading, outage and power."""
+"""Monte Carlo ground truth: Poisson user drops and their summed transmit power."""
 
 from __future__ import annotations
 
@@ -33,19 +33,6 @@ class McEstimate:
             raise ValueError("trials must be >= 1")
         if self.std_err < 0.0:
             raise ValueError("std_err must be >= 0")
-
-
-def sample_users(density: float, radius: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One realization of user distances in a disc of the given radius.
-
-    The count is Poisson with mean lambda * pi * R^2; given the count each
-    distance has pdf 2r/R^2 on [0, R] (uniform placement in the disc).
-    """
-    _check_nonneg_finite(density=density, radius=radius)
-    mean_count = density * math.pi * radius * radius
-    n = rng.poisson(mean_count)
-    return radius * np.sqrt(rng.random(n))
 
 
 def simulate_total_power(density: float, radius: float, p: SystemParams,
@@ -102,33 +89,3 @@ def _trial_sums(out: np.ndarray, counts: np.ndarray, radius: float,
             offsets = ends[first:last][busy] - piece[busy] - start
             out[first:last][busy] = np.add.reduceat(powers, offsets)
         first, start = last, stop
-
-
-def simulate_outage(distance: float, n_users: int, per_user_power: float,
-                    p: SystemParams, trials: int,
-                    rng: np.random.Generator) -> McEstimate:
-    """Empirical probability that the L-block average rate misses the target.
-
-    Evaluates the exact multi-block outage event (average of the per-block
-    rates below the target), not its single-block product approximation.
-    """
-    if n_users < 1 or trials < 1:
-        raise ValueError("n_users and trials must be >= 1")
-    _check_nonneg_finite(distance=distance, per_user_power=per_user_power)
-    ell = p.coding_blocks
-    gain = per_user_power * p.ref_pathloss \
-        * min(p.ref_distance / distance, 1.0) ** p.pathloss_exp \
-        if distance > 0 else per_user_power * p.ref_pathloss
-    noise = p.snr_gap * p.noise_psd * p.bandwidth_w
-    outages = 0
-    done = 0
-    while done < trials:
-        chunk = min(_TRIAL_CHUNK, trials - done)
-        fades = rng.exponential(1.0, size=(chunk, ell))
-        snr = n_users * gain * fades / noise
-        rate = (p.bandwidth_w / n_users) * np.log2(1.0 + snr).mean(axis=1)
-        outages += int(np.count_nonzero(rate < p.user_rate))
-        done += chunk
-    prob = outages / trials
-    se = math.sqrt(max(prob * (1.0 - prob), 0.0) / trials)
-    return McEstimate(mean=prob, std_err=se, trials=trials)

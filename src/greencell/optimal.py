@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Tuple
 
 import numpy as np
@@ -299,16 +299,41 @@ def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
 
 @dataclass(frozen=True)
 class AdaptationPolicy:
-    """Tabulated density -> (radius, consumption) map for one dual variable."""
+    """Density -> (radius, consumption) map for one dual variable.
+
+    ``mu`` and its thresholds ``criticals`` set the policy.  Its table
+    (``lambdas``, ``radii``, ``powers``, ``rows()``) is output only and is
+    built when one of them is first read: a uniform grid of
+    ``POLICY_GRID`` densities on [0, lambda_max], each threshold inside it
+    and the density just above each threshold.
+    """
 
     mu: float
     criticals: CriticalDensities
-    lambdas: np.ndarray
-    radii: np.ndarray
-    powers: np.ndarray
     mode: str  # "exact" or "hse"
     lambda_max: float
     params: SystemParams
+
+    @cached_property
+    def _table(self) -> tuple:
+        inner = _breakpoints(self.criticals, self.lambda_max)
+        lams = np.unique(np.concatenate([
+            np.linspace(0.0, self.lambda_max, POLICY_GRID), inner,
+            np.nextafter(inner, self.lambda_max)]))
+        xs = _policy_x(lams, self.mu, self.criticals, self.params, self.mode)
+        return lams, np.sqrt(xs), bs_power_x(xs, lams, self.params)
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        return self._table[0]
+
+    @property
+    def radii(self) -> np.ndarray:
+        return self._table[1]
+
+    @property
+    def powers(self) -> np.ndarray:
+        return self._table[2]
 
     @property
     def case_tag(self) -> str:
@@ -379,7 +404,8 @@ POLICY_GRID = 2048  # uniform grid of a policy table
 
 def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
                   mode: str = "exact") -> AdaptationPolicy:
-    """Tabulate the per-density minimizer over a uniform grid plus the cut-offs."""
+    """The per-density minimizer at ``mu``: its thresholds, and a table
+    built when first read."""
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
     if mu <= 0.0:
@@ -388,19 +414,7 @@ def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
         crits = critical_densities(mu, p, lambda_max)
     else:
         crits = hse_critical_densities(mu, p)
-    return _tabulate(mu, crits, p, lambda_max, mode)
-
-
-def _tabulate(mu: float, crits: CriticalDensities, p: SystemParams,
-              lambda_max: float, mode: str) -> AdaptationPolicy:
-    inner = _breakpoints(crits, lambda_max)
-    lams = np.unique(np.concatenate([
-        np.linspace(0.0, lambda_max, POLICY_GRID), inner,
-        np.nextafter(inner, lambda_max)]))
-    xs = _policy_x(lams, mu, crits, p, mode)
-    return AdaptationPolicy(mu=mu, criticals=crits, lambdas=lams,
-                            radii=np.sqrt(xs), powers=bs_power_x(xs, lams, p),
-                            mode=mode, lambda_max=lambda_max, params=p)
+    return AdaptationPolicy(mu, crits, mode, lambda_max, p)
 
 
 def _breakpoints(crits: CriticalDensities, lambda_max: float) -> list:
@@ -414,19 +428,21 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
 
     u is the long-term throughput E[pi lambda x] of the exact policy at
     ``mu``; the state is (thresholds, the rule split at them, x at its
-    nodes), from which ``solve`` reports the averages of its final mu.  The
-    slope has two terms.  On the stationary segment x1* solves log Pt'(x) =
-    log(mu pi lambda / (a d1)), so dx1*/dmu = x1* / (mu s), with s the
-    log-x slope of the left side at x1*; the capped point does not move
-    with mu.  The switch-on cut-off lambda_on moves, which adds
-    -pi lambda_on x(lambda_on+) f(lambda_on) dlambda_on/dmu.  x is
-    continuous at lambda2, which adds nothing.
+    nodes and then at lambda_max), from which ``solve`` reports the metrics
+    of its final mu; x at lambda_max rides on the one kernel call and
+    enters neither u nor the slope.  The slope has two terms.  On the
+    stationary segment x1* solves log Pt'(x) = log(mu pi lambda / (a d1)),
+    so dx1*/dmu = x1* / (mu s), with s the log-x slope of the left side at
+    x1*; the capped point does not move with mu.  The switch-on cut-off
+    lambda_on moves, which adds -pi lambda_on x(lambda_on+) f(lambda_on)
+    dlambda_on/dmu.  x is continuous at lambda2, which adds nothing.
     """
     crits = critical_densities(mu, p, dist.lambda_max)
     rule = gauss_legendre(dist, 0.0, dist.lambda_max,
                           _breakpoints(crits, dist.lambda_max))
     lams = rule.nodes
-    x = _policy_x(lams, mu, crits, p)
+    x_all = _policy_x(np.append(lams, dist.lambda_max), mu, crits, p)
+    x = x_all[:-1]
     stationary, _ = _regimes(lams, crits)
     dx = np.zeros_like(x)
     if stationary.any():
@@ -439,7 +455,7 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     if 0.0 < cut < dist.lambda_max:
         slope -= (math.pi * cut * crits.on_x * dist.pdf(cut)
                   * crits.on_elasticity * cut / mu)
-    return rule.integrate(math.pi * lams * x), slope, (crits, rule, x)
+    return rule.integrate(math.pi * lams * x), slope, (crits, rule, x_all)
 
 
 # One entry: sweep and schemes ask for one (dist, p) many times in a row.
@@ -480,8 +496,9 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     inside a jump of the throughput-versus-mu curve, that is the nearest mu
     above the jump, and its achieved throughput is reported in the metrics.
     The thresholds, rule and x of that last satisfied evaluation give the
-    policy table's thresholds and the reported averages, so neither is
-    computed twice; the reported peak is the table's (``_state_metrics``).
+    policy's thresholds and the reported metrics, so none is computed
+    twice and no kernel runs after the search (``_state_metrics``); the
+    returned policy builds its table only when it is read.
     """
     if not (math.isfinite(u_avg) and u_avg > 0.0):
         raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
@@ -513,7 +530,7 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
                                        math.nan), DUAL_TOL * hi)
     # its result is its good end, the latest evaluated mu with g >= 0
     mu, state = satisfied
-    policy = _tabulate(mu, state[0], p, dist.lambda_max, mode) \
+    policy = AdaptationPolicy(mu, state[0], mode, dist.lambda_max, p) \
         if mode == "exact" else policy_for_mu(mu, p, dist.lambda_max, mode)
     return policy, _state_metrics(state, policy, dist, p)
 
@@ -525,13 +542,21 @@ def _state_metrics(state: tuple, policy: AdaptationPolicy,
 
     The averages integrate the exact policy's x on the state's rule (ROADMAP
     known defect: in hse mode too).  The on-probability is the pdf mass
-    above ``policy``'s cut-off, and the peak is the largest consumption in
-    its table, whose grid holds each threshold and the density just above.
+    above ``policy``'s cut-off.  Along the exact policy consumption rises
+    with the density, so its peak is the consumption at lambda_max, from
+    the state's last x (Ps when the policy is off there).  The hse peak is
+    the largest consumption in its table, whose grid holds each threshold
+    and the density just above: ``hse_x2`` overshoots the cap, so the rise
+    is not assured there.
     """
-    _, rule, x = state
-    cut = min(policy.criticals.on_cutoff, dist.lambda_max)
+    _, rule, x_all = state
+    x = x_all[:-1]
+    m = dist.lambda_max
+    cut = min(policy.criticals.on_cutoff, m)
+    peak = bs_power_x(x_all[-1], m, p) if policy.mode == "exact" \
+        else float(policy.powers.max())
     return PolicyMetrics(
         avg_power_w=rule.integrate(bs_power_x(x, rule.nodes, p)),
         avg_users=rule.integrate(math.pi * rule.nodes * x),
         on_probability=1.0 - float(dist.cdf(cut)),
-        peak_bs_power_w=float(policy.powers.max()))
+        peak_bs_power_w=peak)

@@ -134,16 +134,17 @@ def _tail_rule(dist: DensityDistribution, cutoff: float, p: SystemParams):
 
 
 def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
-             p: SystemParams) -> _Cut:
+             p: SystemParams, rule=None) -> _Cut:
     """The smallest radius meeting the floor above a cut-off in [0, edge],
-    on one tail rule.
+    on one tail rule: ``rule`` when the caller has built it.
 
     With x_f = u_avg / (pi T1(c)), T1 the tail first moment, dT1/dc =
     -c f(c) gives dx_f/dc = x_f c f(c) / T1, so J(c) = integral over
     [c, lambda_max] of P(x_f, lam) f + Ps F(c) has loss P(x_f, c) - Ps and
     gain c x_f / T1 times the tail integral of a Pt'(x_f, lam) f.
     """
-    rule = _tail_rule(dist, cutoff, p)
+    if rule is None:
+        rule = _tail_rule(dist, cutoff, p)
     t1 = rule.integrate(rule.nodes)
     r_f = math.sqrt(u_avg / (math.pi * t1))
     while math.pi * r_f * r_f * t1 < u_avg:  # the root can round below
@@ -161,11 +162,9 @@ def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
                 loss=bs_power(r_f, cutoff, p) - p.sleep_power)
 
 
-def _frw_reach(dist: DensityDistribution, cutoff: float, x_cap: float,
-               p: SystemParams) -> float:
-    """pi x_cap T1(c), the most a radius within the cap at lambda_max, where
-    transmit power peaks, serves above the cut-off."""
-    rule = _tail_rule(dist, cutoff, p)
+def _frw_reach(rule, x_cap: float) -> float:
+    """pi x_cap T1(c) on the tail rule of c, the most a radius within the cap
+    at lambda_max, where transmit power peaks, serves above the cut-off."""
     return math.pi * x_cap * rule.integrate(rule.nodes)
 
 
@@ -173,8 +172,9 @@ def _frw_x_cap(u_avg: float, dist: DensityDistribution,
                p: SystemParams) -> float:
     """x_cap, or InfeasibleError past the FRw cap, the reach at c = 0."""
     _check_target(u_avg)
-    x_cap = float(cap_tail(dist, p)[1][-1])
-    cap = _frw_reach(dist, 0.0, x_cap, p)
+    rule, xs = cap_tail(dist, p)
+    x_cap = float(xs[-1])
+    cap = _frw_reach(rule, x_cap)
     if cap < u_avg:
         raise InfeasibleError(u_avg, cap)
     return x_cap
@@ -184,16 +184,21 @@ def frw_ofc(u_avg: float, dist: DensityDistribution,
             p: SystemParams) -> SchemeResult:
     """Fixed radius with an on/off cut-off.
 
-    The edge is the cut-off whose reach is the target, by Newton; h(0) =
-    Ps - Pc, so a search runs only when sleeping saves power.
+    The edge is the cut-off whose reach is the target, by Newton; the
+    search's rule at the edge serves the point there.  h(0) = Ps - Pc, so a
+    cut-off search runs only when sleeping saves power.
     """
     x_cap = _frw_x_cap(u_avg, dist, p)
     m = dist.lambda_max
-    edge = bracketed_newton(  # dT1/dc = -c f(c)
-        lambda c: (_frw_reach(dist, c, x_cap, p) - u_avg,
-                   -math.pi * x_cap * c * float(dist.pdf(c))),
-        0.0, m, 0.5 * m, _CUT_TOL * m)
-    best = _cheapest_cutoff(_frw_cut(edge, u_avg, dist, p),
+    rules = {}
+
+    def gap(c: float) -> tuple:  # dT1/dc = -c f(c)
+        rules[c] = rule = _tail_rule(dist, c, p)
+        return (_frw_reach(rule, x_cap) - u_avg,
+                -math.pi * x_cap * c * float(dist.pdf(c)))
+
+    edge = bracketed_newton(gap, 0.0, m, 0.5 * m, _CUT_TOL * m)
+    best = _cheapest_cutoff(_frw_cut(edge, u_avg, dist, p, rules.get(edge)),
                             lambda c, near: _frw_cut(c, u_avg, dist, p),
                             p.sleep_power < p.static_power, m)
     return _result(FRW_OFC, best, dist, p)

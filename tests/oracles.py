@@ -4,8 +4,9 @@ Plain bisection (``Bracket``, ``bisect``, ``grow_bracket``) is the oracle
 for the Newton kernels and thresholds, and ``accurate_cutoff`` is the
 bisection the ARwOFC scheme used for its cut-off before it moved to Newton
 on exact derivatives.  ``minimize_bounded`` is Brent's bounded minimiser,
-which FRwOFC used the same way.  None of this is used by the package
-itself.
+which FRwOFC used the same way.  ``sample_users`` and ``simulate_outage``
+are Monte Carlo checks of the user placement and of the short-term power
+control's outage target.  None of this is used by the package itself.
 """
 
 from __future__ import annotations
@@ -14,8 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
+from greencell.mcsim import _TRIAL_CHUNK, McEstimate
 from greencell.numerics import ConvergenceError, gauss_legendre
-from greencell.scaling import max_range_x
+from greencell.params import SystemParams
+from greencell.scaling import _check_nonneg_finite, max_range_x
 
 
 class NoSignChangeError(ValueError):
@@ -170,3 +175,46 @@ def minimize_bounded(fn: Callable[[float], float], lo: float, hi: float,
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
     return xf, fx
+
+
+def sample_users(density: float, radius: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """One realization of user distances in a disc of the given radius.
+
+    The count is Poisson with mean lambda * pi * R^2; given the count each
+    distance has pdf 2r/R^2 on [0, R] (uniform placement in the disc).
+    """
+    _check_nonneg_finite(density=density, radius=radius)
+    mean_count = density * math.pi * radius * radius
+    n = rng.poisson(mean_count)
+    return radius * np.sqrt(rng.random(n))
+
+
+def simulate_outage(distance: float, n_users: int, per_user_power: float,
+                    p: SystemParams, trials: int,
+                    rng: np.random.Generator) -> McEstimate:
+    """Empirical probability that the L-block average rate misses the target.
+
+    Evaluates the exact multi-block outage event (average of the per-block
+    rates below the target), not its single-block product approximation.
+    """
+    if n_users < 1 or trials < 1:
+        raise ValueError("n_users and trials must be >= 1")
+    _check_nonneg_finite(distance=distance, per_user_power=per_user_power)
+    ell = p.coding_blocks
+    gain = per_user_power * p.ref_pathloss \
+        * min(p.ref_distance / distance, 1.0) ** p.pathloss_exp \
+        if distance > 0 else per_user_power * p.ref_pathloss
+    noise = p.snr_gap * p.noise_psd * p.bandwidth_w
+    outages = 0
+    done = 0
+    while done < trials:
+        chunk = min(_TRIAL_CHUNK, trials - done)
+        fades = rng.exponential(1.0, size=(chunk, ell))
+        snr = n_users * gain * fades / noise
+        rate = (p.bandwidth_w / n_users) * np.log2(1.0 + snr).mean(axis=1)
+        outages += int(np.count_nonzero(rate < p.user_rate))
+        done += chunk
+    prob = outages / trials
+    se = math.sqrt(max(prob * (1.0 - prob), 0.0) / trials)
+    return McEstimate(mean=prob, std_err=se, trials=trials)

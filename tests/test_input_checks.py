@@ -13,6 +13,7 @@ from greencell.metrics import evaluate
 from greencell.optimal import solve
 from greencell.params import InvalidParameterError, SystemParams
 from greencell.traffic import from_csv, from_table, triangular
+from oracles import simulate_outage
 
 P = SystemParams(static_power=60.0)
 DIST = triangular(1e-4)
@@ -73,8 +74,8 @@ def test_simulate_total_power_rejects_bad_geometry(name, bad):
 def test_simulate_outage_rejects_bad_link(name, bad):
     args = {"distance": 200.0, "per_user_power": 1.0, name: bad}
     with pytest.raises(ValueError, match=name):
-        mcsim.simulate_outage(args["distance"], 1, args["per_user_power"], P,
-                              10, mcsim.make_rng(0))
+        simulate_outage(args["distance"], 1, args["per_user_power"], P, 10,
+                        mcsim.make_rng(0))
 
 
 @pytest.mark.parametrize("bad", BAD_SIZES)

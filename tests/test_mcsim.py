@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from greencell import mcsim
-from greencell.mcsim import (McEstimate, make_rng, sample_users,
-                             simulate_outage, simulate_total_power)
+from greencell.mcsim import McEstimate, make_rng, simulate_total_power
 from greencell.params import SystemParams
 from greencell.scaling import avg_transmit_power_exact, stpc_power
+from oracles import sample_users, simulate_outage
 
 P = SystemParams()
 

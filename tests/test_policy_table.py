@@ -1,7 +1,9 @@
-"""The tabulated policy delivers what solve reports, right after switch-on too."""
+"""The tabulated policy delivers what solve reports, right after switch-on
+too; the table is built on first read and the exact peak needs none."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from greencell import cli, optimal
 from greencell.metrics import evaluate
@@ -72,3 +74,53 @@ def test_on_probability_is_the_pdf_mass_above_the_cut_off():
     table = _table_metrics(policy, dist, p)
     assert reported.on_probability == pytest.approx(table.on_probability,
                                                     rel=1e-12)
+
+
+CONFIGS = ("configs/baseline.json", "configs/low_static.cfg")
+# the benchmark's table profile 0, stretched onto each config's lambda_max
+PROFILE = [0.25, 6.25, 9.25, 6.25, 6.25, 4.25, 2.25, 6.25, 7.25]
+
+
+@given(config=st.sampled_from(CONFIGS), table=st.booleans(),
+       frac=st.floats(0.001, 0.999))
+def test_peak_is_the_consumption_at_lambda_max(config, table, frac):
+    # along the exact policy consumption rises with the density, so solve's
+    # peak is the table's largest consumption and evaluate's peak; the hse
+    # peak is still read from its table
+    p, dist = _context(config)
+    if table:
+        dist = from_table(np.linspace(0.0, dist.lambda_max, 9), PROFILE)
+    u_avg = frac * optimal.max_achievable_throughput(dist, p)
+    policy, reported = solve(u_avg, dist, p)
+    peak = reported.peak_bs_power_w
+    assert peak == pytest.approx(float(policy.powers.max()), rel=1e-14)
+    assert peak == pytest.approx(_table_metrics(policy, dist, p)
+                                 .peak_bs_power_w, rel=1e-14)
+    again = optimal.policy_for_mu(policy.mu, p, dist.lambda_max)
+    for name in ("lambdas", "radii", "powers"):
+        assert np.array_equal(getattr(policy, name), getattr(again, name))
+    policy, reported = solve(u_avg, dist, p, mode="hse")
+    assert reported.peak_bs_power_w == float(policy.powers.max())
+
+
+def test_solve_runs_no_kernel_after_its_search(monkeypatch):
+    # one _policy_x call per dual evaluation and none after the last one:
+    # no table and no peak kernel; the table is built once, on first read
+    p, dist = _context("configs/baseline.json")
+    log = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_avg_throughput", "_policy_x"):
+        monkeypatch.setattr(optimal, name,
+                            counted(name, getattr(optimal, name)))
+    policy, _ = solve(60.0, dist, p)
+    evals = log.count("_avg_throughput")
+    assert evals > 0 and log == ["_avg_throughput", "_policy_x"] * evals
+    lambdas = policy.lambdas
+    assert policy.lambdas is lambdas and policy.radii.size == lambdas.size
+    assert log[2 * evals:] == ["_policy_x"]

@@ -497,6 +497,28 @@ def test_frw_ofc_stays_always_on_when_sleeping_saves_nothing():
     assert res.metrics == frw_oofc(U_AVG, DIST, p).metrics
 
 
+@pytest.mark.parametrize("u_avg", (55.063, 58.705))
+def test_frw_ofc_builds_each_tail_rule_once(u_avg, monkeypatch):
+    # the edge search's rule at the edge also serves the point there; at
+    # the sweep rows the edge wins, so the point is that rule's
+    p, dist = _context("baseline.json")
+    optimal.cap_tail(dist, p)
+    lows = []
+
+    def counted(dist, lo, hi, breakpoints=()):
+        lows.append(lo)
+        return gauss_legendre(dist, lo, hi, breakpoints)
+
+    monkeypatch.setattr(suboptimal, "gauss_legendre", counted)
+    res = frw_ofc(u_avg, dist, p)
+    assert len(lows) == 6 and len(set(lows)) == 6
+    assert res.cutoff == lows[-1]
+    monkeypatch.undo()
+    fresh = suboptimal._frw_cut(res.cutoff, u_avg, dist, p)
+    assert (res.fixed_radius, res.metrics.avg_power_w,
+            res.metrics.avg_users) == (fresh.radius, fresh.cost, fresh.users)
+
+
 @pytest.mark.parametrize("u_avg", (20.0, 55.063, 58.705))
 @pytest.mark.parametrize("config", CONFIGS)
 def test_frw_metrics_describe_the_returned_policy(config, u_avg):
