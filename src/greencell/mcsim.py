@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams
-from .scaling import _check_nonneg_finite, stpc_power
+from .scaling import _check_nonneg_finite, _load_factor, stpc_power
 
 _TRIAL_CHUNK = 20_000
 # most users drawn and powered at once; bounds the simulator's working memory
@@ -68,24 +68,36 @@ def _trial_sums(out: np.ndarray, counts: np.ndarray, radius: float,
                 p: SystemParams, rng: np.random.Generator) -> None:
     """Write each non-empty trial's summed STPC power into ``out``.
 
-    The users are drawn and powered in pieces of at most ``_PIECE_USERS``
-    users, split at trial boundaries; a piece holds at least one trial, so
+    All users of a trial share its bandwidth-sharing load, so a trial of n
+    users sums single-user powers and scales the sum by load(n) / load(1);
+    only the distances and the path loss are per user.  The users are drawn
+    and powered in pieces of at most ``_PIECE_USERS`` users, split at trial
+    boundaries, in one reused buffer; a piece holds at least one trial, so
     one trial larger than the bound is a piece of its own.  Consecutive
     ``rng.random`` calls continue one stream, and every trial is reduced
     over the same elements in the same order, so the sums do not depend on
     the piece size.  Empty trials are left untouched.
     """
+    busy = counts > 0
+    ratio = _load_factor(counts[busy], p) / _load_factor(1, p)
     ends = np.cumsum(counts)
+    begins = ends - counts
+    work = np.empty(min(int(ends[-1]), _PIECE_USERS))
     first, start = 0, 0
     while first < counts.size:
         last = max(int(np.searchsorted(ends, start + _PIECE_USERS,
                                        side="right")), first + 1)
         stop = int(ends[last - 1])
         if stop > start:
-            piece = counts[first:last]
-            dist = radius * np.sqrt(rng.random(stop - start))
-            powers = stpc_power(dist, np.repeat(piece, piece).astype(float), p)
-            busy = piece > 0
-            offsets = ends[first:last][busy] - piece[busy] - start
-            out[first:last][busy] = np.add.reduceat(powers, offsets)
+            if stop - start > work.size:
+                work = np.empty(stop - start)
+            dist = work[:stop - start]
+            rng.random(out=dist)
+            np.sqrt(dist, out=dist)
+            dist *= radius
+            filled = busy[first:last]
+            offsets = begins[first:last][filled] - start
+            out[first:last][filled] = np.add.reduceat(stpc_power(dist, 1, p),
+                                                      offsets)
         first, start = last, stop
+    out[busy] *= ratio

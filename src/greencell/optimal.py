@@ -317,9 +317,11 @@ class AdaptationPolicy:
     @cached_property
     def _table(self) -> tuple:
         inner = _breakpoints(self.criticals, self.lambda_max)
-        lams = np.unique(np.concatenate([
+        lams = np.sort(np.concatenate([
             np.linspace(0.0, self.lambda_max, POLICY_GRID), inner,
             np.nextafter(inner, self.lambda_max)]))
+        # np.unique would do, but its first call imports numpy.ma
+        lams = lams[np.insert(lams[1:] != lams[:-1], 0, True)]
         xs = _policy_x(lams, self.mu, self.criticals, self.params, self.mode)
         return lams, np.sqrt(xs), bs_power_x(xs, lams, self.params)
 

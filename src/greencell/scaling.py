@@ -23,6 +23,23 @@ class InfeasibleBudgetError(ValueError):
     """The requested power budget cannot cover the static consumption."""
 
 
+def _load_factor(n_users, p: SystemParams):
+    """Bandwidth-sharing factor (2^(n v/W) - 1) / n of ``n_users`` sharing the band.
+
+    The same for every user of a drop; ``stpc_power`` is this times the
+    path-loss factor max(d/r0, 1)^alpha and a constant.
+    """
+    n = np.asarray(n_users, dtype=float)
+    if np.any(n < 1):
+        raise ValueError("n_users must be >= 1")
+    bits = n * derive_constants(p).c2
+    if np.any(bits > EXPONENT_GUARD_BITS):
+        raise PowerOverflowError(
+            f"per-cell load exponent {np.max(bits)} bits exceeds guard "
+            f"({EXPONENT_GUARD_BITS})")
+    return np.expm1(bits * _LN2) / n
+
+
 def stpc_power(distance, n_users, p: SystemParams):
     """Transmit power towards one user at ``distance`` with ``n_users`` sharing the band.
 
@@ -31,19 +48,17 @@ def stpc_power(distance, n_users, p: SystemParams):
     reference distance.  Accepts numpy arrays for either argument.
     """
     c = derive_constants(p)
-    n = np.asarray(n_users, dtype=float)
-    if np.any(n < 1):
-        raise ValueError("n_users must be >= 1")
-    bits = n * c.c2
-    if np.any(bits > EXPONENT_GUARD_BITS):
-        raise PowerOverflowError(
-            f"per-cell load exponent {np.max(bits)} bits exceeds guard "
-            f"({EXPONENT_GUARD_BITS})")
-    load = np.expm1(bits * _LN2) / n
-    geom = np.maximum(np.asarray(distance, dtype=float) / p.ref_distance, 1.0) \
-        ** p.pathloss_exp
-    out = (p.snr_gap * p.noise_psd * p.bandwidth_w / (p.ref_pathloss * c.c1)) \
-        * load * geom
+    scale = (p.snr_gap * p.noise_psd * p.bandwidth_w / (p.ref_pathloss * c.c1)) \
+        * _load_factor(n_users, p)
+    # max(d, r0) / r0 has the bits of max(d / r0, 1); the power and the
+    # scaling run in place, so an array distance allocates only the result
+    out = np.maximum(np.asarray(distance, dtype=float), p.ref_distance)
+    out /= p.ref_distance
+    out **= p.pathloss_exp
+    if np.shape(out) == np.broadcast_shapes(np.shape(out), np.shape(scale)):
+        out *= scale
+    else:
+        out = out * scale
     return out if out.ndim else float(out)
 
 

@@ -4,9 +4,11 @@ Plain bisection (``Bracket``, ``bisect``, ``grow_bracket``) is the oracle
 for the Newton kernels and thresholds, and ``accurate_cutoff`` is the
 bisection the ARwOFC scheme used for its cut-off before it moved to Newton
 on exact derivatives.  ``minimize_bounded`` is Brent's bounded minimiser,
-which FRwOFC used the same way.  ``sample_users`` and ``simulate_outage``
-are Monte Carlo checks of the user placement and of the short-term power
-control's outage target.  None of this is used by the package itself.
+which FRwOFC used the same way.  ``stpc_power_formula`` is the short-term
+power control as written before ``stpc_power`` ran in place.
+``sample_users`` and ``simulate_outage`` are Monte Carlo checks of the user
+placement and of the short-term power control's outage target.  None of
+this is used by the package itself.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 
 from greencell.mcsim import _TRIAL_CHUNK, McEstimate
 from greencell.numerics import ConvergenceError, gauss_legendre
-from greencell.params import SystemParams
-from greencell.scaling import _check_nonneg_finite, max_range_x
+from greencell.params import SystemParams, derive_constants
+from greencell.scaling import (EXPONENT_GUARD_BITS, PowerOverflowError,
+                               _check_nonneg_finite, max_range_x)
 
 
 class NoSignChangeError(ValueError):
@@ -175,6 +178,25 @@ def minimize_bounded(fn: Callable[[float], float], lo: float, hi: float,
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
     return xf, fx
+
+
+def stpc_power_formula(distance, n_users, p: SystemParams):
+    """``scaling.stpc_power`` term by term: (const * load(n)) * max(d/r0, 1)^alpha."""
+    c = derive_constants(p)
+    n = np.asarray(n_users, dtype=float)
+    if np.any(n < 1):
+        raise ValueError("n_users must be >= 1")
+    bits = n * c.c2
+    if np.any(bits > EXPONENT_GUARD_BITS):
+        raise PowerOverflowError(
+            f"per-cell load exponent {np.max(bits)} bits exceeds guard "
+            f"({EXPONENT_GUARD_BITS})")
+    load = np.expm1(bits * math.log(2.0)) / n
+    geom = np.maximum(np.asarray(distance, dtype=float) / p.ref_distance, 1.0) \
+        ** p.pathloss_exp
+    out = (p.snr_gap * p.noise_psd * p.bandwidth_w / (p.ref_pathloss * c.c1)) \
+        * load * geom
+    return out if out.ndim else float(out)
 
 
 def sample_users(density: float, radius: float,

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from greencell import mcsim
 from greencell.mcsim import McEstimate, make_rng, simulate_total_power
 from greencell.params import SystemParams
-from greencell.scaling import avg_transmit_power_exact, stpc_power
+from greencell.scaling import (PowerOverflowError, _load_factor,
+                               avg_transmit_power_exact, stpc_power)
 from oracles import sample_users, simulate_outage
 
 P = SystemParams()
@@ -66,6 +67,13 @@ class TestSimulateTotalPower:
         b = simulate_total_power(1e-5, 1000.0, narrow, 5000, make_rng(7))
         assert b.mean > a.mean
 
+    def test_load_guard(self):
+        # about 1,257 users a drop at 1 bit/s/Hz each: a 1,257-bit exponent,
+        # above the 1,024-bit guard
+        with pytest.raises(PowerOverflowError):
+            simulate_total_power(1e-4, 2000.0, SystemParams(user_rate=5e6),
+                                 10, make_rng(22))
+
     def test_chunking_is_invisible(self):
         # spanning several internal chunks must not perturb the estimate
         est = simulate_total_power(1e-5, 500.0, P, 45_000, make_rng(8))
@@ -73,14 +81,18 @@ class TestSimulateTotalPower:
         assert est.std_err > 0.0
 
 
-def whole_chunk_oracle(density, radius, p, trials, rng):
+def whole_chunk_oracle(density, radius, p, trials, rng, per_user_load=False):
     """The whole-chunk simulator: every user of a 20k-trial chunk at once.
 
     The same stream order as ``simulate_total_power`` (a chunk's counts,
-    then its uniforms), with one ``reduceat`` over the chunk.  Its offsets
-    are the start of every non-empty trial; clipping the offsets of trailing
-    empty trials to the last element instead would drop the last user of
-    the trial before them.
+    then its uniforms) and the same arithmetic: single-user powers, one
+    ``reduceat`` over the chunk, and each non-empty trial's sum scaled by
+    its load ratio load(n) / load(1).  The offsets are the start of every
+    non-empty trial; clipping the offsets of trailing empty trials to the
+    last element instead would drop the last user of the trial before them.
+    With ``per_user_load`` every user is powered with its trial's count,
+    ``stpc_power(d_i, n)``, and the sums are not scaled: the simulator
+    before it took the load out of the per-user sum.
     """
     mean_count = density * math.pi * radius * radius
     per_trial = np.zeros(trials)
@@ -91,12 +103,15 @@ def whole_chunk_oracle(density, radius, p, trials, rng):
         total = int(counts.sum())
         if total:
             dist = radius * np.sqrt(rng.random(total))
-            powers = stpc_power(dist, np.repeat(counts, counts).astype(float),
-                                p)
             busy = counts > 0
+            users = np.repeat(counts, counts).astype(float) \
+                if per_user_load else 1
             sums = np.zeros(chunk)
-            sums[busy] = np.add.reduceat(powers,
+            sums[busy] = np.add.reduceat(stpc_power(dist, users, p),
                                          (np.cumsum(counts) - counts)[busy])
+            if not per_user_load:
+                sums[busy] *= _load_factor(counts[busy], p) \
+                    / _load_factor(1, p)
             per_trial[done:done + chunk] = sums
         done += chunk
     se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -156,6 +171,59 @@ class TestPieces:
             got = simulate_total_power(lam, radius, P, trials, make_rng(seed))
         assert got == want
 
+    @pytest.mark.parametrize("alpha", [3.0, 3.7])
+    @pytest.mark.parametrize("i", range(len(VALIDATE_GRID)))
+    def test_load_factorisation_matches_per_user_load(self, i, alpha):
+        # summing load(n) * g(d_i) per user and scaling the sum of load(1) *
+        # g(d_i) by load(n) / load(1) differ only in rounding
+        p = SystemParams(pathloss_exp=alpha)
+        radius, lam = VALIDATE_GRID[i]
+        seed = 2000 + 2 * i
+        got = simulate_total_power(lam, radius, p, 20_000, make_rng(seed))
+        want = whole_chunk_oracle(lam, radius, p, 20_000, make_rng(seed),
+                                  per_user_load=True)
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0.0)
+        assert got.std_err == pytest.approx(want.std_err, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lam, radius, trials, piece", [
+        (1e-5, 1000.0, 45_000, 1 << 16),  # three chunks
+        (5e-5, 500.0, 3_000, 1_000),
+        (1e-5, 1000.0, 200, 1),           # one trial per piece
+        (2e-7, 500.0, 30_000, 7),         # most trials and pieces empty
+    ])
+    def test_every_drawn_user_is_powered_once(self, lam, radius, trials,
+                                              piece):
+        # perfbench counts user draws as the sizes of the distance arrays
+        # passed to stpc_power at mcsim's binding
+        sizes = []
+
+        def counting(distance, n_users, p):
+            sizes.append(np.size(distance))
+            return stpc_power(distance, n_users, p)
+
+        rng = make_rng(21)
+        chunk_counts = []
+        for done in range(0, trials, 20_000):
+            counts = rng.poisson(lam * math.pi * radius ** 2,
+                                 min(20_000, trials - done))
+            rng.random(int(counts.sum()))
+            chunk_counts.append(counts)
+        pieces = 0
+        for counts in chunk_counts:
+            users, held = 0, 0
+            for n in counts:
+                if held and users + n > piece:
+                    pieces += users > 0
+                    users, held = 0, 0
+                users, held = users + n, held + 1
+            pieces += users > 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_PIECE_USERS", piece)
+            mp.setattr(mcsim, "stpc_power", counting)
+            simulate_total_power(lam, radius, P, trials, make_rng(21))
+        assert sum(sizes) == sum(int(c.sum()) for c in chunk_counts)
+        assert len(sizes) == pieces and 0 not in sizes
+
     def test_memory_stays_bounded(self):
         # 12.6M users in one chunk: whole-chunk arrays peak near 600 MB
         tracemalloc.start()
@@ -165,7 +233,7 @@ class TestPieces:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= 4 * 2 ** 20
 
 
 class TestSimulateOutage:

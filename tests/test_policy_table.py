@@ -1,6 +1,11 @@
 """The tabulated policy delivers what solve reports, right after switch-on
 too; the table is built on first read and the exact peak needs none."""
 
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -124,3 +129,40 @@ def test_solve_runs_no_kernel_after_its_search(monkeypatch):
     lambdas = policy.lambdas
     assert policy.lambdas is lambdas and policy.radii.size == lambdas.size
     assert log[2 * evals:] == ["_policy_x"]
+
+
+@pytest.mark.parametrize("config,u_avg", [("configs/baseline.json", 23.0006),
+                                          ("configs/baseline.json", 100.0),
+                                          ("configs/low_static.cfg", 60.0)])
+@pytest.mark.parametrize("mode", ["exact", "hse"])
+def test_table_grid_is_the_sorted_distinct_densities(config, u_avg, mode):
+    # as np.unique merges them, also when a threshold, or the density just
+    # above one, lands on a grid point
+    p, dist = _context(config)
+    policy, _ = solve(u_avg, dist, p, mode=mode)
+    grid = np.linspace(0.0, policy.lambda_max, optimal.POLICY_GRID)
+    landed = dataclasses.replace(policy, criticals=dataclasses.replace(
+        policy.criticals, lambda1=float(grid[700]),
+        lambda3=float(np.nextafter(grid[1400], 0.0))))
+    for pol in (policy, landed):
+        inner = np.array(pol.breakpoints)
+        want = np.unique(np.concatenate([
+            grid, inner, np.nextafter(inner, pol.lambda_max)]))
+        assert pol.lambdas.tobytes() == want.tobytes()
+    assert landed.lambdas.size < grid.size + 2 * len(landed.breakpoints)
+
+
+@pytest.mark.parametrize("mode", ["exact", "hse"])
+def test_cli_solve_does_not_import_numpy_ma(tmp_path, mode):
+    # np.unique's first call in a process imports numpy.ma (about 10 ms);
+    # the table is merged without it.  The child imports greencell from
+    # where this process found it.
+    src = str(Path(optimal.__file__).resolve().parents[1])
+    argv = ["solve", "--u-avg", "50", "--mode", mode,
+            "--out", str(tmp_path / "policy.csv")]
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from greencell import cli; "
+            f"assert cli.main({argv!r}) == 0; "
+            "assert 'numpy.ma' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   stdout=subprocess.DEVNULL)

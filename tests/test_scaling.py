@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from greencell.params import SystemParams
 from greencell.scaling import (InfeasibleBudgetError, PowerOverflowError,
                                avg_transmit_power, avg_transmit_power_exact,
                                bs_power, max_range, stpc_power, throughput)
+from oracles import stpc_power_formula
 
 P = SystemParams()
 
@@ -38,6 +40,39 @@ class TestStpcPower:
     def test_rejects_zero_users(self):
         with pytest.raises(ValueError):
             stpc_power(10.0, 0, P)
+
+    @given(alpha=st.sampled_from([2.5, 3.0, 3.7, 4.0]),
+           d=st.lists(st.floats(0.0, 5_000.0), min_size=1, max_size=6),
+           n=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+           layout=st.sampled_from(["scalar", "d_array", "n_array", "same",
+                                   "outer", "outer_t"]))
+    def test_bit_identical_to_the_formula(self, alpha, d, n, layout):
+        # distances include d < r0; n broadcasts against d both ways
+        p = SystemParams(pathloss_exp=alpha)
+        dist, users = {
+            "scalar": (d[0], n[0]),
+            "d_array": (np.array(d), n[0]),
+            "n_array": (d[0], np.array(n)),
+            "same": (np.array(d), np.resize(np.array(n), len(d))),
+            "outer": (np.array(d)[:, None], np.array(n, dtype=float)),
+            "outer_t": (np.array(d), np.array(n)[:, None]),
+        }[layout]
+        got, want = stpc_power(dist, users, p), stpc_power_formula(dist, users, p)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        if isinstance(got, np.ndarray):
+            assert got.shape == want.shape and got.dtype == want.dtype
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.7, 4.0])
+    def test_long_arrays_bit_identical_to_the_formula(self, alpha):
+        # long enough for numpy's vectorised loops, as the simulator calls it
+        p = SystemParams(pathloss_exp=alpha)
+        rng = np.random.default_rng(17)
+        d = 2_000.0 * np.sqrt(rng.random(70_001))
+        n = rng.integers(1, 60, d.size)
+        for users in (1, n):
+            got = stpc_power(d, users, p)
+            assert np.array_equal(got, stpc_power_formula(d, users, p))
 
 
 class TestAvgTransmitPower:
