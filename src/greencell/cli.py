@@ -118,7 +118,7 @@ def _emit_text(text: str, out: Optional[str]) -> None:
 def _emit(rows: List[dict], fieldnames: Sequence[str], fmt: str,
           out: Optional[str], summary: Optional[dict] = None) -> None:
     if fmt == "json":
-        doc = {"rows": rows}
+        doc = {"rows": [{k: row.get(k) for k in fieldnames} for row in rows]}
         if summary is not None:
             doc["summary"] = summary
         _emit_text(json.dumps(doc, indent=2) + "\n", out)
@@ -229,15 +229,19 @@ def _parse_schemes(raw: str) -> List[str]:
 
 
 def _scheme_row(name: str, u_avg: float, dist, params) -> dict:
-    row = {"scheme": name, "u_avg": u_avg, "feasible": True,
-           "avg_power_w": None, "on_probability": None}
+    """One policy's row at ``u_avg``: its metrics, and for the four schemes
+    the cut-off, radius and level; an infeasible row has neither.  ``_emit``
+    projects it onto the command's fields."""
+    row = {"scheme": name, "u_avg": u_avg, "feasible": True}
     try:
         if name == "optimal":
             _, metrics = optimal.solve(u_avg, dist, params)
         else:
-            metrics = _SCHEME_FUNCS[name](u_avg, dist, params).metrics
-        row["avg_power_w"] = metrics.avg_power_w
-        row["on_probability"] = metrics.on_probability
+            res = _SCHEME_FUNCS[name](u_avg, dist, params)
+            row.update(cutoff=res.cutoff, fixed_radius_m=res.fixed_radius,
+                       fixed_power_w=res.fixed_power)
+            metrics = res.metrics
+        row.update(metrics.as_dict())
     except optimal.InfeasibleError:
         row["feasible"] = False
     return row
@@ -260,22 +264,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_schemes(args) -> int:
     params, dist = _build_context(_load_config(args.config))
-    rows = []
-    for name, func in _SCHEME_FUNCS.items():
-        row = {"scheme": name, "u_avg": args.u_avg, "feasible": True,
-               "cutoff": None, "fixed_radius_m": None, "fixed_power_w": None,
-               "avg_power_w": None, "avg_users": None, "on_probability": None,
-               "peak_bs_power_w": None}
-        try:
-            res = func(args.u_avg, dist, params)
-            row.update({"cutoff": res.cutoff,
-                        "fixed_radius_m": res.fixed_radius,
-                        "fixed_power_w": res.fixed_power})
-            row.update(res.metrics.as_dict())
-        except optimal.InfeasibleError:
-            row["feasible"] = False
-        rows.append(row)
-    rows.sort(key=lambda r: r["scheme"])
+    rows = sorted((_scheme_row(name, args.u_avg, dist, params)
+                   for name in _SCHEME_FUNCS), key=lambda r: r["scheme"])
     fields = ["scheme", "u_avg", "feasible", "cutoff", "fixed_radius_m",
               "fixed_power_w", "avg_power_w", "avg_users", "on_probability",
               "peak_bs_power_w"]

@@ -16,11 +16,11 @@ import numpy as np
 
 from .metrics import PolicyMetrics
 from .numerics import (as_arrays, bracketed_newton, gauss_legendre,
-                       lambert_w0, newton_log, shaped)
+                       newton_log, shaped)
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
-from .scaling import bs_power_x, max_range_x
+from .scaling import _lambert_x, bs_power_x, max_range_x
 from .traffic import DensityDistribution
 
 
@@ -37,6 +37,15 @@ class InfeasibleError(ValueError):
             f"achievable {max_achievable:.6g} under the BS power cap")
         self.u_avg = u_avg
         self.max_achievable = max_achievable
+
+
+def _check_target(u_avg: float, cap: float) -> None:
+    """ValueError unless ``u_avg`` is finite and positive; InfeasibleError
+    when it exceeds ``cap``, the throughput bound of ``solve`` or a scheme."""
+    if not (math.isfinite(u_avg) and u_avg > 0.0):
+        raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
+    if cap < u_avg:
+        raise InfeasibleError(u_avg, cap)
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,7 @@ def x1_star(density, mu: float, p: SystemParams):
     x ln 2, vanishes as x -> 0+ for pathloss exponents above 2 and grows
     without bound, so Pt'(x) = mu pi lambda / a has exactly one root.  Its
     logarithm is convex and increasing in log x; Newton there starts from
-    the closed form ``hse_x1``, which drops the first term of Pt' and so
+    the closed form of ``hse_x1``, which drops the first term of Pt' and so
     lies above the root, and descends monotonically onto it.
     """
     shape, (lam,) = as_arrays(density)
@@ -93,7 +102,8 @@ def x1_star(density, mu: float, p: SystemParams):
     qp = c.d3 * math.pi * lam
     log_rhs = np.log(mu * math.pi * lam / (p.amp_scaling * c.d1))
     x = newton_log(partial(_x1_log_slope, h=0.5 * p.pathloss_exp),
-                   hse_x1(lam, mu, p), qp, log_rhs)
+                   _lambert_x(qp, mu / (p.amp_scaling * c.d1 * c.d3), p),
+                   qp, log_rhs)
     return shaped(x, shape)
 
 
@@ -245,10 +255,8 @@ def hse_x1(density, mu: float, p: SystemParams):
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     c = derive_constants(p)
-    alpha = p.pathloss_exp
-    k = 2.0 * c.d3 * math.pi * lam / alpha
-    arg = k * (mu / (p.amp_scaling * c.d1 * c.d3)) ** (2.0 / alpha)
-    return shaped(lambert_w0(arg) / k, shape)
+    return shaped(_lambert_x(c.d3 * math.pi * lam,
+                             mu / (p.amp_scaling * c.d1 * c.d3), p), shape)
 
 
 def hse_x2(density, p: SystemParams):
@@ -257,13 +265,8 @@ def hse_x2(density, p: SystemParams):
     if (lam <= 0.0).any():
         raise ValueError(f"density must be positive, got {lam.min()}")
     c = derive_constants(p)
-    alpha = p.pathloss_exp
     pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
-    if pt_max <= 0.0:
-        raise ValueError("max_bs_power must exceed static_power")
-    k = 2.0 * c.d3 * math.pi * lam / alpha
-    arg = k * (pt_max / c.d1) ** (2.0 / alpha)
-    return shaped(lambert_w0(arg) / k, shape)
+    return shaped(_lambert_x(c.d3 * math.pi * lam, pt_max / c.d1, p), shape)
 
 
 def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
@@ -502,11 +505,7 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     twice and no kernel runs after the search (``_state_metrics``); the
     returned policy builds its table only when it is read.
     """
-    if not (math.isfinite(u_avg) and u_avg > 0.0):
-        raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
-    cap = max_achievable_throughput(dist, p)
-    if cap < u_avg:
-        raise InfeasibleError(u_avg, cap)
+    _check_target(u_avg, max_achievable_throughput(dist, p))
     satisfied = []  # (mu, state) of the latest evaluation with g >= 0
 
     def gap(mu: float) -> tuple:

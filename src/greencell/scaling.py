@@ -27,12 +27,14 @@ def _load_factor(n_users, p: SystemParams):
     """Bandwidth-sharing factor (2^(n v/W) - 1) / n of ``n_users`` sharing the band.
 
     The same for every user of a drop; ``stpc_power`` is this times the
-    path-loss factor max(d/r0, 1)^alpha and a constant.
+    path-loss factor max(d/r0, 1)^alpha and a constant.  v/W is
+    ``derive_constants``' c2, formed here so that the Monte Carlo's
+    per-chunk load ratio needs no constants lookup.
     """
     n = np.asarray(n_users, dtype=float)
     if np.any(n < 1):
         raise ValueError("n_users must be >= 1")
-    bits = n * derive_constants(p).c2
+    bits = n * (p.user_rate / p.bandwidth_w)
     if np.any(bits > EXPONENT_GUARD_BITS):
         raise PowerOverflowError(
             f"per-cell load exponent {np.max(bits)} bits exceeds guard "
@@ -136,35 +138,39 @@ def bs_power(radius, density, p: SystemParams):
     return bs_power_x(radius * radius, density, p)
 
 
-def max_range_x(density, budget, p: SystemParams):
+def _lambert_x(qp, ratio: float, p: SystemParams):
+    """x = W(k ratio^(2/alpha)) / k, k = 2 qp / alpha: the root of
+    x^(alpha/2) e^(qp x) = ``ratio``, with qp = d3 pi lambda elementwise;
+    the high-spectrum-efficiency closed form of the stationary and the
+    budget points."""
+    k = 2.0 * qp / p.pathloss_exp
+    return lambert_w0(k * ratio ** (2.0 / p.pathloss_exp)) / k
+
+
+def max_range_x(density, budget: float, p: SystemParams):
     """Largest x = R^2 whose BS consumption stays within ``budget`` at ``density``.
 
-    Elementwise over densities and budgets, which broadcast against each
-    other.  Newton in log x on log Pt(x) = log target, seeded by the
-    high-spectrum-efficiency form (2^(D2 pi lambda x) - 1 replaced by its
-    exponential, solved with Lambert W), which lies below the root; log Pt
-    is convex and increasing in log x, so after the first step Newton
-    descends monotonically onto the root.
+    Elementwise over densities, for one budget.  Newton in log x on
+    log Pt(x) = log target, seeded by the high-spectrum-efficiency form
+    (2^(D2 pi lambda x) - 1 replaced by its exponential, ``_lambert_x``),
+    which lies below the root; log Pt is convex and increasing in log x,
+    so after the first step Newton descends monotonically onto the root.
     """
-    budget = np.asarray(budget, dtype=float)
-    budgets = budget.ravel().tolist()
-    if min(budgets) <= p.static_power:
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget!r}")
+    if budget <= p.static_power:
         raise InfeasibleBudgetError(
-            f"budget {min(budgets)} W does not exceed static power "
+            f"budget {budget} W does not exceed static power "
             f"{p.static_power} W")
     c = derive_constants(p)
     half_alpha = 0.5 * p.pathloss_exp
-    # per budget, in Python floats, so that every element of an array budget
-    # gets the bits of a scalar call
-    ratios = [(b - p.static_power) / (p.amp_scaling * c.d1) for b in budgets]
-    shape, (lam, log_ratio, scale) = as_arrays(density, *(
-        np.array(v).reshape(budget.shape)
-        for v in ([math.log(r) for r in ratios],
-                  [r ** (1.0 / half_alpha) for r in ratios])))
+    ratio = (budget - p.static_power) / (p.amp_scaling * c.d1)
+    log_ratio = math.log(ratio)
+    shape, (lam,) = as_arrays(density)
     if (lam <= 0.0).any():
         raise ValueError(f"density must be positive, got {lam.min()}")
 
-    def log_power(x, qp, log_ratio):
+    def log_power(x, qp):
         # log(Pt / target) and its slope in log x, with y = qp * x nats;
         # written with 1 - e^-y so that neither overflows
         y = qp * x
@@ -173,9 +179,7 @@ def max_range_x(density, budget, p: SystemParams):
                 half_alpha + y / em)
 
     qp = c.d3 * math.pi * lam
-    k = qp / half_alpha
-    seed = lambert_w0(k * scale) / k
-    x = newton_log(log_power, seed, qp, log_ratio)
+    x = newton_log(log_power, _lambert_x(qp, ratio, p), qp)
     return shaped(x, shape)
 
 

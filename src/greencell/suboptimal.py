@@ -4,10 +4,12 @@ without an on/off traffic cut-off.
 Range adaptation sets the policy above a cut-off density c: one fixed radius
 (FRw) or one consumption level (ARw), the least that meets the throughput
 floor.  On/off control sets c: 0 for the always-on schemes, the cheapest up
-to the family's feasibility edge for the OFC ones, which share one search.
-Each result is feasible and upper-bounds the optimal consumption.  A target
-above a family's throughput cap is rejected before any search; every root
-is found by ``numerics.bracketed_newton`` on exact derivatives.
+to the family's feasibility edge for the OFC ones, which share one edge
+search and one cut-off search.  Every tail integral above a cut-off runs on
+that cut-off's one rule.  Each result is feasible and upper-bounds the
+optimal consumption.  A target above a family's throughput cap is rejected
+before any search; every root is found by ``numerics.bracketed_newton`` on
+exact derivatives.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .metrics import PolicyMetrics
 from .numerics import as_arrays, bracketed_newton, gauss_legendre, shaped
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import conditional_expect  # noqa: F401
-from .optimal import InfeasibleError, cap_tail
+from .optimal import _check_target, cap_tail
 from .params import SystemParams, derive_constants
 from .scaling import bs_power, max_range_x
 from .traffic import DensityDistribution
@@ -66,11 +68,6 @@ class SchemeResult:
             out["fixed_power_w"] = self.fixed_power
         out.update(self.metrics.as_dict())
         return out
-
-
-def _check_target(u_avg: float) -> None:
-    if not (math.isfinite(u_avg) and u_avg > 0.0):
-        raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
 
 
 class _Cut(NamedTuple):
@@ -133,18 +130,36 @@ def _tail_rule(dist: DensityDistribution, cutoff: float, p: SystemParams):
         else gauss_legendre(dist, cutoff, dist.lambda_max)
 
 
-def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
-             p: SystemParams, rule=None) -> _Cut:
+def _edge(u_avg: float, dist: DensityDistribution, p: SystemParams,
+          at_cap) -> tuple:
+    """The largest cut-off c meeting the floor at the family's cap, by Newton
+    on U(c) - u_avg, with dU/dc = -pi c x(c) f(c); ``at_cap(c, rule)`` gives
+    (U, x(c), ...) at the cap on c's rule.  Returns c, its rule and
+    ``at_cap`` there, kept from the search when it evaluated c."""
+    m = dist.lambda_max
+    seen = {}
+
+    def gap(c: float) -> tuple:
+        rule = _tail_rule(dist, c, p)
+        seen[c] = rule, at = rule, at_cap(c, rule)
+        return at[0] - u_avg, -math.pi * c * at[1] * float(dist.pdf(c))
+
+    c = bracketed_newton(gap, 0.0, m, 0.5 * m, _CUT_TOL * m)
+    if c not in seen:  # the cut-off 0, unevaluated
+        gap(c)
+    return (c, *seen[c])
+
+
+def _frw_cut(rule, cutoff: float, u_avg: float, dist: DensityDistribution,
+             p: SystemParams) -> _Cut:
     """The smallest radius meeting the floor above a cut-off in [0, edge],
-    on one tail rule: ``rule`` when the caller has built it.
+    on the cut-off's tail rule.
 
     With x_f = u_avg / (pi T1(c)), T1 the tail first moment, dT1/dc =
     -c f(c) gives dx_f/dc = x_f c f(c) / T1, so J(c) = integral over
     [c, lambda_max] of P(x_f, lam) f + Ps F(c) has loss P(x_f, c) - Ps and
     gain c x_f / T1 times the tail integral of a Pt'(x_f, lam) f.
     """
-    if rule is None:
-        rule = _tail_rule(dist, cutoff, p)
     t1 = rule.integrate(rule.nodes)
     r_f = math.sqrt(u_avg / (math.pi * t1))
     while math.pi * r_f * r_f * t1 < u_avg:  # the root can round below
@@ -162,21 +177,13 @@ def _frw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
                 loss=bs_power(r_f, cutoff, p) - p.sleep_power)
 
 
-def _frw_reach(rule, x_cap: float) -> float:
-    """pi x_cap T1(c) on the tail rule of c, the most a radius within the cap
-    at lambda_max, where transmit power peaks, serves above the cut-off."""
-    return math.pi * x_cap * rule.integrate(rule.nodes)
-
-
 def _frw_x_cap(u_avg: float, dist: DensityDistribution,
                p: SystemParams) -> float:
-    """x_cap, or InfeasibleError past the FRw cap, the reach at c = 0."""
-    _check_target(u_avg)
+    """x_cap, the most x within the cap at lambda_max, where transmit power
+    peaks; the FRw cap is its reach at c = 0, pi x_cap T1(0)."""
     rule, xs = cap_tail(dist, p)
     x_cap = float(xs[-1])
-    cap = _frw_reach(rule, x_cap)
-    if cap < u_avg:
-        raise InfeasibleError(u_avg, cap)
+    _check_target(u_avg, math.pi * x_cap * rule.integrate(rule.nodes))
     return x_cap
 
 
@@ -184,23 +191,17 @@ def frw_ofc(u_avg: float, dist: DensityDistribution,
             p: SystemParams) -> SchemeResult:
     """Fixed radius with an on/off cut-off.
 
-    The edge is the cut-off whose reach is the target, by Newton; the
-    search's rule at the edge serves the point there.  h(0) = Ps - Pc, so a
+    At the edge the radius is x_cap's, whose reach pi x_cap T1(c) is the
+    target; the search's rule there serves the point.  h(0) = Ps - Pc, so a
     cut-off search runs only when sleeping saves power.
     """
     x_cap = _frw_x_cap(u_avg, dist, p)
-    m = dist.lambda_max
-    rules = {}
-
-    def gap(c: float) -> tuple:  # dT1/dc = -c f(c)
-        rules[c] = rule = _tail_rule(dist, c, p)
-        return (_frw_reach(rule, x_cap) - u_avg,
-                -math.pi * x_cap * c * float(dist.pdf(c)))
-
-    edge = bracketed_newton(gap, 0.0, m, 0.5 * m, _CUT_TOL * m)
-    best = _cheapest_cutoff(_frw_cut(edge, u_avg, dist, p, rules.get(edge)),
-                            lambda c, near: _frw_cut(c, u_avg, dist, p),
-                            p.sleep_power < p.static_power, m)
+    edge, rule, _ = _edge(u_avg, dist, p, lambda c, rule: (
+        math.pi * x_cap * rule.integrate(rule.nodes), x_cap))
+    best = _cheapest_cutoff(
+        _frw_cut(rule, edge, u_avg, dist, p),
+        lambda c, near: _frw_cut(_tail_rule(dist, c, p), c, u_avg, dist, p),
+        p.sleep_power < p.static_power, dist.lambda_max)
     return _result(FRW_OFC, best, dist, p)
 
 
@@ -208,26 +209,27 @@ def frw_oofc(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> SchemeResult:
     """Fixed radius, always on: the cut-off 0."""
     _frw_x_cap(u_avg, dist, p)
-    return _result(FRW_OOFC, _frw_cut(0.0, u_avg, dist, p), dist, p)
+    return _result(FRW_OOFC, _frw_cut(_tail_rule(dist, 0.0, p), 0.0, u_avg,
+                                      dist, p), dist, p)
 
 
 class _ArwTail(NamedTuple):
     """Tail integrals at one (cut-off c, level pf) pair; see ``_arw_tail``."""
 
     users: float  # U
-    level: float  # I
     x_cut: float  # x(c), 0 at c = 0
+    level: float  # I
 
 
-def _arw_tail(dist: DensityDistribution, cutoff: float, pf: float,
+def _arw_tail(rule, cutoff: float, pf: float, dist: DensityDistribution,
               p: SystemParams) -> _ArwTail:
-    """U, I and x(c) from one kernel call on the tail rule, or the cap tail.
+    """U, x(c) and I from one kernel call on the cut-off's tail rule, or
+    none on the cap tail.
 
     U = integral over [c, lambda_max] of pi lam x f, x = max_range_x(lam, pf);
     I = integral of lam x / (alpha/2 + y / (1 - e^-y)) f, y = d3 pi lam x.
     Then dU/dpf = pi I / (pf - Pc) and dU/dc = -pi c x(c) f(c).
     """
-    rule = _tail_rule(dist, cutoff, p)
     n = rule.nodes.size
     if cutoff == 0.0 and pf == p.max_bs_power:
         xs = cap_tail(dist, p)[1]
@@ -237,9 +239,9 @@ def _arw_tail(dist: DensityDistribution, cutoff: float, pf: float,
     x = xs[:n]
     y = derive_constants(p).d3 * math.pi * rule.nodes * x
     return _ArwTail(rule.integrate(math.pi * rule.nodes * x),
+                    float(xs[n]) if cutoff > 0.0 else 0.0,
                     rule.integrate(rule.nodes * x / (
-                        0.5 * p.pathloss_exp - y / np.expm1(-y))),
-                    float(xs[n]) if cutoff > 0.0 else 0.0)
+                        0.5 * p.pathloss_exp - y / np.expm1(-y))))
 
 
 def _arw_at(cutoff: float, pf: float, tail: _ArwTail,
@@ -257,27 +259,10 @@ def _arw_at(cutoff: float, pf: float, tail: _ArwTail,
 
 def _arw_top(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> _ArwTail:
-    """The cap tail, or InfeasibleError past its U, ``solve``'s bound."""
-    _check_target(u_avg)
-    top = _arw_tail(dist, 0.0, p.max_bs_power, p)
-    if top.users < u_avg:
-        raise InfeasibleError(u_avg, top.users)
+    """The cap tail, whose U is the ARw cap, ``solve``'s bound."""
+    top = _arw_tail(_tail_rule(dist, 0.0, p), 0.0, p.max_bs_power, dist, p)
+    _check_target(u_avg, top.users)
     return top
-
-
-def _arw_edge(u_avg: float, dist: DensityDistribution, p: SystemParams,
-              top: _ArwTail) -> _Cut:
-    """The largest cut-off meeting the floor at Pmax, by Newton."""
-    pmax, m = p.max_bs_power, dist.lambda_max
-    tails = {0.0: top}
-
-    def gap(c: float) -> tuple:
-        tails[c] = tail = _arw_tail(dist, c, pmax, p)
-        return tail.users - u_avg, \
-            -math.pi * c * tail.x_cut * float(dist.pdf(c))
-
-    c = bracketed_newton(gap, 0.0, m, 0.5 * m, _CUT_TOL * m)
-    return _arw_at(c, pmax, tails[c], dist, p)
 
 
 def _level_step(tail: _ArwTail, pf: float, u_avg: float,
@@ -298,22 +283,27 @@ def _arw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
     Newton from ``start``; Pmax meets it, the good end unevaluated.  Steps
     and tolerance are in pf, however close the level is to Pc."""
     pmax = p.max_bs_power
+    rule = _tail_rule(dist, cutoff, p)
     tails = {}
 
     def gap(pf: float) -> tuple:
-        tails[pf] = tail = _arw_tail(dist, cutoff, pf, p)
+        tails[pf] = tail = _arw_tail(rule, cutoff, pf, dist, p)
         return _level_step(tail, pf, u_avg, p)
 
     pf = bracketed_newton(gap, pmax, p.static_power, start, _LEVEL_TOL * pmax)
     return _arw_at(cutoff, pf, tails[pf] if pf in tails
-                   else _arw_tail(dist, cutoff, pf, p), dist, p)
+                   else _arw_tail(rule, cutoff, pf, dist, p), dist, p)
 
 
 def arw_ofc(u_avg: float, dist: DensityDistribution,
             p: SystemParams) -> SchemeResult:
     """Consumption pinned at one level when on, the range the largest it
     affords, with an on/off cut-off; h(0) = Ps - pf < 0."""
-    at_edge = _arw_edge(u_avg, dist, p, _arw_top(u_avg, dist, p))
+    _arw_top(u_avg, dist, p)
+    pmax = p.max_bs_power
+    edge, _, tail = _edge(u_avg, dist, p, lambda c, rule: _arw_tail(
+        rule, c, pmax, dist, p))
+    at_edge = _arw_at(edge, pmax, tail, dist, p)
 
     def point(cutoff: float, near: _Cut) -> _Cut:
         # near's level moved along dpf/dc = gain f(c) / (1 - F(c))

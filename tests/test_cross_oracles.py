@@ -1,10 +1,10 @@
 """Cross-oracles for the kernels, the thresholds and the Gauss-Legendre rule.
 
 The per-density kernels (Newton in log x) are checked against scalar
-bisection on their defining equations, scalar calls against array calls
-(array budgets included), the load-exponent thresholds against a scan and
-bisection of their defining functions, and the fixed quadrature rule
-against adaptive ``scipy.integrate.quad``.
+bisection on their defining equations, scalar calls against array calls,
+the load-exponent thresholds against a scan and bisection of their defining
+functions, and the fixed quadrature rule against adaptive
+``scipy.integrate.quad``.
 """
 
 import math
@@ -19,8 +19,7 @@ from greencell.numerics import expect, gauss_legendre, lambert_w0
 from greencell.optimal import (critical_densities, hse_x1, hse_x2,
                                lagrangian_x, subproblem, x1_star, x2_star)
 from greencell.params import SystemParams, derive_constants
-from greencell.scaling import (InfeasibleBudgetError, bs_power_x,
-                               max_range_x, transmit_power_x)
+from greencell.scaling import bs_power_x, max_range_x, transmit_power_x
 from greencell.traffic import from_table, triangular
 from oracles import bisect, grow_bracket
 
@@ -120,33 +119,6 @@ def test_scalar_and_array_calls_are_bit_identical(config):
                    for x, lam in zip(xs, DENSITIES)]
         np.testing.assert_array_equal(np.array(scalars),
                                       kernel(xs, DENSITIES), err_msg=name)
-
-
-@pytest.mark.parametrize("config", CONFIGS)
-def test_array_budget_matches_scalar_budget_calls(config):
-    p = _params(config)
-    budgets = np.linspace(p.static_power, p.max_bs_power, 9)[1:]
-    got = max_range_x(DENSITIES, budgets[:, None], p)
-    assert got.shape == (budgets.size, DENSITIES.size)
-    for row, budget in zip(got, budgets):
-        np.testing.assert_array_equal(
-            row, max_range_x(DENSITIES, float(budget), p))
-        np.testing.assert_array_equal(
-            row, [max_range_x(float(lam), float(budget), p)
-                  for lam in DENSITIES])
-    # one budget per density, no broadcasting
-    mixed = budgets[np.arange(DENSITIES.size) % budgets.size]
-    np.testing.assert_array_equal(
-        max_range_x(DENSITIES, mixed, p),
-        [max_range_x(float(lam), float(b), p)
-         for lam, b in zip(DENSITIES, mixed)])
-    one = max_range_x(float(DENSITIES[3]), float(budgets[2]), p)
-    assert type(one) is float
-    with pytest.raises(InfeasibleBudgetError):
-        max_range_x(DENSITIES, np.append(budgets, p.static_power)[:, None], p)
-    with pytest.raises(InfeasibleBudgetError):
-        max_range_x(1e-5, np.array([p.max_bs_power, p.static_power - 1.0]),
-                    p)
 
 
 # sign each threshold function takes past its root: L along x1* falls,

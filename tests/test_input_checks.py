@@ -20,7 +20,7 @@ DIST = triangular(1e-4)
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
-@pytest.mark.parametrize("u_avg", NON_FINITE)
+@pytest.mark.parametrize("u_avg", NON_FINITE + (0.0, -1.0))
 @pytest.mark.parametrize("func", [
     solve, suboptimal.frw_ofc, suboptimal.frw_oofc, suboptimal.arw_ofc,
     suboptimal.arw_oofc])

@@ -161,6 +161,9 @@ class TestMaxRange:
     def test_budget_below_static_rejected(self):
         with pytest.raises(InfeasibleBudgetError):
             max_range(1e-5, P.static_power, P)
+        for budget in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="budget"):
+                max_range(1e-5, budget, P)
 
 
 class TestThroughput:

@@ -372,9 +372,11 @@ def test_level_derivative_matches_central_differences(config):
     for frac in (0.2, 0.5, 0.9):
         pf = lowest + frac * (p.max_bs_power - lowest)
         cutoff = accurate_cutoff(pf, u, DIST, p)
-        tail = suboptimal._arw_tail(DIST, cutoff, pf, p)
-        du = (suboptimal._arw_tail(DIST, cutoff, pf + h, p).users
-              - suboptimal._arw_tail(DIST, cutoff, pf - h, p).users) / (2 * h)
+        rule = suboptimal._tail_rule(DIST, cutoff, p)
+        tail = suboptimal._arw_tail(rule, cutoff, pf, DIST, p)
+        du = (suboptimal._arw_tail(rule, cutoff, pf + h, DIST, p).users
+              - suboptimal._arw_tail(rule, cutoff, pf - h, DIST, p).users) \
+            / (2 * h)
         assert math.pi * tail.level / (pf - p.static_power) == \
             pytest.approx(du, rel=1e-6), frac
 
@@ -395,6 +397,11 @@ def _frw_edge(u_avg, dist, p):
     return lo, x_cap
 
 
+def _frw_cut(cutoff, u_avg, dist, p):
+    return suboptimal._frw_cut(suboptimal._tail_rule(dist, cutoff, p),
+                               cutoff, u_avg, dist, p)
+
+
 def _frw_cap(dist, p):
     return math.pi * max_range_x(dist.lambda_max, p.max_bs_power, p) \
         * expect(lambda lam: lam, dist)
@@ -404,9 +411,11 @@ def _family(family, u_avg, dist, p):
     """(edge, point at a cut-off) of one family at ``u_avg``."""
     if family == "frw":
         edge, _ = _frw_edge(u_avg, dist, p)
-        return edge, lambda c: suboptimal._frw_cut(c, u_avg, dist, p)
-    top = suboptimal._arw_top(u_avg, dist, p)
-    edge = suboptimal._arw_edge(u_avg, dist, p, top).cutoff
+        return edge, lambda c: _frw_cut(c, u_avg, dist, p)
+
+    def at_cap(c, rule):
+        return suboptimal._arw_tail(rule, c, p.max_bs_power, dist, p)
+    edge, _, _ = suboptimal._edge(u_avg, dist, p, at_cap)
     return edge, lambda c: suboptimal._arw_cut(c, u_avg, dist, p,
                                                p.max_bs_power)
 
@@ -482,7 +491,7 @@ def test_frw_ofc_matches_brents_minimum_of_the_cost(pc, alpha, frac, dist):
     edge, _ = _frw_edge(u, dist, p)
 
     def cost(c):
-        return suboptimal._frw_cut(c, u, dist, p).cost
+        return _frw_cut(c, u, dist, p).cost
     _, inner = minimize_bounded(cost, 0.0, edge, 1e-9 * dist.lambda_max)
     want = min(inner, cost(0.0), cost(edge))
     got = frw_ofc(u, dist, p).metrics.avg_power_w
@@ -514,9 +523,27 @@ def test_frw_ofc_builds_each_tail_rule_once(u_avg, monkeypatch):
     assert len(lows) == 6 and len(set(lows)) == 6
     assert res.cutoff == lows[-1]
     monkeypatch.undo()
-    fresh = suboptimal._frw_cut(res.cutoff, u_avg, dist, p)
+    fresh = _frw_cut(res.cutoff, u_avg, dist, p)
     assert (res.fixed_radius, res.metrics.avg_power_w,
             res.metrics.avg_users) == (fresh.radius, fresh.cost, fresh.users)
+
+
+@pytest.mark.parametrize("frac", (0.01, 0.05, 0.3))
+@pytest.mark.parametrize("config", CONFIGS)
+def test_arw_ofc_builds_each_tail_rule_once(config, frac, monkeypatch):
+    # the edge search and each level search build their cut-off's rule
+    # once and pass it to every tail evaluation there
+    p, dist = _context(config)
+    u = frac * max_achievable_throughput(dist, p)
+    lows = []
+
+    def counted(dist, lo, hi, breakpoints=()):
+        lows.append(lo)
+        return gauss_legendre(dist, lo, hi, breakpoints)
+
+    monkeypatch.setattr(suboptimal, "gauss_legendre", counted)
+    arw_ofc(u, dist, p)
+    assert lows and len(set(lows)) == len(lows)
 
 
 @pytest.mark.parametrize("u_avg", (20.0, 55.063, 58.705))
