@@ -57,12 +57,14 @@ def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
     """Root of g between ``good`` (g >= 0) and ``bad`` (g < 0), either order.
 
     ``fn(x)`` returns g(x) and its slope, or None for the secant through the
-    point evaluated before (after the first point, the midpoint).  Newton
+    point evaluated before (after the first point or an infinite g, the
+    midpoint); a zero slope also gives the midpoint.  Newton
     starts from ``x``; a point outside the bracket, which each evaluation
     shrinks, is replaced by its midpoint.  Steps aim ``tol / 2`` past the
     root into the good side, so the result is an evaluated point with
-    g >= 0 within about ``tol`` of the root, or the good end once the
-    bracket is narrower than ``tol`` or after 100 evaluations.
+    g >= 0 within about ``tol`` of the root, the first with g = 0, or the
+    good end once the bracket is narrower than ``tol`` or after 100
+    evaluations.
     """
     prev = None
     for _ in range(100):
@@ -74,9 +76,9 @@ def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
         good, bad = (x, bad) if g >= 0.0 else (good, x)
         if slope is None and prev is not None and x != prev[0]:
             slope = (g - prev[1]) / (x - prev[0])
-        prev = (x, g)
+        prev = (x, g) if math.isfinite(g) else None
         step = -g / slope if slope else math.nan
-        if abs(step) <= tol and g >= 0.0:
+        if g == 0.0 or (abs(step) <= tol and g >= 0.0):
             return x
         x += step + math.copysign(0.5 * tol, good - bad)
     return good
@@ -118,19 +120,25 @@ def newton_log(fn, x0: np.ndarray, *args: np.ndarray) -> np.ndarray:
     return x
 
 
+def _winitzki(y: np.ndarray) -> np.ndarray:
+    """Winitzki's approximation of W on an array y >= 0,
+    ln(1+y) (1 - ln(1+ln(1+y)) / (2+ln(1+y))): within 2% of W for every
+    y >= 0, and exact at 0."""
+    ln1 = np.log1p(y)
+    return ln1 * (1.0 - np.log1p(ln1) / (2.0 + ln1))
+
+
 def lambert_w0(y):
     """Principal-branch Lambert W on the nonnegative axis.
 
     Returns w >= 0 with w * exp(w) = y, elementwise for arrays.  Starts
-    from Winitzki's approximation ln(1+y) (1 - ln(1+ln(1+y)) / (2+ln(1+y))),
-    within 2% of W for every y >= 0; three Halley steps (cubic convergence)
-    then reach full double precision on [0, 1e300].
+    from Winitzki's approximation (``_winitzki``); three Halley steps
+    (cubic convergence) then reach full double precision on [0, 1e300].
     """
     shape, (y,) = as_arrays(y)
     if (y < 0.0).any():
         raise ValueError(f"lambert_w0 requires y >= 0, got {y.min()}")
-    ln1 = np.log1p(y)
-    w = ln1 * (1.0 - np.log1p(ln1) / (2.0 + ln1))
+    w = _winitzki(y)
     for _ in range(3):
         e = np.exp(w)
         f = w * e - y

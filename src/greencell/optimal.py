@@ -65,15 +65,19 @@ class CriticalDensities:
 
     @property
     def case_tag(self) -> str:
-        # relative tolerance avoids tag flip-flop at near-equality
-        if self.lambda2 == self.lambda1:
-            return CASE_A
-        return CASE_A if self.lambda2 >= self.lambda1 * (1.0 - 1e-9) else CASE_B
+        return _case_tag(self.lambda1, self.lambda2)
 
     @property
     def on_cutoff(self) -> float:
         """Density below which the BS stays off."""
         return self.lambda1 if self.case_tag == CASE_A else self.lambda3
+
+
+def _case_tag(lambda1: float, lambda2: float) -> str:
+    # relative tolerance avoids tag flip-flop at near-equality
+    if lambda2 == lambda1:
+        return CASE_A
+    return CASE_A if lambda2 >= lambda1 * (1.0 - 1e-9) else CASE_B
 
 
 def lagrangian_x(x, density, mu: float, p: SystemParams):
@@ -89,9 +93,10 @@ def x1_star(density, mu: float, p: SystemParams):
     Pt'(x) = d1 x^(alpha/2-1) e^y (alpha/2 (1 - e^-y) + y), y = D2 pi lambda
     x ln 2, vanishes as x -> 0+ for pathloss exponents above 2 and grows
     without bound, so Pt'(x) = mu pi lambda / a has exactly one root.  Its
-    logarithm is convex and increasing in log x; Newton there starts from
-    the closed form of ``hse_x1``, which drops the first term of Pt' and so
-    lies above the root, and descends monotonically onto it.
+    logarithm is convex and increasing in log x, so from any seed Newton's
+    first step there lands at or above the root and the steps after it
+    descend monotonically onto it.  The seed is the closed form of
+    ``hse_x1``, which drops the first term of Pt', with Winitzki's W.
     """
     shape, (lam,) = as_arrays(density)
     if (lam <= 0.0).any():
@@ -102,7 +107,8 @@ def x1_star(density, mu: float, p: SystemParams):
     qp = c.d3 * math.pi * lam
     log_rhs = np.log(mu * math.pi * lam / (p.amp_scaling * c.d1))
     x = newton_log(partial(_x1_log_slope, h=0.5 * p.pathloss_exp),
-                   _lambert_x(qp, mu / (p.amp_scaling * c.d1 * c.d3), p),
+                   _lambert_x(qp, mu / (p.amp_scaling * c.d1 * c.d3), p,
+                              seed=True),
                    qp, log_rhs)
     return shaped(x, shape)
 
@@ -241,7 +247,7 @@ def critical_densities(mu: float, p: SystemParams,
     roots = [0.0 if v < log_lo else math.inf if v > log_hi else math.exp(v)
              for v in log_lam]
     on_b = (math.exp(log_x3), -(1.0 + y3 / (h * e3)))
-    on = on_a if CriticalDensities(*roots).case_tag == CASE_A else on_b
+    on = on_a if _case_tag(roots[0], roots[1]) == CASE_A else on_b
     return CriticalDensities(*roots, *on)
 
 
@@ -325,7 +331,8 @@ class AdaptationPolicy:
             np.nextafter(inner, self.lambda_max)]))
         # np.unique would do, but its first call imports numpy.ma
         lams = lams[np.insert(lams[1:] != lams[:-1], 0, True)]
-        xs = _policy_x(lams, self.mu, self.criticals, self.params, self.mode)
+        xs, _ = _policy_x(lams, self.mu, self.criticals, self.params,
+                          self.mode)
         return lams, np.sqrt(xs), bs_power_x(xs, lams, self.params)
 
     @property
@@ -355,8 +362,9 @@ class AdaptationPolicy:
         ``powers``) is output only: this does not interpolate it.
         """
         shape, (lams,) = as_arrays(density)
-        return shaped(np.sqrt(_policy_x(lams, self.mu, self.criticals,
-                                        self.params, self.mode)), shape)
+        xs, _ = _policy_x(lams, self.mu, self.criticals, self.params,
+                          self.mode)
+        return shaped(np.sqrt(xs), shape)
 
     def rows(self):
         for lam, r, pw in zip(self.lambdas, self.radii, self.powers):
@@ -389,8 +397,9 @@ def _regimes(lams: np.ndarray, crits: CriticalDensities) -> tuple:
 
 
 def _policy_x(lams: np.ndarray, mu: float, crits: CriticalDensities,
-              p: SystemParams, mode: str = "exact") -> np.ndarray:
-    """x = R^2 of the policy with thresholds ``crits``, by regime.
+              p: SystemParams, mode: str = "exact") -> tuple:
+    """x = R^2 of the policy with thresholds ``crits``, by regime, and the
+    mask of the stationary densities in ``lams``.
 
     ``mode="hse"`` takes both points from their closed forms.
     """
@@ -401,7 +410,7 @@ def _policy_x(lams: np.ndarray, mu: float, crits: CriticalDensities,
         xs[stationary] = x1_fn(lams[stationary], mu, p)
     if capped.any():
         xs[capped] = x2_fn(lams[capped], p)
-    return xs
+    return xs, stationary
 
 
 POLICY_GRID = 2048  # uniform grid of a policy table
@@ -446,9 +455,9 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     rule = gauss_legendre(dist, 0.0, dist.lambda_max,
                           _breakpoints(crits, dist.lambda_max))
     lams = rule.nodes
-    x_all = _policy_x(np.append(lams, dist.lambda_max), mu, crits, p)
-    x = x_all[:-1]
-    stationary, _ = _regimes(lams, crits)
+    x_all, stationary = _policy_x(np.append(lams, dist.lambda_max), mu,
+                                  crits, p)
+    x, stationary = x_all[:-1], stationary[:-1]
     dx = np.zeros_like(x)
     if stationary.any():
         lam, xs = lams[stationary], x[stationary]
@@ -483,7 +492,8 @@ def max_achievable_throughput(dist: DensityDistribution,
     return rule.integrate(math.pi * rule.nodes * x[:-1])
 
 
-# the dual search stops within this fraction of its bracket's upper end
+# the dual search stops within this distance in log mu; a price below it
+# counts as 0
 DUAL_TOL = 1e-13
 
 
@@ -491,45 +501,63 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
           mode: str = "exact") -> Tuple[AdaptationPolicy, PolicyMetrics]:
     """Minimize long-term consumption subject to a long-term throughput floor.
 
-    The dual variable mu is bracketed by doubling from 1, then found by
-    Newton steps on g(mu) = throughput(mu) - ``u_avg`` with the exact
-    slope du/dmu of each dual evaluation (``_avg_throughput``), safeguarded
-    by the bracket (``bracketed_newton``) and starting from the bracket end
-    nearer the floor, to within ``DUAL_TOL`` times the bracket's upper end.
-    The result is an evaluated mu on the floor's satisfied side, so the
-    reported throughput is never below ``u_avg``.  When ``u_avg`` falls
-    inside a jump of the throughput-versus-mu curve, that is the nearest mu
-    above the jump, and its achieved throughput is reported in the metrics.
-    The thresholds, rule and x of that last satisfied evaluation give the
-    policy's thresholds and the reported metrics, so none is computed
-    twice and no kernel runs after the search (``_state_metrics``); the
-    returned policy builds its table only when it is read.
+    The dual variable mu is bracketed by doubling from 1 (a bracket below
+    1 reaches down to ``DUAL_TOL``), then found by Newton steps in
+    t = log mu on H(t) = log(cap - ``u_avg``) - log(cap - u(mu)), with cap
+    the feasibility bound (``max_achievable_throughput``).  Near the cap,
+    cap - u falls like a power of mu, so H is close to linear in t; at low
+    load H is close to (u - ``u_avg``) / (cap - ``u_avg``).  H >= 0 exactly
+    when u >= ``u_avg``, and its slope mu du/dmu / (cap - u) comes from the
+    exact du/dmu of each dual evaluation (``_avg_throughput``); where
+    u reaches the cap, or ``u_avg`` is the cap, H is infinite and carries
+    no slope.  The steps are safeguarded by the bracket (``bracketed_newton``)
+    and start from the bracket end nearer the floor, to within ``DUAL_TOL``
+    in log mu.  The result is an evaluated mu on the floor's satisfied
+    side, so the reported throughput is never below ``u_avg``.  When
+    ``u_avg`` falls inside a jump of the throughput-versus-mu curve, that
+    is the nearest mu above the jump, and its achieved throughput is
+    reported in the metrics.  The thresholds, rule and x of that last
+    satisfied evaluation give the policy's thresholds and the reported
+    metrics, so none is computed twice and no kernel runs after the search
+    (``_state_metrics``); the returned policy builds its table only when
+    it is read.
     """
-    _check_target(u_avg, max_achievable_throughput(dist, p))
-    satisfied = []  # (mu, state) of the latest evaluation with g >= 0
+    cap = max_achievable_throughput(dist, p)
+    _check_target(u_avg, cap)
+    satisfied = []  # (mu, state) of the latest evaluation with u >= u_avg
 
     def gap(mu: float) -> tuple:
+        """H, its slope in log mu, and u."""
         u, slope, state = _avg_throughput(mu, dist, p)
         if u >= u_avg:
             satisfied[:] = [mu, state]
-        return u - u_avg, slope
+        room = cap - u
+        if room > 0.0 and u_avg < cap:
+            # log1p keeps H's sign that of u - u_avg, whatever the rounding
+            return (math.log1p((u - u_avg) / room),
+                    None if slope is None else mu * slope / room, u)
+        # at the cap H is infinite, or 0 on the floor itself, with no slope
+        return (0.0 if u == u_avg else math.copysign(math.inf, u - u_avg),
+                0.0, u)
 
-    lo, g_lo, s_lo, hi = 0.0, -u_avg, 0.0, 1.0
-    g_hi, s_hi = gap(hi)
-    while g_hi < 0.0:
-        lo, g_lo, s_lo = hi, g_hi, s_hi
+    lo, h_lo, s_lo, hi = DUAL_TOL, -math.inf, 0.0, 1.0
+    h_hi, s_hi, u = gap(hi)
+    while h_hi < 0.0:
+        lo, h_lo, s_lo = hi, h_hi, s_hi
         hi *= 2.0
         if hi > 1e12:
-            raise InfeasibleError(u_avg, g_hi + u_avg)
-        g_hi, s_hi = gap(hi)
+            raise InfeasibleError(u_avg, u)
+        h_hi, s_hi, u = gap(hi)
     # the first step is Newton's from the end nearer the floor, else from
     # the other end; with neither inside, bracketed_newton halves
-    ends = sorted([(lo, g_lo, s_lo), (hi, g_hi, s_hi)],
+    t_lo, t_hi = math.log(lo), math.log(hi)
+    ends = sorted([(t_lo, h_lo, s_lo), (t_hi, h_hi, s_hi)],
                   key=lambda end: abs(end[1]))
-    starts = [end - g / s if s else math.nan for end, g, s in ends]
-    bracketed_newton(gap, hi, lo, next((x for x in starts if lo < x < hi),
-                                       math.nan), DUAL_TOL * hi)
-    # its result is its good end, the latest evaluated mu with g >= 0
+    starts = [t - h / s if s else math.nan for t, h, s in ends]
+    bracketed_newton(lambda t: gap(math.exp(t))[:2], t_hi, t_lo,
+                     next((t for t in starts if t_lo < t < t_hi), math.nan),
+                     DUAL_TOL)
+    # its result is its good end, the latest evaluated mu with H >= 0
     mu, state = satisfied
     policy = AdaptationPolicy(mu, state[0], mode, dist.lambda_max, p) \
         if mode == "exact" else policy_for_mu(mu, p, dist.lambda_max, mode)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .numerics import as_arrays, lambert_w0, newton_log, shaped
+from .numerics import _winitzki, as_arrays, lambert_w0, newton_log, shaped
 from .params import SystemParams, derive_constants
 
 _LN2 = math.log(2.0)
@@ -138,13 +138,15 @@ def bs_power(radius, density, p: SystemParams):
     return bs_power_x(radius * radius, density, p)
 
 
-def _lambert_x(qp, ratio: float, p: SystemParams):
+def _lambert_x(qp, ratio: float, p: SystemParams, seed: bool = False):
     """x = W(k ratio^(2/alpha)) / k, k = 2 qp / alpha: the root of
     x^(alpha/2) e^(qp x) = ``ratio``, with qp = d3 pi lambda elementwise;
     the high-spectrum-efficiency closed form of the stationary and the
-    budget points."""
+    budget points.  A ``seed`` for Newton takes W from Winitzki's start,
+    within 2%, without ``lambert_w0``'s Halley steps."""
     k = 2.0 * qp / p.pathloss_exp
-    return lambert_w0(k * ratio ** (2.0 / p.pathloss_exp)) / k
+    y = k * ratio ** (2.0 / p.pathloss_exp)
+    return (_winitzki(y) if seed else lambert_w0(y)) / k
 
 
 def max_range_x(density, budget: float, p: SystemParams):
@@ -152,9 +154,10 @@ def max_range_x(density, budget: float, p: SystemParams):
 
     Elementwise over densities, for one budget.  Newton in log x on
     log Pt(x) = log target, seeded by the high-spectrum-efficiency form
-    (2^(D2 pi lambda x) - 1 replaced by its exponential, ``_lambert_x``),
-    which lies below the root; log Pt is convex and increasing in log x,
-    so after the first step Newton descends monotonically onto the root.
+    (2^(D2 pi lambda x) - 1 replaced by its exponential, ``_lambert_x``
+    with Winitzki's W); log Pt is convex and increasing in log x, so from
+    any seed Newton's first step lands at or above the root and the
+    steps after it descend monotonically onto the root.
     """
     if not math.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget!r}")
@@ -179,7 +182,7 @@ def max_range_x(density, budget: float, p: SystemParams):
                 half_alpha + y / em)
 
     qp = c.d3 * math.pi * lam
-    x = newton_log(log_power, _lambert_x(qp, ratio, p), qp)
+    x = newton_log(log_power, _lambert_x(qp, ratio, p, seed=True), qp)
     return shaped(x, shape)
 
 

@@ -1,10 +1,14 @@
 """The dual search: exact du/dmu, evaluation counts, last-evaluation metrics."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
 
-from greencell import cli, optimal
+from greencell import cli, optimal, scaling
 from greencell.metrics import evaluate
 from greencell.optimal import (CASE_A, CASE_B, critical_densities,
                                max_achievable_throughput, solve)
@@ -71,9 +75,9 @@ def test_slope_in_both_cases(static, case, dist_name):
     assert err <= 1e-6
 
 
-def test_dual_evaluations_per_solve(monkeypatch):
-    # 1% to 99% of the cap: before the exact slope these took 12.1
-    # evaluations on average and 21 at most
+@pytest.fixture
+def dual_evals(monkeypatch):
+    """Dual evaluations per solve: append 0 before each solve."""
     counts = []
     real = optimal._avg_throughput
 
@@ -82,6 +86,13 @@ def test_dual_evaluations_per_solve(monkeypatch):
         return real(mu, dist, p)
 
     monkeypatch.setattr(optimal, "_avg_throughput", counting)
+    return counts
+
+
+def test_dual_evaluations_per_solve(dual_evals):
+    # 1% to 99% of the cap: before the exact slope these took 12.1
+    # evaluations on average and 21 at most
+    counts = dual_evals
     for static in (20.0, 60.0, 120.0):
         p = SystemParams(static_power=static)
         cap = max_achievable_throughput(TRI, p)
@@ -104,3 +115,72 @@ def test_metrics_are_those_of_the_final_evaluation(config, fraction):
     for field, value in reported.as_dict().items():
         assert value == pytest.approx(getattr(want, field), rel=1e-12), field
     assert pol.criticals == critical_densities(pol.mu, p, dist.lambda_max)
+
+
+def test_dual_evaluations_on_the_grid(dual_evals):
+    # Newton on u(mu) - u took 562 evaluations on these 72 solves, 11 at
+    # most; in log mu on log(cap - u) they take 500, 9 at most
+    for config in ("configs/baseline.json", "configs/low_static.cfg"):
+        p0, tri = cli._build_context(cli._load_config(config))
+        for dist in (tri, TABLE):
+            for static in (20.0, 60.0, 120.0):
+                p = dataclasses.replace(p0, static_power=static)
+                cap = max_achievable_throughput(dist, p)
+                for fraction in (0.01, 0.05, 0.2, 0.6, 0.9, 0.99):
+                    dual_evals.append(0)
+                    _, m = solve(fraction * cap, dist, p)
+                    assert m.avg_users >= fraction * cap
+    assert sum(dual_evals) <= 500
+    assert max(dual_evals) <= 9
+
+
+# Newton on u(mu) - u took 54 and 53 evaluations at these targets on
+# baseline.json, 52 and 16 on low_static.cfg.  A target exactly at the cap
+# now stops at the first evaluation that meets it exactly.  Just below the
+# cap on baseline.json the target falls inside the jump of u where the
+# switch-on cut-off leaves THRESHOLD_BAND; the search halves down to it,
+# to DUAL_TOL in log mu, in 55.
+@pytest.mark.parametrize("config,fraction,most", [
+    ("configs/baseline.json", 1.0, 14),
+    ("configs/baseline.json", 1.0 - 1e-15, 55),
+    ("configs/low_static.cfg", 1.0, 14),
+    ("configs/low_static.cfg", 1.0 - 1e-15, 16),
+])
+def test_target_at_the_cap(config, fraction, most, dual_evals, monkeypatch):
+    seen = []  # what the search is given: H and its slope
+    real = optimal.bracketed_newton
+
+    def recording(fn, good, bad, x, tol):
+        def logged(t):
+            seen.append(fn(t))
+            return seen[-1]
+        return real(logged, good, bad, x, tol)
+
+    monkeypatch.setattr(optimal, "bracketed_newton", recording)
+    p, dist = cli._build_context(cli._load_config(config))
+    u_avg = fraction * max_achievable_throughput(dist, p)
+    dual_evals.append(0)
+    pol, m = solve(u_avg, dist, p)
+    assert dual_evals[0] <= most
+    assert not any(math.isnan(v) for pair in seen for v in pair
+                   if v is not None)
+    assert math.isfinite(pol.mu)
+    assert all(math.isfinite(v) for v in m.as_dict().values())
+    assert np.isfinite(pol.radii).all() and np.isfinite(pol.powers).all()
+    assert m.avg_users >= u_avg
+
+
+def test_exact_solve_needs_no_lambert_w(monkeypatch):
+    # the kernels' Newton seeds take Winitzki's start for W; only the
+    # closed forms of hse mode call lambert_w0
+    calls = []
+    real = scaling.lambert_w0
+    monkeypatch.setattr(scaling, "lambert_w0",
+                        lambda y: calls.append(1) or real(y))
+    p = SystemParams(static_power=60.0)
+    cap = max_achievable_throughput(TRI, p)
+    for fraction in (0.05, 0.5, 0.95):
+        solve(fraction * cap, TRI, p)
+    assert not calls
+    solve(0.5 * cap, TRI, p, mode="hse")
+    assert calls

@@ -1,14 +1,16 @@
 import math
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, strategies as st
 from scipy import optimize
 
-from greencell import numerics
+from greencell import numerics, optimal, scaling
 from greencell.numerics import (NonFiniteIntegrandError, bracketed_newton,
                                 conditional_expect, expect, lambert_w0)
 from oracles import (Bracket, NoSignChangeError, bisect, grow_bracket,
@@ -42,6 +44,76 @@ class TestLambertW:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             lambert_w0(-1.0)
+
+
+@given(st.floats(0.0, 1e300))
+@example(0.0)
+@example(5e-324)
+@example(math.e)
+@example(1e300)
+def test_winitzki_start_is_within_two_percent(y):
+    # the start of lambert_w0 and the kernels' Newton seeds
+    w = lambert_w0(y)
+    assert abs(numerics._winitzki(np.array([y]))[0] - w) <= 0.02 * w
+
+
+class TestKernelSeeds:
+    """Newton steps of the per-density kernels from Winitzki's W against
+    full-precision W, per density on a grid."""
+
+    LAMS = np.geomspace(1e-8, 1e-4, 41)
+
+    @staticmethod
+    def _steps(monkeypatch, kernel_calls, exact_w):
+        real = numerics.newton_log
+        steps = []
+
+        def counting(fn, x0, *args):
+            steps.append(0)
+
+            def counted(*a):
+                steps[-1] += 1
+                return fn(*a)
+            return real(counted, x0, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(optimal, "newton_log", counting)
+            m.setattr(scaling, "newton_log", counting)
+            if exact_w:
+                m.setattr(scaling, "_winitzki", lambert_w0)
+            xs = [call() for call in kernel_calls]
+        return np.array(steps), np.array(xs)
+
+    def _compare(self, monkeypatch, kernel_calls):
+        new, x_new = self._steps(monkeypatch, kernel_calls, False)
+        old, x_old = self._steps(monkeypatch, kernel_calls, True)
+        np.testing.assert_allclose(x_new, x_old, rtol=1e-14)
+        assert new.max() <= 4
+        return new, old
+
+    @staticmethod
+    def _params():
+        for static, alpha in product((20.0, 60.0, 120.0), (3.0, 3.7)):
+            yield SystemParams(static_power=static, pathloss_exp=alpha)
+
+    def test_x1_star_takes_no_more_steps(self, monkeypatch):
+        calls = [lambda lam=float(lam), mu=float(mu), p=p: x1_star(lam, mu, p)
+                 for p in self._params() for lam in self.LAMS
+                 for mu in np.geomspace(1.0, 1e4, 13)]
+        new, old = self._compare(monkeypatch, calls)
+        assert (new <= old).all()
+
+    def test_max_range_x_takes_at_most_one_more_step(self, monkeypatch):
+        # 11 of these 1,476 points take a fourth step where full-precision
+        # W took 3, all with alpha = 3 and load exponents of 2.8 to 3.1 nats
+        calls = [lambda lam=float(lam), p=p, f=f: scaling.max_range_x(
+                     lam, p.static_power + f * (p.max_bs_power - p.static_power),
+                     p)
+                 for p in self._params() for lam in self.LAMS
+                 for f in (0.01, 0.1, 0.3, 0.6, 0.9, 1.0)]
+        new, old = self._compare(monkeypatch, calls)
+        assert (new <= old + 1).all()
+        assert (new > old).sum() <= 11
 
 
 class TestBisect:
@@ -117,6 +189,23 @@ class TestBracketedNewton:
         root = bracketed_newton(fn, 0.0, 1.0, 0.9, 1e-9)
         assert 0.3 - 1e-9 <= root < 0.3
         assert len(calls) <= 35
+
+    def test_infinite_value_takes_no_secant(self):
+        # a secant through an infinite g has an infinite slope, and so a
+        # zero step that would end the search at 0.2
+        g = lambda x: math.inf if x < 0.1 else 0.3 - x
+        fn, calls = self._logged(g)
+        root = bracketed_newton(fn, 0.0, 0.35, 0.05, 1e-9)
+        assert 0.3 - 1e-9 <= root <= 0.3
+        assert calls[1] == pytest.approx(0.2)
+        assert all(math.isfinite(x) for x in calls)
+
+    def test_exact_root_ends_the_search(self):
+        # a zero slope gives no step; g = 0 is a root all the same
+        fn, calls = self._logged(lambda x: 0.0 if x >= 0.25 else -1.0,
+                                 lambda x: 0.0)
+        assert bracketed_newton(fn, 1.0, 0.0, 0.5, 1e-12) == 0.5
+        assert calls == [0.5]
 
 
 class TestMinimizeBounded:
