@@ -10,6 +10,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -230,18 +231,14 @@ def _parse_schemes(raw: str) -> List[str]:
 
 def _scheme_row(name: str, u_avg: float, dist, params) -> dict:
     """One policy's row at ``u_avg``: its metrics, and for the four schemes
-    the cut-off, radius and level; an infeasible row has neither.  ``_emit``
-    projects it onto the command's fields."""
+    the rest of ``SchemeResult.summary()``; an infeasible row has neither.
+    ``_emit`` projects it onto the command's fields."""
     row = {"scheme": name, "u_avg": u_avg, "feasible": True}
     try:
         if name == "optimal":
-            _, metrics = optimal.solve(u_avg, dist, params)
+            row.update(optimal.solve(u_avg, dist, params)[1].as_dict())
         else:
-            res = _SCHEME_FUNCS[name](u_avg, dist, params)
-            row.update(cutoff=res.cutoff, fixed_radius_m=res.fixed_radius,
-                       fixed_power_w=res.fixed_power)
-            metrics = res.metrics
-        row.update(metrics.as_dict())
+            row.update(_SCHEME_FUNCS[name](u_avg, dist, params).summary())
     except optimal.InfeasibleError:
         row["feasible"] = False
     return row
@@ -275,6 +272,7 @@ def cmd_schemes(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="greencell",
                      description="Energy-optimal cell range and power "
@@ -296,14 +294,12 @@ def _build_parser() -> _Parser:
                     help="comma-separated user densities [1/m^2]")
     vs.add_argument("--trials", type=int, default=100_000)
     vs.add_argument("--seed", type=int, default=1234)
-    vs.set_defaults(func=cmd_validate_scaling)
 
     sv = sub.add_parser("solve", help="solve for the optimal adaptation policy")
     common(sv)
     sv.add_argument("--u-avg", type=_finite_float, required=True,
                     help="required long-term average supported users")
     sv.add_argument("--mode", choices=("exact", "hse"), default="exact")
-    sv.set_defaults(func=cmd_solve)
 
     sw = sub.add_parser("sweep",
                         help="average power versus throughput for several policies")
@@ -311,21 +307,19 @@ def _build_parser() -> _Parser:
     sw.add_argument("--u-avg", required=True,
                     help="comma-separated throughput targets")
     sw.add_argument("--schemes", default=",".join(_DEFAULT_SCHEMES))
-    sw.set_defaults(func=cmd_sweep)
 
     sc = sub.add_parser("schemes",
                         help="run all four reduced-complexity schemes at one target")
     common(sc)
     sc.add_argument("--u-avg", type=_finite_float, required=True)
-    sc.set_defaults(func=cmd_schemes)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        # looked up per call, so that a rebound cmd_* global takes effect
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -134,8 +134,8 @@ def subproblem(density, mu: float, p: SystemParams):
     """Pointwise minimizer of the per-density Lagrangian over x >= 0.
 
     Returns the interior stationary point when it is admissible and beats
-    switching off, the power-capped point when the stationary one violates
-    the cap, and 0 otherwise.  Elementwise over densities.
+    switching off (L = Ps), the power-capped point when the stationary one
+    violates the cap, and 0 otherwise.  Elementwise over densities.
     """
     shape, (lam,) = as_arrays(density)
     out = np.zeros_like(lam)
@@ -146,7 +146,8 @@ def subproblem(density, mu: float, p: SystemParams):
         capped = bs_power_x(x, lam, p) > p.max_bs_power
         if capped.any():
             x[capped] = x2_star(lam[capped], p)
-        out[on] = np.where(lagrangian_x(x, lam, mu, p) < 0.0, x, 0.0)
+        out[on] = np.where(lagrangian_x(x, lam, mu, p) < p.sleep_power,
+                           x, 0.0)
     return shaped(out, shape)
 
 
@@ -163,13 +164,15 @@ def critical_densities(mu: float, p: SystemParams,
     On the stationary curve dP/dx = mu pi lambda, with load exponent
     y = d3 pi lambda x (nats), h = alpha/2 and E = 1 - e^-y,
     a d1 x^h = mu y e^-y / (d3 (hE + y)), so a Pt = mu y E / (d3 (hE + y)),
-    and lambda = y / (d3 pi x) rises with y.  lambda1 (L = 0) solves
-    y - yE/(hE + y) = d3 Pc / mu; lambda2 (P = Pmax) solves
+    and lambda = y / (d3 pi x) rises with y.  The BS switches on where L
+    falls below the sleep power Ps.  lambda1 (L = Ps) solves
+    y - yE/(hE + y) = d3 (Pc - Ps) / mu; lambda2 (P = Pmax) solves
     yE/(hE + y) = d3 (Pmax - Pc) / mu, and is inf once the right side
     reaches 1.  Both left sides rise with y; each is solved by Newton in
     log y (``bracketed_newton``, on Python floats) inside a bracket from
-    its asymptotes.  lambda3 (P = Pmax and L = 0 on the capped curve) is
-    closed form: y3 = d3 Pmax / mu, and a d1 x^h (e^y3 - 1) = Pmax - Pc.
+    its asymptotes.  lambda3 (P = Pmax and L = Ps on the capped curve) is
+    closed form: y3 = d3 (Pmax - Ps) / mu, and
+    a d1 x^h (e^y3 - 1) = Pmax - Pc.
 
     The result also carries what the dual slope needs at the switch-on
     cut-off (lambda1 in case A, lambda3 in case B): x just above it and
@@ -182,7 +185,7 @@ def critical_densities(mu: float, p: SystemParams,
         raise ValueError(f"mu must be positive, got {mu}")
     c = derive_constants(p)
     h = 0.5 * p.pathloss_exp
-    pc, pmax = p.static_power, p.max_bs_power
+    pc, pmax, ps = p.static_power, p.max_bs_power, p.sleep_power
 
     def log_load(s, cap, log_r):
         # log of either left side at y = e^s minus log_r, and its slope in
@@ -219,13 +222,13 @@ def critical_densities(mu: float, p: SystemParams,
         return (math.log(mu * y / (p.amp_scaling * c.d1 * c.d3)) - y
                 - math.log(h * -math.expm1(-y) + y))
 
-    # right sides d3 Pc / mu, d3 (Pmax - Pc) / mu; the left sides lie
+    # right sides d3 (Pc - Ps) / mu, d3 (Pmax - Pc) / mu; the left sides lie
     # between y h/(h+1) or y - 1 and y (lambda1), and between
     # y/(h+1+y) and y/(h+1) or y/(h+y) (lambda2), which bracket each root
-    r1, r2 = c.d3 * pc / mu, c.d3 * (pmax - pc) / mu
+    r1, r2 = c.d3 * (pc - ps) / mu, c.d3 * (pmax - pc) / mu
     log_lam = [-math.inf, math.inf]  # lambda1 = 0, lambda2 = inf unless solved
     on_a = (0.0, 0.0)
-    if r1 > 0.0:  # else Pc = 0 and the BS is always on
+    if r1 > 0.0:  # else Pc = Ps and the BS is always on
         y, slope = solve_log_y(False, r1, min(r1 * (h + 1.0) / h, r1 + 1.0),
                                r1)
         e = -math.expm1(-y)
@@ -238,7 +241,7 @@ def critical_densities(mu: float, p: SystemParams,
         y, _ = solve_log_y(True, r2, max(r2 * (h + 1.0), h * r2 / (1.0 - r2)),
                            r2 * (h + 1.0) / (1.0 - r2))
         log_lam[1] = math.log(y / (c.d3 * math.pi)) - h_log_x(y) / h
-    y3 = c.d3 * pmax / mu
+    y3 = c.d3 * (pmax - ps) / mu
     e3 = -math.expm1(-y3)
     log_x3 = (math.log((pmax - pc) / (p.amp_scaling * c.d1)) - y3
               - math.log(e3)) / h
@@ -286,11 +289,13 @@ def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
         raise ValueError(f"mu must be positive, got {mu}")
     c = derive_constants(p)
     alpha = p.pathloss_exp
-    pc = p.static_power
-    pt_max = (p.max_bs_power - pc) / p.amp_scaling
-    lam1 = ((1.0 / (math.pi * c.d3) + pc / (mu * math.pi))
+    pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
+    # the BS switches on where L falls below the sleep power
+    on_pc = p.static_power - p.sleep_power
+    on_pmax = p.max_bs_power - p.sleep_power
+    lam1 = ((1.0 / (math.pi * c.d3) + on_pc / (mu * math.pi))
             * (p.amp_scaling * c.d1 * c.d3 / mu) ** (2.0 / alpha)
-            * math.exp(2.0 / alpha + 2.0 * c.d3 * pc / (mu * alpha)))
+            * math.exp(2.0 / alpha + 2.0 * c.d3 * on_pc / (mu * alpha)))
     denom = mu - c.d3 * pt_max * p.amp_scaling
     if denom > 0.0:
         lam2 = (alpha * p.amp_scaling * pt_max / (2.0 * math.pi * denom)
@@ -298,9 +303,9 @@ def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
                 * math.exp(c.d3 * pt_max * p.amp_scaling / denom))
     else:
         lam2 = math.inf
-    lam3 = (p.max_bs_power / (mu * math.pi)
+    lam3 = (on_pmax / (mu * math.pi)
             * (c.d1 / pt_max) ** (2.0 / alpha)
-            * math.exp(2.0 * c.d3 * p.max_bs_power / (mu * alpha)))
+            * math.exp(2.0 * c.d3 * on_pmax / (mu * alpha)))
     return CriticalDensities(lambda1=lam1, lambda2=lam2, lambda3=lam3)
 
 
@@ -522,6 +527,8 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     (``_state_metrics``); the returned policy builds its table only when
     it is read.
     """
+    if mode not in ("exact", "hse"):
+        raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
     cap = max_achievable_throughput(dist, p)
     _check_target(u_avg, cap)
     satisfied = []  # (mu, state) of the latest evaluation with u >= u_avg

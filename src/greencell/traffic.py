@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,7 +16,8 @@ class DensityDistribution:
 
     ``pdf``/``cdf``/``ppf`` are vectorized callables; ``breakpoints`` are the
     pdf's interior kinks, used as quadrature split points.  ``table_sha256``
-    identifies the normalized table of a ``from_table`` density.
+    identifies the normalized table of a ``from_table`` density; it is None
+    for ``triangular``, whose kind and ``lambda_max`` fix its three knots.
     Immutable; the sampler takes an explicit RNG owned by the caller.
     """
 
@@ -40,38 +41,14 @@ class DensityDistribution:
 
 
 def triangular(lambda_max: float) -> DensityDistribution:
-    """Symmetric triangular density on [0, lambda_max], peak 2/lambda_max at the midpoint."""
+    """Symmetric triangular density on [0, lambda_max], peak 2/lambda_max at
+    the midpoint: the three-knot table of ``from_table``."""
     if not (np.isfinite(lambda_max) and lambda_max > 0.0):
         raise ValueError(
             f"lambda_max must be finite and positive, got {lambda_max}")
     m = lambda_max
-    half = 0.5 * m
-
-    def pdf(lam):
-        lam = np.asarray(lam, dtype=float)
-        up = 4.0 * lam / m ** 2
-        down = 4.0 / m - 4.0 * lam / m ** 2
-        out = np.where(lam <= half, up, down)
-        out = np.where((lam < 0.0) | (lam > m), 0.0, out)
-        return out if out.ndim else float(out)
-
-    def cdf(lam):
-        lam = np.asarray(lam, dtype=float)
-        lo = 2.0 * lam ** 2 / m ** 2
-        hi = 1.0 - 2.0 * (m - lam) ** 2 / m ** 2
-        out = np.where(lam <= half, lo, hi)
-        out = np.clip(np.where(lam < 0.0, 0.0, np.where(lam > m, 1.0, out)), 0.0, 1.0)
-        return out if out.ndim else float(out)
-
-    def ppf(u):
-        u = np.asarray(u, dtype=float)
-        lo = m * np.sqrt(np.maximum(u, 0.0) / 2.0)
-        hi = m - m * np.sqrt(np.maximum(1.0 - u, 0.0) / 2.0)
-        out = np.where(u <= 0.5, lo, hi)
-        return out if out.ndim else float(out)
-
-    return DensityDistribution(lambda_max=m, kind="triangular",
-                               pdf=pdf, cdf=cdf, ppf=ppf, breakpoints=(half,))
+    return replace(from_table([0.0, 0.5 * m, m], [0.0, 1.0, 0.0]),
+                   kind="triangular", table_sha256=None)
 
 
 def from_table(lams: Sequence[float], weights: Sequence[float]) -> DensityDistribution:

@@ -164,7 +164,31 @@ class TestSchemesCommand:
             ["ARwOFC", "ARwoOFC", "FRwOFC", "FRwoOFC"]
         assert all(r["feasible"] for r in rows)
 
+    def test_rows_are_the_scheme_summaries(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"static_power": 60}))
+        params, dist = cli._build_context(cli._load_config(str(cfg)))
+        code, out, _ = run(capsys, "schemes", "--u-avg", "60",
+                           "--config", str(cfg), "--format", "json")
+        assert code == EXIT_OK
+        for row in json.loads(out)["rows"]:
+            want = cli._SCHEME_FUNCS[row["scheme"]](60.0, dist,
+                                                    params).summary()
+            # a family's unused knob is missing from its summary: null here
+            assert {k: v for k, v in row.items() if v is not None} == \
+                dict(want, u_avg=60.0, feasible=True)
+
 
 def test_bad_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "solve", "--no-such-flag")
     assert code == EXIT_USAGE
+
+
+def test_parser_built_once_and_handler_looked_up_per_call(capsys,
+                                                          monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate_scaling",
+                        lambda args: seen.append(args.trials) or EXIT_OK)
+    assert main(["validate-scaling", "--trials", "3"]) == EXIT_OK
+    assert seen == [3]

@@ -16,6 +16,9 @@ from greencell.traffic import triangular
 P = SystemParams()          # static power 120 W
 P140 = SystemParams(static_power=140.0)
 P60 = SystemParams(static_power=60.0)
+# with a sleep power: the BS switches on where the Lagrangian falls below it
+P60_SLEEP = SystemParams(static_power=60.0, sleep_power=40.0)
+P140_SLEEP = SystemParams(static_power=140.0, sleep_power=100.0)
 LAMBDA_MAX = 1e-4
 DIST = triangular(LAMBDA_MAX)
 
@@ -81,6 +84,22 @@ class TestSubproblem:
             for x in candidates:
                 assert l_opt <= lagrangian_x(float(x), lam, mu, P) + 1e-8
 
+    @pytest.mark.parametrize("p", [P60_SLEEP, P140_SLEEP])
+    @pytest.mark.parametrize("mu", [0.8, 1.05, 2.0])
+    def test_sleep_power_oracle(self, p, mu):
+        # off costs the sleep power; a dense grid of x on (0, cap] and the
+        # off state bound the minimum from above, and the BS is on exactly
+        # above the switch-on cut-off of the thresholds
+        cut = critical_densities(mu, p, LAMBDA_MAX).on_cutoff
+        for lam in np.geomspace(1e-7, 1e-4, 40).tolist():
+            x_opt = subproblem(lam, mu, p)
+            grid = np.append(0.0, np.geomspace(1e-6, 1.0, 4000)
+                             * x2_star(lam, p))
+            assert lagrangian_x(x_opt, lam, mu, p) <= \
+                lagrangian_x(grid, lam, mu, p).min() + 1e-8
+            if abs(lam - cut) > 1e-9 * cut:
+                assert (x_opt > 0.0) == (lam > cut), lam
+
 
 class TestCriticalDensities:
     def test_first_benchmark_ordering(self):
@@ -122,6 +141,22 @@ class TestCriticalDensities:
         lam = 0.9 * lam_thr
         for x in np.geomspace(1e-3, 1e8, 200):
             assert lagrangian_x(float(x), lam, mu, P) > 0.0
+
+    @pytest.mark.parametrize("pc,ps,pmax", [(60.0, 20.0, 160.0),
+                                            (140.0, 100.0, 160.0)])
+    @pytest.mark.parametrize("mu", [0.5, 1.05, 3.0])
+    def test_sleep_power_shifts_the_reference(self, pc, ps, pmax, mu):
+        # switching on compares with the off state, so only Pc - Ps and
+        # Pmax - Ps enter the thresholds (exact here: the powers are whole)
+        p = SystemParams(static_power=pc, sleep_power=ps, max_bs_power=pmax)
+        q = SystemParams(static_power=pc - ps, max_bs_power=pmax - ps)
+        assert critical_densities(mu, p, LAMBDA_MAX) == \
+            critical_densities(mu, q, LAMBDA_MAX)
+        assert hse_critical_densities(mu, p) == hse_critical_densities(mu, q)
+        assert critical_densities(mu, p, LAMBDA_MAX) != \
+            critical_densities(mu, SystemParams(static_power=pc,
+                                                max_bs_power=pmax),
+                               LAMBDA_MAX)
 
     def test_decreasing_in_dual_price(self):
         a = critical_densities(1.0, P, LAMBDA_MAX)
@@ -247,6 +282,17 @@ class TestSolve:
                                                  None, real(mu, dist, p)[2]))
         pol, _ = solve(50.0, DIST, P)
         assert jump <= pol.mu <= jump * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("mode", ["HSE", "", "closed-form"])
+    def test_bad_mode_raises_before_any_dual_evaluation(self, monkeypatch,
+                                                       mode):
+        calls = []
+        real = optimal._avg_throughput
+        monkeypatch.setattr(optimal, "_avg_throughput",
+                            lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(ValueError, match="mode"):
+            solve(30.0, DIST, P, mode=mode)
+        assert calls == []
 
     def test_infeasible_reports_ceiling(self):
         cap = max_achievable_throughput(DIST, P)

@@ -42,6 +42,46 @@ class TestTriangular:
             triangular(0.0)
 
 
+# triangular is the three-knot table (0, m/2, m) x (0, 1, 0); these are the
+# closed forms of that density, and the tolerances are the largest
+# differences measured on the inputs below
+TAILS = np.geomspace(1e-15, 1e-3, 25)
+
+
+@pytest.mark.parametrize("m", np.geomspace(1e-7, 123.0, 11).tolist())
+class TestTriangularClosedForms:
+    def test_pdf(self, m):
+        lam = np.concatenate([np.linspace(0.0, m, 257), m * TAILS,
+                              m * (1.0 - TAILS), [-m, 2.0 * m]])
+        want = np.where(lam <= 0.5 * m, 4.0 * lam / m ** 2,
+                        4.0 / m - 4.0 * lam / m ** 2)
+        want[(lam < 0.0) | (lam > m)] = 0.0
+        np.testing.assert_allclose(triangular(m).pdf(lam), want, rtol=0.0,
+                                   atol=4.3e-16 * 2.0 / m)
+
+    def test_cdf(self, m):
+        lam = np.concatenate([np.linspace(0.0, m, 257), m * TAILS,
+                              m * (1.0 - TAILS)])
+        want = np.where(lam <= 0.5 * m, 2.0 * lam ** 2 / m ** 2,
+                        1.0 - 2.0 * (m - lam) ** 2 / m ** 2)
+        np.testing.assert_allclose(triangular(m).cdf(lam), want, rtol=0.0,
+                                   atol=np.finfo(float).eps)
+        assert triangular(m).cdf([-m, 2.0 * m]).tolist() == [0.0, 1.0]
+
+    def test_ppf(self, m):
+        u = np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAILS])
+        want = np.where(u <= 0.5, m * np.sqrt(u / 2.0),
+                        m - m * np.sqrt((1.0 - u) / 2.0))
+        np.testing.assert_allclose(triangular(m).ppf(u), want, rtol=0.0,
+                                   atol=5.9e-16 * m)
+
+    def test_knots_and_description(self, m):
+        dist = triangular(m)
+        assert dist.breakpoints == (0.5 * m,)
+        assert dist.describe() == {"kind": "triangular", "lambda_max": m}
+        assert isinstance(dist.pdf(0.3 * m), float)
+
+
 class TestSampling:
     def setup_method(self):
         self.m = 1e-4
