@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import __version__, mcsim, optimal, scaling, suboptimal
-from .params import InvalidParameterError, SystemParams, params_from_mapping
+from .params import (InvalidParameterError, SystemParams, config_float,
+                     params_from_mapping)
 from .traffic import DensityDistribution, from_csv, triangular
 
 EXIT_OK = 0
@@ -87,9 +88,15 @@ def _build_context(config: dict):
     params = params_from_mapping(
         {k: v for k, v in config.items() if k not in _DIST_KEYS})
     if "density_csv" in dist_cfg:
-        dist = from_csv(dist_cfg["density_csv"])
+        path = dist_cfg["density_csv"]
+        if not isinstance(path, str):
+            # open() would take an int as a file descriptor
+            raise InvalidParameterError(
+                f"density_csv must be a path, got {path!r}")
+        dist = from_csv(path)
     else:
-        dist = triangular(float(dist_cfg.get("lambda_max", 1e-4)))
+        dist = triangular(
+            config_float("lambda_max", dist_cfg.get("lambda_max", 1e-4)))
     return params, dist
 
 

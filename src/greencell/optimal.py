@@ -52,32 +52,25 @@ def _check_target(u_avg: float, cap: float) -> None:
 class CriticalDensities:
     """Density thresholds separating off / stationary / power-capped regimes.
 
-    Values outside ``THRESHOLD_BAND`` * lambda_max are reported as 0 or inf.
+    The same three numbers in both modes.  ``critical_densities`` reports
+    a threshold outside ``THRESHOLD_BAND`` * lambda_max as 0 or inf;
+    ``hse_critical_densities`` reports its closed forms as they are.
     """
 
     lambda1: float
     lambda2: float
     lambda3: float
-    # x = R^2 just above the switch-on cut-off, and d log(cut-off) / d log mu;
-    # set by ``critical_densities`` (0 where the cut-off is 0 or not solved)
-    on_x: float = 0.0
-    on_elasticity: float = 0.0
 
     @property
     def case_tag(self) -> str:
-        return _case_tag(self.lambda1, self.lambda2)
+        # relative tolerance avoids tag flip-flop at near-equality
+        return CASE_A if self.lambda2 >= self.lambda1 * (1.0 - 1e-9) \
+            else CASE_B
 
     @property
     def on_cutoff(self) -> float:
         """Density below which the BS stays off."""
         return self.lambda1 if self.case_tag == CASE_A else self.lambda3
-
-
-def _case_tag(lambda1: float, lambda2: float) -> str:
-    # relative tolerance avoids tag flip-flop at near-equality
-    if lambda2 == lambda1:
-        return CASE_A
-    return CASE_A if lambda2 >= lambda1 * (1.0 - 1e-9) else CASE_B
 
 
 def lagrangian_x(x, density, mu: float, p: SystemParams):
@@ -151,7 +144,8 @@ def subproblem(density, mu: float, p: SystemParams):
     return shaped(out, shape)
 
 
-# thresholds below / above this band, times lambda_max, are reported as 0 / inf
+# exact thresholds below / above this band, times lambda_max, are reported
+# as 0 / inf
 THRESHOLD_BAND = (1e-6, 1e3)
 # threshold roots stop within this distance in log y
 THRESHOLD_TOL = 1e-14
@@ -172,14 +166,8 @@ def critical_densities(mu: float, p: SystemParams,
     log y (``bracketed_newton``, on Python floats) inside a bracket from
     its asymptotes.  lambda3 (P = Pmax and L = Ps on the capped curve) is
     closed form: y3 = d3 (Pmax - Ps) / mu, and
-    a d1 x^h (e^y3 - 1) = Pmax - Pc.
-
-    The result also carries what the dual slope needs at the switch-on
-    cut-off (lambda1 in case A, lambda3 in case B): x just above it and
-    its elasticity in mu.  With q = d log y1 / d log mu = -1 / (the log-y
-    slope of lambda1's equation), d log lambda1 / d log mu =
-    q (1 - (1 - y - y (h e^-y + 1) / (hE + y)) / h) - 1/h, and
-    d log lambda3 / d log mu = -(1 + y3 / (h E3)).
+    a d1 x^h (e^y3 - 1) = Pmax - Pc.  Roots outside ``THRESHOLD_BAND``
+    are reported as 0 or inf.
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -201,57 +189,47 @@ def critical_densities(mu: float, p: SystemParams,
         return s + math.log1p(-em / t) - log_r, 1.0 + y / t * (w / (t - em))
 
     def solve_log_y(cap, r, seed, other):
-        # y at the root and the slope there; Newton starts from the seed,
-        # which lies above the root for lambda1 and below it for lambda2
+        # y at the root; Newton starts from the seed, which lies above the
+        # root for lambda1 and below it for lambda2
         log_r = math.log(r)
         s0 = math.log(seed)
         g0, slope0 = log_load(s0, cap, log_r)
         if (g0 >= 0.0) == cap:  # on the wrong side by rounding: at the root
-            return seed, slope0
+            return seed
         good, bad = (math.log(other), s0) if cap else (s0, math.log(other))
         # the first step, aimed past the root as ``bracketed_newton`` aims
         # its own, so that a seed at the root does not fall back to halving
-        s = bracketed_newton(
+        return math.exp(bracketed_newton(
             lambda v: log_load(v, cap, log_r), good, bad,
             s0 - g0 / slope0 + math.copysign(0.5 * THRESHOLD_TOL, good - bad),
-            THRESHOLD_TOL)
-        return math.exp(s), log_load(s, cap, log_r)[1]
+            THRESHOLD_TOL))
 
-    def h_log_x(y):
-        # h log x on the stationary curve at load exponent y
-        return (math.log(mu * y / (p.amp_scaling * c.d1 * c.d3)) - y
-                - math.log(h * -math.expm1(-y) + y))
+    def log_lambda(y):
+        # log lambda on the stationary curve at load exponent y
+        h_log_x = (math.log(mu * y / (p.amp_scaling * c.d1 * c.d3)) - y
+                   - math.log(h * -math.expm1(-y) + y))
+        return math.log(y / (c.d3 * math.pi)) - h_log_x / h
 
     # right sides d3 (Pc - Ps) / mu, d3 (Pmax - Pc) / mu; the left sides lie
     # between y h/(h+1) or y - 1 and y (lambda1), and between
     # y/(h+1+y) and y/(h+1) or y/(h+y) (lambda2), which bracket each root
     r1, r2 = c.d3 * (pc - ps) / mu, c.d3 * (pmax - pc) / mu
     log_lam = [-math.inf, math.inf]  # lambda1 = 0, lambda2 = inf unless solved
-    on_a = (0.0, 0.0)
     if r1 > 0.0:  # else Pc = Ps and the BS is always on
-        y, slope = solve_log_y(False, r1, min(r1 * (h + 1.0) / h, r1 + 1.0),
-                               r1)
-        e = -math.expm1(-y)
-        log_x = h_log_x(y) / h
-        log_lam[0] = math.log(y / (c.d3 * math.pi)) - log_x
-        on_a = (math.exp(log_x),
-                -(1.0 - (1.0 - y - y * (h * math.exp(-y) + 1.0)
-                         / (h * e + y)) / h) / slope - 1.0 / h)
+        log_lam[0] = log_lambda(solve_log_y(
+            False, r1, min(r1 * (h + 1.0) / h, r1 + 1.0), r1))
     if r2 < 1.0:  # else the stationary point never reaches the cap
-        y, _ = solve_log_y(True, r2, max(r2 * (h + 1.0), h * r2 / (1.0 - r2)),
-                           r2 * (h + 1.0) / (1.0 - r2))
-        log_lam[1] = math.log(y / (c.d3 * math.pi)) - h_log_x(y) / h
+        log_lam[1] = log_lambda(solve_log_y(
+            True, r2, max(r2 * (h + 1.0), h * r2 / (1.0 - r2)),
+            r2 * (h + 1.0) / (1.0 - r2)))
     y3 = c.d3 * (pmax - ps) / mu
-    e3 = -math.expm1(-y3)
     log_x3 = (math.log((pmax - pc) / (p.amp_scaling * c.d1)) - y3
-              - math.log(e3)) / h
+              - math.log(-math.expm1(-y3))) / h
     log_lam.append(math.log(y3 / (c.d3 * math.pi)) - log_x3)
     log_lo, log_hi = (math.log(f * lambda_max) for f in THRESHOLD_BAND)
-    roots = [0.0 if v < log_lo else math.inf if v > log_hi else math.exp(v)
-             for v in log_lam]
-    on_b = (math.exp(log_x3), -(1.0 + y3 / (h * e3)))
-    on = on_a if _case_tag(roots[0], roots[1]) == CASE_A else on_b
-    return CriticalDensities(*roots, *on)
+    return CriticalDensities(*(
+        0.0 if v < log_lo else math.inf if v > log_hi else math.exp(v)
+        for v in log_lam))
 
 
 # --- closed forms under the high-spectrum-efficiency approximation ---------
@@ -448,32 +426,40 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     u is the long-term throughput E[pi lambda x] of the exact policy at
     ``mu``; the state is (thresholds, the rule split at them, x at its
     nodes and then at lambda_max), from which ``solve`` reports the metrics
-    of its final mu; x at lambda_max rides on the one kernel call and
-    enters neither u nor the slope.  The slope has two terms.  On the
-    stationary segment x1* solves log Pt'(x) = log(mu pi lambda / (a d1)),
-    so dx1*/dmu = x1* / (mu s), with s the log-x slope of the left side at
-    x1*; the capped point does not move with mu.  The switch-on cut-off
-    lambda_on moves, which adds -pi lambda_on x(lambda_on+) f(lambda_on)
-    dlambda_on/dmu.  x is continuous at lambda2, which adds nothing.
+    of its final mu.  x at lambda_max, and x just above the switch-on
+    cut-off lambda_on when 0 < lambda_on < lambda_max, ride on the one
+    kernel call.  The slope has two terms.  On the stationary segment x1*
+    solves log Pt'(x) = log(mu pi lambda / (a d1)), so dx1*/dmu =
+    x1* / (mu s), with s the log-x slope of the left side at x1*; the
+    capped point does not move with mu.  The cut-off moves, which adds
+    -pi lambda_on x(lambda_on+) f(lambda_on) dlambda_on/dmu.  There L = Ps,
+    and either dL/dx = 0 (case A) or x is the capped point (case B), so in
+    both cases d log lambda_on / d log mu = -(1 + y / (h E)), with
+    y = d3 pi lambda_on x(lambda_on+), h = alpha/2 and E = 1 - e^-y, and
+    the term is (y / d3) (1 + y / (h E)) f(lambda_on) lambda_on / mu.
+    x is continuous at lambda2, which adds nothing.
     """
-    crits = critical_densities(mu, p, dist.lambda_max)
-    rule = gauss_legendre(dist, 0.0, dist.lambda_max,
-                          _breakpoints(crits, dist.lambda_max))
+    m = dist.lambda_max
+    crits = critical_densities(mu, p, m)
+    rule = gauss_legendre(dist, 0.0, m, _breakpoints(crits, m))
     lams = rule.nodes
-    x_all, stationary = _policy_x(np.append(lams, dist.lambda_max), mu,
-                                  crits, p)
-    x, stationary = x_all[:-1], stationary[:-1]
+    n = lams.size
+    cut = crits.on_cutoff
+    inside = 0.0 < cut < m
+    ends = [m, np.nextafter(cut, m)] if inside else [m]
+    x_ends, stationary = _policy_x(np.append(lams, ends), mu, crits, p)
+    x_all, x, stationary = x_ends[:n + 1], x_ends[:n], stationary[:n]
+    d3, h = derive_constants(p).d3, 0.5 * p.pathloss_exp
     dx = np.zeros_like(x)
     if stationary.any():
         lam, xs = lams[stationary], x[stationary]
-        _, s = _x1_log_slope(xs, derive_constants(p).d3 * math.pi * lam, 0.0,
-                             0.5 * p.pathloss_exp)
+        _, s = _x1_log_slope(xs, d3 * math.pi * lam, 0.0, h)
         dx[stationary] = xs / (mu * s)
     slope = rule.integrate(math.pi * lams * dx)
-    cut = crits.on_cutoff
-    if 0.0 < cut < dist.lambda_max:
-        slope -= (math.pi * cut * crits.on_x * dist.pdf(cut)
-                  * crits.on_elasticity * cut / mu)
+    if inside:
+        y = d3 * math.pi * cut * float(x_ends[-1])
+        slope += (y / d3 * (1.0 + y / (h * -math.expm1(-y))) * dist.pdf(cut)
+                  * cut / mu)
     return rule.integrate(math.pi * lams * x), slope, (crits, rule, x_all)
 
 

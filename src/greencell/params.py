@@ -89,11 +89,27 @@ _DB_ALTERNATES = {
 _FIELD_NAMES = {f.name for f in fields(SystemParams)}
 
 
+def config_float(key: str, raw) -> float:
+    """A configuration value as a float, from a number or a string.
+
+    A JSON config can also give a bool, which float() would read as 0 or 1,
+    a null, a list or an object; each of these, and a string that is not a
+    number, raises ``InvalidParameterError`` naming the key.
+    """
+    if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (ValueError, OverflowError):
+            pass
+    raise InvalidParameterError(f"{key} must be a number, got {raw!r}")
+
+
 def params_from_mapping(mapping: dict) -> SystemParams:
     """Build ``SystemParams`` from a flat key/value mapping.
 
     Accepts every field name plus the ``noise_psd_dbm`` / ``ref_pathloss_db``
-    alternates, which are converted to linear units here.  Unknown keys raise
+    alternates, which are converted to linear units here.  Unknown keys and
+    values that are not numbers (``config_float``) raise
     ``InvalidParameterError`` naming the key.
     """
     resolved: dict = {}
@@ -103,12 +119,13 @@ def params_from_mapping(mapping: dict) -> SystemParams:
             if field in resolved:
                 raise InvalidParameterError(
                     f"both {field} and {key} given in configuration")
-            resolved[field] = conv(float(raw))
+            resolved[field] = conv(config_float(key, raw))
         elif key in _FIELD_NAMES:
             if key in resolved:
                 raise InvalidParameterError(
                     f"both {key} and its dB alternate given in configuration")
-            value = float(raw)  # a fraction reaches SystemParams' check
+            # a fraction reaches SystemParams' check
+            value = config_float(key, raw)
             integral = key == "coding_blocks" and value.is_integer()
             resolved[key] = int(value) if integral else value
         else:

@@ -98,15 +98,28 @@ def from_table(lams: Sequence[float], weights: Sequence[float]) -> DensityDistri
             cum[k] + t * (dens[k] + 0.5 * slope[k] * t), 0.0, 1.0))
         return out if out.ndim else float(out)
 
+    # ppf's cumulative at the knots, with 1 at lambda_max: 1 - u, exact
+    # near 1, is then the mass above the root in the last cell, however
+    # the cumulative's last sum rounds
+    ppf_cum = np.append(cum[:-1], 1.0)
+
     def ppf(u):
-        # root of cum + dens t + slope t^2/2 = u, stable as slope or dens -> 0
-        u = np.clip(np.asarray(u, dtype=float), 0.0, cum[-1])
-        k = cell(cum, u)
-        v = u - cum[k]
-        d = dens[k]
-        root = d + np.sqrt(np.maximum(d * d + 2.0 * slope[k] * v, 0.0))
-        t = np.divide(2.0 * v, root, out=np.zeros_like(v), where=root > 0.0)
-        out = lams[k] + np.clip(t, 0.0, width[k])
+        # distance t from the knot nearer u in cumulative, as the root of
+        # ppf_cum[k] + dens[k] t + slope t^2/2 = u or
+        # ppf_cum[k+1] - dens[k+1] t + slope t^2/2 = u, in a form stable as
+        # slope or dens -> 0; from the left knot alone the root cancels
+        # where the pdf falls to 0 at the right knot
+        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+        k = cell(ppf_cum, u)
+        v, w = u - ppf_cum[k], ppf_cum[k + 1] - u
+        right = w < v
+        d = np.where(right, dens[k + 1], dens[k])
+        r = np.where(right, w, v)
+        root = d + np.sqrt(np.maximum(
+            d * d + 2.0 * np.where(right, -slope[k], slope[k]) * r, 0.0))
+        t = np.clip(np.divide(2.0 * r, root, out=np.zeros_like(r),
+                              where=root > 0.0), 0.0, width[k])
+        out = np.where(right, lams[k + 1] - t, lams[k] + t)
         return out if out.ndim else float(out)
 
     digest = hashlib.sha256(np.concatenate([lams, dens]).tobytes()).hexdigest()

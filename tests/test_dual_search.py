@@ -53,15 +53,20 @@ def _slope_error(static, sleep, alpha, dist_name, fraction):
             _smooth_between(mu - h, mu + h, dist, p))
 
 
-@given(static=st.floats(20.0, 155.0), sleep=st.sampled_from([0.0, 5.0]),
+@given(static=st.floats(20.0, 155.0), sleep_share=st.floats(0.0, 0.95),
        alpha=st.sampled_from([3.0, 3.7]),
        dist_name=st.sampled_from(sorted(DISTS)),
        fraction=st.floats(0.02, 0.95))
-@example(static=155.0, sleep=5.0, alpha=3.0, dist_name="table", fraction=0.5)
-def test_slope_matches_central_differences(static, sleep, alpha, dist_name,
-                                           fraction):
-    case, err, smooth = _slope_error(static, sleep, alpha, dist_name,
-                                     fraction)
+@example(static=155.0, sleep_share=5.0 / 155.0, alpha=3.0, dist_name="table",
+         fraction=0.5)
+# case B with Ps = 70 W: the switch-on cut-off is lambda3, inside the support
+@example(static=140.0, sleep_share=0.5, alpha=3.0, dist_name="triangular",
+         fraction=0.3)
+def test_slope_matches_central_differences(static, sleep_share, alpha,
+                                           dist_name, fraction):
+    # the sleep power is a share of the static power, so any Ps <= Pc
+    case, err, smooth = _slope_error(static, sleep_share * static, alpha,
+                                     dist_name, fraction)
     assume(smooth)
     event(case)
     assert err <= 1e-6

@@ -277,6 +277,25 @@ def test_json_config_rejects_fractional_coding_blocks(tmp_path, capsys):
     assert p.coding_blocks == 2 and isinstance(p.coding_blocks, int)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("static_power", None), ("static_power", [1]), ("static_power", True),
+    ("static_power", {"w": 120}), ("static_power", "abc"),
+    ("noise_psd_dbm", False), ("lambda_max", None), ("lambda_max", True),
+    # open() would read an int as a file descriptor: 0 is stdin
+    ("density_csv", 0), ("density_csv", ["table.csv"]),
+])
+def test_json_config_values_are_type_checked(tmp_path, capsys, key, value):
+    # a parameter or lambda_max is a number or a string, a density_csv a
+    # string
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error:") and key in captured.err
+    assert captured.out == ""
+
+
 def test_density_csv_row_without_a_weight_is_an_error(tmp_path, capsys):
     table = tmp_path / "short.csv"
     table.write_text("lambda,weight\n0,1\n1e-5\n1e-4,1\n")

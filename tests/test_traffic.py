@@ -69,7 +69,8 @@ class TestTriangularClosedForms:
         assert triangular(m).cdf([-m, 2.0 * m]).tolist() == [0.0, 1.0]
 
     def test_ppf(self, m):
-        u = np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAILS])
+        u = np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAILS,
+                            1.0 - TAILS])
         want = np.where(u <= 0.5, m * np.sqrt(u / 2.0),
                         m - m * np.sqrt((1.0 - u) / 2.0))
         np.testing.assert_allclose(triangular(m).ppf(u), want, rtol=0.0,
@@ -80,6 +81,24 @@ class TestTriangularClosedForms:
         assert dist.breakpoints == (0.5 * m,)
         assert dist.describe() == {"kind": "triangular", "lambda_max": m}
         assert isinstance(dist.pdf(0.3 * m), float)
+
+
+# the trapezoid sum of the last knot rounds below 1 for 17 of these supports
+SUPPORTS = np.geomspace(1e-7, 123.0, 60).tolist()
+
+
+def test_ppf_reaches_lambda_max():
+    assert [triangular(m).ppf(1.0) for m in SUPPORTS] == SUPPORTS
+
+
+@pytest.mark.parametrize("tail", [1e-6, 1e-9, 1e-12, 2.0 ** -53])
+def test_ppf_near_one_is_the_closed_form(tail):
+    # solved from lambda_max, where the pdf falls to 0; the tolerance is the
+    # largest difference measured on these inputs, which is none
+    u = 1.0 - tail
+    got = [triangular(m).ppf(u) for m in SUPPORTS]
+    want = [m - m * np.sqrt((1.0 - u) / 2.0) for m in SUPPORTS]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=0.0)
 
 
 class TestSampling:
