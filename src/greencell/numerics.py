@@ -177,20 +177,16 @@ class QuadratureRule:
 
 
 def _piece_edges(a: float, b: float) -> list:
-    """Left ends of the pieces of [a, b], graded geometrically toward 0.
+    """Left ends of the pieces of [a, b]: a, then the rungs b * r^k above a,
+    k = GRADING_LEVELS..1, of one ladder graded geometrically toward 0.
 
     Integrands here behave like powers of the density near 0 (the
-    power-capped range grows like lambda^(-2/(alpha+2))).  A segment from 0
-    is split at b * r^k, k = 1..GRADING_LEVELS; any other one into equal
-    geometric pieces whose ends differ by a factor of at most 1/r.  On such
-    a piece the rule converges geometrically, and the first piece from 0 is
-    too short (b * r^8) to matter.
+    power-capped range grows like lambda^(-2/(alpha+2))).  On a piece whose
+    ends differ by a factor of at most 1/r the rule converges geometrically,
+    and a first piece from below b * r^8 is too short to matter.
     """
-    if a <= 0.0:
-        return [a] + [b * GRADING_RATIO ** k
-                      for k in range(GRADING_LEVELS, 0, -1)]
-    m = max(1, math.ceil(math.log(b / a) / -math.log(GRADING_RATIO)))
-    return [a * (b / a) ** (i / m) for i in range(m)]
+    return [a] + [e for e in (b * GRADING_RATIO ** k
+                              for k in range(GRADING_LEVELS, 0, -1)) if e > a]
 
 
 def gauss_legendre(dist, lo: float, hi: float,

@@ -259,32 +259,28 @@ def hse_x2(density, p: SystemParams):
 def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
     """Closed-form threshold densities; each strictly decreasing in mu.
 
-    The middle threshold's closed form requires mu > d3 * (Pmax - Pc);
-    otherwise its denominator is nonpositive and the value is reported
-    as inf.
+    Each is formed in logs, and is inf above e^709.78, where it would
+    overflow; lambda2's also needs mu > d3 (Pmax - Pc), and is inf otherwise.
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     c = derive_constants(p)
-    alpha = p.pathloss_exp
+    k = 2.0 / p.pathloss_exp
     pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
     # the BS switches on where L falls below the sleep power
     on_pc = p.static_power - p.sleep_power
     on_pmax = p.max_bs_power - p.sleep_power
-    lam1 = ((1.0 / (math.pi * c.d3) + on_pc / (mu * math.pi))
-            * (p.amp_scaling * c.d1 * c.d3 / mu) ** (2.0 / alpha)
-            * math.exp(2.0 / alpha + 2.0 * c.d3 * on_pc / (mu * alpha)))
+    log_scale = k * math.log(p.amp_scaling * c.d1 * c.d3 / mu)
     denom = mu - c.d3 * pt_max * p.amp_scaling
-    if denom > 0.0:
-        lam2 = (alpha * p.amp_scaling * pt_max / (2.0 * math.pi * denom)
-                * (p.amp_scaling * c.d1 * c.d3 / mu) ** (2.0 / alpha)
-                * math.exp(c.d3 * pt_max * p.amp_scaling / denom))
-    else:
-        lam2 = math.inf
-    lam3 = (on_pmax / (mu * math.pi)
-            * (c.d1 / pt_max) ** (2.0 / alpha)
-            * math.exp(2.0 * c.d3 * on_pmax / (mu * alpha)))
-    return CriticalDensities(lambda1=lam1, lambda2=lam2, lambda3=lam3)
+    log_lam = (
+        math.log(1.0 / (math.pi * c.d3) + on_pc / (mu * math.pi))
+        + log_scale + k + k * c.d3 * on_pc / mu,
+        math.log(p.amp_scaling * pt_max / (k * math.pi * denom)) + log_scale
+        + c.d3 * pt_max * p.amp_scaling / denom if denom > 0.0 else math.inf,
+        math.log(on_pmax / (mu * math.pi)) + k * math.log(c.d1 / pt_max)
+        + k * c.d3 * on_pmax / mu)
+    return CriticalDensities(*(
+        math.exp(v) if v < 709.78 else math.inf for v in log_lam))
 
 
 # --- policy tabulation and the outer dual search ----------------------------
@@ -554,31 +550,28 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     mu, state = satisfied
     policy = AdaptationPolicy(mu, state[0], mode, dist.lambda_max, p) \
         if mode == "exact" else policy_for_mu(mu, p, dist.lambda_max, mode)
-    return policy, _state_metrics(state, policy, dist, p)
+    return policy, _state_metrics(state, policy, p)
 
 
 def _state_metrics(state: tuple, policy: AdaptationPolicy,
-                   dist: DensityDistribution,
                    p: SystemParams) -> PolicyMetrics:
     """Metrics of ``policy`` from the state of ``solve``'s last evaluation.
 
-    The averages integrate the exact policy's x on the state's rule (ROADMAP
-    known defect: in hse mode too).  The on-probability is the pdf mass
-    above ``policy``'s cut-off.  Along the exact policy consumption rises
-    with the density, so its peak is the consumption at lambda_max, from
-    the state's last x (Ps when the policy is off there).  The hse peak is
-    the largest consumption in its table, whose grid holds each threshold
-    and the density just above: ``hse_x2`` overshoots the cap, so the rise
-    is not assured there.
+    The averages and the on-probability (the mass of the nodes served, as
+    ``metrics.evaluate`` sums it) integrate the exact policy's x on the
+    state's rule (ROADMAP known defect: in hse mode too).  Along the exact
+    policy consumption rises with the density, so its peak is the
+    consumption at lambda_max, from the state's last x (Ps when the policy
+    is off there).  The hse peak is the largest consumption in its table,
+    whose grid holds each threshold and the density just above: ``hse_x2``
+    overshoots the cap, so the rise is not assured there.
     """
     _, rule, x_all = state
     x = x_all[:-1]
-    m = dist.lambda_max
-    cut = min(policy.criticals.on_cutoff, m)
-    peak = bs_power_x(x_all[-1], m, p) if policy.mode == "exact" \
-        else float(policy.powers.max())
+    peak = bs_power_x(x_all[-1], policy.lambda_max, p) \
+        if policy.mode == "exact" else float(policy.powers.max())
     return PolicyMetrics(
         avg_power_w=rule.integrate(bs_power_x(x, rule.nodes, p)),
         avg_users=rule.integrate(math.pi * rule.nodes * x),
-        on_probability=1.0 - float(dist.cdf(cut)),
+        on_probability=min(rule.integrate(x > 0.0), 1.0),
         peak_bs_power_w=peak)

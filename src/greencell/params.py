@@ -108,9 +108,9 @@ def params_from_mapping(mapping: dict) -> SystemParams:
     """Build ``SystemParams`` from a flat key/value mapping.
 
     Accepts every field name plus the ``noise_psd_dbm`` / ``ref_pathloss_db``
-    alternates, which are converted to linear units here.  Unknown keys and
-    values that are not numbers (``config_float``) raise
-    ``InvalidParameterError`` naming the key.
+    alternates, which are converted to linear units here.  Unknown keys,
+    values that are not numbers (``config_float``) and dB values whose
+    linear value overflows raise ``InvalidParameterError`` naming the key.
     """
     resolved: dict = {}
     for key, raw in mapping.items():
@@ -119,7 +119,11 @@ def params_from_mapping(mapping: dict) -> SystemParams:
             if field in resolved:
                 raise InvalidParameterError(
                     f"both {field} and {key} given in configuration")
-            resolved[field] = conv(config_float(key, raw))
+            try:
+                resolved[field] = conv(config_float(key, raw))
+            except OverflowError:
+                raise InvalidParameterError(
+                    f"{key} is out of range, got {raw!r}") from None
         elif key in _FIELD_NAMES:
             if key in resolved:
                 raise InvalidParameterError(

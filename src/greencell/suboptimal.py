@@ -72,12 +72,13 @@ class SchemeResult:
 
 class _Cut(NamedTuple):
     """A family's policy at a cut-off c in [0, edge] that meets the floor,
-    its cost J(c) and h = gain - loss, where dJ/dc = f(c) h(c)."""
+    its on-probability, cost J(c) and h = gain - loss; dJ/dc = f(c) h(c)."""
 
     cutoff: float
     radius: Optional[float]  # FRw's fixed radius
     level: Optional[float]  # ARw's fixed consumption
     users: float
+    on: float
     cost: float
     gain: float
     loss: float
@@ -118,8 +119,7 @@ def _result(tag: str, at: _Cut, dist: DensityDistribution,
     peak = at.level if at.radius is None \
         else bs_power(at.radius, dist.lambda_max, p)
     metrics = PolicyMetrics(avg_power_w=at.cost, avg_users=at.users,
-                            on_probability=1.0 - float(dist.cdf(at.cutoff)),
-                            peak_bs_power_w=peak)
+                            on_probability=at.on, peak_bs_power_w=peak)
     return SchemeResult(scheme=tag, cutoff=at.cutoff, fixed_radius=at.radius,
                         fixed_power=at.level, metrics=metrics)
 
@@ -128,6 +128,11 @@ def _tail_rule(dist: DensityDistribution, cutoff: float, p: SystemParams):
     """The rule on [cutoff, lambda_max]; at cut-off 0, the cap tail's."""
     return cap_tail(dist, p)[0] if cutoff == 0.0 \
         else gauss_legendre(dist, cutoff, dist.lambda_max)
+
+
+def _on_mass(rule, cutoff: float) -> float:
+    """On-probability: the tail rule's mass as ``evaluate`` sums it; 1 at 0."""
+    return min(float(rule.weights.sum()), 1.0) if cutoff > 0.0 else 1.0
 
 
 def _edge(u_avg: float, dist: DensityDistribution, p: SystemParams,
@@ -157,22 +162,23 @@ def _frw_cut(rule, cutoff: float, u_avg: float, dist: DensityDistribution,
 
     With x_f = u_avg / (pi T1(c)), T1 the tail first moment, dT1/dc =
     -c f(c) gives dx_f/dc = x_f c f(c) / T1, so J(c) = integral over
-    [c, lambda_max] of P(x_f, lam) f + Ps F(c) has loss P(x_f, c) - Ps and
-    gain c x_f / T1 times the tail integral of a Pt'(x_f, lam) f.
+    [c, lambda_max] of P(x_f, lam) f + Ps (1 - ``_on_mass``) has loss
+    P(x_f, c) - Ps and gain c x_f / T1 times the tail integral of a Pt' f.
     """
     t1 = rule.integrate(rule.nodes)
     r_f = math.sqrt(u_avg / (math.pi * t1))
     while math.pi * r_f * r_f * t1 < u_avg:  # the root can round below
         r_f = math.nextafter(r_f, math.inf)
     x = r_f * r_f
+    on = _on_mass(rule, cutoff)
     cost = rule.integrate(bs_power(r_f, rule.nodes, p)) \
-        + p.sleep_power * float(dist.cdf(cutoff))
+        + p.sleep_power * (1.0 - on)
     # Pt'(x) = d1 x^(alpha/2-1) (alpha/2 (e^y - 1) + y e^y), y = d3 pi lam x
     c, h = derive_constants(p), 0.5 * p.pathloss_exp
     y = c.d3 * math.pi * rule.nodes * x
     tail = rule.integrate(c.d1 * x ** (h - 1.0) * (h * np.expm1(y)
                                                   + y * np.exp(y)))
-    return _Cut(cutoff, r_f, None, math.pi * r_f * r_f * t1, cost,
+    return _Cut(cutoff, r_f, None, math.pi * r_f * r_f * t1, on, cost,
                 gain=cutoff * x / t1 * p.amp_scaling * tail,
                 loss=bs_power(r_f, cutoff, p) - p.sleep_power)
 
@@ -244,15 +250,15 @@ def _arw_tail(rule, cutoff: float, pf: float, dist: DensityDistribution,
                         0.5 * p.pathloss_exp - y / np.expm1(-y))))
 
 
-def _arw_at(cutoff: float, pf: float, tail: _ArwTail,
-            dist: DensityDistribution, p: SystemParams) -> _Cut:
+def _arw_at(rule, cutoff: float, pf: float, tail: _ArwTail,
+            p: SystemParams) -> _Cut:
     """The ARw point at (c, pf) on the floor, where dpf/dc = c x(c) f(c)
-    (pf - Pc) / I, so J(c) = pf (1 - F(c)) + Ps F(c) has loss pf - Ps and
-    gain (1 - F(c)) c x(c) (pf - Pc) / I."""
-    on_prob = 1.0 - float(dist.cdf(cutoff))
-    return _Cut(cutoff, None, pf, tail.users,
-                pf * on_prob + p.sleep_power * (1.0 - on_prob),
-                gain=on_prob * cutoff * tail.x_cut * (pf - p.static_power)
+    (pf - Pc) / I, so J(c) = pf on + Ps (1 - on), on = ``_on_mass``, has
+    loss pf - Ps and gain on c x(c) (pf - Pc) / I."""
+    on = _on_mass(rule, cutoff)
+    return _Cut(cutoff, None, pf, tail.users, on,
+                pf * on + p.sleep_power * (1.0 - on),
+                gain=on * cutoff * tail.x_cut * (pf - p.static_power)
                 / tail.level,
                 loss=pf - p.sleep_power)
 
@@ -291,8 +297,8 @@ def _arw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
         return _level_step(tail, pf, u_avg, p)
 
     pf = bracketed_newton(gap, pmax, p.static_power, start, _LEVEL_TOL * pmax)
-    return _arw_at(cutoff, pf, tails[pf] if pf in tails
-                   else _arw_tail(rule, cutoff, pf, dist, p), dist, p)
+    return _arw_at(rule, cutoff, pf, tails[pf] if pf in tails
+                   else _arw_tail(rule, cutoff, pf, dist, p), p)
 
 
 def arw_ofc(u_avg: float, dist: DensityDistribution,
@@ -301,14 +307,14 @@ def arw_ofc(u_avg: float, dist: DensityDistribution,
     affords, with an on/off cut-off; h(0) = Ps - pf < 0."""
     _arw_top(u_avg, dist, p)
     pmax = p.max_bs_power
-    edge, _, tail = _edge(u_avg, dist, p, lambda c, rule: _arw_tail(
+    edge, rule, tail = _edge(u_avg, dist, p, lambda c, rule: _arw_tail(
         rule, c, pmax, dist, p))
-    at_edge = _arw_at(edge, pmax, tail, dist, p)
+    at_edge = _arw_at(rule, edge, pmax, tail, p)
 
     def point(cutoff: float, near: _Cut) -> _Cut:
-        # near's level moved along dpf/dc = gain f(c) / (1 - F(c))
+        # near's level moved along dpf/dc = gain f(c) / on
         c = near.cutoff
-        rate = near.gain * float(dist.pdf(c)) / (1.0 - float(dist.cdf(c)))
+        rate = near.gain * float(dist.pdf(c)) / near.on
         return _arw_cut(cutoff, u_avg, dist, p,
                         near.level + rate * (cutoff - c))
 

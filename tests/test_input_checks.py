@@ -296,6 +296,20 @@ def test_json_config_values_are_type_checked(tmp_path, capsys, key, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key", ["noise_psd_dbm", "ref_pathloss_db"])
+def test_db_value_whose_linear_value_overflows_is_an_error(tmp_path, capsys,
+                                                            key):
+    # 10 ** (1e300 / 10) is past the float range: an error naming the key,
+    # not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1e300}))
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error:") and key in captured.err
+    assert captured.out == ""
+
+
 def test_density_csv_row_without_a_weight_is_an_error(tmp_path, capsys):
     table = tmp_path / "short.csv"
     table.write_text("lambda,weight\n0,1\n1e-5\n1e-4,1\n")

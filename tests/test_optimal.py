@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from greencell import optimal
-from greencell.optimal import (CASE_A, CASE_B, InfeasibleError,
-                               critical_densities, hse_critical_densities,
-                               hse_x1, hse_x2, lagrangian_x,
+from greencell.optimal import (CASE_A, CASE_B, CriticalDensities,
+                               InfeasibleError, critical_densities,
+                               hse_critical_densities, hse_x1, hse_x2,
+                               lagrangian_x,
                                max_achievable_throughput, policy_for_mu,
                                solve, subproblem, x1_star, x2_star)
 from greencell.params import SystemParams, derive_constants
@@ -205,6 +206,27 @@ class TestClosedForms:
         pt_max = P.max_bs_power - P.static_power
         mu_small = 0.5 * c.d3 * pt_max
         assert math.isinf(hse_critical_densities(mu_small, P).lambda2)
+
+    def test_hse_thresholds_past_the_float_range_are_inf(self):
+        # at these prices the closed forms' exponentials overflow; the exact
+        # thresholds report their roots past the ceiling as inf, and the
+        # hse policy is off at every density, as the exact one is
+        inf = math.inf
+        for mu in (0.002, 0.003):
+            assert critical_densities(mu, P, LAMBDA_MAX) == \
+                CriticalDensities(inf, inf, inf)
+        assert hse_critical_densities(0.002, P) == \
+            CriticalDensities(inf, inf, inf)
+        crits = hse_critical_densities(0.003, P)
+        assert crits.lambda1 > 1e200
+        assert crits.lambda2 == crits.lambda3 == inf
+        policy = policy_for_mu(0.003, P, LAMBDA_MAX, "hse")
+        assert policy.criticals == crits
+        assert policy.radius_at(LAMBDA_MAX) == 0.0
+        # lambda2's exponent grows without bound as its denominator nears 0
+        c = derive_constants(P)
+        mu = c.d3 * (P.max_bs_power - P.static_power) * (1.0 + 1e-6)
+        assert hse_critical_densities(mu, P).lambda2 == inf
 
     def test_hse_criticals_near_exact(self):
         exact = critical_densities(1.05, P, LAMBDA_MAX)

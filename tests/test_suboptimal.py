@@ -273,7 +273,10 @@ def _ref_frw_power(u_avg, dist, p):
 
 
 def _arw_power(pf, cutoff, dist, p):
-    on_prob = 1.0 - float(dist.cdf(cutoff))
+    # the on-probability as the scheme takes it: its tail rule's mass, 1 at
+    # the cut-off 0
+    on_prob = 1.0 if cutoff == 0.0 else min(float(gauss_legendre(
+        dist, cutoff, dist.lambda_max).weights.sum()), 1.0)
     return pf * on_prob + p.sleep_power * (1.0 - on_prob)
 
 
@@ -763,3 +766,56 @@ def test_optimal_is_no_worse_than_either_ofc_scheme(p, frac, dist):
             continue
         assert opt.avg_power_w <= other.avg_power_w * (1.0 + 4.5e-16), \
             scheme.__name__
+
+
+# --- every result is what metrics.evaluate measures of it -------------------
+
+# Bounds are the worst values over 16,000 draws of this test's strategy
+# (hypothesis seeds 7, 11 and 12), rounded up in the third digit:
+# - reported metrics against evaluate, relative: 1.27e-14, on a peak (a
+#   consumption taken through sqrt and back);
+# - the scheme levels are found to 1e-14 Pmax, so an OFC scheme's cost can
+#   exceed its always-on one's by a few ulps of Pmax: by up to 4.15e-15 Pmax
+#   (over 20 times it where Pc is 0 and both costs are ulps of Pmax);
+# - the peak exceeds Pmax by up to 5.11e-15 relative.
+EVALUATE_REL = 1.27e-14
+LATTICE_SLACK = 4.15e-15
+PEAK_SLACK = 5.11e-15
+
+
+@settings(max_examples=60)
+@given(p=_sleep_params,
+       frac=st.floats(math.log(1e-6), math.log(0.99)).map(math.exp),
+       dist=st.sampled_from(list(POOL_DISTS.values())))
+# 1e-6 of the cap, where the cut-offs sit near lambda_max and 1 - cdf(c)
+# would cancel to about 1e-10 of the on-probability
+@example(p=SystemParams(), frac=1e-6, dist=TABLE0)
+def test_every_result_is_what_evaluate_measures_of_it(p, frac, dist):
+    u = frac * max_achievable_throughput(dist, p)
+    found = {}
+    try:
+        policy, reported = solve(u, dist, p)
+        found["solve"] = reported, evaluate(policy.radius_at, dist, p,
+                                            breakpoints=policy.breakpoints)
+    except InfeasibleError:
+        pass
+    for scheme in SCHEMES:
+        try:
+            res = scheme(u, dist, p)
+        except InfeasibleError:
+            continue
+        found[scheme.__name__] = res.metrics, evaluate(
+            lambda lam: res.radius_at(lam, p), dist, p,
+            breakpoints=(res.cutoff,))
+    for name, (reported, measured) in found.items():
+        assert reported.avg_users >= u, name
+        for field, value in reported.as_dict().items():
+            assert value == pytest.approx(getattr(measured, field),
+                                          rel=EVALUATE_REL, abs=0.0), \
+                (name, field)
+        assert reported.peak_bs_power_w <= \
+            p.max_bs_power * (1.0 + PEAK_SLACK), name
+    for inner, outer in (("arw_ofc", "arw_oofc"), ("frw_ofc", "frw_oofc")):
+        if inner in found and outer in found:
+            assert found[inner][0].avg_power_w <= \
+                found[outer][0].avg_power_w + LATTICE_SLACK * p.max_bs_power
