@@ -9,7 +9,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -43,22 +42,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; the contract here is 1
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one command's output byte for byte."""
-
-    command: str
-    params: dict
-    distribution: dict
-    seed: Optional[int]
-    tolerances: dict
-    version: str
-    options: dict = dataclasses.field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -100,53 +83,47 @@ def _build_context(config: dict):
     return params, dist
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return "" if value is None else str(value)
-
-
-def _write_csv(rows: List[dict], fieldnames: Sequence[str],
-               out: Optional[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
-    _emit_text(buf.getvalue(), out)
-
-
-def _emit_text(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _emit(rows: List[dict], fieldnames: Sequence[str], fmt: str,
-          out: Optional[str], summary: Optional[dict] = None) -> None:
-    if fmt == "json":
+def _emit(args, rows: List[dict], fieldnames: Sequence[str],
+          summary: Optional[dict] = None) -> None:
+    """Write ``rows``, projected onto ``fieldnames``, as ``args.format`` to
+    ``args.out`` or stdout.  JSON carries ``summary``; a CSV cannot, so
+    stdout gets it when the CSV goes to a file."""
+    if args.format == "json":
         doc = {"rows": [{k: row.get(k) for k in fieldnames} for row in rows]}
         if summary is not None:
             doc["summary"] = summary
-        _emit_text(json.dumps(doc, indent=2) + "\n", out)
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        _write_csv(rows, fieldnames, out)
-        if summary is not None and out is not None:
-            sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+        buf = io.StringIO()
+        # csv writes a float as its repr and None as ""
+        writer = csv.DictWriter(buf, fieldnames, lineterminator="\n",
+                                extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    Path(args.out).write_text(text)
+    if summary is not None and args.format == "csv":
+        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
 
 
-def _write_manifest(args, command: str, params: SystemParams,
-                    dist: DensityDistribution, seed: Optional[int],
-                    tolerances: dict, **options) -> None:
-    """Write ``args.out``'s manifest; ``options`` are the command's inputs."""
-    if args.out is not None:
-        manifest = RunManifest(
-            command=command, params=dataclasses.asdict(params),
-            distribution=dist.describe(), seed=seed, tolerances=tolerances,
-            version=__version__, options=dict(options, format=args.format))
-        Path(str(args.out) + ".manifest.json").write_text(
-            manifest.to_json() + "\n")
+def _write_manifest(args, params: SystemParams, dist: DensityDistribution,
+                    tolerances: dict) -> None:
+    """Write ``args.out``'s manifest: everything needed to reproduce the
+    output byte for byte.  Every flag but the paths is an option; the
+    config stands in the manifest as the params and density it gave."""
+    if args.out is None:
+        return
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "config", "out", "seed")}
+    manifest = {"command": args.command, "params": dataclasses.asdict(params),
+                "distribution": dist.describe(),
+                "seed": getattr(args, "seed", None), "tolerances": tolerances,
+                "version": __version__, "options": options}
+    Path(args.out + ".manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _finite_float(raw: str) -> float:
@@ -156,45 +133,69 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _float_list(raw: str, flag: str) -> List[float]:
-    vals = [float(v) for v in raw.split(",") if v.strip()]
+def _float_list(raw: str) -> List[float]:
+    """Comma-separated finite floats, at least one."""
+    vals = [_finite_float(v) for v in raw.split(",") if v.strip()]
     if not vals:
-        raise _UsageError(f"{flag} needs at least one value")
-    if not all(math.isfinite(v) for v in vals):
-        raise _UsageError(f"{flag} values must be finite, got {raw!r}")
+        raise argparse.ArgumentTypeError("needs at least one value")
     return vals
+
+
+def _nonnegative_list(raw: str) -> List[float]:
+    vals = _float_list(raw)
+    if min(vals) < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"values must be >= 0, got {min(vals)!r}")
+    return vals
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _scheme_list(raw: str) -> List[str]:
+    """Comma-separated policy names in any case, at least one."""
+    by_lower = {name.lower(): name for name in _DEFAULT_SCHEMES}
+    tokens = [t.strip().lower() for t in raw.split(",") if t.strip()]
+    for token in tokens:
+        if token not in by_lower:
+            raise argparse.ArgumentTypeError(
+                f"unknown scheme {token!r}; choose from "
+                + ", ".join(_DEFAULT_SCHEMES))
+    if not tokens:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return [by_lower[t] for t in tokens]
+
+
+# a Monte Carlo mean within this many standard errors of the exact
+# expectation passes validate-scaling
+_BAND_STDERR = 3.0
 
 
 def cmd_validate_scaling(args) -> int:
     params, dist = _build_context(_load_config(args.config))
-    radii = _float_list(args.radii, "--radii")
-    densities = _float_list(args.densities, "--densities")
-    for flag, vals in (("--radii", radii), ("--densities", densities)):
-        if min(vals) < 0.0:
-            raise _UsageError(f"{flag} values must be >= 0, got {min(vals)!r}")
-    if args.trials < 1:
-        raise _UsageError("--trials must be >= 1")
     rng = mcsim.make_rng(args.seed)
-    rows, all_ok = [], True
-    for radius in radii:
-        for density in densities:
+    rows = []
+    for radius in args.radii:
+        for density in args.densities:
             analytic = scaling.avg_transmit_power(radius, density, params)
             exact = scaling.avg_transmit_power_exact(radius, density, params)
             est = mcsim.simulate_total_power(density, radius, params,
                                              args.trials, rng)
-            ok = abs(est.mean - exact) <= 3.0 * est.std_err
-            all_ok = all_ok and ok
+            ok = abs(est.mean - exact) <= _BAND_STDERR * est.std_err
             rows.append({"radius_m": radius, "density": density,
                          "analytic_w": analytic, "exact_w": exact,
                          "mc_mean_w": est.mean, "mc_stderr_w": est.std_err,
                          "within_3se": ok})
     fields = ["radius_m", "density", "analytic_w", "exact_w", "mc_mean_w",
               "mc_stderr_w", "within_3se"]
-    _emit(rows, fields, args.format, args.out)
-    _write_manifest(args, "validate-scaling", params, dist, args.seed,
-                    {"band_stderr": 3.0}, radii=radii, densities=densities,
-                    trials=args.trials)
-    return EXIT_OK if all_ok else EXIT_VALIDATION_FAILED
+    _emit(args, rows, fields)
+    _write_manifest(args, params, dist, {"band_stderr": _BAND_STDERR})
+    return EXIT_OK if all(row["within_3se"] for row in rows) \
+        else EXIT_VALIDATION_FAILED
 
 
 def cmd_solve(args) -> int:
@@ -208,32 +209,12 @@ def cmd_solve(args) -> int:
     rows = [{"density": lam, "radius_m": r, "bs_power_w": pw,
              "users": math.pi * lam * r * r}
             for lam, r, pw in policy.rows()]
-    summary = policy.summary()
-    summary.update(metrics.as_dict())
-    summary["u_avg_requested"] = args.u_avg
-    fields = ["density", "radius_m", "bs_power_w", "users"]
-    _emit(rows, fields, args.format, args.out, summary=summary)
-    _write_manifest(args, "solve", params, dist, None,
-                    {"dual_tol": optimal.DUAL_TOL}, mode=args.mode,
-                    u_avg=args.u_avg)
+    summary = {**policy.summary(), **metrics.as_dict(),
+               "u_avg_requested": args.u_avg}
+    _emit(args, rows, ["density", "radius_m", "bs_power_w", "users"],
+          summary)
+    _write_manifest(args, params, dist, {"dual_tol": optimal.DUAL_TOL})
     return EXIT_OK
-
-
-def _parse_schemes(raw: str) -> List[str]:
-    by_lower = {name.lower(): name for name in _DEFAULT_SCHEMES}
-    names = []
-    for token in raw.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token not in by_lower:
-            raise _UsageError(
-                f"unknown scheme {token!r}; choose from "
-                + ", ".join(_DEFAULT_SCHEMES))
-        names.append(by_lower[token])
-    if not names:
-        raise _UsageError("--schemes needs at least one value")
-    return names
 
 
 def _scheme_row(name: str, u_avg: float, dist, params) -> dict:
@@ -253,16 +234,12 @@ def _scheme_row(name: str, u_avg: float, dist, params) -> dict:
 
 def cmd_sweep(args) -> int:
     params, dist = _build_context(_load_config(args.config))
-    u_avgs = _float_list(args.u_avg, "--u-avg")
-    schemes = _parse_schemes(args.schemes)
     rows = [_scheme_row(name, u, dist, params)
-            for name in schemes for u in u_avgs]
+            for name in args.schemes for u in args.u_avg]
     rows.sort(key=lambda r: (r["scheme"], r["u_avg"]))
-    fields = ["scheme", "u_avg", "feasible", "avg_power_w", "on_probability"]
-    _emit(rows, fields, args.format, args.out)
-    _write_manifest(args, "sweep", params, dist, None,
-                    {"dual_tol": optimal.DUAL_TOL}, u_avg=u_avgs,
-                    schemes=schemes)
+    _emit(args, rows,
+          ["scheme", "u_avg", "feasible", "avg_power_w", "on_probability"])
+    _write_manifest(args, params, dist, {"dual_tol": optimal.DUAL_TOL})
     return EXIT_OK
 
 
@@ -270,12 +247,10 @@ def cmd_schemes(args) -> int:
     params, dist = _build_context(_load_config(args.config))
     rows = sorted((_scheme_row(name, args.u_avg, dist, params)
                    for name in _SCHEME_FUNCS), key=lambda r: r["scheme"])
-    fields = ["scheme", "u_avg", "feasible", "cutoff", "fixed_radius_m",
-              "fixed_power_w", "avg_power_w", "avg_users", "on_probability",
-              "peak_bs_power_w"]
-    _emit(rows, fields, args.format, args.out)
-    _write_manifest(args, "schemes", params, dist, None, {},
-                    u_avg=args.u_avg)
+    _emit(args, rows, ["scheme", "u_avg", "feasible", "cutoff",
+                       "fixed_radius_m", "fixed_power_w", "avg_power_w",
+                       "avg_users", "on_probability", "peak_bs_power_w"])
+    _write_manifest(args, params, dist, {})
     return EXIT_OK
 
 
@@ -295,11 +270,13 @@ def _build_parser() -> _Parser:
     vs = sub.add_parser("validate-scaling",
                         help="compare analytic transmit power with Monte Carlo")
     common(vs)
-    vs.add_argument("--radii", default="250,500,1000,2000",
+    vs.add_argument("--radii", type=_nonnegative_list,
+                    default="250,500,1000,2000",
                     help="comma-separated coverage radii [m]")
-    vs.add_argument("--densities", default="1e-6,1e-5,5e-5",
+    vs.add_argument("--densities", type=_nonnegative_list,
+                    default="1e-6,1e-5,5e-5",
                     help="comma-separated user densities [1/m^2]")
-    vs.add_argument("--trials", type=int, default=100_000)
+    vs.add_argument("--trials", type=_positive_int, default=100_000)
     vs.add_argument("--seed", type=int, default=1234)
 
     sv = sub.add_parser("solve", help="solve for the optimal adaptation policy")
@@ -311,9 +288,10 @@ def _build_parser() -> _Parser:
     sw = sub.add_parser("sweep",
                         help="average power versus throughput for several policies")
     common(sw)
-    sw.add_argument("--u-avg", required=True,
+    sw.add_argument("--u-avg", type=_float_list, required=True,
                     help="comma-separated throughput targets")
-    sw.add_argument("--schemes", default=",".join(_DEFAULT_SCHEMES))
+    sw.add_argument("--schemes", type=_scheme_list,
+                    default=",".join(_DEFAULT_SCHEMES))
 
     sc = sub.add_parser("schemes",
                         help="run all four reduced-complexity schemes at one target")
@@ -330,8 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (InvalidParameterError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -8,6 +8,7 @@ the public policy objects expose radii.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Tuple
@@ -479,8 +480,7 @@ def max_achievable_throughput(dist: DensityDistribution,
     return rule.integrate(math.pi * rule.nodes * x[:-1])
 
 
-# the dual search stops within this distance in log mu; a price below it
-# counts as 0
+# the dual search stops within this distance in log mu
 DUAL_TOL = 1e-13
 
 
@@ -488,8 +488,9 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
           mode: str = "exact") -> Tuple[AdaptationPolicy, PolicyMetrics]:
     """Minimize long-term consumption subject to a long-term throughput floor.
 
-    The dual variable mu is bracketed by doubling from 1 (a bracket below
-    1 reaches down to ``DUAL_TOL``), then found by Newton steps in
+    The dual variable mu is bracketed by doubling from 1 (below 1, down to
+    the least normal float, unevaluated: u(0) = 0 is below every target),
+    then found by Newton steps in
     t = log mu on H(t) = log(cap - ``u_avg``) - log(cap - u(mu)), with cap
     the feasibility bound (``max_achievable_throughput``).  Near the cap,
     cap - u falls like a power of mu, so H is close to linear in t; at low
@@ -529,7 +530,7 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
         return (0.0 if u == u_avg else math.copysign(math.inf, u - u_avg),
                 0.0, u)
 
-    lo, h_lo, s_lo, hi = DUAL_TOL, -math.inf, 0.0, 1.0
+    lo, h_lo, s_lo, hi = sys.float_info.min, -math.inf, 0.0, 1.0
     h_hi, s_hi, u = gap(hi)
     while h_hi < 0.0:
         lo, h_lo, s_lo = hi, h_hi, s_hi

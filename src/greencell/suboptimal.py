@@ -155,8 +155,7 @@ def _edge(u_avg: float, dist: DensityDistribution, p: SystemParams,
     return (c, *seen[c])
 
 
-def _frw_cut(rule, cutoff: float, u_avg: float, dist: DensityDistribution,
-             p: SystemParams) -> _Cut:
+def _frw_cut(rule, cutoff: float, u_avg: float, p: SystemParams) -> _Cut:
     """The smallest radius meeting the floor above a cut-off in [0, edge],
     on the cut-off's tail rule.
 
@@ -205,8 +204,8 @@ def frw_ofc(u_avg: float, dist: DensityDistribution,
     edge, rule, _ = _edge(u_avg, dist, p, lambda c, rule: (
         math.pi * x_cap * rule.integrate(rule.nodes), x_cap))
     best = _cheapest_cutoff(
-        _frw_cut(rule, edge, u_avg, dist, p),
-        lambda c, near: _frw_cut(_tail_rule(dist, c, p), c, u_avg, dist, p),
+        _frw_cut(rule, edge, u_avg, p),
+        lambda c, near: _frw_cut(_tail_rule(dist, c, p), c, u_avg, p),
         p.sleep_power < p.static_power, dist.lambda_max)
     return _result(FRW_OFC, best, dist, p)
 
@@ -215,8 +214,8 @@ def frw_oofc(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> SchemeResult:
     """Fixed radius, always on: the cut-off 0."""
     _frw_x_cap(u_avg, dist, p)
-    return _result(FRW_OOFC, _frw_cut(_tail_rule(dist, 0.0, p), 0.0, u_avg,
-                                      dist, p), dist, p)
+    return _result(FRW_OOFC, _frw_cut(_tail_rule(dist, 0.0, p), 0.0, u_avg, p),
+                   dist, p)
 
 
 class _ArwTail(NamedTuple):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from greencell import cli, mcsim
 from greencell.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION_FAILED, main)
@@ -41,6 +43,21 @@ class TestConfigLoading:
         code, _, err = run(capsys, "solve", "--u-avg", "50",
                            "--config", "/nonexistent/cfg.json")
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("where", ["--config", "density_csv", "--out"])
+def test_a_path_that_is_a_directory_is_an_error(tmp_path, capsys, where):
+    argv = ["solve", "--u-avg", "50"]
+    if where == "density_csv":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"density_csv": str(tmp_path)}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [where, str(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and str(tmp_path) in err
+    assert out == ""
 
 
 class TestSolveCommand:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, example, given
 from hypothesis import strategies as st
 
-from greencell import cli, optimal, scaling
+from greencell import cli, optimal, scaling, suboptimal
 from greencell.metrics import evaluate
 from greencell.optimal import (CASE_A, CASE_B, critical_densities,
                                max_achievable_throughput, solve)
@@ -173,6 +173,30 @@ def test_target_at_the_cap(config, fraction, most, dual_evals, monkeypatch):
     assert all(math.isfinite(v) for v in m.as_dict().values())
     assert np.isfinite(pol.radii).all() and np.isfinite(pol.powers).all()
     assert m.avg_users >= u_avg
+
+
+# With no static power the optimal price at 1e-6 of the cap can lie below
+# 1e-13 W/user.  A bracket whose lower end was 1e-13 stopped there and
+# delivered up to 71.9 times the target, at up to 2.67e7 times the power
+# of the cheaper FRw scheme, in up to 59 evaluations.  The bounds are the
+# worst measured over both densities x alpha 4, 5, 6 x Pmax 0.1, 1, 40,
+# 1000 W x amp 1, 10 x 1e-6 and 1e-4 of the cap.
+@pytest.mark.parametrize("dist_name", sorted(DISTS))
+@pytest.mark.parametrize("alpha", [4.0, 5.0, 6.0])
+@pytest.mark.parametrize("max_power", [0.1, 1000.0])
+def test_a_price_below_the_tolerance_is_found(dist_name, alpha, max_power,
+                                              dual_evals):
+    dist = DISTS[dist_name]
+    p = SystemParams(static_power=0.0, max_bs_power=max_power,
+                     pathloss_exp=alpha)
+    u_avg = 1e-6 * max_achievable_throughput(dist, p)
+    dual_evals.append(0)
+    _, m = solve(u_avg, dist, p)
+    assert dual_evals[0] <= 21
+    assert u_avg <= m.avg_users <= u_avg * (1.0 + 4.67e-14)
+    frw = min(scheme(u_avg, dist, p).metrics.avg_power_w
+              for scheme in (suboptimal.frw_ofc, suboptimal.frw_oofc))
+    assert m.avg_power_w <= frw * (1.0 + 1.19e-13)
 
 
 def test_exact_solve_needs_no_lambert_w(monkeypatch):

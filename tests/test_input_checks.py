@@ -11,7 +11,8 @@ from greencell import cli, mcsim, optimal, scaling, suboptimal
 from greencell.cli import EXIT_OK, EXIT_USAGE, main
 from greencell.metrics import evaluate
 from greencell.optimal import solve
-from greencell.params import InvalidParameterError, SystemParams
+from greencell.params import (InvalidParameterError, SystemParams,
+                              params_from_mapping)
 from greencell.traffic import from_csv, from_table, triangular
 from oracles import simulate_outage
 
@@ -348,3 +349,96 @@ def test_density_csv_header_may_follow_comments(tmp_path):
     table = tmp_path / "header.csv"
     table.write_text("# knots\n\nlambda,weight\n0,0\n5e-5,2\n1e-4,0\n")
     assert from_csv(table).pdf(5e-5) == pytest.approx(2e4, rel=1e-12)
+
+
+def test_config_line_without_an_equals_sign_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("static_power = 60\nnoequals\n")
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error:") and "noequals" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["validate-scaling", "--trials", "0"], "--trials"),
+    (["sweep", "--u-avg", "50", "--schemes", ","], "--schemes"),
+])
+def test_cli_rejects_a_flag_with_no_valid_value(argv, flag, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("usage error:") and flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_simulate_total_power_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        mcsim.simulate_total_power(1e-5, 1000.0, P, trials,
+                                   mcsim.make_rng(0))
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda mu: optimal.critical_densities(mu, P, 1e-4),
+    lambda mu: optimal.hse_critical_densities(mu, P),
+    lambda mu: optimal.hse_x1(1e-5, mu, P),
+], ids=["critical_densities", "hse_critical_densities", "hse_x1"])
+def test_price_must_be_positive(call, mu):
+    with pytest.raises(ValueError, match="mu must be positive"):
+        call(mu)
+
+
+@pytest.mark.parametrize("density", [0.0, -1e-5, np.array([1e-5, 0.0])])
+@pytest.mark.parametrize("call", [
+    lambda lam: optimal.hse_x1(lam, 1.0, P),
+    lambda lam: optimal.hse_x2(lam, P),
+    lambda lam: scaling.max_range_x(lam, P.max_bs_power, P),
+], ids=["hse_x1", "hse_x2", "max_range_x"])
+def test_kernel_density_must_be_positive(call, density):
+    with pytest.raises(ValueError, match="density must be positive"):
+        call(density)
+
+
+def test_policy_for_mu_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="bogus"):
+        optimal.policy_for_mu(1.0, P, 1e-4, mode="bogus")
+
+
+@pytest.mark.parametrize("alternate,field", [
+    ("noise_psd_dbm", "noise_psd"), ("ref_pathloss_db", "ref_pathloss")])
+def test_db_alternate_given_before_its_field_is_an_error(alternate, field):
+    # the other order is caught on reading the alternate
+    with pytest.raises(InvalidParameterError, match=f"both {field}"):
+        params_from_mapping({alternate: -60.0, field: 1e-6})
+
+
+@pytest.mark.parametrize("law", [scaling.avg_transmit_power,
+                                 scaling.avg_transmit_power_exact])
+def test_transmit_power_laws_guard_the_load_exponent(law):
+    # about 3e6 users in the cell: an exponent past EXPONENT_GUARD_BITS
+    with pytest.raises(scaling.PowerOverflowError, match="exceeds guard"):
+        law(1e4, 1e-2, P)
+
+
+@pytest.mark.parametrize("lams,weights,match", [
+    ([0.0, 5e-5, 1e-4], [1.0, 2.0], "matching"),
+    ([[0.0, 1e-4]], [[1.0, 1.0]], "matching"),
+    ([1e-4], [1.0], "at least two"),
+    ([0.0, 5e-5, 1e-4], [0.0, 0.0, 0.0], "integrate to zero"),
+])
+def test_from_table_rejects_a_malformed_table(lams, weights, match):
+    with pytest.raises(ValueError, match=match):
+        from_table(lams, weights)
+
+
+def test_from_table_extends_the_support_to_zero_with_the_first_weight():
+    dist = from_table([2e-5, 1e-4], [3.0, 1.0])
+    want = from_table([0.0, 2e-5, 1e-4], [3.0, 3.0, 1.0])
+    lam = np.linspace(0.0, 1e-4, 41)
+    assert dist.lambda_max == want.lambda_max == 1e-4
+    assert dist.pdf(0.0) == dist.pdf(2e-5) > 0.0
+    np.testing.assert_array_equal(dist.pdf(lam), want.pdf(lam))
+    np.testing.assert_array_equal(dist.cdf(lam), want.cdf(lam))

@@ -402,7 +402,7 @@ def _frw_edge(u_avg, dist, p):
 
 def _frw_cut(cutoff, u_avg, dist, p):
     return suboptimal._frw_cut(suboptimal._tail_rule(dist, cutoff, p),
-                               cutoff, u_avg, dist, p)
+                               cutoff, u_avg, p)
 
 
 def _frw_cap(dist, p):
