@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -39,6 +40,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value led by a negative number, like "-1,2", is not a flag
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
     # argparse exits 2 on bad flags by default; the contract here is 1
     def error(self, message):
         raise _UsageError(message)

@@ -24,12 +24,7 @@ class PolicyMetrics:
     peak_bs_power_w: float
 
     def as_dict(self) -> dict:
-        return {
-            "avg_power_w": self.avg_power_w,
-            "avg_users": self.avg_users,
-            "on_probability": self.on_probability,
-            "peak_bs_power_w": self.peak_bs_power_w,
-        }
+        return dict(vars(self))
 
 
 def evaluate(radius_fn: Callable, dist: DensityDistribution, p: SystemParams,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,18 +53,20 @@ def shaped(flat: np.ndarray, shape):
 # --- scalar roots -----------------------------------------------------------
 
 def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
-                     x: float, tol: float) -> float:
+                     x: float, tol: float,
+                     snap: Optional[Callable] = None) -> float:
     """Root of g between ``good`` (g >= 0) and ``bad`` (g < 0), either order.
 
     ``fn(x)`` returns g(x) and its slope, or None for the secant through the
     point evaluated before (after the first point or an infinite g, the
     midpoint); a zero slope also gives the midpoint.  Newton
     starts from ``x``; a point outside the bracket, which each evaluation
-    shrinks, is replaced by its midpoint.  Steps aim ``tol / 2`` past the
-    root into the good side, so the result is an evaluated point with
-    g >= 0 within about ``tol`` of the root, the first with g = 0, or the
-    good end once the bracket is narrower than ``tol`` or after 100
-    evaluations.
+    shrinks, is replaced by its midpoint; ``snap(x, end)``, if given, moves
+    it to the nearest point ``fn`` takes toward ``end``: the good end, else
+    the bad.  Steps aim ``tol / 2`` past the root into the good side, so the
+    result is an evaluated point with g >= 0 within about ``tol`` of the
+    root, the first with g = 0, or the good end once the bracket is
+    narrower than ``tol``, holds no snapped point, or after 100 evaluations.
     """
     prev = None
     for _ in range(100):
@@ -72,6 +74,11 @@ def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
             break
         if not min(good, bad) < x < max(good, bad):
             x = 0.5 * (good + bad)
+        if snap is not None:
+            x = next((v for v in (snap(x, good), snap(x, bad))
+                      if min(good, bad) < v < max(good, bad)), None)
+            if x is None:
+                break
         g, slope = fn(x)
         good, bad = (x, bad) if g >= 0.0 else (good, x)
         if slope is None and prev is not None and x != prev[0]:
@@ -151,6 +158,8 @@ def lambert_w0(y):
 GL_NODES = 20        # Gauss-Legendre nodes per piece
 GRADING_RATIO = 0.15  # ratio of consecutive piece ends graded toward 0
 GRADING_LEVELS = 8    # graded pieces per segment; the first spans b * r^8
+# a ladder's rungs r^8 ... r^1 and its top 1, as fractions of its top
+_LADDER = np.array([GRADING_RATIO ** k for k in range(GRADING_LEVELS, -1, -1)])
 
 
 @lru_cache(maxsize=None)
@@ -176,35 +185,26 @@ class QuadratureRule:
         return float(self.weights @ values)
 
 
-def _piece_edges(a: float, b: float) -> list:
-    """Left ends of the pieces of [a, b]: a, then the rungs b * r^k above a,
-    k = GRADING_LEVELS..1, of one ladder graded geometrically toward 0.
-
-    Integrands here behave like powers of the density near 0 (the
-    power-capped range grows like lambda^(-2/(alpha+2))).  On a piece whose
-    ends differ by a factor of at most 1/r the rule converges geometrically,
-    and a first piece from below b * r^8 is too short to matter.
-    """
-    return [a] + [e for e in (b * GRADING_RATIO ** k
-                              for k in range(GRADING_LEVELS, 0, -1)) if e > a]
-
-
 def gauss_legendre(dist, lo: float, hi: float,
                    breakpoints: Sequence[float] = ()) -> QuadratureRule:
     """Composite Gauss-Legendre rule for integrals of g * pdf over [lo, hi].
 
     Segments are split at ``breakpoints`` (policy thresholds, where the
-    integrand jumps or kinks) and at the pdf's own kinks, then graded
-    toward 0 (``_piece_edges``); every piece gets ``GL_NODES`` nodes.
-    All nodes are interior, so integrands are never evaluated at 0.
+    integrand jumps or kinks) and at the pdf's own kinks, then graded toward
+    0, where integrands behave like powers of the density: [a, b] at the
+    rungs b r^8 ... b r^1 above a of one ladder, pieces of ratio 1/r.  Each
+    piece gets ``GL_NODES`` nodes, all interior, so none is at 0.
     """
     if not hi > lo:
         return QuadratureRule(np.empty(0), np.empty(0))
     inner = {float(c) for c in (*breakpoints, *dist.breakpoints)
              if lo < c < hi and math.isfinite(c)}
-    cuts = [lo, *sorted(inner), hi]
-    edges = [e for a, b in zip(cuts, cuts[1:]) for e in _piece_edges(a, b)]
-    edges = np.array(edges + [hi])
+    cuts = np.array([-math.inf, lo, *sorted(inner), hi])
+    # row k: the rungs below cut k above the cut before it, then cut k
+    ladder = cuts[1:, None] * _LADDER
+    keep = ladder > cuts[:-1, None]
+    keep[0, :-1] = False
+    edges = ladder[keep]
     t, w = _legendre(GL_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * t).ravel()

@@ -35,7 +35,7 @@ ARW_OFC = "ARwOFC"
 ARW_OOFC = "ARwoOFC"
 
 _CUT_TOL = 1e-14  # cut-off root tolerance, relative to lambda_max
-_LEVEL_TOL = 1e-14  # level root tolerance, relative to Pmax
+_LEVEL_TOL = 1e-14  # level root tolerance in log(pf - Pc)
 
 
 @dataclass(frozen=True)
@@ -93,25 +93,24 @@ def _cheapest_cutoff(at_edge: _Cut, point, falls_at_zero: bool,
     from 0, which wins.  Otherwise a secant search finds the root of
     log(gain / loss), of the sign of h and close to linear where h is flat;
     ``point(c, near)`` gives the family's point at c, started from the one
-    evaluated last.  The cheapest point evaluated wins.
+    evaluated last.  The search's point at the root wins (h >= 0 there).
     """
     if at_edge.gain <= at_edge.loss:
         return at_edge
     if not falls_at_zero:
         return min(point(0.0, at_edge), at_edge, key=lambda at: at.cost)
-    found = [at_edge]
     edge, g_edge = at_edge.cutoff, math.log(at_edge.gain / at_edge.loss)
+    found = {edge: at_edge}
 
     def log_ratio(cutoff: float) -> tuple:
-        at = point(cutoff, found[-1])
-        found.append(at)
+        at = found[cutoff] = point(cutoff, next(reversed(found.values())))
         g = math.log(at.gain / at.loss)
         # the first secant runs through the edge, later ones through the
         # point before, as bracketed_newton draws them
         return g, (g - g_edge) / (cutoff - edge) if len(found) == 2 else None
 
-    bracketed_newton(log_ratio, edge, 0.0, 0.5 * edge, _CUT_TOL * m)
-    return min(found, key=lambda at: at.cost)
+    return found[bracketed_newton(log_ratio, edge, 0.0, 0.5 * edge,
+                                  _CUT_TOL * m)]
 
 
 def _result(tag: str, at: _Cut, dist: DensityDistribution,
@@ -270,34 +269,34 @@ def _arw_top(u_avg: float, dist: DensityDistribution,
     return top
 
 
-def _level_step(tail: _ArwTail, pf: float, u_avg: float,
-                p: SystemParams) -> tuple:
-    """g = log(U / u_avg) at level ``pf`` and the slope for which a step in
-    pf makes Newton's step on log U = log u_avg in s = log(pf - Pc), where
-    log U is close to linear (dlog U/ds = pi I / U)."""
-    pc = p.static_power
-    g = math.log(tail.users / u_avg)
-    rate = math.pi * tail.level / tail.users
-    move = (pf - pc) * math.expm1(-g / rate)
-    return g, -g / move if move else rate / (pf - pc)
-
-
 def _arw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
              p: SystemParams, start: float) -> _Cut:
-    """The lowest level meeting the floor above a cut-off in [0, edge], by
-    Newton from ``start``; Pmax meets it, the good end unevaluated.  Steps
-    and tolerance are in pf, however close the level is to Pc."""
-    pmax = p.max_bs_power
+    """The lowest float level meeting the floor above a cut-off in [0, edge]:
+    Newton on log(U / u_avg) in s = log(pf - Pc), dlog U/ds = pi I / U, from
+    ``start``, between Pmax (unevaluated) and a share below the least."""
+    pc, pmax = p.static_power, p.max_bs_power
+    least, top = math.nextafter(pc, math.inf), math.log(pmax - pc)
     rule = _tail_rule(dist, cutoff, p)
-    tails = {}
+    levels, tails = {}, {}
 
-    def gap(pf: float) -> tuple:
-        tails[pf] = tail = _arw_tail(rule, cutoff, pf, dist, p)
-        return _level_step(tail, pf, u_avg, p)
+    def snap(s: float, end: float) -> float:
+        # the float level nearest Pc + e^s on the side of s toward the end
+        pf = pc + math.exp(s)
+        if (pf - pc - math.exp(s)) * (end - s) < 0.0:
+            pf = math.nextafter(pf, pmax if end > s else least)
+        levels[math.log(pf - pc)] = pf
+        return math.log(pf - pc)
 
-    pf = bracketed_newton(gap, pmax, p.static_power, start, _LEVEL_TOL * pmax)
-    return _arw_at(rule, cutoff, pf, tails[pf] if pf in tails
-                   else _arw_tail(rule, cutoff, pf, dist, p), p)
+    def gap(s: float) -> tuple:
+        pf = levels[s]
+        tails[s] = pf, tail = pf, _arw_tail(rule, cutoff, pf, dist, p)
+        return math.log(tail.users / u_avg), math.pi * tail.level / tail.users
+
+    # every share above the bad end rounds to a level: least at the lowest
+    s = bracketed_newton(gap, top, math.log(least - pc) - 0.5, start,
+                         _LEVEL_TOL, snap)
+    pf, tail = tails.get(s) or (pmax, _arw_tail(rule, cutoff, pmax, dist, p))
+    return _arw_at(rule, cutoff, pf, tail, p)
 
 
 def arw_ofc(u_avg: float, dist: DensityDistribution,
@@ -311,11 +310,11 @@ def arw_ofc(u_avg: float, dist: DensityDistribution,
     at_edge = _arw_at(rule, edge, pmax, tail, p)
 
     def point(cutoff: float, near: _Cut) -> _Cut:
-        # near's level moved along dpf/dc = gain f(c) / on
-        c = near.cutoff
-        rate = near.gain * float(dist.pdf(c)) / near.on
+        # near's s moved along ds/dc = gain f(c) / (on (pf - Pc))
+        c, share = near.cutoff, near.level - p.static_power
+        rate = near.gain * float(dist.pdf(c)) / (near.on * share)
         return _arw_cut(cutoff, u_avg, dist, p,
-                        near.level + rate * (cutoff - c))
+                        math.log(share) + rate * (cutoff - c))
 
     best = _cheapest_cutoff(at_edge, point, True, dist.lambda_max)
     return _result(ARW_OFC, best, dist, p)
@@ -325,7 +324,7 @@ def arw_oofc(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> SchemeResult:
     """Constant consumption, always on: the level at the cut-off 0, by
     Newton from the step the always-on tail at Pmax gives."""
-    pmax = p.max_bs_power
-    g, slope = _level_step(_arw_top(u_avg, dist, p), pmax, u_avg, p)
-    return _result(ARW_OOFC, _arw_cut(0.0, u_avg, dist, p, pmax - g / slope),
-                   dist, p)
+    top = _arw_top(u_avg, dist, p)
+    start = math.log(p.max_bs_power - p.static_power) \
+        - math.log(top.users / u_avg) * top.users / (math.pi * top.level)
+    return _result(ARW_OOFC, _arw_cut(0.0, u_avg, dist, p, start), dist, p)

@@ -121,6 +121,16 @@ class TestValidateScaling:
         code, _, err = run(capsys, "validate-scaling", "--radii", "")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["--radii", "-1,2"], ["--radii=-1,2"]],
+                             ids=["separate", "joined"])
+    def test_a_list_led_by_a_negative_value_reaches_its_check(self, capsys,
+                                                              argv):
+        # "-1,2" is the flag's value, not an unknown flag
+        code, out, err = run(capsys, "validate-scaling", *argv)
+        assert code == EXIT_USAGE
+        assert "argument --radii: values must be >= 0, got -1.0" in err
+        assert out == ""
+
     def test_mismatch_exits_validation_failed(self, capsys, monkeypatch):
         def broken(density, radius, p, trials, rng):
             return mcsim.McEstimate(mean=1e9, std_err=1e-6, trials=trials)
