@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,41 +52,35 @@ def shaped(flat: np.ndarray, shape):
 # --- scalar roots -----------------------------------------------------------
 
 def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
-                     x: float, tol: float,
-                     snap: Optional[Callable] = None) -> float:
+                     x: float, tol: float) -> float:
     """Root of g between ``good`` (g >= 0) and ``bad`` (g < 0), either order.
 
     ``fn(x)`` returns g(x) and its slope, or None for the secant through the
     point evaluated before (after the first point or an infinite g, the
     midpoint); a zero slope also gives the midpoint.  Newton
     starts from ``x``; a point outside the bracket, which each evaluation
-    shrinks, is replaced by its midpoint; ``snap(x, end)``, if given, moves
-    it to the nearest point ``fn`` takes toward ``end``: the good end, else
-    the bad.  Steps aim ``tol / 2`` past the root into the good side, so the
-    result is an evaluated point with g >= 0 within about ``tol`` of the
+    shrinks, is replaced by its midpoint.  Steps aim eps / 2 past the root
+    into the good side, eps = ``tol`` or two float spacings at x, if more.
+    So the result is an evaluated point with g >= 0 within about eps of the
     root, the first with g = 0, or the good end once the bracket is
-    narrower than ``tol``, holds no snapped point, or after 100 evaluations.
+    narrower than ``tol``, holds no float, or after 100 evaluations.
     """
     prev = None
     for _ in range(100):
-        if abs(bad - good) <= tol:
+        if abs(bad - good) <= tol or math.nextafter(good, bad) == bad:
             break
         if not min(good, bad) < x < max(good, bad):
             x = 0.5 * (good + bad)
-        if snap is not None:
-            x = next((v for v in (snap(x, good), snap(x, bad))
-                      if min(good, bad) < v < max(good, bad)), None)
-            if x is None:
-                break
         g, slope = fn(x)
         good, bad = (x, bad) if g >= 0.0 else (good, x)
         if slope is None and prev is not None and x != prev[0]:
             slope = (g - prev[1]) / (x - prev[0])
         prev = (x, g) if math.isfinite(g) else None
         step = -g / slope if slope else math.nan
-        if g == 0.0 or (abs(step) <= tol and g >= 0.0):
+        eps = max(tol, 2.0 * math.ulp(x))  # no finer than the grain of x
+        if g == 0.0 or (abs(step) <= eps and g >= 0.0):
             return x
-        x += step + math.copysign(0.5 * tol, good - bad)
+        x += step + math.copysign(0.5 * eps, good - bad)
     return good
 
 
@@ -155,16 +148,24 @@ def lambert_w0(y):
 
 # --- expectations over the density distribution -----------------------------
 
-GL_NODES = 20        # Gauss-Legendre nodes per piece
 GRADING_RATIO = 0.15  # ratio of consecutive piece ends graded toward 0
 GRADING_LEVELS = 8    # graded pieces per segment; the first spans b * r^8
 # a ladder's rungs r^8 ... r^1 and its top 1, as fractions of its top
 _LADDER = np.array([GRADING_RATIO ** k for k in range(GRADING_LEVELS, -1, -1)])
-
-
-@lru_cache(maxsize=None)
-def _legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+# each piece's 20-point Gauss-Legendre rule on [-1, 1], bit for bit numpy's
+# polynomial.legendre.leggauss(20), without that package's import: the
+# positive nodes and their weights, mirrored
+_GL_X = np.array([0.07652652113349734, 0.22778585114164507,
+                  0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+                  0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+                  0.9639719272779138, 0.993128599185095])
+_GL_W = np.array([0.15275338713072628, 0.14917298647260424,
+                  0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+                  0.1019301198172407, 0.08327674157670471,
+                  0.06267204833410879, 0.040601429800386446,
+                  0.017614007139150893])
+GL_RULE = (np.concatenate([-_GL_X[::-1], _GL_X]),
+           np.concatenate([_GL_W[::-1], _GL_W]))
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ def gauss_legendre(dist, lo: float, hi: float,
     integrand jumps or kinks) and at the pdf's own kinks, then graded toward
     0, where integrands behave like powers of the density: [a, b] at the
     rungs b r^8 ... b r^1 above a of one ladder, pieces of ratio 1/r.  Each
-    piece gets ``GL_NODES`` nodes, all interior, so none is at 0.
+    piece gets the 20 nodes of ``GL_RULE``, all interior, so none is at 0.
     """
     if not hi > lo:
         return QuadratureRule(np.empty(0), np.empty(0))
@@ -205,7 +206,7 @@ def gauss_legendre(dist, lo: float, hi: float,
     keep = ladder > cuts[:-1, None]
     keep[0, :-1] = False
     edges = ladder[keep]
-    t, w = _legendre(GL_NODES)
+    t, w = GL_RULE
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * t).ravel()
     weights = (half * w).ravel() * np.asarray(dist.pdf(nodes), dtype=float)

@@ -121,7 +121,7 @@ def _x1_log_slope(x, qp, log_rhs, h):
 
 def x2_star(density, p: SystemParams):
     """Largest admissible x: consumption pinned at the BS power cap."""
-    return max_range_x(density, p.max_bs_power, p)
+    return max_range_x(density, p.max_bs_power - p.static_power, p)
 
 
 def subproblem(density, mu: float, p: SystemParams):

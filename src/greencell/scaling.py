@@ -149,25 +149,23 @@ def _lambert_x(qp, ratio: float, p: SystemParams, seed: bool = False):
     return (_winitzki(y) if seed else lambert_w0(y)) / k
 
 
-def max_range_x(density, budget: float, p: SystemParams):
-    """Largest x = R^2 whose BS consumption stays within ``budget`` at ``density``.
+def max_range_x(density, share: float, p: SystemParams):
+    """Largest x = R^2 whose consumption above Pc, a Pt, stays within
+    ``share`` (W, finite and > 0) at ``density``.
 
-    Elementwise over densities, for one budget.  Newton in log x on
+    Elementwise over densities, for one share.  Newton in log x on
     log Pt(x) = log target, seeded by the high-spectrum-efficiency form
     (2^(D2 pi lambda x) - 1 replaced by its exponential, ``_lambert_x``
     with Winitzki's W); log Pt is convex and increasing in log x, so from
     any seed Newton's first step lands at or above the root and the
     steps after it descend monotonically onto the root.
     """
-    if not math.isfinite(budget):
-        raise ValueError(f"budget must be finite, got {budget!r}")
-    if budget <= p.static_power:
+    if not (math.isfinite(share) and share > 0.0):
         raise InfeasibleBudgetError(
-            f"budget {budget} W does not exceed static power "
-            f"{p.static_power} W")
+            f"budget above static power must be finite and > 0 W: {share!r}")
     c = derive_constants(p)
     half_alpha = 0.5 * p.pathloss_exp
-    ratio = (budget - p.static_power) / (p.amp_scaling * c.d1)
+    ratio = share / (p.amp_scaling * c.d1)
     log_ratio = math.log(ratio)
     shape, (lam,) = as_arrays(density)
     if (lam <= 0.0).any():
@@ -188,7 +186,7 @@ def max_range_x(density, budget: float, p: SystemParams):
 
 def max_range(density, budget: float, p: SystemParams):
     """Coverage radius with consumption exactly at ``budget``; decreasing in density."""
-    shape, (x,) = as_arrays(max_range_x(density, budget, p))
+    shape, (x,) = as_arrays(max_range_x(density, budget - p.static_power, p))
     return shaped(np.sqrt(x), shape)
 
 

@@ -35,17 +35,19 @@ ARW_OFC = "ARwOFC"
 ARW_OOFC = "ARwoOFC"
 
 _CUT_TOL = 1e-14  # cut-off root tolerance, relative to lambda_max
-_LEVEL_TOL = 1e-14  # level root tolerance in log(pf - Pc)
+_LEVEL_TOL = 1e-14  # level root tolerance in log of the share above Pc
 
 
 @dataclass(frozen=True)
 class SchemeResult:
-    """Outcome of one scheme search."""
+    """Outcome of one scheme search; an ARw level ``fixed_power`` is
+    Pc + ``fixed_share``, the transmit share a Pt that sets the range."""
 
     scheme: str
     cutoff: float
     fixed_radius: Optional[float]
     fixed_power: Optional[float]
+    fixed_share: Optional[float]
     metrics: PolicyMetrics
 
     def radius_at(self, density, p: SystemParams):
@@ -57,7 +59,7 @@ class SchemeResult:
             r[on] = self.fixed_radius
         else:
             on &= lam > 0.0
-            r[on] = np.sqrt(max_range_x(lam[on], self.fixed_power, p))
+            r[on] = np.sqrt(max_range_x(lam[on], self.fixed_share, p))
         return shaped(r, shape)
 
     def summary(self) -> dict:
@@ -76,7 +78,7 @@ class _Cut(NamedTuple):
 
     cutoff: float
     radius: Optional[float]  # FRw's fixed radius
-    level: Optional[float]  # ARw's fixed consumption
+    share: Optional[float]  # ARw's transmit share above Pc
     users: float
     on: float
     cost: float
@@ -115,12 +117,14 @@ def _cheapest_cutoff(at_edge: _Cut, point, falls_at_zero: bool,
 
 def _result(tag: str, at: _Cut, dist: DensityDistribution,
             p: SystemParams) -> SchemeResult:
-    peak = at.level if at.radius is None \
+    level = None if at.share is None else p.static_power + at.share
+    peak = level if at.radius is None \
         else bs_power(at.radius, dist.lambda_max, p)
     metrics = PolicyMetrics(avg_power_w=at.cost, avg_users=at.users,
                             on_probability=at.on, peak_bs_power_w=peak)
     return SchemeResult(scheme=tag, cutoff=at.cutoff, fixed_radius=at.radius,
-                        fixed_power=at.level, metrics=metrics)
+                        fixed_power=level, fixed_share=at.share,
+                        metrics=metrics)
 
 
 def _tail_rule(dist: DensityDistribution, cutoff: float, p: SystemParams):
@@ -218,28 +222,29 @@ def frw_oofc(u_avg: float, dist: DensityDistribution,
 
 
 class _ArwTail(NamedTuple):
-    """Tail integrals at one (cut-off c, level pf) pair; see ``_arw_tail``."""
+    """Tail integrals at one (cut-off c, share) pair; see ``_arw_tail``."""
 
     users: float  # U
     x_cut: float  # x(c), 0 at c = 0
     level: float  # I
 
 
-def _arw_tail(rule, cutoff: float, pf: float, dist: DensityDistribution,
+def _arw_tail(rule, cutoff: float, share: float, dist: DensityDistribution,
               p: SystemParams) -> _ArwTail:
     """U, x(c) and I from one kernel call on the cut-off's tail rule, or
     none on the cap tail.
 
-    U = integral over [c, lambda_max] of pi lam x f, x = max_range_x(lam, pf);
-    I = integral of lam x / (alpha/2 + y / (1 - e^-y)) f, y = d3 pi lam x.
-    Then dU/dpf = pi I / (pf - Pc) and dU/dc = -pi c x(c) f(c).
+    U = integral over [c, lambda_max] of pi lam x f, x = max_range_x(lam,
+    share); I = integral of lam x / (alpha/2 + y / (1 - e^-y)) f,
+    y = d3 pi lam x.  Then dU/dshare = pi I / share and
+    dU/dc = -pi c x(c) f(c).
     """
     n = rule.nodes.size
-    if cutoff == 0.0 and pf == p.max_bs_power:
+    if cutoff == 0.0 and share == p.max_bs_power - p.static_power:
         xs = cap_tail(dist, p)[1]
     else:
         xs = max_range_x(np.append(rule.nodes, cutoff) if cutoff > 0.0
-                         else rule.nodes, pf, p)
+                         else rule.nodes, share, p)
     x = xs[:n]
     y = derive_constants(p).d3 * math.pi * rule.nodes * x
     return _ArwTail(rule.integrate(math.pi * rule.nodes * x),
@@ -248,73 +253,66 @@ def _arw_tail(rule, cutoff: float, pf: float, dist: DensityDistribution,
                         0.5 * p.pathloss_exp - y / np.expm1(-y))))
 
 
-def _arw_at(rule, cutoff: float, pf: float, tail: _ArwTail,
+def _arw_at(rule, cutoff: float, share: float, tail: _ArwTail,
             p: SystemParams) -> _Cut:
-    """The ARw point at (c, pf) on the floor, where dpf/dc = c x(c) f(c)
-    (pf - Pc) / I, so J(c) = pf on + Ps (1 - on), on = ``_on_mass``, has
-    loss pf - Ps and gain on c x(c) (pf - Pc) / I."""
+    """The ARw point at (c, share) on the floor, level pf = Pc + share: with
+    dshare/dc = c x(c) f(c) share / I, J(c) = pf on + Ps (1 - on), on =
+    ``_on_mass``, has gain on c x(c) share / I and loss share + Pc - Ps."""
     on = _on_mass(rule, cutoff)
-    return _Cut(cutoff, None, pf, tail.users, on,
-                pf * on + p.sleep_power * (1.0 - on),
-                gain=on * cutoff * tail.x_cut * (pf - p.static_power)
-                / tail.level,
-                loss=pf - p.sleep_power)
+    return _Cut(cutoff, None, share, tail.users, on,
+                (p.static_power + share) * on + p.sleep_power * (1.0 - on),
+                gain=on * cutoff * tail.x_cut * share / tail.level,
+                loss=share + (p.static_power - p.sleep_power))
 
 
-def _arw_top(u_avg: float, dist: DensityDistribution,
-             p: SystemParams) -> _ArwTail:
-    """The cap tail, whose U is the ARw cap, ``solve``'s bound."""
-    top = _arw_tail(_tail_rule(dist, 0.0, p), 0.0, p.max_bs_power, dist, p)
-    _check_target(u_avg, top.users)
-    return top
+def _arw_cap(u_avg: float, dist: DensityDistribution,
+             p: SystemParams) -> float:
+    """The ARw cap, ``solve``'s bound: U of the cap tail."""
+    cap = _arw_tail(_tail_rule(dist, 0.0, p), 0.0,
+                    p.max_bs_power - p.static_power, dist, p).users
+    _check_target(u_avg, cap)
+    return cap
 
 
 def _arw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
              p: SystemParams, start: float) -> _Cut:
-    """The lowest float level meeting the floor above a cut-off in [0, edge]:
-    Newton on log(U / u_avg) in s = log(pf - Pc), dlog U/ds = pi I / U, from
-    ``start``, between Pmax (unevaluated) and a share below the least."""
-    pc, pmax = p.static_power, p.max_bs_power
-    least, top = math.nextafter(pc, math.inf), math.log(pmax - pc)
+    """The least share meeting the floor above a cut-off in [0, edge]:
+    Newton on log(U / u_avg) in s = log(share) - a, dlog U/ds = pi I / U,
+    from a = ``start`` (else log top), between top = Pmax - Pc (unevaluated)
+    and e^-700 top.  s is small near the root: finer grained than log share."""
+    top = p.max_bs_power - p.static_power
+    log_top = math.log(top)
+    a = start if log_top - 700.0 < start < log_top else log_top
     rule = _tail_rule(dist, cutoff, p)
-    levels, tails = {}, {}
-
-    def snap(s: float, end: float) -> float:
-        # the float level nearest Pc + e^s on the side of s toward the end
-        pf = pc + math.exp(s)
-        if (pf - pc - math.exp(s)) * (end - s) < 0.0:
-            pf = math.nextafter(pf, pmax if end > s else least)
-        levels[math.log(pf - pc)] = pf
-        return math.log(pf - pc)
+    tails = {}
 
     def gap(s: float) -> tuple:
-        pf = levels[s]
-        tails[s] = pf, tail = pf, _arw_tail(rule, cutoff, pf, dist, p)
+        share = math.exp(a) * math.exp(s)
+        tails[s] = share, tail = share, _arw_tail(rule, cutoff, share, dist, p)
         return math.log(tail.users / u_avg), math.pi * tail.level / tail.users
 
-    # every share above the bad end rounds to a level: least at the lowest
-    s = bracketed_newton(gap, top, math.log(least - pc) - 0.5, start,
-                         _LEVEL_TOL, snap)
-    pf, tail = tails.get(s) or (pmax, _arw_tail(rule, cutoff, pmax, dist, p))
-    return _arw_at(rule, cutoff, pf, tail, p)
+    s = bracketed_newton(gap, log_top - a, log_top - a - 700.0, 0.0,
+                         _LEVEL_TOL)
+    share, tail = tails.get(s) or (top, _arw_tail(rule, cutoff, top, dist, p))
+    return _arw_at(rule, cutoff, share, tail, p)
 
 
 def arw_ofc(u_avg: float, dist: DensityDistribution,
             p: SystemParams) -> SchemeResult:
     """Consumption pinned at one level when on, the range the largest it
     affords, with an on/off cut-off; h(0) = Ps - pf < 0."""
-    _arw_top(u_avg, dist, p)
-    pmax = p.max_bs_power
+    _arw_cap(u_avg, dist, p)
+    top = p.max_bs_power - p.static_power
     edge, rule, tail = _edge(u_avg, dist, p, lambda c, rule: _arw_tail(
-        rule, c, pmax, dist, p))
-    at_edge = _arw_at(rule, edge, pmax, tail, p)
+        rule, c, top, dist, p))
+    at_edge = _arw_at(rule, edge, top, tail, p)
 
     def point(cutoff: float, near: _Cut) -> _Cut:
-        # near's s moved along ds/dc = gain f(c) / (on (pf - Pc))
-        c, share = near.cutoff, near.level - p.static_power
-        rate = near.gain * float(dist.pdf(c)) / (near.on * share)
+        # near's s moved along ds/dc = gain f(c) / (on share)
+        c = near.cutoff
+        rate = near.gain * float(dist.pdf(c)) / (near.on * near.share)
         return _arw_cut(cutoff, u_avg, dist, p,
-                        math.log(share) + rate * (cutoff - c))
+                        math.log(near.share) + rate * (cutoff - c))
 
     best = _cheapest_cutoff(at_edge, point, True, dist.lambda_max)
     return _result(ARW_OFC, best, dist, p)
@@ -323,8 +321,9 @@ def arw_ofc(u_avg: float, dist: DensityDistribution,
 def arw_oofc(u_avg: float, dist: DensityDistribution,
              p: SystemParams) -> SchemeResult:
     """Constant consumption, always on: the level at the cut-off 0, by
-    Newton from the step the always-on tail at Pmax gives."""
-    top = _arw_top(u_avg, dist, p)
+    Newton from the cap's share, stepped down to the floor at log U's
+    steepest slope in log share, 1 / (alpha/2 + 1): so the start meets it."""
     start = math.log(p.max_bs_power - p.static_power) \
-        - math.log(top.users / u_avg) * top.users / (math.pi * top.level)
+        - math.log(_arw_cap(u_avg, dist, p) / u_avg) \
+        * (0.5 * p.pathloss_exp + 1.0)
     return _result(ARW_OOFC, _arw_cut(0.0, u_avg, dist, p, start), dist, p)

@@ -100,24 +100,26 @@ def grow_bracket(f: Callable[[float], float], lo: float, hi0: float,
         f"no sign change found while doubling up to hi={hi}")
 
 
-def arw_tail_users(pf, cutoff, dist, p) -> float:
-    """Tail throughput above ``cutoff`` with the range tracking level ``pf``."""
+def arw_tail_users(share, cutoff, dist, p) -> float:
+    """Tail throughput above ``cutoff`` with the range tracking the level
+    Pc + ``share``: the transmit share a Pt is ``share`` at every density."""
     rule = gauss_legendre(dist, cutoff, dist.lambda_max)
-    return rule.integrate(math.pi * rule.nodes * max_range_x(rule.nodes, pf, p))
+    return rule.integrate(math.pi * rule.nodes
+                          * max_range_x(rule.nodes, share, p))
 
 
-def accurate_cutoff(pf, u_avg, dist, p) -> Optional[float]:
-    """Largest cut-off whose quadrature tail throughput still meets the
-    floor, by bisection to an absolute width of 1e-12; None when even the
-    always-on tail misses it."""
-    if arw_tail_users(pf, 0.0, dist, p) < u_avg:
+def accurate_cutoff(share, u_avg, dist, p) -> Optional[float]:
+    """Largest cut-off whose quadrature tail throughput at the transmit
+    ``share`` still meets the floor, by bisection to an absolute width of
+    1e-12; None when even the always-on tail misses it."""
+    if arw_tail_users(share, 0.0, dist, p) < u_avg:
         return None
     lo, hi = 0.0, dist.lambda_max
     for _ in range(60):
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        if arw_tail_users(pf, mid, dist, p) >= u_avg:
+        if arw_tail_users(share, mid, dist, p) >= u_avg:
             lo = mid
         else:
             hi = mid

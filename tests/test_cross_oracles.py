@@ -82,12 +82,13 @@ def test_stationary_point_matches_bisection(config, mu):
 def test_capped_point_matches_bisection(config):
     p = _params(config)
     for budget in (p.max_bs_power, 0.5 * (p.static_power + p.max_bs_power)):
-        got = max_range_x(DENSITIES, budget, p)
+        got = max_range_x(DENSITIES, budget - p.static_power, p)
         want = np.array([_ref_budget_x(float(lam), budget, p)
                          for lam in DENSITIES])
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
     np.testing.assert_array_equal(x2_star(DENSITIES, p),
-                                  max_range_x(DENSITIES, p.max_bs_power, p))
+                                  max_range_x(DENSITIES, p.max_bs_power
+                                              - p.static_power, p))
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -98,7 +99,8 @@ def test_scalar_and_array_calls_are_bit_identical(config):
     kernels = {
         "x1_star": lambda lam: x1_star(lam, mu, p),
         "x2_star": lambda lam: x2_star(lam, p),
-        "max_range_x": lambda lam: max_range_x(lam, 140.0, p),
+        "max_range_x": lambda lam: max_range_x(lam, 140.0 - p.static_power,
+                                               p),
         "subproblem": lambda lam: subproblem(lam, mu, p),
         "hse_x1": lambda lam: hse_x1(lam, mu, p),
         "hse_x2": lambda lam: hse_x2(lam, p),

@@ -395,7 +395,7 @@ def test_price_must_be_positive(call, mu):
 @pytest.mark.parametrize("call", [
     lambda lam: optimal.hse_x1(lam, 1.0, P),
     lambda lam: optimal.hse_x2(lam, P),
-    lambda lam: scaling.max_range_x(lam, P.max_bs_power, P),
+    lambda lam: scaling.max_range_x(lam, P.max_bs_power - P.static_power, P),
 ], ids=["hse_x1", "hse_x2", "max_range_x"])
 def test_kernel_density_must_be_positive(call, density):
     with pytest.raises(ValueError, match="density must be positive"):

@@ -107,8 +107,7 @@ class TestKernelSeeds:
         # 11 of these 1,476 points take a fourth step where full-precision
         # W took 3, all with alpha = 3 and load exponents of 2.8 to 3.1 nats
         calls = [lambda lam=float(lam), p=p, f=f: scaling.max_range_x(
-                     lam, p.static_power + f * (p.max_bs_power - p.static_power),
-                     p)
+                     lam, f * (p.max_bs_power - p.static_power), p)
                  for p in self._params() for lam in self.LAMS
                  for f in (0.01, 0.1, 0.3, 0.6, 0.9, 1.0)]
         new, old = self._compare(monkeypatch, calls)
@@ -207,6 +206,27 @@ class TestBracketedNewton:
         assert bracketed_newton(fn, 1.0, 0.0, 0.5, 1e-12) == 0.5
         assert calls == [0.5]
 
+    def test_tolerance_below_the_float_grain_still_converges(self):
+        # near 300 floats are 5.7e-14 apart, so no step of tol / 2 leaves
+        # the bad side of this concave g, on which Newton stays: the steps
+        # aim a float spacing past the root, 3e-15 above the float ``at``
+        at = 300.0 + 1.23456e-10
+        g = lambda x: math.log1p((x - at) / at) - 1e-17
+        fn, calls = self._logged(g, lambda x: 1.0 / x)
+        got = bracketed_newton(fn, 400.0, 200.0, 250.0, 1e-14)
+        assert g(got) >= 0.0
+        assert at < got <= at + 2.0 * math.ulp(at)
+        assert len(calls) <= 10
+
+    def test_a_bracket_without_a_float_inside_ends_the_search(self):
+        # a g that steps over its root between two adjacent floats
+        bad = 1.0
+        good = math.nextafter(bad, 2.0)
+        fn, calls = self._logged(lambda x: 1.0 if x >= good else -1.0,
+                                 lambda x: 0.0)
+        assert bracketed_newton(fn, 2.0, 0.0, 0.5, 1e-300) == good
+        assert len(calls) <= 60
+
 
 class TestMinimizeBounded:
     # the oracle for FRwOFC's cut-off, itself checked against SciPy; odd
@@ -286,3 +306,9 @@ class TestExpectation:
     def test_non_finite_integrand_reported(self):
         with pytest.raises(NonFiniteIntegrandError):
             expect(lambda lam: math.inf, self.dist)
+
+
+def test_gauss_legendre_rule_is_numpys_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    assert numerics.GL_RULE[0].tobytes() == nodes.tobytes()
+    assert numerics.GL_RULE[1].tobytes() == weights.tobytes()

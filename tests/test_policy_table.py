@@ -155,14 +155,16 @@ def test_table_grid_is_the_sorted_distinct_densities(config, u_avg, mode):
 @pytest.mark.parametrize("mode", ["exact", "hse"])
 def test_cli_solve_does_not_import_numpy_ma(tmp_path, mode):
     # np.unique's first call in a process imports numpy.ma (about 10 ms);
-    # the table is merged without it.  The child imports greencell from
-    # where this process found it.
+    # the table is merged without it.  leggauss would import
+    # numpy.polynomial (a few ms); the rule's nodes are written out.  The
+    # child imports greencell from where this process found it.
     src = str(Path(optimal.__file__).resolve().parents[1])
     argv = ["solve", "--u-avg", "50", "--mode", mode,
             "--out", str(tmp_path / "policy.csv")]
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "from greencell import cli; "
             f"assert cli.main({argv!r}) == 0; "
-            "assert 'numpy.ma' not in sys.modules")
+            "assert 'numpy.ma' not in sys.modules; "
+            "assert 'numpy.polynomial' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    stdout=subprocess.DEVNULL)

@@ -212,7 +212,8 @@ def _level_rows(config, dist):
     p, _ = _context(config)
     lam_grid, _ = _scan_grid(dist)
     pfs = np.linspace(p.static_power, p.max_bs_power, SCAN_LEVELS + 1)[1:]
-    return pfs, [max_range_x(lam_grid, float(pf), p) for pf in pfs]
+    return pfs, [max_range_x(lam_grid, float(pf) - p.static_power, p)
+                 for pf in pfs]
 
 
 def _ref_arw_ofc(u_avg, config, dist):
@@ -223,7 +224,7 @@ def _ref_arw_ofc(u_avg, config, dist):
     pfs, rows = _level_rows(config, dist)
 
     def cost(pf):
-        xs = max_range_x(lam_grid, pf, p)
+        xs = max_range_x(lam_grid, pf - p.static_power, p)
         return _ref_level_cost(xs, pf, u_avg, dist, p, lam_grid, pdf_grid)
 
     costs = np.array([_ref_level_cost(xs, float(pf), u_avg, dist, p,
@@ -236,10 +237,10 @@ def _ref_arw_ofc(u_avg, config, dist):
                       float(pfs[min(i + 1, pfs.size - 1)])),
         method="bounded", options={"xatol": p.max_bs_power * 1e-9})
     pf = float(res.x) if res.fun <= costs[i] else float(pfs[i])
-    cutoff = accurate_cutoff(pf, u_avg, dist, p)
+    cutoff = accurate_cutoff(pf - p.static_power, u_avg, dist, p)
     if cutoff is None:
         pf = float(pfs[i])
-        cutoff = accurate_cutoff(pf, u_avg, dist, p)
+        cutoff = accurate_cutoff(pf - p.static_power, u_avg, dist, p)
     return pf, cutoff
 
 
@@ -247,7 +248,7 @@ def _ref_frw_power(u_avg, dist, p):
     """FRwOFC power from a 512-cut-off scan over [0, lambda_max) and the
     same local refinement; None when no cut-off is feasible."""
     m = dist.lambda_max
-    x_cap = max_range_x(m, p.max_bs_power, p)
+    x_cap = max_range_x(m, p.max_bs_power - p.static_power, p)
 
     def objective(cutoff):
         rule = gauss_legendre(dist, cutoff, m)
@@ -283,7 +284,7 @@ def _arw_power(pf, cutoff, dist, p):
 def _assert_meets_floor(res, u_avg, dist, p):
     """The result's tail throughput, recomputed by quadrature, is the one
     it reports and meets the floor."""
-    users = arw_tail_users(res.fixed_power, res.cutoff, dist, p)
+    users = arw_tail_users(res.fixed_share, res.cutoff, dist, p)
     assert res.metrics.avg_users == users
     assert users >= u_avg
 
@@ -322,7 +323,7 @@ def _scan_power(u_avg, dist, p, levels=128):
     each with its cut-off bisected on the quadrature tail throughput."""
     best = math.inf
     for pf in np.linspace(p.static_power, p.max_bs_power, levels + 1)[1:]:
-        cutoff = accurate_cutoff(float(pf), u_avg, dist, p)
+        cutoff = accurate_cutoff(float(pf) - p.static_power, u_avg, dist, p)
         if cutoff is not None:
             best = min(best, _arw_power(float(pf), cutoff, dist, p))
     return best
@@ -347,48 +348,50 @@ def test_arw_ofc_is_no_worse_than_the_128_level_scan(pc, alpha, frac, dist):
                          ids=["triangular", "table1", "table_at_zero"])
 @pytest.mark.parametrize("config", CONFIGS)
 def test_arw_oofc_level_is_the_bisected_root(config, dist):
-    # the lowest level whose always-on throughput meets the floor, against
-    # bisection on the same quadrature down to 1e-14 relative
+    # the least transmit share whose always-on throughput meets the floor,
+    # against bisection on the same quadrature in its log, down to about
+    # 1e-13 relative
     p, _ = _context(config)
     cap = max_achievable_throughput(dist, p)
+    top = math.log(p.max_bs_power - p.static_power)
     for frac in (1e-4, 0.03, 0.3, 0.7, 0.99, 1.0 - 1e-9):
         u = frac * cap
 
-        def gap(pf):
-            return arw_tail_users(pf, 0.0, dist, p) - u
-        eps = (p.max_bs_power - p.static_power) * 1e-12
-        want = bisect(gap, Bracket.from_function(
-            gap, p.static_power + eps, p.max_bs_power), rel_tol=1e-14)
+        def gap(s):
+            return arw_tail_users(math.exp(s), 0.0, dist, p) - u
+        want = math.exp(bisect(gap, Bracket.from_function(
+            gap, top - 30.0, top), rel_tol=1e-14))
         res = arw_oofc(u, dist, p)
-        assert res.fixed_power <= want * (1.0 + 1e-12), frac
-        assert res.fixed_power >= want * (1.0 - 1e-12), frac
+        assert res.fixed_share <= want * (1.0 + 1e-12), frac
+        assert res.fixed_share >= want * (1.0 - 1e-12), frac
+        assert res.fixed_power == p.static_power + res.fixed_share
         _assert_meets_floor(res, u, dist, p)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_level_derivative_matches_central_differences(config):
-    # dU/dpf = pi I / (pf - Pc) at the cut-off that meets the floor at pf
+    # dU/dshare = pi I / share at the cut-off that meets the floor there
     p, _ = _context(config)
     u = 0.4 * max_achievable_throughput(DIST, p)
-    lowest = arw_oofc(u, DIST, p).fixed_power
+    lowest = arw_oofc(u, DIST, p).fixed_share
     h = 1e-3
     for frac in (0.2, 0.5, 0.9):
-        pf = lowest + frac * (p.max_bs_power - lowest)
-        cutoff = accurate_cutoff(pf, u, DIST, p)
+        share = lowest + frac * (p.max_bs_power - p.static_power - lowest)
+        cutoff = accurate_cutoff(share, u, DIST, p)
         rule = suboptimal._tail_rule(DIST, cutoff, p)
-        tail = suboptimal._arw_tail(rule, cutoff, pf, DIST, p)
-        du = (suboptimal._arw_tail(rule, cutoff, pf + h, DIST, p).users
-              - suboptimal._arw_tail(rule, cutoff, pf - h, DIST, p).users) \
+        tail = suboptimal._arw_tail(rule, cutoff, share, DIST, p)
+        du = (suboptimal._arw_tail(rule, cutoff, share + h, DIST, p).users
+              - suboptimal._arw_tail(rule, cutoff, share - h, DIST, p).users) \
             / (2 * h)
-        assert math.pi * tail.level / (pf - p.static_power) == \
-            pytest.approx(du, rel=1e-6), frac
+        assert math.pi * tail.level / share == pytest.approx(du, rel=1e-6), \
+            frac
 
 
 def _frw_edge(u_avg, dist, p):
     """(edge, x_cap): the largest cut-off at which the fixed radius meeting
     the floor stays within the cap, bisected on its satisfied side."""
     m = dist.lambda_max
-    x_cap = max_range_x(m, p.max_bs_power, p)
+    x_cap = max_range_x(m, p.max_bs_power - p.static_power, p)
     lo, hi = 0.0, m
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -406,7 +409,8 @@ def _frw_cut(cutoff, u_avg, dist, p):
 
 
 def _frw_cap(dist, p):
-    return math.pi * max_range_x(dist.lambda_max, p.max_bs_power, p) \
+    return math.pi * max_range_x(dist.lambda_max,
+                                 p.max_bs_power - p.static_power, p) \
         * expect(lambda lam: lam, dist)
 
 
@@ -417,7 +421,8 @@ def _family(family, u_avg, dist, p):
         return edge, lambda c: _frw_cut(c, u_avg, dist, p)
 
     def at_cap(c, rule):
-        return suboptimal._arw_tail(rule, c, p.max_bs_power, dist, p)
+        return suboptimal._arw_tail(rule, c, p.max_bs_power - p.static_power,
+                                    dist, p)
     edge, _, _ = suboptimal._edge(u_avg, dist, p, at_cap)
     return edge, lambda c: suboptimal._arw_cut(
         c, u_avg, dist, p, math.log(p.max_bs_power - p.static_power))
@@ -473,7 +478,7 @@ def test_cutoff_derivative_changes_sign_at_most_once(pc, alpha, frac, dist,
 @example(pc=88.0, alpha=3.0, frac=0.5, dist=DIST)
 def test_frw_ofc_is_no_worse_than_the_512_point_scan(pc, alpha, frac, dist):
     p = SystemParams(static_power=pc, pathloss_exp=alpha)
-    x_cap = max_range_x(dist.lambda_max, p.max_bs_power, p)
+    x_cap = max_range_x(dist.lambda_max, p.max_bs_power - p.static_power, p)
     u = frac * math.pi * x_cap * expect(lambda lam: lam, dist)
     want = _ref_frw_power(u, dist, p)
     assert want is not None
@@ -578,7 +583,8 @@ def test_infeasible_targets_report_the_schemes_caps(config):
     p, _ = _context(config)
     for dist in POOL_DISTS.values():
         arw_cap = max_achievable_throughput(dist, p)
-        frw_cap = math.pi * max_range_x(dist.lambda_max, p.max_bs_power, p) \
+        frw_cap = math.pi * max_range_x(
+            dist.lambda_max, p.max_bs_power - p.static_power, p) \
             * expect(lambda lam: lam, dist)
         for scheme, cap in ((arw_ofc, arw_cap), (arw_oofc, arw_cap),
                             (frw_ofc, frw_cap), (frw_oofc, frw_cap)):
@@ -668,11 +674,11 @@ class _KernelLog:
         self.sizes = []
         self.multi_level = 0
 
-    def __call__(self, density, budget, p):
+    def __call__(self, density, share, p):
         self.sizes.append(np.broadcast(np.asarray(density),
-                                       np.asarray(budget)).size)
-        self.multi_level += np.size(budget) > 1
-        return self.kernel(density, budget, p)
+                                       np.asarray(share)).size)
+        self.multi_level += np.size(share) > 1
+        return self.kernel(density, share, p)
 
 
 @pytest.fixture
@@ -722,8 +728,9 @@ def test_feasible_search_stays_batched(kernel_log, scheme):
 
 
 def test_arw_ofc_kernel_calls_stay_bounded_on_the_grid(kernel_log):
-    # the cut-off search against the level search it replaced, which made
-    # 7,999 kernel calls on this 288-case grid, 82 in its costliest call
+    # the level search it replaced made 7,999 kernel calls on this 288-case
+    # grid, 82 in its costliest call; the level search on a float grid,
+    # 6,249 and 49; the search in the share's log, 6,179 and 47
     worst = total = 0
     for pc in (20.0, 42.5, 60.0, 100.0, 120.0, 140.0):
         for alpha in (3.0, 3.7):
@@ -735,8 +742,8 @@ def test_arw_ofc_kernel_calls_stay_bounded_on_the_grid(kernel_log):
                     arw_ofc(frac * cap, dist, p)
                     worst = max(worst, len(kernel_log.sizes))
                     total += len(kernel_log.sizes)
-    assert worst <= 82
-    assert total <= 7999
+    assert worst <= 47
+    assert total <= 6179
     assert not kernel_log.evaluated
 
 
@@ -770,19 +777,21 @@ def test_optimal_is_no_worse_than_either_ofc_scheme(p, frac, dist):
 
 # --- every result is what metrics.evaluate measures of it -------------------
 
-# Bounds are the worst values over 16,000 draws of this test's strategy
-# (hypothesis seeds 7, 11 and 12), rounded up in the third digit:
-# - reported metrics against evaluate, relative: 1.27e-14, on a peak (a
-#   consumption taken through sqrt and back); a re-measurement over the
-#   same draws gave 1.16e-14, and the bound was kept;
+# Bounds are the worst values over 16,002 draws of this test's strategy
+# (hypothesis seeds 7, 11 and 12, 5,334 each) and 400 draws with
+# Pc = Ps = 0 at 0.9 of the cap on each pool density (numpy seeds 1 and 2),
+# rounded up in the third digit:
+# - reported metrics against evaluate, relative: 1.59e-14, solve's peak (a
+#   consumption taken through sqrt and back) at Pc = Ps = 0;
 # - an OFC scheme's cost exceeds its always-on one's by up to 3.77e-16 Pmax:
 #   FRwOFC where Ps is an ulp below Pc, so that h(0) is about 0 and the
 #   root of log(gain / loss) lies where the cost is flat near the cut-off 0
 #   (ARwOFC by up to 9.2e-17 Pmax);
-# - the peak exceeds Pmax by up to 5.11e-15 relative.
-EVALUATE_REL = 1.27e-14
+# - the peak exceeds Pmax by up to 9.11e-15 relative (solve, at Pc of
+#   4e-48 W); at Pc = Ps = 0 by up to 5.78e-15.
+EVALUATE_REL = 1.59e-14
 LATTICE_SLACK = 3.77e-16
-PEAK_SLACK = 5.11e-15
+PEAK_SLACK = 9.11e-15
 
 
 @settings(max_examples=60)
@@ -792,6 +801,21 @@ PEAK_SLACK = 5.11e-15
 # 1e-6 of the cap, where the cut-offs sit near lambda_max and 1 - cdf(c)
 # would cancel to about 1e-10 of the on-probability
 @example(p=SystemParams(), frac=1e-6, dist=TABLE0)
+# the worst draws: solve's peak against evaluate's, and against Pmax, at
+# Pc = Ps = 0 and at Pc of 4e-48 W
+@example(p=SystemParams(pathloss_exp=5.174838311388934, static_power=0.0,
+                        max_bs_power=10.179311749992216,
+                        amp_scaling=3.0334374990210553, sleep_power=0.0),
+         frac=0.9, dist=TABLE1)
+@example(p=SystemParams(pathloss_exp=4.1366581090081525, static_power=0.0,
+                        max_bs_power=8.243925560143365,
+                        amp_scaling=5.870269479737878, sleep_power=0.0),
+         frac=0.9, dist=DIST)
+@example(p=SystemParams(pathloss_exp=6.0, static_power=3.8288010228648507e-48,
+                        max_bs_power=68.87469981419618,
+                        amp_scaling=5.889478574523921,
+                        sleep_power=1.598387346533758e-48),
+         frac=0.99, dist=TABLE2)
 def test_every_result_is_what_evaluate_measures_of_it(p, frac, dist):
     u = frac * max_achievable_throughput(dist, p)
     found = {}
@@ -825,14 +849,14 @@ def test_every_result_is_what_evaluate_measures_of_it(p, frac, dist):
 
 # --- every floor is tight, every OFC cut-off at the root of its condition ---
 
-# Every result meets its floor within TIGHT, or is an ARw level whose float
-# predecessor misses it (at Pc > 0 the share pf - Pc comes in ulps of Pc),
-# or an OFC scheme at its feasibility edge (FRw's x_cap, ARw's Pmax), whose
-# cut-off the edge search sets.  Bounds are the worst values over 8,000
-# draws of this test's strategy (hypothesis seeds 1 to 4; 17,621 results
-# held to TIGHT):
+# Every result meets its floor within TIGHT, or is an OFC scheme at its
+# feasibility edge (FRw's x_cap, ARw's Pmax), whose cut-off the edge search
+# sets.  Bounds are the worst values over 8,000 draws of this test's
+# strategy (hypothesis seeds 1 to 4; 17,621 results held to TIGHT while
+# ARw levels came in the float grain of Pc):
 # - over-delivery, avg_users / target - 1: 5.11e-15 (ARwOFC at 1e-8 of the
-#   cap with Pc = 0), rounded up in the third digit;
+#   cap with Pc = 0), rounded up in the third digit; with every ARw level
+#   held, 4.89e-15 over 8,000 draws (seeds 1 to 4, 24,047 results);
 # - a searched OFC cut-off lies above the root of log(gain / loss) by at
 #   most 2 _CUT_TOL lambda_max (probed at 1/4, 1/2, 1, 2, ... of it).
 TIGHT = 5.11e-15
@@ -846,28 +870,27 @@ def _ofc_edge(scheme, u_avg, dist, p):
         return suboptimal._edge(u_avg, dist, p, lambda c, rule: (
             math.pi * x_cap * rule.integrate(rule.nodes), x_cap))[0]
     return suboptimal._edge(u_avg, dist, p, lambda c, rule: (
-        suboptimal._arw_tail(rule, c, p.max_bs_power, dist, p)))[0]
+        suboptimal._arw_tail(rule, c, p.max_bs_power - p.static_power,
+                             dist, p)))[0]
 
 
 def _ofc_point(res, cutoff, u_avg, dist, p):
     """The family's point at ``cutoff``; at the result's own cut-off, the
     result's (ARw: at its level)."""
-    if res.fixed_power is None:
+    share = res.fixed_share
+    if share is None:
         return _frw_cut(cutoff, u_avg, dist, p)
     if cutoff == res.cutoff:
         rule = suboptimal._tail_rule(dist, cutoff, p)
-        return suboptimal._arw_at(rule, cutoff, res.fixed_power,
-                                  suboptimal._arw_tail(rule, cutoff,
-                                                       res.fixed_power,
-                                                       dist, p), p)
-    return suboptimal._arw_cut(cutoff, u_avg, dist, p, math.log(
-        res.fixed_power - p.static_power))
+        return suboptimal._arw_at(rule, cutoff, share, suboptimal._arw_tail(
+            rule, cutoff, share, dist, p), p)
+    return suboptimal._arw_cut(cutoff, u_avg, dist, p, math.log(share))
 
 
 def _floor_and_root(u_avg, dist, p):
-    """Each scheme's over-delivery (None where exempt or tight to the float
-    grain of its level) and, for a searched OFC cut-off, its distance above
-    the root in _CUT_TOL lambda_max (None at 0 or the edge)."""
+    """Each scheme's over-delivery (None at an OFC scheme's edge) and, for a
+    searched OFC cut-off, its distance above the root in _CUT_TOL lambda_max
+    (None at 0 or the edge)."""
     out = {}
     m = dist.lambda_max
     for scheme in SCHEMES:
@@ -882,11 +905,6 @@ def _floor_and_root(u_avg, dist, p):
             and res.cutoff == _ofc_edge(scheme, u_avg, dist, p)
         if at_edge:
             excess = None
-        elif res.fixed_power is not None:
-            below = math.nextafter(res.fixed_power, 0.0)
-            if below <= p.static_power or \
-                    arw_tail_users(below, res.cutoff, dist, p) < u_avg:
-                excess = None
         if scheme in (frw_ofc, arw_ofc) and res.cutoff > 0.0 and not at_edge:
             at = _ofc_point(res, res.cutoff, u_avg, dist, p)
             assert math.log(at.gain / at.loss) >= 0.0, scheme.__name__
@@ -910,6 +928,8 @@ def _floor_and_root(u_avg, dist, p):
 @example(p=SystemParams(pathloss_exp=5.52, static_power=0.0,
                         max_bs_power=7.87, amp_scaling=3.58, sleep_power=0.0),
          frac=1e-8, dist=DIST)
+# Pc = 120 W: the level's share is far below one ulp of Pc
+@example(p=SystemParams(), frac=1e-8, dist=DIST)
 def test_every_floor_is_tight_and_every_cutoff_at_its_root(p, frac, dist):
     u = frac * max_achievable_throughput(dist, p)
     for name, (excess, steps) in _floor_and_root(u, dist, p).items():
