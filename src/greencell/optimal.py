@@ -53,14 +53,19 @@ def _check_target(u_avg: float, cap: float) -> None:
 class CriticalDensities:
     """Density thresholds separating off / stationary / power-capped regimes.
 
-    The same three numbers in both modes.  ``critical_densities`` reports
-    a threshold outside ``THRESHOLD_BAND`` * lambda_max as 0 or inf;
-    ``hse_critical_densities`` reports its closed forms as they are.
+    The same three numbers in both modes, each the value its solver finds:
+    inf only where it has no root or would overflow the float range, 0 only
+    where it has no root or underflows (``from_logs``).
     """
 
     lambda1: float
     lambda2: float
     lambda3: float
+
+    @classmethod
+    def from_logs(cls, *logs: float) -> CriticalDensities:
+        """The thresholds with these logs; inf where exp would overflow."""
+        return cls(*(math.exp(v) if v < 709.78 else math.inf for v in logs))
 
     @property
     def case_tag(self) -> str:
@@ -145,15 +150,11 @@ def subproblem(density, mu: float, p: SystemParams):
     return shaped(out, shape)
 
 
-# exact thresholds below / above this band, times lambda_max, are reported
-# as 0 / inf
-THRESHOLD_BAND = (1e-6, 1e3)
 # threshold roots stop within this distance in log y
 THRESHOLD_TOL = 1e-14
 
 
-def critical_densities(mu: float, p: SystemParams,
-                       lambda_max: float) -> CriticalDensities:
+def critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
     """The three threshold densities for a given dual variable.
 
     On the stationary curve dP/dx = mu pi lambda, with load exponent
@@ -167,8 +168,8 @@ def critical_densities(mu: float, p: SystemParams,
     log y (``bracketed_newton``, on Python floats) inside a bracket from
     its asymptotes.  lambda3 (P = Pmax and L = Ps on the capped curve) is
     closed form: y3 = d3 (Pmax - Ps) / mu, and
-    a d1 x^h (e^y3 - 1) = Pmax - Pc.  Roots outside ``THRESHOLD_BAND``
-    are reported as 0 or inf.
+    a d1 x^h (e^y3 - 1) = Pmax - Pc.  Each is formed in logs and reported
+    as its value (``CriticalDensities.from_logs``).
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -227,10 +228,7 @@ def critical_densities(mu: float, p: SystemParams,
     log_x3 = (math.log((pmax - pc) / (p.amp_scaling * c.d1)) - y3
               - math.log(-math.expm1(-y3))) / h
     log_lam.append(math.log(y3 / (c.d3 * math.pi)) - log_x3)
-    log_lo, log_hi = (math.log(f * lambda_max) for f in THRESHOLD_BAND)
-    return CriticalDensities(*(
-        0.0 if v < log_lo else math.inf if v > log_hi else math.exp(v)
-        for v in log_lam))
+    return CriticalDensities.from_logs(*log_lam)
 
 
 # --- closed forms under the high-spectrum-efficiency approximation ---------
@@ -260,8 +258,8 @@ def hse_x2(density, p: SystemParams):
 def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
     """Closed-form threshold densities; each strictly decreasing in mu.
 
-    Each is formed in logs, and is inf above e^709.78, where it would
-    overflow; lambda2's also needs mu > d3 (Pmax - Pc), and is inf otherwise.
+    Each is formed in logs (``CriticalDensities.from_logs``); lambda2's
+    also needs mu > d3 (Pmax - Pc), and is inf otherwise.
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -280,8 +278,7 @@ def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
         + c.d3 * pt_max * p.amp_scaling / denom if denom > 0.0 else math.inf,
         math.log(on_pmax / (mu * math.pi)) + k * math.log(c.d1 / pt_max)
         + k * c.d3 * on_pmax / mu)
-    return CriticalDensities(*(
-        math.exp(v) if v < 709.78 else math.inf for v in log_lam))
+    return CriticalDensities.from_logs(*log_lam)
 
 
 # --- policy tabulation and the outer dual search ----------------------------
@@ -354,7 +351,7 @@ class AdaptationPolicy:
         def enc(v):
             return None if math.isinf(v) else v
         return {
-            "mu": self.mu,
+            "mu": enc(self.mu),
             "mode": self.mode,
             "case_tag": self.case_tag,
             "lambda1": enc(self.criticals.lambda1),
@@ -399,13 +396,16 @@ POLICY_GRID = 2048  # uniform grid of a policy table
 def policy_for_mu(mu: float, p: SystemParams, lambda_max: float,
                   mode: str = "exact") -> AdaptationPolicy:
     """The per-density minimizer at ``mu``: its thresholds, and a table
-    built when first read."""
+    built when first read.  Off everywhere at mu <= 0, at the cap everywhere
+    at mu = inf."""
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
     if mu <= 0.0:
         crits = CriticalDensities(math.inf, math.inf, math.inf)
+    elif mu == math.inf:
+        crits = CriticalDensities(0.0, 0.0, 0.0)
     elif mode == "exact":
-        crits = critical_densities(mu, p, lambda_max)
+        crits = critical_densities(mu, p)
     else:
         crits = hse_critical_densities(mu, p)
     return AdaptationPolicy(mu, crits, mode, lambda_max, p)
@@ -437,7 +437,7 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     x is continuous at lambda2, which adds nothing.
     """
     m = dist.lambda_max
-    crits = critical_densities(mu, p, m)
+    crits = critical_densities(mu, p)
     rule = gauss_legendre(dist, 0.0, m, _breakpoints(crits, m))
     lams = rule.nodes
     n = lams.size
@@ -464,8 +464,9 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
 # More would serve only repeated independent solves, which the CLI never runs.
 @lru_cache(maxsize=1)
 def cap_tail(dist: DensityDistribution, p: SystemParams) -> tuple:
-    """``solve``'s bound and the ARw and FRw caps: the rule on [0, lambda_max]
-    and x2_star on its nodes, then at lambda_max (one call); read-only."""
+    """``solve``'s bound and state at the cap, and the FRw cap: the rule on
+    [0, lambda_max] and x2_star on its nodes, then at lambda_max (one call);
+    read-only."""
     rule = gauss_legendre(dist, 0.0, dist.lambda_max)
     x = x2_star(np.append(rule.nodes, dist.lambda_max), p)
     for a in (rule.nodes, rule.weights, x):
@@ -488,33 +489,34 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
           mode: str = "exact") -> Tuple[AdaptationPolicy, PolicyMetrics]:
     """Minimize long-term consumption subject to a long-term throughput floor.
 
-    The dual variable mu is bracketed by doubling from 1 (below 1, down to
-    the least normal float, unevaluated: u(0) = 0 is below every target),
-    then found by Newton steps in
-    t = log mu on H(t) = log(cap - ``u_avg``) - log(cap - u(mu)), with cap
-    the feasibility bound (``max_achievable_throughput``).  Near the cap,
-    cap - u falls like a power of mu, so H is close to linear in t; at low
-    load H is close to (u - ``u_avg``) / (cap - ``u_avg``).  H >= 0 exactly
-    when u >= ``u_avg``, and its slope mu du/dmu / (cap - u) comes from the
-    exact du/dmu of each dual evaluation (``_avg_throughput``); where
-    u reaches the cap, or ``u_avg`` is the cap, H is infinite and carries
-    no slope.  The steps are safeguarded by the bracket (``bracketed_newton``)
-    and start from the bracket end nearer the floor, to within ``DUAL_TOL``
-    in log mu.  The result is an evaluated mu on the floor's satisfied
-    side, so the reported throughput is never below ``u_avg``.  When
-    ``u_avg`` falls inside a jump of the throughput-versus-mu curve, that
-    is the nearest mu above the jump, and its achieved throughput is
-    reported in the metrics.  The thresholds, rule and x of that last
-    satisfied evaluation give the policy's thresholds and the reported
-    metrics, so none is computed twice and no kernel runs after the search
-    (``_state_metrics``); the returned policy builds its table only when
-    it is read.
+    A floor at the cap, the feasibility bound
+    (``max_achievable_throughput``), is met only by the policy at the cap
+    everywhere, mu = inf: its state is the cap tail (``cap_tail``), with no
+    dual evaluation.  Below the cap the dual variable mu is bracketed by
+    doubling from 1 (below 1, down to the least normal float, unevaluated:
+    u(0) = 0 is below every target), then found by Newton steps in
+    t = log mu on H(t) = log(cap - ``u_avg``) - log(cap - u(mu)).  Near the
+    cap, cap - u falls like a power of mu, so H is close to linear in t; at
+    low load H is close to (u - ``u_avg``) / (cap - ``u_avg``).  H >= 0
+    exactly when u >= ``u_avg``, and its slope mu du/dmu / (cap - u) comes
+    from the exact du/dmu of each dual evaluation (``_avg_throughput``);
+    where u reaches the cap by rounding, H is inf and carries no slope.  The
+    steps are safeguarded by the bracket (``bracketed_newton``) and start
+    from the bracket end nearer the floor, to within ``DUAL_TOL`` in log mu.
+    The result is an evaluated mu on the floor's satisfied side, so the
+    reported throughput is never below ``u_avg``.  The thresholds, rule and
+    x of that last satisfied evaluation give the policy's thresholds and
+    the reported metrics, so none is computed twice and no kernel runs
+    after the search (``_state_metrics``); the returned policy builds its
+    table only when it is read.
     """
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
     cap = max_achievable_throughput(dist, p)
     _check_target(u_avg, cap)
-    satisfied = []  # (mu, state) of the latest evaluation with u >= u_avg
+    # (mu, state) of the latest evaluation with u >= u_avg; at first the cap's
+    satisfied = [math.inf, (CriticalDensities(0.0, 0.0, 0.0),
+                            *cap_tail(dist, p))]
 
     def gap(mu: float) -> tuple:
         """H, its slope in log mu, and u."""
@@ -522,32 +524,34 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
         if u >= u_avg:
             satisfied[:] = [mu, state]
         room = cap - u
-        if room > 0.0 and u_avg < cap:
-            # log1p keeps H's sign that of u - u_avg, whatever the rounding
-            return (math.log1p((u - u_avg) / room),
-                    None if slope is None else mu * slope / room, u)
-        # at the cap H is infinite, or 0 on the floor itself, with no slope
-        return (0.0 if u == u_avg else math.copysign(math.inf, u - u_avg),
-                0.0, u)
+        if room <= 0.0:  # u at the cap by rounding
+            return math.inf, 0.0, u
+        # log1p keeps H's sign that of u - u_avg, whatever the rounding;
+        # where the ratio rounds to -1, u is far below u_avg < cap
+        ratio = (u - u_avg) / room
+        return (math.log1p(ratio) if ratio > -1.0
+                else math.log((cap - u_avg) / room),
+                None if slope is None else mu * slope / room, u)
 
-    lo, h_lo, s_lo, hi = sys.float_info.min, -math.inf, 0.0, 1.0
-    h_hi, s_hi, u = gap(hi)
-    while h_hi < 0.0:
-        lo, h_lo, s_lo = hi, h_hi, s_hi
-        hi *= 2.0
-        if hi > 1e12:
-            raise InfeasibleError(u_avg, u)
+    if u_avg < cap:
+        lo, h_lo, s_lo, hi = sys.float_info.min, -math.inf, 0.0, 1.0
         h_hi, s_hi, u = gap(hi)
-    # the first step is Newton's from the end nearer the floor, else from
-    # the other end; with neither inside, bracketed_newton halves
-    t_lo, t_hi = math.log(lo), math.log(hi)
-    ends = sorted([(t_lo, h_lo, s_lo), (t_hi, h_hi, s_hi)],
-                  key=lambda end: abs(end[1]))
-    starts = [t - h / s if s else math.nan for t, h, s in ends]
-    bracketed_newton(lambda t: gap(math.exp(t))[:2], t_hi, t_lo,
-                     next((t for t in starts if t_lo < t < t_hi), math.nan),
-                     DUAL_TOL)
-    # its result is its good end, the latest evaluated mu with H >= 0
+        while h_hi < 0.0:
+            lo, h_lo, s_lo = hi, h_hi, s_hi
+            hi *= 2.0
+            if hi > 1e12:
+                raise InfeasibleError(u_avg, u)
+            h_hi, s_hi, u = gap(hi)
+        # the first step is Newton's from the end nearer the floor, else
+        # from the other end; with neither inside, bracketed_newton halves
+        t_lo, t_hi = math.log(lo), math.log(hi)
+        ends = sorted([(t_lo, h_lo, s_lo), (t_hi, h_hi, s_hi)],
+                      key=lambda end: abs(end[1]))
+        starts = [t - h / s if s else math.nan for t, h, s in ends]
+        bracketed_newton(lambda t: gap(math.exp(t))[:2], t_hi, t_lo,
+                         next((t for t in starts if t_lo < t < t_hi),
+                              math.nan), DUAL_TOL)
+    # the search ends on its good end, the latest evaluated mu with H >= 0
     mu, state = satisfied
     policy = AdaptationPolicy(mu, state[0], mode, dist.lambda_max, p) \
         if mode == "exact" else policy_for_mu(mu, p, dist.lambda_max, mode)

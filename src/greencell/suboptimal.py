@@ -24,7 +24,7 @@ from .metrics import PolicyMetrics
 from .numerics import as_arrays, bracketed_newton, gauss_legendre, shaped
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import conditional_expect  # noqa: F401
-from .optimal import _check_target, cap_tail
+from .optimal import _check_target, cap_tail, max_achievable_throughput
 from .params import SystemParams, derive_constants
 from .scaling import bs_power, max_range_x
 from .traffic import DensityDistribution
@@ -265,15 +265,6 @@ def _arw_at(rule, cutoff: float, share: float, tail: _ArwTail,
                 loss=share + (p.static_power - p.sleep_power))
 
 
-def _arw_cap(u_avg: float, dist: DensityDistribution,
-             p: SystemParams) -> float:
-    """The ARw cap, ``solve``'s bound: U of the cap tail."""
-    cap = _arw_tail(_tail_rule(dist, 0.0, p), 0.0,
-                    p.max_bs_power - p.static_power, dist, p).users
-    _check_target(u_avg, cap)
-    return cap
-
-
 def _arw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
              p: SystemParams, start: float) -> _Cut:
     """The least share meeting the floor above a cut-off in [0, edge]:
@@ -301,7 +292,7 @@ def arw_ofc(u_avg: float, dist: DensityDistribution,
             p: SystemParams) -> SchemeResult:
     """Consumption pinned at one level when on, the range the largest it
     affords, with an on/off cut-off; h(0) = Ps - pf < 0."""
-    _arw_cap(u_avg, dist, p)
+    _check_target(u_avg, max_achievable_throughput(dist, p))
     top = p.max_bs_power - p.static_power
     edge, rule, tail = _edge(u_avg, dist, p, lambda c, rule: _arw_tail(
         rule, c, top, dist, p))
@@ -323,7 +314,8 @@ def arw_oofc(u_avg: float, dist: DensityDistribution,
     """Constant consumption, always on: the level at the cut-off 0, by
     Newton from the cap's share, stepped down to the floor at log U's
     steepest slope in log share, 1 / (alpha/2 + 1): so the start meets it."""
+    cap = max_achievable_throughput(dist, p)
+    _check_target(u_avg, cap)
     start = math.log(p.max_bs_power - p.static_power) \
-        - math.log(_arw_cap(u_avg, dist, p) / u_avg) \
-        * (0.5 * p.pathloss_exp + 1.0)
+        - math.log(cap / u_avg) * (0.5 * p.pathloss_exp + 1.0)
     return _result(ARW_OOFC, _arw_cut(0.0, u_avg, dist, p, start), dist, p)

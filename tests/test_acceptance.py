@@ -63,8 +63,8 @@ def test_criterion_01_scaling_law_validation():
 
 
 def test_criterion_02_case_orderings():
-    a = critical_densities(1.05, P120, LAMBDA_MAX)
-    b = critical_densities(0.8, P140, LAMBDA_MAX)
+    a = critical_densities(1.05, P120)
+    b = critical_densities(0.8, P140)
     ok = (a.lambda2 > a.lambda1) and (b.lambda3 > b.lambda1 > b.lambda2)
     report(2, "threshold case orderings", ok,
            f"first: l2>l1 {a.lambda2 > a.lambda1}; "
@@ -87,7 +87,7 @@ def test_criterion_03_closed_form_agreement():
         if abs(r2h - r2e) / r2e >= 0.02:
             radius_misses.append(("capped", round(lam / LAMBDA_MAX, 2),
                                   round(abs(r2h - r2e) / r2e, 4)))
-    exact = critical_densities(mu, P120, LAMBDA_MAX)
+    exact = critical_densities(mu, P120)
     approx = hse_critical_densities(mu, P120)
     d1 = abs(approx.lambda1 - exact.lambda1) / exact.lambda1
     d3 = abs(approx.lambda3 - exact.lambda3) / exact.lambda3

@@ -26,7 +26,7 @@ def _throughput(mu, dist, p):
 
 def _smooth_between(mu_lo, mu_hi, dist, p):
     """No regime change and no pdf kink is crossed between the two prices."""
-    a, b = (critical_densities(m, p, dist.lambda_max) for m in (mu_lo, mu_hi))
+    a, b = (critical_densities(m, p) for m in (mu_lo, mu_hi))
     kinks = (*dist.breakpoints, dist.lambda_max)
     return a.case_tag == b.case_tag and all(
         (u < k) == (v < k) for k in kinks
@@ -119,7 +119,7 @@ def test_metrics_are_those_of_the_final_evaluation(config, fraction):
     want = evaluate(pol.radius_at, dist, p, breakpoints=pol.breakpoints)
     for field, value in reported.as_dict().items():
         assert value == pytest.approx(getattr(want, field), rel=1e-12), field
-    assert pol.criticals == critical_densities(pol.mu, p, dist.lambda_max)
+    assert pol.criticals == critical_densities(pol.mu, p)
 
 
 def test_dual_evaluations_on_the_grid(dual_evals):
@@ -141,15 +141,13 @@ def test_dual_evaluations_on_the_grid(dual_evals):
 
 # Newton on u(mu) - u took 54 and 53 evaluations at these targets on
 # baseline.json, 52 and 16 on low_static.cfg.  A target exactly at the cap
-# now stops at the first evaluation that meets it exactly.  Just below the
-# cap on baseline.json the target falls inside the jump of u where the
-# switch-on cut-off leaves THRESHOLD_BAND; the search halves down to it,
-# to DUAL_TOL in log mu, in 55.
+# is met only by the policy at the cap everywhere, mu = inf, with no dual
+# evaluation.
 @pytest.mark.parametrize("config,fraction,most", [
-    ("configs/baseline.json", 1.0, 14),
-    ("configs/baseline.json", 1.0 - 1e-15, 55),
-    ("configs/low_static.cfg", 1.0, 14),
-    ("configs/low_static.cfg", 1.0 - 1e-15, 16),
+    ("configs/baseline.json", 1.0, 0),
+    ("configs/baseline.json", 1.0 - 1e-15, 14),
+    ("configs/low_static.cfg", 1.0, 0),
+    ("configs/low_static.cfg", 1.0 - 1e-15, 13),
 ])
 def test_target_at_the_cap(config, fraction, most, dual_evals, monkeypatch):
     seen = []  # what the search is given: H and its slope
@@ -169,9 +167,37 @@ def test_target_at_the_cap(config, fraction, most, dual_evals, monkeypatch):
     assert dual_evals[0] <= most
     assert not any(math.isnan(v) for pair in seen for v in pair
                    if v is not None)
-    assert math.isfinite(pol.mu)
+    assert (pol.mu == math.inf) if fraction == 1.0 else math.isfinite(pol.mu)
     assert all(math.isfinite(v) for v in m.as_dict().values())
     assert np.isfinite(pol.radii).all() and np.isfinite(pol.powers).all()
+    assert m.avg_users >= u_avg
+
+
+def test_dual_evaluations_near_the_cap(dual_evals):
+    # loads 1 - 10^-k of the cap and the cap itself.  While thresholds
+    # below 1e-6 lambda_max were reported as 0, u(mu) jumped where the
+    # switch-on cut-off crossed that floor: this grid took 1,733
+    # evaluations, 57 at most, and over-delivered by up to 1e-10
+    p0, tri = cli._build_context(cli._load_config("configs/baseline.json"))
+    for dist in (tri, TABLE):
+        for static in (20.0, 60.0, 120.0):
+            p = dataclasses.replace(p0, static_power=static)
+            cap = max_achievable_throughput(dist, p)
+            for k in (*range(3, 16), math.inf):
+                u_avg = (1.0 - 10.0 ** -k) * cap
+                dual_evals.append(0)
+                pol, m = solve(u_avg, dist, p)
+                assert u_avg <= m.avg_users <= u_avg * (1.0 + 4.5e-16)
+            assert dual_evals[-1] == 0 and pol.mu == math.inf
+    assert sum(dual_evals) <= 988
+    assert max(dual_evals) <= 20
+
+
+def test_one_float_below_the_cap():
+    # (u - u_avg) / (cap - u) rounds to -1 here, where log1p raised
+    p = SystemParams(static_power=60.0)
+    u_avg = math.nextafter(max_achievable_throughput(TABLE, p), 0.0)
+    _, m = solve(u_avg, TABLE, p)
     assert m.avg_users >= u_avg
 
 

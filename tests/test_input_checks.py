@@ -382,7 +382,7 @@ def test_simulate_total_power_rejects_no_trials(trials):
 
 @pytest.mark.parametrize("mu", [0.0, -1.0])
 @pytest.mark.parametrize("call", [
-    lambda mu: optimal.critical_densities(mu, P, 1e-4),
+    lambda mu: optimal.critical_densities(mu, P),
     lambda mu: optimal.hse_critical_densities(mu, P),
     lambda mu: optimal.hse_x1(1e-5, mu, P),
 ], ids=["critical_densities", "hse_critical_densities", "hse_x1"])

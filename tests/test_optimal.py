@@ -91,7 +91,7 @@ class TestSubproblem:
         # off costs the sleep power; a dense grid of x on (0, cap] and the
         # off state bound the minimum from above, and the BS is on exactly
         # above the switch-on cut-off of the thresholds
-        cut = critical_densities(mu, p, LAMBDA_MAX).on_cutoff
+        cut = critical_densities(mu, p).on_cutoff
         for lam in np.geomspace(1e-7, 1e-4, 40).tolist():
             x_opt = subproblem(lam, mu, p)
             grid = np.append(0.0, np.geomspace(1e-6, 1.0, 4000)
@@ -104,24 +104,24 @@ class TestSubproblem:
 
 class TestCriticalDensities:
     def test_first_benchmark_ordering(self):
-        crits = critical_densities(1.05, P, LAMBDA_MAX)
+        crits = critical_densities(1.05, P)
         assert crits.lambda2 > crits.lambda1
         assert crits.case_tag == CASE_A
 
     def test_second_benchmark_ordering(self):
-        crits = critical_densities(0.8, P140, LAMBDA_MAX)
+        crits = critical_densities(0.8, P140)
         assert crits.lambda3 > crits.lambda1 > crits.lambda2
         assert crits.case_tag == CASE_B
 
     def test_threshold_defining_equations(self):
-        crits = critical_densities(1.05, P, LAMBDA_MAX)
+        crits = critical_densities(1.05, P)
         l1 = crits.lambda1
         assert abs(lagrangian_x(x1_star(l1, 1.05, P), l1, 1.05, P)) <= 1e-4
         l3 = crits.lambda3
         assert abs(lagrangian_x(x2_star(l3, P), l3, 1.05, P)) <= 1e-4
 
     def test_sign_structure_around_first_threshold(self):
-        crits = critical_densities(1.05, P, LAMBDA_MAX)
+        crits = critical_densities(1.05, P)
         l1 = crits.lambda1
         for factor in (0.5, 0.9):
             lam = factor * l1
@@ -151,17 +151,15 @@ class TestCriticalDensities:
         # Pmax - Ps enter the thresholds (exact here: the powers are whole)
         p = SystemParams(static_power=pc, sleep_power=ps, max_bs_power=pmax)
         q = SystemParams(static_power=pc - ps, max_bs_power=pmax - ps)
-        assert critical_densities(mu, p, LAMBDA_MAX) == \
-            critical_densities(mu, q, LAMBDA_MAX)
+        assert critical_densities(mu, p) == critical_densities(mu, q)
         assert hse_critical_densities(mu, p) == hse_critical_densities(mu, q)
-        assert critical_densities(mu, p, LAMBDA_MAX) != \
+        assert critical_densities(mu, p) != \
             critical_densities(mu, SystemParams(static_power=pc,
-                                                max_bs_power=pmax),
-                               LAMBDA_MAX)
+                                                max_bs_power=pmax))
 
     def test_decreasing_in_dual_price(self):
-        a = critical_densities(1.0, P, LAMBDA_MAX)
-        b = critical_densities(1.3, P, LAMBDA_MAX)
+        a = critical_densities(1.0, P)
+        b = critical_densities(1.3, P)
         assert b.lambda1 < a.lambda1
         assert b.lambda3 < a.lambda3
 
@@ -209,12 +207,14 @@ class TestClosedForms:
 
     def test_hse_thresholds_past_the_float_range_are_inf(self):
         # at these prices the closed forms' exponentials overflow; the exact
-        # thresholds report their roots past the ceiling as inf, and the
+        # thresholds are their values, inf past the float range, and the
         # hse policy is off at every density, as the exact one is
         inf = math.inf
-        for mu in (0.002, 0.003):
-            assert critical_densities(mu, P, LAMBDA_MAX) == \
-                CriticalDensities(inf, inf, inf)
+        assert critical_densities(0.002, P) == CriticalDensities(inf, inf, inf)
+        exact = critical_densities(0.003, P)
+        assert exact.lambda1 > 1e200
+        assert exact.lambda2 == exact.lambda3 == inf
+        assert policy_for_mu(0.003, P, LAMBDA_MAX).radius_at(LAMBDA_MAX) == 0.0
         assert hse_critical_densities(0.002, P) == \
             CriticalDensities(inf, inf, inf)
         crits = hse_critical_densities(0.003, P)
@@ -229,7 +229,7 @@ class TestClosedForms:
         assert hse_critical_densities(mu, P).lambda2 == inf
 
     def test_hse_criticals_near_exact(self):
-        exact = critical_densities(1.05, P, LAMBDA_MAX)
+        exact = critical_densities(1.05, P)
         approx = hse_critical_densities(1.05, P)
         assert abs(approx.lambda1 - exact.lambda1) / exact.lambda1 < 0.10
         assert abs(approx.lambda3 - exact.lambda3) / exact.lambda3 < 0.10
@@ -269,7 +269,7 @@ class TestPolicyTabulation:
 
     def test_second_case_branch_structure(self):
         mu = 0.8
-        crits = critical_densities(mu, P140, LAMBDA_MAX)
+        crits = critical_densities(mu, P140)
         assert crits.case_tag == CASE_B
         lo = 0.9 * crits.lambda3
         hi = min(1.5 * crits.lambda3, LAMBDA_MAX)

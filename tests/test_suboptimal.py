@@ -801,6 +801,14 @@ PEAK_SLACK = 9.11e-15
 # 1e-6 of the cap, where the cut-offs sit near lambda_max and 1 - cdf(c)
 # would cancel to about 1e-10 of the on-probability
 @example(p=SystemParams(), frac=1e-6, dist=TABLE0)
+# the cap itself, which solve meets at mu = inf, and one float below it,
+# where solve's search raised a math domain error
+@example(p=P, frac=1.0, dist=DIST)
+@example(p=P, frac=1.0, dist=TABLE0)
+@example(p=P, frac=1.0, dist=TABLE1)
+@example(p=P, frac=1.0, dist=TABLE2)
+@example(p=P, frac=math.nextafter(1.0, 0.0),
+         dist=from_table([0.0, 2e-5, 5e-5, 1e-4], [0.3, 1.0, 0.6, 0.1]))
 # the worst draws: solve's peak against evaluate's, and against Pmax, at
 # Pc = Ps = 0 and at Pc of 4e-48 W
 @example(p=SystemParams(pathloss_exp=5.174838311388934, static_power=0.0,
