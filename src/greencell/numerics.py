@@ -63,12 +63,12 @@ def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
     into the good side, eps = ``tol`` or two float spacings at x, if more.
     So the result is an evaluated point with g >= 0 within about eps of the
     root, the first with g = 0, or the good end once the bracket is
-    narrower than ``tol``, holds no float, or after 100 evaluations.
+    narrower than ``tol`` or holds no float; ConvergenceError at 100 calls.
     """
     prev = None
     for _ in range(100):
         if abs(bad - good) <= tol or math.nextafter(good, bad) == bad:
-            break
+            return good
         if not min(good, bad) < x < max(good, bad):
             x = 0.5 * (good + bad)
         g, slope = fn(x)
@@ -81,7 +81,7 @@ def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
         if g == 0.0 or (abs(step) <= eps and g >= 0.0):
             return x
         x += step + math.copysign(0.5 * eps, good - bad)
-    return good
+    raise ConvergenceError(f"no root in 100 evaluations: [{good}, {bad}]")
 
 
 # a step below this leaves an error of about its square: full double precision

@@ -98,8 +98,8 @@ def x1_star(density, mu: float, p: SystemParams):
     ``hse_x1``, which drops the first term of Pt', with Winitzki's W.
     """
     shape, (lam,) = as_arrays(density)
-    if (lam <= 0.0).any():
-        raise ValueError(f"density must be positive, got {lam.min()}")
+    if (lam < sys.float_info.min).any():
+        raise ValueError(f"density must be positive and normal: {lam.min()}")
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     c = derive_constants(p)
@@ -236,8 +236,8 @@ def critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
 def hse_x1(density, mu: float, p: SystemParams):
     """Closed-form stationary point when the per-cell load exponent is large."""
     shape, (lam,) = as_arrays(density)
-    if (lam <= 0.0).any():
-        raise ValueError(f"density must be positive, got {lam.min()}")
+    if (lam < sys.float_info.min).any():
+        raise ValueError(f"density must be positive and normal: {lam.min()}")
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     c = derive_constants(p)
@@ -248,8 +248,8 @@ def hse_x1(density, mu: float, p: SystemParams):
 def hse_x2(density, p: SystemParams):
     """Closed-form power-capped point when the load exponent is large."""
     shape, (lam,) = as_arrays(density)
-    if (lam <= 0.0).any():
-        raise ValueError(f"density must be positive, got {lam.min()}")
+    if (lam < sys.float_info.min).any():
+        raise ValueError(f"density must be positive and normal: {lam.min()}")
     c = derive_constants(p)
     pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
     return shaped(_lambert_x(c.d3 * math.pi * lam, pt_max / c.d1, p), shape)
@@ -492,23 +492,25 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     A floor at the cap, the feasibility bound
     (``max_achievable_throughput``), is met only by the policy at the cap
     everywhere, mu = inf: its state is the cap tail (``cap_tail``), with no
-    dual evaluation.  Below the cap the dual variable mu is bracketed by
-    doubling from 1 (below 1, down to the least normal float, unevaluated:
-    u(0) = 0 is below every target), then found by Newton steps in
-    t = log mu on H(t) = log(cap - ``u_avg``) - log(cap - u(mu)).  Near the
-    cap, cap - u falls like a power of mu, so H is close to linear in t; at
-    low load H is close to (u - ``u_avg``) / (cap - ``u_avg``).  H >= 0
-    exactly when u >= ``u_avg``, and its slope mu du/dmu / (cap - u) comes
-    from the exact du/dmu of each dual evaluation (``_avg_throughput``);
-    where u reaches the cap by rounding, H is inf and carries no slope.  The
-    steps are safeguarded by the bracket (``bracketed_newton``) and start
-    from the bracket end nearer the floor, to within ``DUAL_TOL`` in log mu.
-    The result is an evaluated mu on the floor's satisfied side, so the
-    reported throughput is never below ``u_avg``.  The thresholds, rule and
-    x of that last satisfied evaluation give the policy's thresholds and
-    the reported metrics, so none is computed twice and no kernel runs
-    after the search (``_state_metrics``); the returned policy builds its
-    table only when it is read.
+    dual evaluation.  Below the cap the dual variable mu is bracketed by a
+    gallop from 1 (below 1, down to the least normal float, unevaluated:
+    u(0) = 0 is below every target): mu doubles to 64, then its step in
+    log mu doubles up to 2^261, where u is flat; a floor not met there is
+    within rounding of the cap, and the cap state meets it.  Else mu is
+    found by Newton steps in t = log mu on
+    H(t) = log(cap - ``u_avg``) - log(cap - u(mu)).  Near the cap, cap - u
+    falls like a power of mu, so H is close to linear in t; at low load H
+    is close to (u - ``u_avg``) / (cap - ``u_avg``).  H >= 0 exactly when
+    u >= ``u_avg``, and its slope mu du/dmu / (cap - u) comes from the
+    exact du/dmu of each dual evaluation (``_avg_throughput``); where u
+    reaches the cap by rounding, H is inf and carries no slope.  The steps
+    are safeguarded by the bracket (``bracketed_newton``) and start from
+    the bracket end nearer the floor, to within ``DUAL_TOL`` in log mu.
+    The result is an evaluated mu on the floor's satisfied side, or the cap
+    state, so the reported throughput is never below ``u_avg``.  That
+    state's thresholds, rule and x give the policy and the reported
+    metrics, so none is computed twice and no kernel runs after the search
+    (``_state_metrics``); the policy builds its table only when read.
     """
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
@@ -519,39 +521,38 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
                             *cap_tail(dist, p))]
 
     def gap(mu: float) -> tuple:
-        """H, its slope in log mu, and u."""
+        """H and its slope in log mu."""
         u, slope, state = _avg_throughput(mu, dist, p)
         if u >= u_avg:
             satisfied[:] = [mu, state]
         room = cap - u
         if room <= 0.0:  # u at the cap by rounding
-            return math.inf, 0.0, u
+            return math.inf, 0.0
         # log1p keeps H's sign that of u - u_avg, whatever the rounding;
         # where the ratio rounds to -1, u is far below u_avg < cap
         ratio = (u - u_avg) / room
         return (math.log1p(ratio) if ratio > -1.0
                 else math.log((cap - u_avg) / room),
-                None if slope is None else mu * slope / room, u)
+                None if slope is None else mu * slope / room)
 
     if u_avg < cap:
         lo, h_lo, s_lo, hi = sys.float_info.min, -math.inf, 0.0, 1.0
-        h_hi, s_hi, u = gap(hi)
-        while h_hi < 0.0:
+        h_hi, s_hi = gap(hi)
+        while h_hi < 0.0 and hi < 2.0 ** 261:
             lo, h_lo, s_lo = hi, h_hi, s_hi
-            hi *= 2.0
-            if hi > 1e12:
-                raise InfeasibleError(u_avg, u)
-            h_hi, s_hi, u = gap(hi)
-        # the first step is Newton's from the end nearer the floor, else
-        # from the other end; with neither inside, bracketed_newton halves
-        t_lo, t_hi = math.log(lo), math.log(hi)
-        ends = sorted([(t_lo, h_lo, s_lo), (t_hi, h_hi, s_hi)],
-                      key=lambda end: abs(end[1]))
-        starts = [t - h / s if s else math.nan for t, h, s in ends]
-        bracketed_newton(lambda t: gap(math.exp(t))[:2], t_hi, t_lo,
-                         next((t for t in starts if t_lo < t < t_hi),
-                              math.nan), DUAL_TOL)
-    # the search ends on its good end, the latest evaluated mu with H >= 0
+            hi = 2.0 * hi if hi < 64.0 else hi * hi / 32.0
+            h_hi, s_hi = gap(hi)
+        if h_hi >= 0.0:
+            # Newton's first step from the end nearer the floor, else from
+            # the other; with neither inside, bracketed_newton halves
+            t_lo, t_hi = math.log(lo), math.log(hi)
+            ends = sorted([(t_lo, h_lo, s_lo), (t_hi, h_hi, s_hi)],
+                          key=lambda end: abs(end[1]))
+            starts = [t - h / s if s else math.nan for t, h, s in ends]
+            bracketed_newton(lambda t: gap(math.exp(t)), t_hi, t_lo,
+                             next((t for t in starts if t_lo < t < t_hi),
+                                  math.nan), DUAL_TOL)
+    # the latest evaluated mu with H >= 0, else the cap state (mu = inf)
     mu, state = satisfied
     policy = AdaptationPolicy(mu, state[0], mode, dist.lambda_max, p) \
         if mode == "exact" else policy_for_mu(mu, p, dist.lambda_max, mode)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -168,8 +169,8 @@ def max_range_x(density, share: float, p: SystemParams):
     ratio = share / (p.amp_scaling * c.d1)
     log_ratio = math.log(ratio)
     shape, (lam,) = as_arrays(density)
-    if (lam <= 0.0).any():
-        raise ValueError(f"density must be positive, got {lam.min()}")
+    if (lam < sys.float_info.min).any():
+        raise ValueError(f"density must be positive and normal: {lam.min()}")
 
     def log_power(x, qp):
         # log(Pt / target) and its slope in log x, with y = qp * x nats;

@@ -391,12 +391,15 @@ def test_price_must_be_positive(call, mu):
         call(mu)
 
 
-@pytest.mark.parametrize("density", [0.0, -1e-5, np.array([1e-5, 0.0])])
+# a subnormal density gave NaN (hse) or failed in Newton (exact)
+@pytest.mark.parametrize("density", [0.0, -1e-5, np.array([1e-5, 0.0]),
+                                     5e-324, 1e-320])
 @pytest.mark.parametrize("call", [
+    lambda lam: optimal.x1_star(lam, 1.0, P),
     lambda lam: optimal.hse_x1(lam, 1.0, P),
     lambda lam: optimal.hse_x2(lam, P),
     lambda lam: scaling.max_range_x(lam, P.max_bs_power - P.static_power, P),
-], ids=["hse_x1", "hse_x2", "max_range_x"])
+], ids=["x1_star", "hse_x1", "hse_x2", "max_range_x"])
 def test_kernel_density_must_be_positive(call, density):
     with pytest.raises(ValueError, match="density must be positive"):
         call(density)

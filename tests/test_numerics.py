@@ -11,8 +11,9 @@ from hypothesis import example, given, strategies as st
 from scipy import optimize
 
 from greencell import numerics, optimal, scaling
-from greencell.numerics import (NonFiniteIntegrandError, bracketed_newton,
-                                conditional_expect, expect, lambert_w0)
+from greencell.numerics import (ConvergenceError, NonFiniteIntegrandError,
+                                bracketed_newton, conditional_expect, expect,
+                                lambert_w0)
 from oracles import (Bracket, NoSignChangeError, bisect, grow_bracket,
                      minimize_bounded)
 from greencell.optimal import x1_star
@@ -226,6 +227,12 @@ class TestBracketedNewton:
                                  lambda x: 0.0)
         assert bracketed_newton(fn, 2.0, 0.0, 0.5, 1e-300) == good
         assert len(calls) <= 60
+
+    def test_an_exhausted_budget_raises(self):
+        # halving from [0, 1] needs about 1,000 steps to reach 1e-300; the
+        # search had returned the good end, 7.9e-31, after 100
+        with pytest.raises(ConvergenceError, match="100 evaluations"):
+            bracketed_newton(lambda x: (x - 1e-300, 0.0), 1.0, 0.0, 0.5, 0.0)
 
 
 class TestMinimizeBounded:
