@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from . import __version__, mcsim, optimal, scaling, suboptimal
+from . import __version__, mcsim, numerics, optimal, scaling, suboptimal
 from .params import (InvalidParameterError, SystemParams, config_float,
                      params_from_mapping)
 from .traffic import DensityDistribution, from_csv, triangular
@@ -33,6 +33,14 @@ _SCHEME_FUNCS = {
 _DEFAULT_SCHEMES = ("optimal",) + tuple(_SCHEME_FUNCS)
 
 _DIST_KEYS = {"lambda_max", "density_csv"}
+
+# the root tolerances that set a solve or scheme output, by manifest key:
+# the module and name of each constant, read when a manifest is written
+TOLERANCES = {"dual_tol": (optimal, "DUAL_TOL"),
+              "threshold_tol": (optimal, "THRESHOLD_TOL"),
+              "newton_step_tol": (numerics, "NEWTON_STEP_TOL"),
+              "cut_tol": (suboptimal, "_CUT_TOL"),
+              "level_tol": (suboptimal, "_LEVEL_TOL")}
 
 
 class _UsageError(Exception):
@@ -113,6 +121,12 @@ def _emit(args, rows: List[dict], fieldnames: Sequence[str],
     Path(args.out).write_text(text)
     if summary is not None and args.format == "csv":
         sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+
+
+def _tolerances() -> dict:
+    """The value of each constant in ``TOLERANCES``, by its manifest key."""
+    return {key: getattr(module, name)
+            for key, (module, name) in TOLERANCES.items()}
 
 
 def _write_manifest(args, params: SystemParams, dist: DensityDistribution,
@@ -219,20 +233,20 @@ def cmd_solve(args) -> int:
                "u_avg_requested": args.u_avg}
     _emit(args, rows, ["density", "radius_m", "bs_power_w", "users"],
           summary)
-    _write_manifest(args, params, dist, {"dual_tol": optimal.DUAL_TOL})
+    _write_manifest(args, params, dist, _tolerances())
     return EXIT_OK
 
 
-def _scheme_row(name: str, u_avg: float, dist, params) -> dict:
+def _scheme_row(name: str, u_avg: float, problem: optimal.Problem) -> dict:
     """One policy's row at ``u_avg``: its metrics, and for the four schemes
     the rest of ``SchemeResult.summary()``; an infeasible row has neither.
     ``_emit`` projects it onto the command's fields."""
     row = {"scheme": name, "u_avg": u_avg, "feasible": True}
     try:
         if name == "optimal":
-            row.update(optimal.solve(u_avg, dist, params)[1].as_dict())
+            row.update(optimal.solve(u_avg, problem)[1].as_dict())
         else:
-            row.update(_SCHEME_FUNCS[name](u_avg, dist, params).summary())
+            row.update(_SCHEME_FUNCS[name](u_avg, problem).summary())
     except optimal.InfeasibleError:
         row["feasible"] = False
     return row
@@ -240,23 +254,25 @@ def _scheme_row(name: str, u_avg: float, dist, params) -> dict:
 
 def cmd_sweep(args) -> int:
     params, dist = _build_context(_load_config(args.config))
-    rows = [_scheme_row(name, u, dist, params)
+    problem = optimal.Problem(dist, params)
+    rows = [_scheme_row(name, u, problem)
             for name in args.schemes for u in args.u_avg]
     rows.sort(key=lambda r: (r["scheme"], r["u_avg"]))
     _emit(args, rows,
           ["scheme", "u_avg", "feasible", "avg_power_w", "on_probability"])
-    _write_manifest(args, params, dist, {"dual_tol": optimal.DUAL_TOL})
+    _write_manifest(args, params, dist, _tolerances())
     return EXIT_OK
 
 
 def cmd_schemes(args) -> int:
     params, dist = _build_context(_load_config(args.config))
-    rows = sorted((_scheme_row(name, args.u_avg, dist, params)
+    problem = optimal.Problem(dist, params)
+    rows = sorted((_scheme_row(name, args.u_avg, problem)
                    for name in _SCHEME_FUNCS), key=lambda r: r["scheme"])
     _emit(args, rows, ["scheme", "u_avg", "feasible", "cutoff",
                        "fixed_radius_m", "fixed_power_w", "avg_power_w",
                        "avg_users", "on_probability", "peak_bs_power_w"])
-    _write_manifest(args, params, dist, {})
+    _write_manifest(args, params, dist, _tolerances())
     return EXIT_OK
 
 

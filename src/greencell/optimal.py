@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from typing import Tuple
+from functools import cached_property, partial
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +40,10 @@ class InfeasibleError(ValueError):
         self.max_achievable = max_achievable
 
 
-def _check_target(u_avg: float, cap: float) -> None:
-    """ValueError unless ``u_avg`` is finite and positive; InfeasibleError
-    when it exceeds ``cap``, the throughput bound of ``solve`` or a scheme."""
-    if not (math.isfinite(u_avg) and u_avg > 0.0):
-        raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
-    if cap < u_avg:
-        raise InfeasibleError(u_avg, cap)
+def _check_mu(mu: float) -> None:
+    """ValueError unless the dual variable ``mu`` is finite and positive."""
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,7 @@ def x1_star(density, mu: float, p: SystemParams):
     shape, (lam,) = as_arrays(density)
     if (lam < sys.float_info.min).any():
         raise ValueError(f"density must be positive and normal: {lam.min()}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     c = derive_constants(p)
     qp = c.d3 * math.pi * lam
     log_rhs = np.log(mu * math.pi * lam / (p.amp_scaling * c.d1))
@@ -139,6 +135,8 @@ def subproblem(density, mu: float, p: SystemParams):
     shape, (lam,) = as_arrays(density)
     out = np.zeros_like(lam)
     on = lam > 0.0
+    if not mu <= 0.0:  # positive, or NaN, which _check_mu rejects
+        _check_mu(mu)
     if mu > 0.0 and on.any():
         lam = lam[on]
         x = x1_star(lam, mu, p)
@@ -171,8 +169,7 @@ def critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
     a d1 x^h (e^y3 - 1) = Pmax - Pc.  Each is formed in logs and reported
     as its value (``CriticalDensities.from_logs``).
     """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     c = derive_constants(p)
     h = 0.5 * p.pathloss_exp
     pc, pmax, ps = p.static_power, p.max_bs_power, p.sleep_power
@@ -238,8 +235,7 @@ def hse_x1(density, mu: float, p: SystemParams):
     shape, (lam,) = as_arrays(density)
     if (lam < sys.float_info.min).any():
         raise ValueError(f"density must be positive and normal: {lam.min()}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     c = derive_constants(p)
     return shaped(_lambert_x(c.d3 * math.pi * lam,
                              mu / (p.amp_scaling * c.d1 * c.d3), p), shape)
@@ -261,8 +257,7 @@ def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
     Each is formed in logs (``CriticalDensities.from_logs``); lambda2's
     also needs mu > d3 (Pmax - Pc), and is inf otherwise.
     """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     c = derive_constants(p)
     k = 2.0 / p.pathloss_exp
     pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
@@ -460,41 +455,74 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     return rule.integrate(math.pi * lams * x), slope, (crits, rule, x_all)
 
 
-# One entry: sweep and schemes ask for one (dist, p) many times in a row.
-# More would serve only repeated independent solves, which the CLI never runs.
-@lru_cache(maxsize=1)
-def cap_tail(dist: DensityDistribution, p: SystemParams) -> tuple:
-    """``solve``'s bound and state at the cap, and the FRw cap: the rule on
-    [0, lambda_max] and x2_star on its nodes, then at lambda_max (one call);
-    read-only."""
-    rule = gauss_legendre(dist, 0.0, dist.lambda_max)
-    x = x2_star(np.append(rule.nodes, dist.lambda_max), p)
-    for a in (rule.nodes, rule.weights, x):
-        a.flags.writeable = False
-    return rule, x
+@dataclass(frozen=True)
+class Problem:
+    """One long-term power control problem, a density distribution and the
+    system params, and what the pair fixes: the policy at the cap
+    everywhere, built when first read.  ``solve``, the schemes and
+    ``max_achievable_throughput`` take one as ``dist``, with no ``p``."""
+
+    dist: DensityDistribution
+    params: SystemParams
+
+    @cached_property
+    def cap_tail(self) -> tuple:
+        """``solve``'s state at the cap: the rule on [0, lambda_max] and
+        x2_star on its nodes, then at lambda_max (one call); read-only."""
+        rule = gauss_legendre(self.dist, 0.0, self.dist.lambda_max)
+        x = x2_star(np.append(rule.nodes, self.dist.lambda_max), self.params)
+        for a in (rule.nodes, rule.weights, x):
+            a.flags.writeable = False
+        return rule, x
+
+    @cached_property
+    def cap(self) -> float:
+        """Throughput at the cap everywhere: ``solve``'s and ARw's bound."""
+        rule, x = self.cap_tail
+        return rule.integrate(math.pi * rule.nodes * x[:-1])
+
+    @property
+    def x_cap(self) -> float:
+        """The most x within the cap at lambda_max; FRw's bound is its
+        reach at every density, pi x_cap T1(0) (``frw_cap``)."""
+        return float(self.cap_tail[1][-1])
+
+    @property
+    def frw_cap(self) -> float:
+        rule = self.cap_tail[0]
+        return math.pi * self.x_cap * rule.integrate(rule.nodes)
+
+    def check(self, u_avg: float, cap: Optional[float] = None) -> None:
+        """ValueError unless ``u_avg`` is finite and positive;
+        InfeasibleError above ``cap``, by default ``self.cap``."""
+        cap = self.cap if cap is None else cap
+        if not (math.isfinite(u_avg) and u_avg > 0.0):
+            raise ValueError(f"u_avg must be finite and positive, got {u_avg}")
+        if cap < u_avg:
+            raise InfeasibleError(u_avg, cap)
 
 
-def max_achievable_throughput(dist: DensityDistribution,
-                              p: SystemParams) -> float:
-    """Long-term throughput of the always-at-cap policy (the feasibility bound)."""
-    rule, x = cap_tail(dist, p)
-    return rule.integrate(math.pi * rule.nodes * x[:-1])
+def max_achievable_throughput(dist, p: Optional[SystemParams] = None) -> float:
+    """Long-term throughput of the always-at-cap policy (the feasibility
+    bound) of (``dist``, ``p``), or of the Problem ``dist``."""
+    return (dist if p is None else Problem(dist, p)).cap
 
 
 # the dual search stops within this distance in log mu
 DUAL_TOL = 1e-13
 
 
-def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
+def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
           mode: str = "exact") -> Tuple[AdaptationPolicy, PolicyMetrics]:
-    """Minimize long-term consumption subject to a long-term throughput floor.
+    """Minimize long-term consumption subject to a long-term throughput floor
+    on (``dist``, ``p``), or on the Problem ``dist``.
 
-    A floor at the cap, the feasibility bound
-    (``max_achievable_throughput``), is met only by the policy at the cap
-    everywhere, mu = inf: its state is the cap tail (``cap_tail``), with no
-    dual evaluation.  Below the cap the dual variable mu is bracketed by a
-    gallop from 1 (below 1, down to the least normal float, unevaluated:
-    u(0) = 0 is below every target): mu doubles to 64, then its step in
+    A floor at the cap, the feasibility bound (``Problem.cap``), is met
+    only by the policy at the cap everywhere, mu = inf: its state is the
+    cap tail (``Problem.cap_tail``), with no dual evaluation.  Below the
+    cap the dual variable mu is bracketed by a gallop from 1 (below 1,
+    down to the least normal float, unevaluated: u(0) = 0 is below every
+    target): mu doubles to 64, then its step in
     log mu doubles up to 2^261, where u is flat; a floor not met there is
     within rounding of the cap, and the cap state meets it.  Else mu is
     found by Newton steps in t = log mu on
@@ -514,11 +542,12 @@ def solve(u_avg: float, dist: DensityDistribution, p: SystemParams,
     """
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
-    cap = max_achievable_throughput(dist, p)
-    _check_target(u_avg, cap)
+    problem = dist if p is None else Problem(dist, p)
+    dist, p, cap = problem.dist, problem.params, problem.cap
+    problem.check(u_avg)
     # (mu, state) of the latest evaluation with u >= u_avg; at first the cap's
     satisfied = [math.inf, (CriticalDensities(0.0, 0.0, 0.0),
-                            *cap_tail(dist, p))]
+                            *problem.cap_tail)]
 
     def gap(mu: float) -> tuple:
         """H and its slope in log mu."""

@@ -9,7 +9,8 @@ search and one cut-off search.  Every tail integral above a cut-off runs on
 that cut-off's one rule.  Each result is feasible and upper-bounds the
 optimal consumption.  A target above a family's throughput cap is rejected
 before any search; every root is found by ``numerics.bracketed_newton`` on
-exact derivatives.
+exact derivatives.  Each scheme solves (dist, p), or the ``optimal.Problem``
+passed as ``dist``, whose cap tail serves its cut-off 0.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .metrics import PolicyMetrics
 from .numerics import as_arrays, bracketed_newton, gauss_legendre, shaped
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import conditional_expect  # noqa: F401
-from .optimal import _check_target, cap_tail, max_achievable_throughput
+from .optimal import Problem
 from .params import SystemParams, derive_constants
 from .scaling import bs_power, max_range_x
-from .traffic import DensityDistribution
 
 FRW_OFC = "FRwOFC"
 FRW_OOFC = "FRwoOFC"
@@ -115,11 +115,11 @@ def _cheapest_cutoff(at_edge: _Cut, point, falls_at_zero: bool,
                                   _CUT_TOL * m)]
 
 
-def _result(tag: str, at: _Cut, dist: DensityDistribution,
-            p: SystemParams) -> SchemeResult:
+def _result(tag: str, at: _Cut, problem: Problem) -> SchemeResult:
+    p = problem.params
     level = None if at.share is None else p.static_power + at.share
     peak = level if at.radius is None \
-        else bs_power(at.radius, dist.lambda_max, p)
+        else bs_power(at.radius, problem.dist.lambda_max, p)
     metrics = PolicyMetrics(avg_power_w=at.cost, avg_users=at.users,
                             on_probability=at.on, peak_bs_power_w=peak)
     return SchemeResult(scheme=tag, cutoff=at.cutoff, fixed_radius=at.radius,
@@ -127,10 +127,10 @@ def _result(tag: str, at: _Cut, dist: DensityDistribution,
                         metrics=metrics)
 
 
-def _tail_rule(dist: DensityDistribution, cutoff: float, p: SystemParams):
+def _tail_rule(problem: Problem, cutoff: float):
     """The rule on [cutoff, lambda_max]; at cut-off 0, the cap tail's."""
-    return cap_tail(dist, p)[0] if cutoff == 0.0 \
-        else gauss_legendre(dist, cutoff, dist.lambda_max)
+    return problem.cap_tail[0] if cutoff == 0.0 \
+        else gauss_legendre(problem.dist, cutoff, problem.dist.lambda_max)
 
 
 def _on_mass(rule, cutoff: float) -> float:
@@ -138,19 +138,18 @@ def _on_mass(rule, cutoff: float) -> float:
     return min(float(rule.weights.sum()), 1.0) if cutoff > 0.0 else 1.0
 
 
-def _edge(u_avg: float, dist: DensityDistribution, p: SystemParams,
-          at_cap) -> tuple:
+def _edge(u_avg: float, problem: Problem, at_cap) -> tuple:
     """The largest cut-off c meeting the floor at the family's cap, by Newton
     on U(c) - u_avg, with dU/dc = -pi c x(c) f(c); ``at_cap(c, rule)`` gives
     (U, x(c), ...) at the cap on c's rule.  Returns c, its rule and
     ``at_cap`` there, kept from the search when it evaluated c."""
-    m = dist.lambda_max
+    m, pdf = problem.dist.lambda_max, problem.dist.pdf
     seen = {}
 
     def gap(c: float) -> tuple:
-        rule = _tail_rule(dist, c, p)
+        rule = _tail_rule(problem, c)
         seen[c] = rule, at = rule, at_cap(c, rule)
-        return at[0] - u_avg, -math.pi * c * at[1] * float(dist.pdf(c))
+        return at[0] - u_avg, -math.pi * c * at[1] * float(pdf(c))
 
     c = bracketed_newton(gap, 0.0, m, 0.5 * m, _CUT_TOL * m)
     if c not in seen:  # the cut-off 0, unevaluated
@@ -185,40 +184,33 @@ def _frw_cut(rule, cutoff: float, u_avg: float, p: SystemParams) -> _Cut:
                 loss=bs_power(r_f, cutoff, p) - p.sleep_power)
 
 
-def _frw_x_cap(u_avg: float, dist: DensityDistribution,
-               p: SystemParams) -> float:
-    """x_cap, the most x within the cap at lambda_max, where transmit power
-    peaks; the FRw cap is its reach at c = 0, pi x_cap T1(0)."""
-    rule, xs = cap_tail(dist, p)
-    x_cap = float(xs[-1])
-    _check_target(u_avg, math.pi * x_cap * rule.integrate(rule.nodes))
-    return x_cap
-
-
-def frw_ofc(u_avg: float, dist: DensityDistribution,
-            p: SystemParams) -> SchemeResult:
+def frw_ofc(u_avg: float, dist,
+            p: Optional[SystemParams] = None) -> SchemeResult:
     """Fixed radius with an on/off cut-off.
 
     At the edge the radius is x_cap's, whose reach pi x_cap T1(c) is the
     target; the search's rule there serves the point.  h(0) = Ps - Pc, so a
     cut-off search runs only when sleeping saves power.
     """
-    x_cap = _frw_x_cap(u_avg, dist, p)
-    edge, rule, _ = _edge(u_avg, dist, p, lambda c, rule: (
+    problem = dist if p is None else Problem(dist, p)
+    problem.check(u_avg, problem.frw_cap)
+    p, x_cap = problem.params, problem.x_cap
+    edge, rule, _ = _edge(u_avg, problem, lambda c, rule: (
         math.pi * x_cap * rule.integrate(rule.nodes), x_cap))
     best = _cheapest_cutoff(
         _frw_cut(rule, edge, u_avg, p),
-        lambda c, near: _frw_cut(_tail_rule(dist, c, p), c, u_avg, p),
-        p.sleep_power < p.static_power, dist.lambda_max)
-    return _result(FRW_OFC, best, dist, p)
+        lambda c, near: _frw_cut(_tail_rule(problem, c), c, u_avg, p),
+        p.sleep_power < p.static_power, problem.dist.lambda_max)
+    return _result(FRW_OFC, best, problem)
 
 
-def frw_oofc(u_avg: float, dist: DensityDistribution,
-             p: SystemParams) -> SchemeResult:
+def frw_oofc(u_avg: float, dist,
+             p: Optional[SystemParams] = None) -> SchemeResult:
     """Fixed radius, always on: the cut-off 0."""
-    _frw_x_cap(u_avg, dist, p)
-    return _result(FRW_OOFC, _frw_cut(_tail_rule(dist, 0.0, p), 0.0, u_avg, p),
-                   dist, p)
+    problem = dist if p is None else Problem(dist, p)
+    problem.check(u_avg, problem.frw_cap)
+    return _result(FRW_OOFC, _frw_cut(_tail_rule(problem, 0.0), 0.0, u_avg,
+                                      problem.params), problem)
 
 
 class _ArwTail(NamedTuple):
@@ -229,10 +221,9 @@ class _ArwTail(NamedTuple):
     level: float  # I
 
 
-def _arw_tail(rule, cutoff: float, share: float, dist: DensityDistribution,
+def _arw_tail(rule, cutoff: float, share: float,
               p: SystemParams) -> _ArwTail:
-    """U, x(c) and I from one kernel call on the cut-off's tail rule, or
-    none on the cap tail.
+    """U, x(c) and I from one kernel call on the cut-off's tail rule.
 
     U = integral over [c, lambda_max] of pi lam x f, x = max_range_x(lam,
     share); I = integral of lam x / (alpha/2 + y / (1 - e^-y)) f,
@@ -240,11 +231,8 @@ def _arw_tail(rule, cutoff: float, share: float, dist: DensityDistribution,
     dU/dc = -pi c x(c) f(c).
     """
     n = rule.nodes.size
-    if cutoff == 0.0 and share == p.max_bs_power - p.static_power:
-        xs = cap_tail(dist, p)[1]
-    else:
-        xs = max_range_x(np.append(rule.nodes, cutoff) if cutoff > 0.0
-                         else rule.nodes, share, p)
+    xs = max_range_x(np.append(rule.nodes, cutoff) if cutoff > 0.0
+                     else rule.nodes, share, p)
     x = xs[:n]
     y = derive_constants(p).d3 * math.pi * rule.nodes * x
     return _ArwTail(rule.integrate(math.pi * rule.nodes * x),
@@ -265,57 +253,61 @@ def _arw_at(rule, cutoff: float, share: float, tail: _ArwTail,
                 loss=share + (p.static_power - p.sleep_power))
 
 
-def _arw_cut(cutoff: float, u_avg: float, dist: DensityDistribution,
-             p: SystemParams, start: float) -> _Cut:
+def _arw_cut(cutoff: float, u_avg: float, problem: Problem,
+             start: float) -> _Cut:
     """The least share meeting the floor above a cut-off in [0, edge]:
     Newton on log(U / u_avg) in s = log(share) - a, dlog U/ds = pi I / U,
     from a = ``start`` (else log top), between top = Pmax - Pc (unevaluated)
     and e^-700 top.  s is small near the root: finer grained than log share."""
+    p = problem.params
     top = p.max_bs_power - p.static_power
     log_top = math.log(top)
     a = start if log_top - 700.0 < start < log_top else log_top
-    rule = _tail_rule(dist, cutoff, p)
+    rule = _tail_rule(problem, cutoff)
     tails = {}
 
     def gap(s: float) -> tuple:
         share = math.exp(a) * math.exp(s)
-        tails[s] = share, tail = share, _arw_tail(rule, cutoff, share, dist, p)
+        tails[s] = share, tail = share, _arw_tail(rule, cutoff, share, p)
         return math.log(tail.users / u_avg), math.pi * tail.level / tail.users
 
     s = bracketed_newton(gap, log_top - a, log_top - a - 700.0, 0.0,
                          _LEVEL_TOL)
-    share, tail = tails.get(s) or (top, _arw_tail(rule, cutoff, top, dist, p))
+    share, tail = tails.get(s) or (top, _arw_tail(rule, cutoff, top, p))
     return _arw_at(rule, cutoff, share, tail, p)
 
 
-def arw_ofc(u_avg: float, dist: DensityDistribution,
-            p: SystemParams) -> SchemeResult:
+def arw_ofc(u_avg: float, dist,
+            p: Optional[SystemParams] = None) -> SchemeResult:
     """Consumption pinned at one level when on, the range the largest it
     affords, with an on/off cut-off; h(0) = Ps - pf < 0."""
-    _check_target(u_avg, max_achievable_throughput(dist, p))
+    problem = dist if p is None else Problem(dist, p)
+    problem.check(u_avg)
+    p, dist = problem.params, problem.dist
     top = p.max_bs_power - p.static_power
-    edge, rule, tail = _edge(u_avg, dist, p, lambda c, rule: _arw_tail(
-        rule, c, top, dist, p))
+    edge, rule, tail = _edge(u_avg, problem, lambda c, rule: _arw_tail(
+        rule, c, top, p))
     at_edge = _arw_at(rule, edge, top, tail, p)
 
     def point(cutoff: float, near: _Cut) -> _Cut:
         # near's s moved along ds/dc = gain f(c) / (on share)
         c = near.cutoff
         rate = near.gain * float(dist.pdf(c)) / (near.on * near.share)
-        return _arw_cut(cutoff, u_avg, dist, p,
+        return _arw_cut(cutoff, u_avg, problem,
                         math.log(near.share) + rate * (cutoff - c))
 
     best = _cheapest_cutoff(at_edge, point, True, dist.lambda_max)
-    return _result(ARW_OFC, best, dist, p)
+    return _result(ARW_OFC, best, problem)
 
 
-def arw_oofc(u_avg: float, dist: DensityDistribution,
-             p: SystemParams) -> SchemeResult:
+def arw_oofc(u_avg: float, dist,
+             p: Optional[SystemParams] = None) -> SchemeResult:
     """Constant consumption, always on: the level at the cut-off 0, by
     Newton from the cap's share, stepped down to the floor at log U's
     steepest slope in log share, 1 / (alpha/2 + 1): so the start meets it."""
-    cap = max_achievable_throughput(dist, p)
-    _check_target(u_avg, cap)
+    problem = dist if p is None else Problem(dist, p)
+    problem.check(u_avg)
+    p = problem.params
     start = math.log(p.max_bs_power - p.static_power) \
-        - math.log(cap / u_avg) * (0.5 * p.pathloss_exp + 1.0)
-    return _result(ARW_OOFC, _arw_cut(0.0, u_avg, dist, p, start), dist, p)
+        - math.log(problem.cap / u_avg) * (0.5 * p.pathloss_exp + 1.0)
+    return _result(ARW_OOFC, _arw_cut(0.0, u_avg, problem, start), problem)

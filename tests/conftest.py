@@ -1,7 +1,4 @@
-import pytest
 from hypothesis import settings
-
-from greencell.optimal import cap_tail
 
 # property tests draw the same examples on every run, with no time limit per
 # example and no example database written to disk
@@ -10,13 +7,6 @@ settings.register_profile("greencell", derandomize=True, deadline=None,
 settings.load_profile("greencell")
 
 ACCEPTANCE_LINES = []
-
-
-@pytest.fixture(autouse=True)
-def _uncached_cap_tail():
-    # each test builds its own cap tail, so kernel counts do not depend on
-    # which test ran before
-    cap_tail.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,5 +1,5 @@
-"""The always-at-cap tail: built once per (density, params) and shared by
-solve's feasibility check and the four schemes."""
+"""The always-at-cap tail: built once per Problem, a (density, params) pair,
+and shared by solve's feasibility check and the four schemes."""
 
 import dataclasses
 from pathlib import Path
@@ -9,7 +9,7 @@ import pytest
 
 from greencell import cli, optimal, suboptimal
 from greencell.numerics import gauss_legendre
-from greencell.optimal import cap_tail, max_achievable_throughput, solve
+from greencell.optimal import Problem, max_achievable_throughput, solve
 from greencell.params import SystemParams
 from greencell.traffic import from_table, triangular
 
@@ -42,29 +42,54 @@ def test_a_sweep_builds_the_cap_tail_once(monkeypatch, tmp_path):
     assert calls.count(True) == 1
 
 
-def _results(dist, p):
-    cap = max_achievable_throughput(dist, p)
-    out = [cap, solve(0.5 * cap, dist, p)[1]]
-    for scheme in SCHEMES:
-        out.append(scheme(0.5 * cap, dist, p).summary())
-    return out
+def _bits(out) -> tuple:
+    """Every bit of a solve's or a scheme's result."""
+    if isinstance(out, tuple):
+        policy, metrics = out
+        return (repr(policy.summary()), policy.lambdas.tobytes(),
+                policy.radii.tobytes(), policy.powers.tobytes(),
+                repr(metrics))
+    return (repr(out),)
+
+
+@pytest.mark.parametrize("config", [CONFIG, CONFIG.with_name(
+    "low_static.cfg")], ids=lambda path: path.name)
+def test_the_cli_problem_solves_as_its_dist_and_params(config, monkeypatch,
+                                                       tmp_path):
+    # the one Problem a sweep builds, its cap tail read by every row, gives
+    # the results of a fresh solve or scheme call on (dist, p)
+    seen = []
+    row = cli._scheme_row
+
+    def spy(name, u_avg, problem):
+        seen.append(problem)
+        return row(name, u_avg, problem)
+
+    monkeypatch.setattr(cli, "_scheme_row", spy)
+    code = cli.main(["sweep", "--u-avg", SWEEP_GRID, "--config", str(config),
+                     "--out", str(tmp_path / "sweep.csv")])
+    assert code == cli.EXIT_OK
+    problem = seen[0]
+    assert len(seen) == 15 and all(q is problem for q in seen)
+    p, dist = cli._build_context(cli._load_config(str(config)))
+    for u in (0.05 * problem.frw_cap, 0.5 * problem.frw_cap,
+              0.95 * problem.frw_cap):
+        assert _bits(solve(u, problem)) == _bits(solve(u, dist, p))
+        for scheme in SCHEMES:
+            assert _bits(scheme(u, problem)) == _bits(scheme(u, dist, p))
 
 
 @pytest.mark.parametrize("switch", ["params", "density"])
-def test_the_memo_key_covers_both_arguments(switch):
+def test_problems_that_differ_in_one_argument_have_different_caps(switch):
     p, dist = SystemParams(), TABLE_A
-    if switch == "params":
-        after = (dist, dataclasses.replace(p, max_bs_power=150.0))
-    else:
-        after = (TABLE_B, p)
-    _results(dist, p)
-    switched = _results(*after)
-    cap_tail.cache_clear()
-    assert switched == _results(*after)
+    other = Problem(dist, dataclasses.replace(p, max_bs_power=150.0)) \
+        if switch == "params" else Problem(TABLE_B, p)
+    assert Problem(dist, p).cap != other.cap
+    assert other.cap == max_achievable_throughput(other.dist, other.params)
 
 
 def test_the_cap_tail_is_read_only():
-    rule, x = cap_tail(triangular(1e-4), SystemParams())
+    rule, x = Problem(triangular(1e-4), SystemParams()).cap_tail
     for values in (rule.nodes, rule.weights, x):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 1.0

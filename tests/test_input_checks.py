@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from greencell import cli, mcsim, optimal, scaling, suboptimal
+from greencell import cli, mcsim, numerics, optimal, scaling, suboptimal
 from greencell.cli import EXIT_OK, EXIT_USAGE, main
 from greencell.metrics import evaluate
 from greencell.optimal import solve
@@ -131,13 +131,43 @@ def test_manifest_records_mode(tmp_path, capsys):
                                 "format": "csv"}
     assert hse["options"] == {"mode": "hse", "u_avg": 50.0, "format": "csv"}
     assert exact != hse
-    # the dual search's tolerance, in the commands that run it
+    # the root tolerances of solve and the schemes, in the commands that
+    # run either
     sweep = _cli_manifest(tmp_path, capsys, "sweep.csv", command="sweep")
     schemes = _cli_manifest(tmp_path, capsys, "schemes.csv",
                               command="schemes")
-    for manifest in (exact, hse, sweep):
-        assert manifest["tolerances"] == {"dual_tol": optimal.DUAL_TOL}
-    assert schemes["tolerances"] == {}
+    for manifest in (exact, hse, sweep, schemes):
+        assert manifest["tolerances"] == {
+            "dual_tol": optimal.DUAL_TOL,
+            "threshold_tol": optimal.THRESHOLD_TOL,
+            "newton_step_tol": numerics.NEWTON_STEP_TOL,
+            "cut_tol": suboptimal._CUT_TOL,
+            "level_tol": suboptimal._LEVEL_TOL}
+
+
+@pytest.mark.parametrize("key", cli.TOLERANCES)
+@pytest.mark.parametrize("command", ["solve", "sweep", "schemes"])
+def test_manifest_records_each_tolerance_as_run(tmp_path, capsys,
+                                                monkeypatch, command, key):
+    # one float up leaves every payload byte as it was: the manifest alone
+    # tells the two runs apart, by the value each constant had
+    def run(name):
+        out = tmp_path / name
+        code = main([command, "--u-avg", "50", "--format", "json",
+                     "--out", str(out)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        return out.read_bytes(), json.loads(
+            (tmp_path / f"{name}.manifest.json").read_text())
+
+    output, manifest = run("first")
+    module, name = cli.TOLERANCES[key]
+    value = math.nextafter(getattr(module, name), math.inf)
+    monkeypatch.setattr(module, name, value)
+    patched_output, patched_manifest = run("patched")
+    assert patched_output == output
+    assert patched_manifest["tolerances"] == {**manifest["tolerances"],
+                                              key: value}
 
 
 # per command: base arguments, and inputs each of which alone changes the
@@ -389,6 +419,31 @@ def test_simulate_total_power_rejects_no_trials(trials):
 def test_price_must_be_positive(call, mu):
     with pytest.raises(ValueError, match="mu must be positive"):
         call(mu)
+
+
+# a NaN price passed every check as if it were none; an infinite one failed
+# in a math domain error.  policy_for_mu takes mu = inf as the cap policy
+PRICE_CALLS = {
+    "critical_densities": lambda mu: optimal.critical_densities(mu, P),
+    "hse_critical_densities":
+        lambda mu: optimal.hse_critical_densities(mu, P),
+    "x1_star": lambda mu: optimal.x1_star(5e-5, mu, P),
+    "hse_x1": lambda mu: optimal.hse_x1(5e-5, mu, P),
+    "subproblem": lambda mu: optimal.subproblem(5e-5, mu, P),
+    "subproblem_off": lambda mu: optimal.subproblem(0.0, mu, P),
+    "policy_for_mu": lambda mu: optimal.policy_for_mu(mu, P, 1e-4),
+    "policy_for_mu_hse":
+        lambda mu: optimal.policy_for_mu(mu, P, 1e-4, mode="hse"),
+}
+
+
+@pytest.mark.parametrize("name, mu", [
+    (name, mu) for name in PRICE_CALLS for mu in (math.nan, math.inf)
+    if not (name.startswith("policy_for_mu") and mu == math.inf)])
+def test_price_must_be_a_finite_number(name, mu):
+    with pytest.raises(ValueError,
+                       match=f"mu must be positive and finite, got {mu}"):
+        PRICE_CALLS[name](mu)
 
 
 # a subnormal density gave NaN (hse) or failed in Newton (exact)

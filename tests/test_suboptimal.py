@@ -11,7 +11,8 @@ from greencell import cli, optimal, suboptimal
 from greencell import metrics as metrics_module
 from greencell.metrics import evaluate
 from greencell.numerics import conditional_expect, expect, gauss_legendre
-from greencell.optimal import InfeasibleError, max_achievable_throughput, solve
+from greencell.optimal import (InfeasibleError, Problem,
+                              max_achievable_throughput, solve)
 from greencell.params import SystemParams
 from greencell.scaling import bs_power, max_range, max_range_x
 from greencell.suboptimal import (ARW_OFC, ARW_OOFC, FRW_OFC, FRW_OOFC,
@@ -378,10 +379,10 @@ def test_level_derivative_matches_central_differences(config):
     for frac in (0.2, 0.5, 0.9):
         share = lowest + frac * (p.max_bs_power - p.static_power - lowest)
         cutoff = accurate_cutoff(share, u, DIST, p)
-        rule = suboptimal._tail_rule(DIST, cutoff, p)
-        tail = suboptimal._arw_tail(rule, cutoff, share, DIST, p)
-        du = (suboptimal._arw_tail(rule, cutoff, share + h, DIST, p).users
-              - suboptimal._arw_tail(rule, cutoff, share - h, DIST, p).users) \
+        rule = suboptimal._tail_rule(Problem(DIST, p), cutoff)
+        tail = suboptimal._arw_tail(rule, cutoff, share, p)
+        du = (suboptimal._arw_tail(rule, cutoff, share + h, p).users
+              - suboptimal._arw_tail(rule, cutoff, share - h, p).users) \
             / (2 * h)
         assert math.pi * tail.level / share == pytest.approx(du, rel=1e-6), \
             frac
@@ -404,8 +405,8 @@ def _frw_edge(u_avg, dist, p):
 
 
 def _frw_cut(cutoff, u_avg, dist, p):
-    return suboptimal._frw_cut(suboptimal._tail_rule(dist, cutoff, p),
-                               cutoff, u_avg, p)
+    return suboptimal._frw_cut(
+        suboptimal._tail_rule(Problem(dist, p), cutoff), cutoff, u_avg, p)
 
 
 def _frw_cap(dist, p):
@@ -420,12 +421,14 @@ def _family(family, u_avg, dist, p):
         edge, _ = _frw_edge(u_avg, dist, p)
         return edge, lambda c: _frw_cut(c, u_avg, dist, p)
 
+    problem = Problem(dist, p)
+
     def at_cap(c, rule):
         return suboptimal._arw_tail(rule, c, p.max_bs_power - p.static_power,
-                                    dist, p)
-    edge, _, _ = suboptimal._edge(u_avg, dist, p, at_cap)
+                                    p)
+    edge, _, _ = suboptimal._edge(u_avg, problem, at_cap)
     return edge, lambda c: suboptimal._arw_cut(
-        c, u_avg, dist, p, math.log(p.max_bs_power - p.static_power))
+        c, u_avg, problem, math.log(p.max_bs_power - p.static_power))
 
 
 def _family_cap(family, dist, p):
@@ -519,7 +522,6 @@ def test_frw_ofc_builds_each_tail_rule_once(u_avg, monkeypatch):
     # the edge search's rule at the edge also serves the point there; at
     # the sweep rows the edge wins, so the point is that rule's
     p, dist = _context("baseline.json")
-    optimal.cap_tail(dist, p)
     lows = []
 
     def counted(dist, lo, hi, breakpoints=()):
@@ -730,16 +732,18 @@ def test_feasible_search_stays_batched(kernel_log, scheme):
 def test_arw_ofc_kernel_calls_stay_bounded_on_the_grid(kernel_log):
     # the level search it replaced made 7,999 kernel calls on this 288-case
     # grid, 82 in its costliest call; the level search on a float grid,
-    # 6,249 and 49; the search in the share's log, 6,179 and 47
+    # 6,249 and 49; the search in the share's log, 6,179 and 47.  Each
+    # count leaves out the cap tail, built once per problem
     worst = total = 0
     for pc in (20.0, 42.5, 60.0, 100.0, 120.0, 140.0):
         for alpha in (3.0, 3.7):
             p = SystemParams(static_power=pc, pathloss_exp=alpha)
             for dist in (DIST, TABLE1, TABLE_AT_ZERO):
-                cap = max_achievable_throughput(dist, p)
+                problem = Problem(dist, p)
+                cap = max_achievable_throughput(problem)
                 for frac in (0.01, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.99):
                     kernel_log.sizes.clear()
-                    arw_ofc(frac * cap, dist, p)
+                    arw_ofc(frac * cap, problem)
                     worst = max(worst, len(kernel_log.sizes))
                     total += len(kernel_log.sizes)
     assert worst <= 47
@@ -873,13 +877,14 @@ ROOT_STEPS = 2.0
 
 def _ofc_edge(scheme, u_avg, dist, p):
     """The scheme's feasibility edge, as its own edge search finds it."""
+    problem = Problem(dist, p)
     if scheme is frw_ofc:
-        x_cap = suboptimal._frw_x_cap(u_avg, dist, p)
-        return suboptimal._edge(u_avg, dist, p, lambda c, rule: (
+        x_cap = problem.x_cap
+        return suboptimal._edge(u_avg, problem, lambda c, rule: (
             math.pi * x_cap * rule.integrate(rule.nodes), x_cap))[0]
-    return suboptimal._edge(u_avg, dist, p, lambda c, rule: (
+    return suboptimal._edge(u_avg, problem, lambda c, rule: (
         suboptimal._arw_tail(rule, c, p.max_bs_power - p.static_power,
-                             dist, p)))[0]
+                             p)))[0]
 
 
 def _ofc_point(res, cutoff, u_avg, dist, p):
@@ -888,11 +893,12 @@ def _ofc_point(res, cutoff, u_avg, dist, p):
     share = res.fixed_share
     if share is None:
         return _frw_cut(cutoff, u_avg, dist, p)
+    problem = Problem(dist, p)
     if cutoff == res.cutoff:
-        rule = suboptimal._tail_rule(dist, cutoff, p)
+        rule = suboptimal._tail_rule(problem, cutoff)
         return suboptimal._arw_at(rule, cutoff, share, suboptimal._arw_tail(
-            rule, cutoff, share, dist, p), p)
-    return suboptimal._arw_cut(cutoff, u_avg, dist, p, math.log(share))
+            rule, cutoff, share, p), p)
+    return suboptimal._arw_cut(cutoff, u_avg, problem, math.log(share))
 
 
 def _floor_and_root(u_avg, dist, p):
