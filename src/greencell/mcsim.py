@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams
-from .scaling import _check_nonneg_finite, _load_factor, stpc_power
+from .scaling import _check_nonneg_finite, stpc_power
 
 _TRIAL_CHUNK = 20_000
 # most users drawn and powered at once; bounds the simulator's working memory
@@ -64,22 +64,43 @@ def simulate_total_power(density: float, radius: float, p: SystemParams,
     return McEstimate(mean=mean, std_err=se, trials=trials)
 
 
+def edge_fraction(uniforms: np.ndarray, radius: float,
+                  p: SystemParams) -> np.ndarray:
+    """Turn uniforms v in place into each user's share of the edge power.
+
+    A user at distance R sqrt(v) needs stpc_power(R sqrt(v)) = stpc_power(R)
+    max(v, (r0/R)^2)^(alpha/2) when R > r0; the floor is 1 when R <= r0,
+    where every user needs stpc_power(r0) = stpc_power(R) and the share is
+    exactly 1.  Computed as exp(alpha/2 log max(v, floor)), with no array
+    allocated; returns ``uniforms``.
+    """
+    floor = (p.ref_distance / max(radius, p.ref_distance)) ** 2
+    np.maximum(uniforms, floor, out=uniforms)
+    np.log(uniforms, out=uniforms)
+    uniforms *= 0.5 * p.pathloss_exp
+    return np.exp(uniforms, out=uniforms)
+
+
 def _trial_sums(out: np.ndarray, counts: np.ndarray, radius: float,
                 p: SystemParams, rng: np.random.Generator) -> None:
     """Write each non-empty trial's summed STPC power into ``out``.
 
-    All users of a trial share its bandwidth-sharing load, so a trial of n
-    users sums single-user powers and scales the sum by load(n) / load(1);
-    only the distances and the path loss are per user.  The users are drawn
-    and powered in pieces of at most ``_PIECE_USERS`` users, split at trial
-    boundaries, in one reused buffer; a piece holds at least one trial, so
-    one trial larger than the bound is a piece of its own.  Consecutive
-    ``rng.random`` calls continue one stream, and every trial is reduced
-    over the same elements in the same order, so the sums do not depend on
-    the piece size.  Empty trials are left untouched.
+    A user at distance R sqrt(v), v uniform, needs its trial's edge power
+    stpc_power(R, n) times ``edge_fraction``'s share, which depends on v
+    alone: all users of a trial share its load, and only the path loss is
+    per user.  So each piece of uniforms becomes shares in place, one
+    ``reduceat`` sums them per trial, and each non-empty trial's sum is
+    scaled once by its edge power (computed, with its load guard, before
+    any user is drawn).  The users are drawn in pieces of at most
+    ``_PIECE_USERS`` users, split at trial boundaries, in one reused
+    buffer; a piece holds at least one trial, so one trial larger than the
+    bound is a piece of its own.  Consecutive ``rng.random`` calls continue
+    one stream, and every trial is reduced over the same elements in the
+    same order, so the sums do not depend on the piece size.  Empty trials
+    are left untouched.
     """
     busy = counts > 0
-    ratio = _load_factor(counts[busy], p) / _load_factor(1, p)
+    edge = stpc_power(radius, counts[busy], p)
     ends = np.cumsum(counts)
     begins = ends - counts
     work = np.empty(min(int(ends[-1]), _PIECE_USERS))
@@ -91,13 +112,11 @@ def _trial_sums(out: np.ndarray, counts: np.ndarray, radius: float,
         if stop > start:
             if stop - start > work.size:
                 work = np.empty(stop - start)
-            dist = work[:stop - start]
-            rng.random(out=dist)
-            np.sqrt(dist, out=dist)
-            dist *= radius
+            shares = work[:stop - start]
+            rng.random(out=shares)
             filled = busy[first:last]
             offsets = begins[first:last][filled] - start
-            out[first:last][filled] = np.add.reduceat(stpc_power(dist, 1, p),
-                                                      offsets)
+            out[first:last][filled] = np.add.reduceat(
+                edge_fraction(shares, radius, p), offsets)
         first, start = last, stop
-    out[busy] *= ratio
+    out[busy] *= edge

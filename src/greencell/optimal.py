@@ -77,7 +77,12 @@ class CriticalDensities:
 
 
 def lagrangian_x(x, density, mu: float, p: SystemParams):
-    """Per-density Lagrangian L = consumption - mu * supported users, in x space."""
+    """Per-density Lagrangian L = consumption - mu * supported users, in x space.
+
+    A non-finite ``mu`` raises ValueError.
+    """
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     shape, (x, lam) = as_arrays(x, density)
     return shaped(bs_power_x(x, lam, p) - mu * math.pi * lam * x, shape)
 

@@ -24,14 +24,18 @@ class InfeasibleBudgetError(ValueError):
     """The requested power budget cannot cover the static consumption."""
 
 
-def _load_factor(n_users, p: SystemParams):
-    """Bandwidth-sharing factor (2^(n v/W) - 1) / n of ``n_users`` sharing the band.
+def stpc_power(distance, n_users, p: SystemParams):
+    """Transmit power towards one user at ``distance`` with ``n_users`` sharing the band.
 
-    The same for every user of a drop; ``stpc_power`` is this times the
-    path-loss factor max(d/r0, 1)^alpha and a constant.  v/W is
-    ``derive_constants``' c2, formed here so that the Monte Carlo's
-    per-chunk load ratio needs no constants lookup.
+    Short-term power control: enough power that the Rayleigh-faded link meets
+    the rate target within the allowed outage probability.  Flat inside the
+    reference distance.  Accepts numpy arrays for either argument.  The
+    power is a constant times the path-loss factor max(d/r0, 1)^alpha and
+    the bandwidth-sharing factor (2^(n v/W) - 1) / n, the same for every
+    user of a drop.  ``n_users`` below 1 raises ValueError, and a load
+    exponent n v/W above ``EXPONENT_GUARD_BITS`` PowerOverflowError.
     """
+    c = derive_constants(p)
     n = np.asarray(n_users, dtype=float)
     if np.any(n < 1):
         raise ValueError("n_users must be >= 1")
@@ -40,19 +44,8 @@ def _load_factor(n_users, p: SystemParams):
         raise PowerOverflowError(
             f"per-cell load exponent {np.max(bits)} bits exceeds guard "
             f"({EXPONENT_GUARD_BITS})")
-    return np.expm1(bits * _LN2) / n
-
-
-def stpc_power(distance, n_users, p: SystemParams):
-    """Transmit power towards one user at ``distance`` with ``n_users`` sharing the band.
-
-    Short-term power control: enough power that the Rayleigh-faded link meets
-    the rate target within the allowed outage probability.  Flat inside the
-    reference distance.  Accepts numpy arrays for either argument.
-    """
-    c = derive_constants(p)
     scale = (p.snr_gap * p.noise_psd * p.bandwidth_w / (p.ref_pathloss * c.c1)) \
-        * _load_factor(n_users, p)
+        * (np.expm1(bits * _LN2) / n)
     # max(d, r0) / r0 has the bits of max(d / r0, 1); the power and the
     # scaling run in place, so an array distance allocates only the result
     out = np.maximum(np.asarray(distance, dtype=float), p.ref_distance)

@@ -446,6 +446,25 @@ def test_price_must_be_a_finite_number(name, mu):
         PRICE_CALLS[name](mu)
 
 
+# a NaN price gave a NaN Lagrangian and an infinite one -inf, silently
+@pytest.mark.parametrize("mu", NON_FINITE)
+def test_lagrangian_rejects_a_non_finite_price(mu):
+    with pytest.raises(ValueError, match=f"mu must be finite, got {mu}"):
+        optimal.lagrangian_x(1e5, 5e-5, mu, P)
+
+
+def test_lagrangian_at_a_finite_price_is_unchanged():
+    # the check leaves the value the formula gives, bit for bit, at any
+    # finite price (zero and negative ones included) and array shape
+    x = np.array([0.0, 1.0, 1e5, 4e6])
+    lam = np.array([0.0, 1e-6, 5e-5, 1e-4])
+    for mu in (-1.0, 0.0, 1e-3, 1.05, 1e9):
+        want = scaling.bs_power_x(x, lam, P) - mu * math.pi * lam * x
+        assert np.array_equal(optimal.lagrangian_x(x, lam, mu, P), want)
+        for xi, li, wi in zip(x, lam, want):
+            assert optimal.lagrangian_x(float(xi), float(li), mu, P) == wi
+
+
 # a subnormal density gave NaN (hse) or failed in Newton (exact)
 @pytest.mark.parametrize("density", [0.0, -1e-5, np.array([1e-5, 0.0]),
                                      5e-324, 1e-320])

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from greencell import mcsim
-from greencell.mcsim import McEstimate, make_rng, simulate_total_power
+from greencell.mcsim import (McEstimate, edge_fraction, make_rng,
+                             simulate_total_power)
 from greencell.params import SystemParams
-from greencell.scaling import (PowerOverflowError, _load_factor,
-                               avg_transmit_power_exact, stpc_power)
+from greencell.scaling import (PowerOverflowError, avg_transmit_power_exact,
+                               stpc_power)
 from oracles import sample_users, simulate_outage
 
 P = SystemParams()
@@ -85,14 +86,16 @@ def whole_chunk_oracle(density, radius, p, trials, rng, per_user_load=False):
     """The whole-chunk simulator: every user of a 20k-trial chunk at once.
 
     The same stream order as ``simulate_total_power`` (a chunk's counts,
-    then its uniforms) and the same arithmetic: single-user powers, one
-    ``reduceat`` over the chunk, and each non-empty trial's sum scaled by
-    its load ratio load(n) / load(1).  The offsets are the start of every
-    non-empty trial; clipping the offsets of trailing empty trials to the
-    last element instead would drop the last user of the trial before them.
-    With ``per_user_load`` every user is powered with its trial's count,
-    ``stpc_power(d_i, n)``, and the sums are not scaled: the simulator
-    before it took the load out of the per-user sum.
+    then its uniforms) and the same arithmetic: each uniform v turned into
+    its share exp(alpha/2 log max(v, (r0 / max(R, r0))^2)) of the edge
+    power, one ``reduceat`` over the chunk, and each non-empty trial's sum
+    scaled by its edge power stpc_power(R, n).  The offsets are the start
+    of every non-empty trial; clipping the offsets of trailing empty trials
+    to the last element instead would drop the last user of the trial
+    before them.  With ``per_user_load`` every user is powered at its
+    distance R sqrt(v) with its trial's count, ``stpc_power(d_i, n)``, and
+    the sums are not scaled: the simulator before it took the load and the
+    edge power out of the per-user sum.
     """
     mean_count = density * math.pi * radius * radius
     per_trial = np.zeros(trials)
@@ -102,16 +105,20 @@ def whole_chunk_oracle(density, radius, p, trials, rng, per_user_load=False):
         counts = rng.poisson(mean_count, chunk)
         total = int(counts.sum())
         if total:
-            dist = radius * np.sqrt(rng.random(total))
             busy = counts > 0
-            users = np.repeat(counts, counts).astype(float) \
-                if per_user_load else 1
+            offsets = (np.cumsum(counts) - counts)[busy]
             sums = np.zeros(chunk)
-            sums[busy] = np.add.reduceat(stpc_power(dist, users, p),
-                                         (np.cumsum(counts) - counts)[busy])
-            if not per_user_load:
-                sums[busy] *= _load_factor(counts[busy], p) \
-                    / _load_factor(1, p)
+            if per_user_load:
+                dist = radius * np.sqrt(rng.random(total))
+                users = np.repeat(counts, counts).astype(float)
+                sums[busy] = np.add.reduceat(stpc_power(dist, users, p),
+                                             offsets)
+            else:
+                floor = (p.ref_distance / max(radius, p.ref_distance)) ** 2
+                shares = np.exp((0.5 * p.pathloss_exp)
+                                * np.log(np.maximum(rng.random(total), floor)))
+                sums[busy] = np.add.reduceat(shares, offsets)
+                sums[busy] *= stpc_power(radius, counts[busy], p)
             per_trial[done:done + chunk] = sums
         done += chunk
     se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -174,8 +181,9 @@ class TestPieces:
     @pytest.mark.parametrize("alpha", [3.0, 3.7])
     @pytest.mark.parametrize("i", range(len(VALIDATE_GRID)))
     def test_load_factorisation_matches_per_user_load(self, i, alpha):
-        # summing load(n) * g(d_i) per user and scaling the sum of load(1) *
-        # g(d_i) by load(n) / load(1) differ only in rounding
+        # summing stpc_power(d_i, n) per user and scaling the sum of the
+        # users' shares by the edge power stpc_power(R, n) differ only in
+        # rounding
         p = SystemParams(pathloss_exp=alpha)
         radius, lam = VALIDATE_GRID[i]
         seed = 2000 + 2 * i
@@ -193,13 +201,12 @@ class TestPieces:
     ])
     def test_every_drawn_user_is_powered_once(self, lam, radius, trials,
                                               piece):
-        # perfbench counts user draws as the sizes of the distance arrays
-        # passed to stpc_power at mcsim's binding
+        # every drawn uniform passes through edge_fraction once, in pieces
         sizes = []
 
-        def counting(distance, n_users, p):
-            sizes.append(np.size(distance))
-            return stpc_power(distance, n_users, p)
+        def counting(uniforms, radius, p):
+            sizes.append(np.size(uniforms))
+            return edge_fraction(uniforms, radius, p)
 
         rng = make_rng(21)
         chunk_counts = []
@@ -219,21 +226,91 @@ class TestPieces:
             pieces += users > 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mcsim, "_PIECE_USERS", piece)
-            mp.setattr(mcsim, "stpc_power", counting)
+            mp.setattr(mcsim, "edge_fraction", counting)
             simulate_total_power(lam, radius, P, trials, make_rng(21))
         assert sum(sizes) == sum(int(c.sum()) for c in chunk_counts)
         assert len(sizes) == pieces and 0 not in sizes
 
     def test_memory_stays_bounded(self):
-        # 12.6M users in one chunk: whole-chunk arrays peak near 600 MB
+        # 12.6M users in one chunk: whole-chunk arrays peak near 600 MB.
+        # The simulator peaks at 1.44 MiB (1.79 MiB with a result array per
+        # piece); the RNG is made first, as its first call may import
+        # numpy.random (0.67 MiB more).  The bound leaves 0.31 MiB headroom.
+        rng = make_rng(1)
         tracemalloc.start()
         try:
-            simulate_total_power(5e-5, 2000.0, SystemParams(), 20_000,
-                                 make_rng(1))
+            simulate_total_power(5e-5, 2000.0, SystemParams(), 20_000, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2 ** 20
+        assert peak <= 1.75 * 2 ** 20
+
+
+R0 = P.ref_distance
+# stpc_power(R) * share against stpc_power(R sqrt(v)): measured at most
+# 6.2e-15 relative over 159M draws (worst at alpha = 6, R = 2,000 m and v
+# near the floor, where alpha/2 |log v| amplifies the rounding of log v)
+SHARE_REL = 1e-14
+
+
+@st.composite
+def radius_and_uniforms(draw):
+    """A radius at or inside r0 or in the validate range, and uniforms in
+    [0, 1) that include 0, the floor (r0 / R)^2 and 1 - 2^-53."""
+    radius = draw(st.one_of(st.sampled_from([0.0, R0 / 2, R0, 1.5 * R0]),
+                            st.floats(250.0, 2000.0)))
+    floor = (R0 / max(radius, R0)) ** 2
+    uniform = st.one_of(st.sampled_from([0.0, floor, 1.0 - 2.0 ** -53]),
+                        st.floats(0.0, 1.0, exclude_max=True))
+    return radius, draw(st.lists(uniform, min_size=1, max_size=40))
+
+
+class TestEdgeFraction:
+    """Each user's share of the edge power is its power in uniform space."""
+
+    @given(alpha=st.floats(2.0, 6.0, exclude_min=True),
+           drawn=radius_and_uniforms())
+    def test_share_of_the_edge_power_is_the_users_power(self, alpha, drawn):
+        radius, v = drawn
+        p = SystemParams(pathloss_exp=alpha)
+        v = np.array(v)
+        want = stpc_power(radius * np.sqrt(v), 1, p)
+        shares = v.copy()
+        assert edge_fraction(shares, radius, p) is shares
+        np.testing.assert_allclose(stpc_power(radius, 1, p) * shares, want,
+                                   rtol=SHARE_REL, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 6.0])
+    @pytest.mark.parametrize("radius", [R0 / 2, R0])
+    def test_inside_the_reference_distance_every_user_needs_its_power(
+            self, radius, alpha):
+        # each of a trial's n users needs stpc_power(r0, n): n times
+        # stpc_power(r0, 1) scaled by the load ratio load(n) / load(1)
+        p = SystemParams(pathloss_exp=alpha)
+        counts = np.concatenate([[0, 1, 2, 0, 0, 1_000],
+                                 make_rng(3).poisson(4.0, 500)])
+        out = np.zeros(counts.size)
+        mcsim._trial_sums(out, counts, radius, p, make_rng(4))
+        want = counts * stpc_power(R0, np.maximum(counts, 1), p)
+        np.testing.assert_allclose(out, want, rtol=SHARE_REL, atol=0.0)
+
+    def test_zero_radius_draws_no_user(self):
+        sizes = []
+
+        def counting(uniforms, radius, p):
+            sizes.append(np.size(uniforms))
+            return edge_fraction(uniforms, radius, p)
+
+        rng = make_rng(5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "edge_fraction", counting)
+            est = simulate_total_power(1e-5, 0.0, P, 30_000, rng)
+        assert est.mean == 0.0 and est.std_err == 0.0 and sizes == []
+        # the stream moved past the two chunks' counts and nothing more
+        ref = make_rng(5)
+        ref.poisson(0.0, 20_000)
+        ref.poisson(0.0, 10_000)
+        assert rng.random() == ref.random()
 
 
 class TestSimulateOutage:
