@@ -10,18 +10,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .metrics import PolicyMetrics
-from .numerics import (as_arrays, bracketed_newton, gauss_legendre,
-                       newton_log, shaped)
+from .numerics import as_arrays, bracketed_newton, gauss_legendre, shaped
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
-from .scaling import _lambert_x, bs_power_x, max_range_x
+from .scaling import (_cap_law, _curve_x, _stationary_law, bs_power_x,
+                      max_range_x)
 from .traffic import DensityDistribution
 
 
@@ -88,41 +88,16 @@ def lagrangian_x(x, density, mu: float, p: SystemParams):
 
 
 def x1_star(density, mu: float, p: SystemParams):
-    """Interior stationary point: unique positive root of dL/dx = 0.
-
-    Elementwise over densities.  The power term's slope
-    Pt'(x) = d1 x^(alpha/2-1) e^y (alpha/2 (1 - e^-y) + y), y = D2 pi lambda
-    x ln 2, vanishes as x -> 0+ for pathloss exponents above 2 and grows
-    without bound, so Pt'(x) = mu pi lambda / a has exactly one root.  Its
-    logarithm is convex and increasing in log x, so from any seed Newton's
-    first step there lands at or above the root and the steps after it
-    descend monotonically onto it.  The seed is the closed form of
-    ``hse_x1``, which drops the first term of Pt', with Winitzki's W.
-    """
-    shape, (lam,) = as_arrays(density)
-    if (lam < sys.float_info.min).any():
-        raise ValueError(f"density must be positive and normal: {lam.min()}")
+    """Interior stationary point, elementwise over densities: the unique
+    positive root of dL/dx = 0, a Pt'(x) = mu pi lambda, which is that of
+    ``_stationary_law`` (``_curve_x``).  Pt'(x) rises from 0 at x = 0+
+    (alpha > 2) without bound."""
     _check_mu(mu)
     c = derive_constants(p)
-    qp = c.d3 * math.pi * lam
-    log_rhs = np.log(mu * math.pi * lam / (p.amp_scaling * c.d1))
-    x = newton_log(partial(_x1_log_slope, h=0.5 * p.pathloss_exp),
-                   _lambert_x(qp, mu / (p.amp_scaling * c.d1 * c.d3), p,
-                              seed=True),
-                   qp, log_rhs)
-    return shaped(x, shape)
-
-
-def _x1_log_slope(x, qp, log_rhs, h):
-    """log(Pt'(x) / target) - ``log_rhs`` and its derivative s in log x.
-
-    y = ``qp`` x; the stationary point's own log-x slope in mu is 1 / s.
-    """
-    y = qp * x
-    em = -np.expm1(-y)
-    t = h * em + y
-    return ((h - 1.0) * np.log(x) + y + np.log(t) - log_rhs,
-            (h * (h - 1.0) * em + (2.0 * h + y) * y) / t)
+    a_d1 = p.amp_scaling * c.d1
+    return _curve_x(density, c.d3 * math.pi, mu / (a_d1 * c.d3),
+                    0.5 * p.pathloss_exp, _stationary_law,
+                    lambda lam: np.log(mu * math.pi * lam / a_d1))
 
 
 def x2_star(density, p: SystemParams):
@@ -160,18 +135,17 @@ THRESHOLD_TOL = 1e-14
 def critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
     """The three threshold densities for a given dual variable.
 
-    On the stationary curve dP/dx = mu pi lambda, with load exponent
-    y = d3 pi lambda x (nats), h = alpha/2 and E = 1 - e^-y,
-    a d1 x^h = mu y e^-y / (d3 (hE + y)), so a Pt = mu y E / (d3 (hE + y)),
-    and lambda = y / (d3 pi x) rises with y.  The BS switches on where L
-    falls below the sleep power Ps.  lambda1 (L = Ps) solves
-    y - yE/(hE + y) = d3 (Pc - Ps) / mu; lambda2 (P = Pmax) solves
-    yE/(hE + y) = d3 (Pmax - Pc) / mu, and is inf once the right side
-    reaches 1.  Both left sides rise with y; each is solved by Newton in
-    log y (``bracketed_newton``, on Python floats) inside a bracket from
+    With load exponent y = d3 pi lambda x (nats), h = alpha/2 and
+    E = 1 - e^-y, a Pt = mu y E / (d3 (hE + y)) on the stationary curve.
+    The BS switches on where L falls below the sleep power Ps.  lambda1
+    (L = Ps) solves y - yE/(hE + y) = d3 (Pc - Ps) / mu; lambda2 (P = Pmax)
+    solves yE/(hE + y) = d3 (Pmax - Pc) / mu, and is inf once the right
+    side reaches 1.  Both left sides rise with y; each is solved by Newton
+    in log y (``bracketed_newton``, on Python floats) inside a bracket from
     its asymptotes.  lambda3 (P = Pmax and L = Ps on the capped curve) is
-    closed form: y3 = d3 (Pmax - Ps) / mu, and
-    a d1 x^h (e^y3 - 1) = Pmax - Pc.  Each is formed in logs and reported
+    at y3 = d3 (Pmax - Ps) / mu.  As x = y / (d3 pi lambda), each curve's
+    law (``_stationary_law``, ``_cap_law``) at x = y / (d3 pi), qp = d3 pi
+    and its right side at lambda = 1 reads h log lambda, which is reported
     as its value (``CriticalDensities.from_logs``).
     """
     _check_mu(mu)
@@ -208,28 +182,27 @@ def critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
             s0 - g0 / slope0 + math.copysign(0.5 * THRESHOLD_TOL, good - bad),
             THRESHOLD_TOL))
 
-    def log_lambda(y):
-        # log lambda on the stationary curve at load exponent y
-        h_log_x = (math.log(mu * y / (p.amp_scaling * c.d1 * c.d3)) - y
-                   - math.log(h * -math.expm1(-y) + y))
-        return math.log(y / (c.d3 * math.pi)) - h_log_x / h
+    d3pi, a_d1 = c.d3 * math.pi, p.amp_scaling * c.d1
+
+    def read(law, y, log_rhs):  # log lambda; y is inf at a subnormal mu
+        return (law(y / d3pi, d3pi, log_rhs, h)[0] / h if y < math.inf
+                else math.inf)
 
     # right sides d3 (Pc - Ps) / mu, d3 (Pmax - Pc) / mu; the left sides lie
     # between y h/(h+1) or y - 1 and y (lambda1), and between
     # y/(h+1+y) and y/(h+1) or y/(h+y) (lambda2), which bracket each root
     r1, r2 = c.d3 * (pc - ps) / mu, c.d3 * (pmax - pc) / mu
     log_lam = [-math.inf, math.inf]  # lambda1 = 0, lambda2 = inf unless solved
+    log_on = math.log(mu * math.pi / a_d1)
     if r1 > 0.0:  # else Pc = Ps and the BS is always on
-        log_lam[0] = log_lambda(solve_log_y(
-            False, r1, min(r1 * (h + 1.0) / h, r1 + 1.0), r1))
+        log_lam[0] = read(_stationary_law, solve_log_y(
+            False, r1, min(r1 * (h + 1.0) / h, r1 + 1.0), r1), log_on)
     if r2 < 1.0:  # else the stationary point never reaches the cap
-        log_lam[1] = log_lambda(solve_log_y(
+        log_lam[1] = read(_stationary_law, solve_log_y(
             True, r2, max(r2 * (h + 1.0), h * r2 / (1.0 - r2)),
-            r2 * (h + 1.0) / (1.0 - r2)))
-    y3 = c.d3 * (pmax - ps) / mu
-    log_x3 = (math.log((pmax - pc) / (p.amp_scaling * c.d1)) - y3
-              - math.log(-math.expm1(-y3))) / h
-    log_lam.append(math.log(y3 / (c.d3 * math.pi)) - log_x3)
+            r2 * (h + 1.0) / (1.0 - r2)), log_on)
+    log_lam.append(read(_cap_law, c.d3 * (pmax - ps) / mu,
+                        math.log((pmax - pc) / a_d1)))
     return CriticalDensities.from_logs(*log_lam)
 
 
@@ -237,48 +210,39 @@ def critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
 
 def hse_x1(density, mu: float, p: SystemParams):
     """Closed-form stationary point when the per-cell load exponent is large."""
-    shape, (lam,) = as_arrays(density)
-    if (lam < sys.float_info.min).any():
-        raise ValueError(f"density must be positive and normal: {lam.min()}")
     _check_mu(mu)
     c = derive_constants(p)
-    return shaped(_lambert_x(c.d3 * math.pi * lam,
-                             mu / (p.amp_scaling * c.d1 * c.d3), p), shape)
+    return _curve_x(density, c.d3 * math.pi,
+                    mu / (p.amp_scaling * c.d1 * c.d3), 0.5 * p.pathloss_exp)
 
 
 def hse_x2(density, p: SystemParams):
     """Closed-form power-capped point when the load exponent is large."""
-    shape, (lam,) = as_arrays(density)
-    if (lam < sys.float_info.min).any():
-        raise ValueError(f"density must be positive and normal: {lam.min()}")
     c = derive_constants(p)
     pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
-    return shaped(_lambert_x(c.d3 * math.pi * lam, pt_max / c.d1, p), shape)
+    return _curve_x(density, c.d3 * math.pi, pt_max / c.d1,
+                    0.5 * p.pathloss_exp)
 
 
 def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:
     """Closed-form threshold densities; each strictly decreasing in mu.
 
-    Each is formed in logs (``CriticalDensities.from_logs``); lambda2's
-    also needs mu > d3 (Pmax - Pc), and is inf otherwise.
+    ``critical_densities``' reads of h log lambda, on the laws with the -1
+    dropped, h log x + qp x = log r (``_curve_x``), at its r1, r2 and y3
+    and closed-form y1 = 1 + r1, y2 = h r2 / (1 - r2) (inf from r2 = 1).
     """
     _check_mu(mu)
     c = derive_constants(p)
-    k = 2.0 / p.pathloss_exp
-    pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
-    # the BS switches on where L falls below the sleep power
-    on_pc = p.static_power - p.sleep_power
-    on_pmax = p.max_bs_power - p.sleep_power
-    log_scale = k * math.log(p.amp_scaling * c.d1 * c.d3 / mu)
-    denom = mu - c.d3 * pt_max * p.amp_scaling
-    log_lam = (
-        math.log(1.0 / (math.pi * c.d3) + on_pc / (mu * math.pi))
-        + log_scale + k + k * c.d3 * on_pc / mu,
-        math.log(p.amp_scaling * pt_max / (k * math.pi * denom)) + log_scale
-        + c.d3 * pt_max * p.amp_scaling / denom if denom > 0.0 else math.inf,
-        math.log(on_pmax / (mu * math.pi)) + k * math.log(c.d1 / pt_max)
-        + k * c.d3 * on_pmax / mu)
-    return CriticalDensities.from_logs(*log_lam)
+    h, d3pi = 0.5 * p.pathloss_exp, c.d3 * math.pi
+    pc, pmax, ps = p.static_power, p.max_bs_power, p.sleep_power
+    r1, r2 = c.d3 * (pc - ps) / mu, c.d3 * (pmax - pc) / mu
+    log_r = -math.log(p.amp_scaling * c.d1 * c.d3 / mu)
+    reads = ((1.0 + r1, log_r),
+             (h * r2 / (1.0 - r2) if r2 < 1.0 else math.inf, log_r),
+             (c.d3 * (pmax - ps) / mu,
+              math.log((pmax - pc) / (p.amp_scaling * c.d1))))
+    return CriticalDensities.from_logs(
+        *((h * math.log(y / d3pi) + y - lr) / h for y, lr in reads))
 
 
 # --- policy tabulation and the outer dual search ----------------------------
@@ -450,7 +414,7 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     dx = np.zeros_like(x)
     if stationary.any():
         lam, xs = lams[stationary], x[stationary]
-        _, s = _x1_log_slope(xs, d3 * math.pi * lam, 0.0, h)
+        _, s = _stationary_law(xs, d3 * math.pi * lam, 0.0, h)
         dx[stationary] = xs / (mu * s)
     slope = rule.integrate(math.pi * lams * dx)
     if inside:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -132,50 +133,60 @@ def bs_power(radius, density, p: SystemParams):
     return bs_power_x(radius * radius, density, p)
 
 
-def _lambert_x(qp, ratio: float, p: SystemParams, seed: bool = False):
-    """x = W(k ratio^(2/alpha)) / k, k = 2 qp / alpha: the root of
-    x^(alpha/2) e^(qp x) = ``ratio``, with qp = d3 pi lambda elementwise;
-    the high-spectrum-efficiency closed form of the stationary and the
-    budget points.  A ``seed`` for Newton takes W from Winitzki's start,
-    within 2%, without ``lambert_w0``'s Halley steps."""
-    k = 2.0 * qp / p.pathloss_exp
-    y = k * ratio ** (2.0 / p.pathloss_exp)
-    return (_winitzki(y) if seed else lambert_w0(y)) / k
+def _stationary_law(x, qp, log_rhs, h):
+    """log(Pt'(x) / d1) - ``log_rhs`` and its slope s in log x, y = ``qp`` x:
+    Pt'(x) = d1 x^(h-1) e^y (hE + y), h = alpha/2, E = 1 - e^-y.  The
+    stationary point's own log-x slope in mu is 1 / s."""
+    y = qp * x
+    em = -np.expm1(-y)
+    t = h * em + y
+    return ((h - 1.0) * np.log(x) + y + np.log(t) - log_rhs,
+            (h * (h - 1.0) * em + (2.0 * h + y) * y) / t)
+
+
+def _cap_law(x, qp, log_rhs, h):
+    """log(Pt(x) / d1) - ``log_rhs`` and its slope in log x, y = ``qp`` x:
+    Pt(x) = d1 x^h (e^y - 1), written with E so that neither overflows."""
+    y = qp * x
+    em = -np.expm1(-y)
+    return h * np.log(x) + y + np.log(em) - log_rhs, h + y / em
+
+
+def _curve_x(density, qp1, r, h, law=None, log_rhs=None):
+    """x on one curve at each density, with qp = ``qp1`` lambda.
+
+    With the -1 of e^y - 1 dropped, both laws read h log x + qp x = log
+    ``r``, whose root x = W(k r^(1/h)) / k, k = qp / h (Corless et al.
+    1996), is the hse closed form, returned with no ``law``.  Else Newton
+    in log x (``newton_log``) on ``law``, its right side per density
+    ``log_rhs(lambda)`` if given, from that root with Winitzki's W; both
+    laws are convex and increasing in log x, so each step after the first
+    descends onto the root.
+    """
+    shape, (lam,) = as_arrays(density)
+    if (lam < sys.float_info.min).any():
+        raise ValueError(f"density must be positive and normal: {lam.min()}")
+    qp = qp1 * lam
+    k = qp / h
+    w = k * r ** (1.0 / h)
+    if law is None:
+        return shaped(lambert_w0(w) / k, shape)
+    args = (qp,) if log_rhs is None else (qp, log_rhs(lam))
+    return shaped(newton_log(partial(law, h=h), _winitzki(w) / k, *args),
+                  shape)
 
 
 def max_range_x(density, share: float, p: SystemParams):
     """Largest x = R^2 whose consumption above Pc, a Pt, stays within
-    ``share`` (W, finite and > 0) at ``density``.
-
-    Elementwise over densities, for one share.  Newton in log x on
-    log Pt(x) = log target, seeded by the high-spectrum-efficiency form
-    (2^(D2 pi lambda x) - 1 replaced by its exponential, ``_lambert_x``
-    with Winitzki's W); log Pt is convex and increasing in log x, so from
-    any seed Newton's first step lands at or above the root and the
-    steps after it descend monotonically onto the root.
-    """
+    ``share`` (W, finite and > 0) at ``density``: the root of ``_cap_law``
+    (``_curve_x``), elementwise over densities."""
     if not (math.isfinite(share) and share > 0.0):
         raise InfeasibleBudgetError(
             f"budget above static power must be finite and > 0 W: {share!r}")
     c = derive_constants(p)
-    half_alpha = 0.5 * p.pathloss_exp
     ratio = share / (p.amp_scaling * c.d1)
-    log_ratio = math.log(ratio)
-    shape, (lam,) = as_arrays(density)
-    if (lam < sys.float_info.min).any():
-        raise ValueError(f"density must be positive and normal: {lam.min()}")
-
-    def log_power(x, qp):
-        # log(Pt / target) and its slope in log x, with y = qp * x nats;
-        # written with 1 - e^-y so that neither overflows
-        y = qp * x
-        em = -np.expm1(-y)
-        return (half_alpha * np.log(x) + y + np.log(em) - log_ratio,
-                half_alpha + y / em)
-
-    qp = c.d3 * math.pi * lam
-    x = newton_log(log_power, _lambert_x(qp, ratio, p, seed=True), qp)
-    return shaped(x, shape)
+    return _curve_x(density, c.d3 * math.pi, ratio, 0.5 * p.pathloss_exp,
+                    partial(_cap_law, log_rhs=math.log(ratio)))
 
 
 def max_range(density, budget: float, p: SystemParams):

@@ -7,8 +7,10 @@ on exact derivatives.  ``minimize_bounded`` is Brent's bounded minimiser,
 which FRwOFC used the same way.  ``stpc_power_formula`` is the short-term
 power control as written before ``stpc_power`` ran in place.
 ``sample_users`` and ``simulate_outage`` are Monte Carlo checks of the user
-placement and of the short-term power control's outage target.  None of
-this is used by the package itself.
+placement and of the short-term power control's outage target.
+``paper_hse_thresholds`` are the paper's three closed-form threshold
+densities as it writes them, which ``optimal.hse_critical_densities`` now
+reads from its laws.  None of this is used by the package itself.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from greencell.mcsim import _TRIAL_CHUNK, McEstimate
 from greencell.numerics import ConvergenceError, gauss_legendre
+from greencell.optimal import CriticalDensities
 from greencell.params import SystemParams, derive_constants
 from greencell.scaling import (EXPONENT_GUARD_BITS, PowerOverflowError,
                                _check_nonneg_finite, max_range_x)
@@ -180,6 +183,33 @@ def minimize_bounded(fn: Callable[[float], float], lo: float, hi: float,
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
     return xf, fx
+
+
+def paper_hse_thresholds(mu: float, p: SystemParams) -> CriticalDensities:
+    """The paper's high-spectrum-efficiency thresholds, formed in logs.
+
+    With k = 2/alpha, Pt,max = (Pmax - Pc) / a and on-power differences
+    from the sleep power Ps:
+    lambda1 = (1/(pi d3) + (Pc - Ps)/(mu pi)) (a d1 d3/mu)^k
+              e^(k + k d3 (Pc - Ps)/mu),
+    lambda2 = a Pt,max / (k pi D) (a d1 d3/mu)^k e^(d3 a Pt,max / D), with
+              D = mu - d3 a Pt,max, and inf for D <= 0,
+    lambda3 = (Pmax - Ps)/(mu pi) (d1/Pt,max)^k e^(k d3 (Pmax - Ps)/mu).
+    """
+    c = derive_constants(p)
+    k = 2.0 / p.pathloss_exp
+    pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
+    on_pc = p.static_power - p.sleep_power
+    on_pmax = p.max_bs_power - p.sleep_power
+    log_scale = k * math.log(p.amp_scaling * c.d1 * c.d3 / mu)
+    denom = mu - c.d3 * pt_max * p.amp_scaling
+    return CriticalDensities.from_logs(
+        math.log(1.0 / (math.pi * c.d3) + on_pc / (mu * math.pi))
+        + log_scale + k + k * c.d3 * on_pc / mu,
+        math.log(p.amp_scaling * pt_max / (k * math.pi * denom)) + log_scale
+        + c.d3 * pt_max * p.amp_scaling / denom if denom > 0.0 else math.inf,
+        math.log(on_pmax / (mu * math.pi)) + k * math.log(c.d1 / pt_max)
+        + k * c.d3 * on_pmax / mu)
 
 
 def stpc_power_formula(distance, n_users, p: SystemParams):

@@ -10,7 +10,7 @@ import scipy.special
 from hypothesis import example, given, strategies as st
 from scipy import optimize
 
-from greencell import numerics, optimal, scaling
+from greencell import numerics, scaling
 from greencell.numerics import (ConvergenceError, NonFiniteIntegrandError,
                                 bracketed_newton, conditional_expect, expect,
                                 lambert_w0)
@@ -78,7 +78,6 @@ class TestKernelSeeds:
             return real(counted, x0, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(optimal, "newton_log", counting)
             m.setattr(scaling, "newton_log", counting)
             if exact_w:
                 m.setattr(scaling, "_winitzki", lambert_w0)
