@@ -11,7 +11,7 @@ from .params import (DerivedConstants, InvalidParameterError, SystemParams,
                      derive_constants, params_from_mapping)
 from .scaling import (avg_transmit_power, avg_transmit_power_exact, bs_power,
                       max_range, stpc_power, throughput)
-from .suboptimal import (SchemeResult, arw_ofc, arw_oofc, frw_ofc, frw_oofc)
+from .suboptimal import SchemePolicy, arw_ofc, arw_oofc, frw_ofc, frw_oofc
 from .traffic import DensityDistribution, from_csv, from_table, triangular
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "InfeasibleError",
     "InvalidParameterError",
     "PolicyMetrics",
-    "SchemeResult",
+    "SchemePolicy",
     "SystemParams",
     "arw_ofc",
     "arw_oofc",

@@ -25,12 +25,13 @@ EXIT_INFEASIBLE = 2
 EXIT_VALIDATION_FAILED = 3
 
 _SCHEME_FUNCS = {
+    "optimal": optimal.solve,
     suboptimal.FRW_OFC: suboptimal.frw_ofc,
     suboptimal.FRW_OOFC: suboptimal.frw_oofc,
     suboptimal.ARW_OFC: suboptimal.arw_ofc,
     suboptimal.ARW_OOFC: suboptimal.arw_oofc,
 }
-_DEFAULT_SCHEMES = ("optimal",) + tuple(_SCHEME_FUNCS)
+_DEFAULT_SCHEMES = tuple(_SCHEME_FUNCS)
 
 _DIST_KEYS = {"lambda_max", "density_csv"}
 
@@ -58,17 +59,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _unique_keys(pairs) -> dict:
+    """A dict of ``pairs``; InvalidParameterError naming a key given twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InvalidParameterError(f"{key} given twice in configuration")
+        out[key] = value
+    return out
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     text = Path(path).read_text()
     if text.lstrip().startswith(("{", "[")):
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(doc, dict):
             raise InvalidParameterError(
                 f"JSON config must be an object, got {type(doc).__name__}")
         return doc
-    out = {}
+    pairs = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -76,12 +87,15 @@ def _load_config(path: Optional[str]) -> dict:
         if "=" not in line:
             raise InvalidParameterError(f"expected key=value, got: {line!r}")
         key, _, raw = line.partition("=")
-        out[key.strip()] = raw.strip()
-    return out
+        pairs.append((key.strip(), raw.strip()))
+    return _unique_keys(pairs)
 
 
 def _build_context(config: dict):
     dist_cfg = {k: v for k, v in config.items() if k in _DIST_KEYS}
+    if len(dist_cfg) > 1:
+        raise InvalidParameterError(
+            "both lambda_max and density_csv given in configuration")
     params = params_from_mapping(
         {k: v for k, v in config.items() if k not in _DIST_KEYS})
     if "density_csv" in dist_cfg:
@@ -238,15 +252,13 @@ def cmd_solve(args) -> int:
 
 
 def _scheme_row(name: str, u_avg: float, problem: optimal.Problem) -> dict:
-    """One policy's row at ``u_avg``: its metrics, and for the four schemes
-    the rest of ``SchemeResult.summary()``; an infeasible row has neither.
-    ``_emit`` projects it onto the command's fields."""
+    """One policy's row at ``u_avg``: its summary and its metrics; an
+    infeasible row has neither.  ``_emit`` projects it onto the command's
+    fields."""
     row = {"scheme": name, "u_avg": u_avg, "feasible": True}
     try:
-        if name == "optimal":
-            row.update(optimal.solve(u_avg, problem)[1].as_dict())
-        else:
-            row.update(_SCHEME_FUNCS[name](u_avg, problem).summary())
+        policy, metrics = _SCHEME_FUNCS[name](u_avg, problem)
+        row.update(policy.summary(), **metrics.as_dict())
     except optimal.InfeasibleError:
         row["feasible"] = False
     return row
@@ -267,8 +279,8 @@ def cmd_sweep(args) -> int:
 def cmd_schemes(args) -> int:
     params, dist = _build_context(_load_config(args.config))
     problem = optimal.Problem(dist, params)
-    rows = sorted((_scheme_row(name, args.u_avg, problem)
-                   for name in _SCHEME_FUNCS), key=lambda r: r["scheme"])
+    rows = [_scheme_row(name, args.u_avg, problem)  # optimal left out
+            for name in sorted(_DEFAULT_SCHEMES[1:])]
     _emit(args, rows, ["scheme", "u_avg", "feasible", "cutoff",
                        "fixed_radius_m", "fixed_power_w", "avg_power_w",
                        "avg_users", "on_probability", "peak_bs_power_w"])

@@ -49,6 +49,16 @@ def shaped(flat: np.ndarray, shape):
     return float(flat[0]) if shape == () else flat.reshape(shape)
 
 
+def as_densities(density) -> tuple:
+    """``as_arrays`` of one density argument, (shape, array); ValueError
+    unless every density is finite and >= 0."""
+    shape, (lam,) = as_arrays(density)
+    bad = ~((lam >= 0.0) & (lam < math.inf))
+    if bad.any():
+        raise ValueError(f"density must be finite and >= 0, got {lam[bad][0]}")
+    return shape, lam
+
+
 # --- scalar roots -----------------------------------------------------------
 
 def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,

@@ -16,7 +16,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .metrics import PolicyMetrics
-from .numerics import as_arrays, bracketed_newton, gauss_legendre, shaped
+from .numerics import (as_arrays, as_densities, bracketed_newton,
+                       gauss_legendre, shaped)
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
@@ -52,7 +53,8 @@ class CriticalDensities:
 
     The same three numbers in both modes, each the value its solver finds:
     inf only where it has no root or would overflow the float range, 0 only
-    where it has no root or underflows (``from_logs``).
+    where it has no root or falls below the least normal float, which no
+    kernel takes (``from_logs``).
     """
 
     lambda1: float
@@ -61,8 +63,10 @@ class CriticalDensities:
 
     @classmethod
     def from_logs(cls, *logs: float) -> CriticalDensities:
-        """The thresholds with these logs; inf where exp would overflow."""
-        return cls(*(math.exp(v) if v < 709.78 else math.inf for v in logs))
+        """The thresholds with these logs; inf where exp would overflow, 0
+        where it is subnormal."""
+        lams = (math.exp(v) if v < 709.78 else math.inf for v in logs)
+        return cls(*(v if v >= sys.float_info.min else 0.0 for v in lams))
 
     @property
     def case_tag(self) -> str:
@@ -302,7 +306,7 @@ class AdaptationPolicy:
         Off at or below the cut-off.  The table (``lambdas``, ``radii``,
         ``powers``) is output only: this does not interpolate it.
         """
-        shape, (lams,) = as_arrays(density)
+        shape, lams = as_densities(density)
         xs, _ = _policy_x(lams, self.mu, self.criticals, self.params,
                           self.mode)
         return shaped(np.sqrt(xs), shape)

@@ -164,8 +164,10 @@ def _curve_x(density, qp1, r, h, law=None, log_rhs=None):
     descends onto the root.
     """
     shape, (lam,) = as_arrays(density)
-    if (lam < sys.float_info.min).any():
-        raise ValueError(f"density must be positive and normal: {lam.min()}")
+    bad = ~((lam >= sys.float_info.min) & (lam <= sys.float_info.max))
+    if bad.any():
+        raise ValueError("density must be positive, normal and finite: "
+                         f"{lam[bad][0]}")
     qp = qp1 * lam
     k = qp / h
     w = k * r ** (1.0 / h)

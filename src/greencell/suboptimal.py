@@ -6,23 +6,24 @@ Range adaptation sets the policy above a cut-off density c: one fixed radius
 floor.  On/off control sets c: 0 for the always-on schemes, the cheapest up
 to the family's feasibility edge for the OFC ones, which share one edge
 search and one cut-off search.  Every tail integral above a cut-off runs on
-that cut-off's one rule.  Each result is feasible and upper-bounds the
-optimal consumption.  A target above a family's throughput cap is rejected
-before any search; every root is found by ``numerics.bracketed_newton`` on
-exact derivatives.  Each scheme solves (dist, p), or the ``optimal.Problem``
-passed as ``dist``, whose cap tail serves its cut-off 0.
+that cut-off's one rule.  Each scheme returns (policy, metrics) as
+``solve`` does, feasible and an upper bound on the optimal consumption.  A
+target above a family's throughput cap is rejected before any search; every
+root is found by ``numerics.bracketed_newton`` on exact derivatives.  Each
+scheme solves (dist, p), or the ``optimal.Problem`` passed as ``dist``, whose
+cap tail serves its cut-off 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .metrics import PolicyMetrics
-from .numerics import as_arrays, bracketed_newton, gauss_legendre, shaped
+from .numerics import as_densities, bracketed_newton, gauss_legendre, shaped
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import conditional_expect  # noqa: F401
 from .optimal import Problem
@@ -39,36 +40,40 @@ _LEVEL_TOL = 1e-14  # level root tolerance in log of the share above Pc
 
 
 @dataclass(frozen=True)
-class SchemeResult:
-    """Outcome of one scheme search; an ARw level ``fixed_power`` is
-    Pc + ``fixed_share``, the transmit share a Pt that sets the range."""
+class SchemePolicy:
+    """Off below ``cutoff``, then one radius (FRw) or one level Pc +
+    ``fixed_share`` (ARw), the share a transmit Pt that sets the range."""
 
     scheme: str
     cutoff: float
     fixed_radius: Optional[float]
-    fixed_power: Optional[float]
     fixed_share: Optional[float]
-    metrics: PolicyMetrics
+    lambda_max: float
+    params: SystemParams
 
-    def radius_at(self, density, p: SystemParams):
+    @property
+    def breakpoints(self) -> Tuple[float, ...]:
+        return (self.cutoff,) if 0.0 < self.cutoff < self.lambda_max else ()
+
+    def radius_at(self, density):
         """Radius at ``density``, elementwise; 0 below the cut-off."""
-        shape, (lam,) = as_arrays(density)
+        shape, lam = as_densities(density)
         r = np.zeros_like(lam)
         on = lam >= self.cutoff
         if self.fixed_radius is not None:
             r[on] = self.fixed_radius
         else:
             on &= lam > 0.0
-            r[on] = np.sqrt(max_range_x(lam[on], self.fixed_share, p))
+            r[on] = np.sqrt(max_range_x(lam[on], self.fixed_share,
+                                        self.params))
         return shaped(r, shape)
 
     def summary(self) -> dict:
         out = {"scheme": self.scheme, "cutoff": self.cutoff}
         if self.fixed_radius is not None:
             out["fixed_radius_m"] = self.fixed_radius
-        if self.fixed_power is not None:
-            out["fixed_power_w"] = self.fixed_power
-        out.update(self.metrics.as_dict())
+        if self.fixed_share is not None:
+            out["fixed_power_w"] = self.params.static_power + self.fixed_share
         return out
 
 
@@ -115,16 +120,12 @@ def _cheapest_cutoff(at_edge: _Cut, point, falls_at_zero: bool,
                                   _CUT_TOL * m)]
 
 
-def _result(tag: str, at: _Cut, problem: Problem) -> SchemeResult:
-    p = problem.params
-    level = None if at.share is None else p.static_power + at.share
-    peak = level if at.radius is None \
-        else bs_power(at.radius, problem.dist.lambda_max, p)
-    metrics = PolicyMetrics(avg_power_w=at.cost, avg_users=at.users,
-                            on_probability=at.on, peak_bs_power_w=peak)
-    return SchemeResult(scheme=tag, cutoff=at.cutoff, fixed_radius=at.radius,
-                        fixed_power=level, fixed_share=at.share,
-                        metrics=metrics)
+def _result(tag: str, at: _Cut, problem: Problem) -> tuple:
+    p, m = problem.params, problem.dist.lambda_max
+    peak = p.static_power + at.share if at.radius is None \
+        else bs_power(at.radius, m, p)
+    return (SchemePolicy(tag, at.cutoff, at.radius, at.share, m, p),
+            PolicyMetrics(at.cost, at.users, at.on, peak))
 
 
 def _tail_rule(problem: Problem, cutoff: float):
@@ -185,7 +186,7 @@ def _frw_cut(rule, cutoff: float, u_avg: float, p: SystemParams) -> _Cut:
 
 
 def frw_ofc(u_avg: float, dist,
-            p: Optional[SystemParams] = None) -> SchemeResult:
+            p: Optional[SystemParams] = None) -> tuple:
     """Fixed radius with an on/off cut-off.
 
     At the edge the radius is x_cap's, whose reach pi x_cap T1(c) is the
@@ -205,7 +206,7 @@ def frw_ofc(u_avg: float, dist,
 
 
 def frw_oofc(u_avg: float, dist,
-             p: Optional[SystemParams] = None) -> SchemeResult:
+             p: Optional[SystemParams] = None) -> tuple:
     """Fixed radius, always on: the cut-off 0."""
     problem = dist if p is None else Problem(dist, p)
     problem.check(u_avg, problem.frw_cap)
@@ -278,7 +279,7 @@ def _arw_cut(cutoff: float, u_avg: float, problem: Problem,
 
 
 def arw_ofc(u_avg: float, dist,
-            p: Optional[SystemParams] = None) -> SchemeResult:
+            p: Optional[SystemParams] = None) -> tuple:
     """Consumption pinned at one level when on, the range the largest it
     affords, with an on/off cut-off; h(0) = Ps - pf < 0."""
     problem = dist if p is None else Problem(dist, p)
@@ -301,7 +302,7 @@ def arw_ofc(u_avg: float, dist,
 
 
 def arw_oofc(u_avg: float, dist,
-             p: Optional[SystemParams] = None) -> SchemeResult:
+             p: Optional[SystemParams] = None) -> tuple:
     """Constant consumption, always on: the level at the cut-off 0, by
     Newton from the cap's share, stepped down to the floor at log U's
     steepest slope in log share, 1 / (alpha/2 + 1): so the start meets it."""

@@ -150,14 +150,7 @@ def test_criterion_06_subproblem_optimality_oracle():
 
 def _family_power(func, u_avg, params):
     try:
-        return func(u_avg, DIST, params).metrics.avg_power_w
-    except optimal.InfeasibleError:
-        return None
-
-
-def _optimal_power(u_avg, params):
-    try:
-        return solve(u_avg, DIST, params)[1].avg_power_w
+        return func(u_avg, DIST, params)[1].avg_power_w
     except optimal.InfeasibleError:
         return None
 
@@ -166,7 +159,7 @@ def test_criterion_07_scheme_dominance_lattice():
     tol = 1e-6
     problems = []
     for u_avg in (50.0, 100.0, 150.0, 200.0):
-        opt = _optimal_power(u_avg, P60)
+        opt = _family_power(solve, u_avg, P60)
         funcs = ((suboptimal.ARW_OFC, suboptimal.arw_ofc),
                  (suboptimal.ARW_OOFC, suboptimal.arw_oofc),
                  (suboptimal.FRW_OFC, suboptimal.frw_ofc),

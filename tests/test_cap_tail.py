@@ -19,8 +19,9 @@ TABLE_A = from_table(np.linspace(0.0, 1e-4, 9),
                      [0.25, 6.25, 9.25, 6.25, 6.25, 4.25, 2.25, 6.25, 7.25])
 TABLE_B = from_table(np.linspace(0.0, 1e-4, 9),
                      [0.25, 5.25, 8.25, 7.25, 6.25, 5.25, 5.25, 6.25, 5.25])
-SCHEMES = (suboptimal.frw_ofc, suboptimal.frw_oofc, suboptimal.arw_ofc,
-           suboptimal.arw_oofc)
+# every solver: each returns (policy, metrics)
+POLICIES = (solve, suboptimal.frw_ofc, suboptimal.frw_oofc,
+            suboptimal.arw_ofc, suboptimal.arw_oofc)
 
 
 def test_a_sweep_builds_the_cap_tail_once(monkeypatch, tmp_path):
@@ -43,13 +44,11 @@ def test_a_sweep_builds_the_cap_tail_once(monkeypatch, tmp_path):
 
 
 def _bits(out) -> tuple:
-    """Every bit of a solve's or a scheme's result."""
-    if isinstance(out, tuple):
-        policy, metrics = out
-        return (repr(policy.summary()), policy.lambdas.tobytes(),
-                policy.radii.tobytes(), policy.powers.tobytes(),
-                repr(metrics))
-    return (repr(out),)
+    """Every bit of a solver's (policy, metrics): the policy's values and its
+    radius on a grid of densities."""
+    policy, metrics = out
+    grid = np.linspace(0.0, policy.lambda_max, 513)
+    return (repr(policy), policy.radius_at(grid).tobytes(), repr(metrics))
 
 
 @pytest.mark.parametrize("config", [CONFIG, CONFIG.with_name(
@@ -74,9 +73,8 @@ def test_the_cli_problem_solves_as_its_dist_and_params(config, monkeypatch,
     p, dist = cli._build_context(cli._load_config(str(config)))
     for u in (0.05 * problem.frw_cap, 0.5 * problem.frw_cap,
               0.95 * problem.frw_cap):
-        assert _bits(solve(u, problem)) == _bits(solve(u, dist, p))
-        for scheme in SCHEMES:
-            assert _bits(scheme(u, problem)) == _bits(scheme(u, dist, p))
+        for solver in POLICIES:
+            assert _bits(solver(u, problem)) == _bits(solver(u, dist, p))
 
 
 @pytest.mark.parametrize("switch", ["params", "density"])

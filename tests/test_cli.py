@@ -199,11 +199,12 @@ class TestSchemesCommand:
                            "--config", str(cfg), "--format", "json")
         assert code == EXIT_OK
         for row in json.loads(out)["rows"]:
-            want = cli._SCHEME_FUNCS[row["scheme"]](60.0, dist,
-                                                    params).summary()
+            policy, metrics = cli._SCHEME_FUNCS[row["scheme"]](60.0, dist,
+                                                               params)
             # a family's unused knob is missing from its summary: null here
             assert {k: v for k, v in row.items() if v is not None} == \
-                dict(want, u_avg=60.0, feasible=True)
+                dict(policy.summary(), **metrics.as_dict(), u_avg=60.0,
+                     feasible=True)
 
 
 def test_bad_flag_is_usage_error(capsys):

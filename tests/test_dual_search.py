@@ -287,7 +287,7 @@ def test_a_price_below_the_tolerance_is_found(dist_name, alpha, max_power,
     _, m = solve(u_avg, dist, p)
     assert dual_evals[0] <= 21
     assert u_avg <= m.avg_users <= u_avg * (1.0 + 4.67e-14)
-    frw = min(scheme(u_avg, dist, p).metrics.avg_power_w
+    frw = min(scheme(u_avg, dist, p)[1].avg_power_w
               for scheme in (suboptimal.frw_ofc, suboptimal.frw_oofc))
     assert m.avg_power_w <= frw * (1.0 + 1.19e-13)
 

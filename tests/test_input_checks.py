@@ -1,5 +1,6 @@
 """Inputs rejected at the boundary, and manifests that determine the output."""
 
+import functools
 import json
 import math
 from dataclasses import fields
@@ -465,9 +466,11 @@ def test_lagrangian_at_a_finite_price_is_unchanged():
             assert optimal.lagrangian_x(float(xi), float(li), mu, P) == wi
 
 
-# a subnormal density gave NaN (hse) or failed in Newton (exact)
-@pytest.mark.parametrize("density", [0.0, -1e-5, np.array([1e-5, 0.0]),
-                                     5e-324, 1e-320])
+# a subnormal density gave NaN (hse) or failed in Newton (exact); NaN gave
+# NaN (hse) or failed on the Newton seeds (exact), as inf did
+@pytest.mark.parametrize("density", [
+    0.0, -1e-5, np.array([1e-5, 0.0]), 5e-324, 1e-320,
+    pytest.param(math.nan, id="nan"), pytest.param(math.inf, id="inf")])
 @pytest.mark.parametrize("call", [
     lambda lam: optimal.x1_star(lam, 1.0, P),
     lambda lam: optimal.hse_x1(lam, 1.0, P),
@@ -475,8 +478,66 @@ def test_lagrangian_at_a_finite_price_is_unchanged():
     lambda lam: scaling.max_range_x(lam, P.max_bs_power - P.static_power, P),
 ], ids=["x1_star", "hse_x1", "hse_x2", "max_range_x"])
 def test_kernel_density_must_be_positive(call, density):
-    with pytest.raises(ValueError, match="density must be positive"):
+    with pytest.raises(ValueError,
+                       match="density must be positive, normal and finite"):
         call(density)
+
+
+SOLVERS = (solve, suboptimal.frw_ofc, suboptimal.frw_oofc,
+           suboptimal.arw_ofc, suboptimal.arw_oofc)
+
+
+@functools.lru_cache(maxsize=None)
+def _policy(solver):
+    """The policy ``solver`` returns at one target."""
+    return solver(60.0, DIST, P)[0]
+
+
+# each gave 0 at NaN; at inf FRw gave its radius and the others failed on
+# the kernels' Newton seeds
+@pytest.mark.parametrize("density", [
+    math.nan, math.inf, -math.inf, -1e-5, np.array([5e-5, math.nan])],
+    ids=["nan", "inf", "-inf", "negative", "array"])
+@pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+def test_radius_at_rejects_a_bad_density(solver, density):
+    with pytest.raises(ValueError, match="density must be finite and >= 0"):
+        _policy(solver).radius_at(density)
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+def test_radius_at_takes_zero_and_lambda_max(solver):
+    radii = _policy(solver).radius_at(np.array([0.0, DIST.lambda_max]))
+    assert np.all(np.isfinite(radii) & (radii >= 0.0))
+
+
+@pytest.mark.parametrize("text", [
+    "static_power = 60\nstatic_power = 120\n",
+    '{"static_power": 60, "static_power": 120}'], ids=["key_value", "json"])
+def test_a_config_key_given_twice_is_an_error(tmp_path, capsys, text):
+    # the last value was read, silently
+    cfg = tmp_path / "cfg"
+    cfg.write_text(text)
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "static_power given twice" in err
+    assert out == ""
+
+
+def test_lambda_max_with_a_density_table_is_an_error(tmp_path, capsys):
+    # the table was read and lambda_max dropped, in the manifest too
+    table = tmp_path / "table.csv"
+    table.write_text("lambda,weight\n0,1\n5e-5,2\n1e-4,1\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_max": 3e-4,
+                               "density_csv": str(table)}))
+    out_file = tmp_path / "out.csv"
+    code = main(["solve", "--u-avg", "50", "--config", str(cfg),
+                 "--out", str(out_file)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "both lambda_max and density_csv" in err
+    assert not out_file.exists()
 
 
 def test_policy_for_mu_rejects_an_unknown_mode():

@@ -53,8 +53,8 @@ def test_evaluate_calls_the_radius_map_once_on_an_array():
 def test_optimal_beats_fixed_radius_always_on():
     u_avg = 60.0
     _, opt = solve(u_avg, DIST, P)
-    fixed = frw_oofc(u_avg, DIST, P)
-    assert opt.avg_power_w < fixed.metrics.avg_power_w
+    _, fixed = frw_oofc(u_avg, DIST, P)
+    assert opt.avg_power_w < fixed.avg_power_w
 
 
 def test_metrics_round_trip_dict():

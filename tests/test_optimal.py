@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from greencell import optimal
+from greencell.metrics import evaluate
 from greencell.optimal import (CASE_A, CASE_B, CriticalDensities,
                                InfeasibleError, critical_densities,
                                hse_critical_densities, hse_x1, hse_x2,
@@ -343,3 +345,16 @@ class TestSolve:
         summary = pol.summary()
         assert summary["case_tag"] in (CASE_A, CASE_B)
         assert summary["mu"] == pol.mu
+
+
+def test_a_threshold_below_the_least_normal_float_is_zero():
+    # Pc at the least normal float puts lambda1 near 1e-315, and the kernels
+    # take no subnormal density, such as the one just above it: the
+    # threshold reads 0 and the BS is on at every normal density
+    p = SystemParams(static_power=sys.float_info.min, max_bs_power=1.0)
+    policy, metrics = solve(0.5 * max_achievable_throughput(DIST, p), DIST, p)
+    assert policy.criticals.lambda1 == 0.0
+    assert policy.breakpoints == (policy.criticals.lambda3,)
+    want = evaluate(policy.radius_at, DIST, p, breakpoints=policy.breakpoints)
+    for field, value in metrics.as_dict().items():
+        assert value == pytest.approx(getattr(want, field), rel=1e-12), field

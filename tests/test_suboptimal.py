@@ -28,6 +28,7 @@ U_AVG = 60.0
 
 @pytest.fixture(scope="module")
 def results():
+    """Each scheme's (policy, metrics) at U_AVG."""
     return {
         FRW_OFC: frw_ofc(U_AVG, DIST, P),
         FRW_OOFC: frw_oofc(U_AVG, DIST, P),
@@ -41,24 +42,30 @@ def optimal_metrics():
     return solve(U_AVG, DIST, P)[1]
 
 
+def _power(results, tag):
+    return results[tag][1].avg_power_w
+
+
 class TestFixedRadiusAlwaysOn:
     def test_throughput_met_with_equality(self, results):
-        res = results[FRW_OOFC]
-        assert res.metrics.avg_users == pytest.approx(U_AVG, rel=1e-6)
+        _, metrics = results[FRW_OOFC]
+        assert metrics.avg_users == pytest.approx(U_AVG, rel=1e-6)
 
     def test_closed_form_radius(self, results):
         mean_density = expect(lambda lam: lam, DIST)
         want = math.sqrt(U_AVG / (math.pi * mean_density))
-        assert results[FRW_OOFC].fixed_radius == pytest.approx(want, rel=1e-8)
+        assert results[FRW_OOFC][0].fixed_radius == \
+            pytest.approx(want, rel=1e-8)
 
     def test_radius_monotone_in_target(self):
-        assert frw_oofc(70.0, DIST, P).fixed_radius > \
-            frw_oofc(50.0, DIST, P).fixed_radius
+        assert frw_oofc(70.0, DIST, P)[0].fixed_radius > \
+            frw_oofc(50.0, DIST, P)[0].fixed_radius
 
     def test_always_on(self, results):
-        assert results[FRW_OOFC].cutoff == 0.0
-        assert results[FRW_OOFC].metrics.on_probability == \
-            pytest.approx(1.0, abs=1e-9)
+        policy, metrics = results[FRW_OOFC]
+        assert policy.cutoff == 0.0
+        assert policy.breakpoints == ()
+        assert metrics.on_probability == pytest.approx(1.0, abs=1e-9)
 
     def test_infeasible_beyond_fixed_radius_ceiling(self):
         with pytest.raises(InfeasibleError):
@@ -67,82 +74,86 @@ class TestFixedRadiusAlwaysOn:
 
 class TestFixedRadiusWithCutoff:
     def test_tail_throughput_met(self, results):
-        res = results[FRW_OFC]
-        achieved = math.pi * res.fixed_radius ** 2 * conditional_expect(
-            lambda lam: lam, DIST, res.cutoff)
+        policy, _ = results[FRW_OFC]
+        achieved = math.pi * policy.fixed_radius ** 2 * conditional_expect(
+            lambda lam: lam, DIST, policy.cutoff)
         assert achieved >= U_AVG * (1.0 - 1e-6)
 
     def test_power_cap_on_the_on_region(self, results):
-        res = results[FRW_OFC]
-        assert bs_power(res.fixed_radius, DIST.lambda_max, P) <= \
+        policy, _ = results[FRW_OFC]
+        assert bs_power(policy.fixed_radius, DIST.lambda_max, P) <= \
             P.max_bs_power * (1.0 + 1e-9)
 
     def test_cutoff_saves_power(self, results):
-        assert results[FRW_OFC].metrics.avg_power_w <= \
-            results[FRW_OOFC].metrics.avg_power_w
+        assert _power(results, FRW_OFC) <= _power(results, FRW_OOFC)
 
 
 class TestAdaptiveRangeAlwaysOn:
     def test_throughput_met_with_equality(self, results):
-        res = results[ARW_OOFC]
-        assert res.metrics.avg_users == pytest.approx(U_AVG, rel=1e-6)
+        _, metrics = results[ARW_OOFC]
+        assert metrics.avg_users == pytest.approx(U_AVG, rel=1e-6)
 
     def test_average_power_is_the_constant_level(self, results):
-        res = results[ARW_OOFC]
-        assert res.metrics.avg_power_w == res.fixed_power
-        assert res.fixed_power <= P.max_bs_power
+        policy, metrics = results[ARW_OOFC]
+        level = policy.summary()["fixed_power_w"]
+        assert metrics.avg_power_w == level
+        assert level == P.static_power + policy.fixed_share
+        assert level <= P.max_bs_power
 
     def test_infeasible_beyond_cap(self):
         with pytest.raises(InfeasibleError):
             arw_oofc(140.0, DIST, P)
 
     def test_always_on(self, results):
-        assert results[ARW_OOFC].cutoff == 0.0
+        assert results[ARW_OOFC][0].cutoff == 0.0
+
+
+def _level(policy):
+    """The consumption level an ARw policy reports, Pc + its share."""
+    return policy.summary()["fixed_power_w"]
 
 
 class TestAdaptiveRangeWithCutoff:
     def test_tail_throughput_met(self, results):
-        res = results[ARW_OFC]
+        policy, _ = results[ARW_OFC]
         achieved = conditional_expect(
-            lambda lam: math.pi * lam * max_range(lam, res.fixed_power, P) ** 2
+            lambda lam: math.pi * lam * max_range(lam, _level(policy), P) ** 2
             if lam > 0 else 0.0,
-            DIST, res.cutoff)
+            DIST, policy.cutoff)
         assert achieved >= U_AVG * (1.0 - 1e-6)
 
     def test_radius_decreasing_on_the_on_region(self, results):
-        res = results[ARW_OFC]
-        lams = np.linspace(max(res.cutoff, 1e-6), DIST.lambda_max, 32)
-        radii = [max_range(float(lam), res.fixed_power, P) for lam in lams]
+        policy, _ = results[ARW_OFC]
+        lams = np.linspace(max(policy.cutoff, 1e-6), DIST.lambda_max, 32)
+        radii = [max_range(float(lam), _level(policy), P) for lam in lams]
         assert all(b < a for a, b in zip(radii, radii[1:]))
 
     def test_cutoff_saves_power(self, results):
-        assert results[ARW_OFC].metrics.avg_power_w <= \
-            results[ARW_OOFC].metrics.avg_power_w
+        assert _power(results, ARW_OFC) <= _power(results, ARW_OOFC)
 
 
 class TestCrossSchemeStructure:
     def test_dominance_lattice(self, results, optimal_metrics):
         opt = optimal_metrics.avg_power_w
         tol = 1e-6
-        assert opt <= results[ARW_OFC].metrics.avg_power_w * (1.0 + tol)
-        assert results[ARW_OFC].metrics.avg_power_w <= \
-            results[ARW_OOFC].metrics.avg_power_w * (1.0 + tol)
-        assert opt <= results[FRW_OFC].metrics.avg_power_w * (1.0 + tol)
-        assert results[FRW_OFC].metrics.avg_power_w <= \
-            results[FRW_OOFC].metrics.avg_power_w * (1.0 + tol)
+        assert opt <= _power(results, ARW_OFC) * (1.0 + tol)
+        assert _power(results, ARW_OFC) <= \
+            _power(results, ARW_OOFC) * (1.0 + tol)
+        assert opt <= _power(results, FRW_OFC) * (1.0 + tol)
+        assert _power(results, FRW_OFC) <= \
+            _power(results, FRW_OOFC) * (1.0 + tol)
 
     def test_adaptive_range_tracks_optimal_closely(self, results,
                                                    optimal_metrics):
-        gap = results[ARW_OFC].metrics.avg_power_w \
-            - optimal_metrics.avg_power_w
+        gap = _power(results, ARW_OFC) - optimal_metrics.avg_power_w
         assert gap / optimal_metrics.avg_power_w < 0.03
 
     def test_cutoff_gain_shrinks_as_target_grows(self):
         def gaps(u):
-            fr = frw_oofc(u, DIST, P).metrics.avg_power_w \
-                - frw_ofc(u, DIST, P).metrics.avg_power_w
-            ar = arw_oofc(u, DIST, P).metrics.avg_power_w \
-                - arw_ofc(u, DIST, P).metrics.avg_power_w
+            fr = frw_oofc(u, DIST, P)[1].avg_power_w \
+                - frw_ofc(u, DIST, P)[1].avg_power_w
+            ar = arw_oofc(u, DIST, P)[1].avg_power_w \
+                - arw_ofc(u, DIST, P)[1].avg_power_w
             return fr, ar
 
         fr_lo, ar_lo = gaps(30.0)
@@ -151,10 +162,11 @@ class TestCrossSchemeStructure:
         assert ar_hi < ar_lo
 
     def test_summary_shapes(self, results):
-        for tag, res in results.items():
-            summary = res.summary()
+        # a summary describes the policy; the metrics are kept apart
+        for tag, (policy, _) in results.items():
+            summary = policy.summary()
             assert summary["scheme"] == tag
-            assert "avg_power_w" in summary
+            assert "avg_power_w" not in summary
 
 
 # --- the searches against the per-level and 512-point scans they replaced ----
@@ -171,6 +183,8 @@ TABLE2 = from_table(np.linspace(0.0, 1e-4, 9),
 POOL_DISTS = {"triangular": DIST, "table0": TABLE0, "table1": TABLE1,
               "table2": TABLE2}
 SCHEMES = (frw_ofc, frw_oofc, arw_ofc, arw_oofc)
+# every solver: each returns (policy, metrics)
+POLICIES = (solve, *SCHEMES)
 # a table density whose pdf is positive at 0
 TABLE_AT_ZERO = from_table([0.0, 2.5e-5, 5e-5, 7.5e-5, 1e-4],
                            [1.0, 3.0, 2.0, 4.0, 1.0])
@@ -285,8 +299,9 @@ def _arw_power(pf, cutoff, dist, p):
 def _assert_meets_floor(res, u_avg, dist, p):
     """The result's tail throughput, recomputed by quadrature, is the one
     it reports and meets the floor."""
-    users = arw_tail_users(res.fixed_share, res.cutoff, dist, p)
-    assert res.metrics.avg_users == users
+    policy, metrics = res
+    users = arw_tail_users(policy.fixed_share, policy.cutoff, dist, p)
+    assert metrics.avg_users == users
     assert users >= u_avg
 
 
@@ -298,11 +313,12 @@ def test_arw_ofc_is_no_worse_than_the_per_level_loop(config, dist):
     for frac in (0.03, 0.2, 0.35, 0.55, 0.8, 0.97):
         u = frac * cap
         res = arw_ofc(u, dist, p)
+        policy, metrics = res
         pf, cutoff = _ref_arw_ofc(u, config, dist)
-        assert res.metrics.avg_power_w <= \
+        assert metrics.avg_power_w <= \
             _arw_power(pf, cutoff, dist, p) * (1.0 + 1e-12), frac
-        assert res.metrics.avg_power_w == _arw_power(
-            res.fixed_power, res.cutoff, dist, p)
+        assert metrics.avg_power_w == _arw_power(
+            _level(policy), policy.cutoff, dist, p)
         _assert_meets_floor(res, u, dist, p)
 
 
@@ -314,8 +330,9 @@ def test_arw_ofc_falls_back_to_the_cap_level_just_below_the_cap():
     cap = max_achievable_throughput(TABLE_AT_ZERO, p)
     u = cap * (1.0 - 2e-6)
     res = arw_ofc(u, TABLE_AT_ZERO, p)
-    assert res.fixed_power == p.max_bs_power
-    assert 0.0 < res.cutoff
+    policy, _ = res
+    assert _level(policy) == p.max_bs_power
+    assert 0.0 < policy.cutoff
     _assert_meets_floor(res, u, TABLE_AT_ZERO, p)
 
 
@@ -341,7 +358,7 @@ def test_arw_ofc_is_no_worse_than_the_128_level_scan(pc, alpha, frac, dist):
     p = SystemParams(static_power=pc, pathloss_exp=alpha)
     u = frac * max_achievable_throughput(dist, p)
     res = arw_ofc(u, dist, p)
-    assert res.metrics.avg_power_w <= _scan_power(u, dist, p) * (1.0 + 1e-9)
+    assert res[1].avg_power_w <= _scan_power(u, dist, p) * (1.0 + 1e-9)
     _assert_meets_floor(res, u, dist, p)
 
 
@@ -363,9 +380,11 @@ def test_arw_oofc_level_is_the_bisected_root(config, dist):
         want = math.exp(bisect(gap, Bracket.from_function(
             gap, top - 30.0, top), rel_tol=1e-14))
         res = arw_oofc(u, dist, p)
-        assert res.fixed_share <= want * (1.0 + 1e-12), frac
-        assert res.fixed_share >= want * (1.0 - 1e-12), frac
-        assert res.fixed_power == p.static_power + res.fixed_share
+        policy, _ = res
+        assert policy.fixed_share <= want * (1.0 + 1e-12), frac
+        assert policy.fixed_share >= want * (1.0 - 1e-12), frac
+        assert policy.summary()["fixed_power_w"] == \
+            p.static_power + policy.fixed_share
         _assert_meets_floor(res, u, dist, p)
 
 
@@ -374,7 +393,7 @@ def test_level_derivative_matches_central_differences(config):
     # dU/dshare = pi I / share at the cut-off that meets the floor there
     p, _ = _context(config)
     u = 0.4 * max_achievable_throughput(DIST, p)
-    lowest = arw_oofc(u, DIST, p).fixed_share
+    lowest = arw_oofc(u, DIST, p)[0].fixed_share
     h = 1e-3
     for frac in (0.2, 0.5, 0.9):
         share = lowest + frac * (p.max_bs_power - p.static_power - lowest)
@@ -485,7 +504,7 @@ def test_frw_ofc_is_no_worse_than_the_512_point_scan(pc, alpha, frac, dist):
     u = frac * math.pi * x_cap * expect(lambda lam: lam, dist)
     want = _ref_frw_power(u, dist, p)
     assert want is not None
-    got = frw_ofc(u, dist, p).metrics.avg_power_w
+    got = frw_ofc(u, dist, p)[1].avg_power_w
     assert got <= want * (1.0 + 1e-9)
 
 
@@ -505,16 +524,16 @@ def test_frw_ofc_matches_brents_minimum_of_the_cost(pc, alpha, frac, dist):
         return _frw_cut(c, u, dist, p).cost
     _, inner = minimize_bounded(cost, 0.0, edge, 1e-9 * dist.lambda_max)
     want = min(inner, cost(0.0), cost(edge))
-    got = frw_ofc(u, dist, p).metrics.avg_power_w
+    got = frw_ofc(u, dist, p)[1].avg_power_w
     assert got == pytest.approx(want, rel=1e-12)
 
 def test_frw_ofc_stays_always_on_when_sleeping_saves_nothing():
     # with sleep power equal to static power a cut-off only widens the
     # radius, so the optimum is the end point c = 0
     p = SystemParams(static_power=60.0, sleep_power=60.0)
-    res = frw_ofc(U_AVG, DIST, p)
-    assert res.cutoff == 0.0
-    assert res.metrics == frw_oofc(U_AVG, DIST, p).metrics
+    policy, metrics = frw_ofc(U_AVG, DIST, p)
+    assert policy.cutoff == 0.0
+    assert metrics == frw_oofc(U_AVG, DIST, p)[1]
 
 
 @pytest.mark.parametrize("u_avg", (55.063, 58.705))
@@ -529,13 +548,13 @@ def test_frw_ofc_builds_each_tail_rule_once(u_avg, monkeypatch):
         return gauss_legendre(dist, lo, hi, breakpoints)
 
     monkeypatch.setattr(suboptimal, "gauss_legendre", counted)
-    res = frw_ofc(u_avg, dist, p)
+    policy, metrics = frw_ofc(u_avg, dist, p)
     assert len(lows) == 6 and len(set(lows)) == 6
-    assert res.cutoff == lows[-1]
+    assert policy.cutoff == lows[-1]
     monkeypatch.undo()
-    fresh = _frw_cut(res.cutoff, u_avg, dist, p)
-    assert (res.fixed_radius, res.metrics.avg_power_w,
-            res.metrics.avg_users) == (fresh.radius, fresh.cost, fresh.users)
+    fresh = _frw_cut(policy.cutoff, u_avg, dist, p)
+    assert (policy.fixed_radius, metrics.avg_power_w,
+            metrics.avg_users) == (fresh.radius, fresh.cost, fresh.users)
 
 
 @pytest.mark.parametrize("frac", (0.01, 0.05, 0.3))
@@ -559,24 +578,18 @@ def test_arw_ofc_builds_each_tail_rule_once(config, frac, monkeypatch):
 @pytest.mark.parametrize("u_avg", (20.0, 55.063, 58.705))
 @pytest.mark.parametrize("config", CONFIGS)
 def test_frw_metrics_describe_the_returned_policy(config, u_avg):
-    # every scheme's and solve's reported numbers are those of the object
-    # returned, as metrics.evaluate integrates it, on a smooth and a kinked pdf
+    # every solver's reported numbers are those of the policy it returns,
+    # as metrics.evaluate integrates it, on a smooth and a kinked pdf
     p, tri = _context(config)
     for dist in (tri, TABLE1):
-        for scheme in (*SCHEMES, solve):
-            res = scheme(u_avg, dist, p)
-            if scheme is solve:
-                policy, reported = res
-                want = evaluate(policy.radius_at, dist, p,
-                                breakpoints=policy.breakpoints)
-            else:
-                reported = res.metrics
-                want = evaluate(lambda lam: res.radius_at(lam, p), dist, p,
-                                breakpoints=(res.cutoff,))
+        for solver in POLICIES:
+            policy, reported = solver(u_avg, dist, p)
+            want = evaluate(policy.radius_at, dist, p,
+                            breakpoints=policy.breakpoints)
             for field, value in reported.as_dict().items():
                 assert value == pytest.approx(getattr(want, field),
                                               rel=1e-12), \
-                    (scheme.__name__, dist.kind, field)
+                    (solver.__name__, dist.kind, field)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -606,7 +619,7 @@ def sweep_pool():
             for tag, scheme in ((ARW_OFC, arw_ofc), (ARW_OOFC, arw_oofc),
                                 (FRW_OFC, frw_ofc), (FRW_OOFC, frw_oofc)):
                 try:
-                    power = scheme(u, dist, p).metrics.avg_power_w
+                    power = scheme(u, dist, p)[1].avg_power_w
                 except InfeasibleError:
                     power = None
                 out[(config, u, tag)] = power
@@ -636,10 +649,10 @@ def test_every_reported_throughput_meets_the_floor(config, dist):
     cap = max_achievable_throughput(dist, p)
     feasible = 0
     for u in (np.linspace(0.05, 0.99, 12) * cap).tolist():
-        reported = {"optimal": solve(u, dist, p)[1]}
-        for scheme in SCHEMES:
+        reported = {}
+        for solver in POLICIES:
             try:
-                reported[scheme.__name__] = scheme(u, dist, p).metrics
+                reported[solver.__name__] = solver(u, dist, p)[1]
             except InfeasibleError:
                 pass
         for name, m in reported.items():
@@ -656,7 +669,7 @@ def test_optimal_is_no_worse_than_arw_ofc(config, dist):
     for frac in (0.5, 0.6, 0.8, 0.9, 0.99):
         u = frac * cap
         opt = solve(u, dist, p)[1].avg_power_w
-        assert opt <= arw_ofc(u, dist, p).metrics.avg_power_w * (1.0 + 1e-9), \
+        assert opt <= arw_ofc(u, dist, p)[1].avg_power_w * (1.0 + 1e-9), \
             frac
 
 
@@ -772,7 +785,7 @@ def test_optimal_is_no_worse_than_either_ofc_scheme(p, frac, dist):
     opt = solve(frac * max_achievable_throughput(dist, p), dist, p)[1]
     for scheme in (arw_ofc, frw_ofc):
         try:
-            other = scheme(opt.avg_users, dist, p).metrics
+            other = scheme(opt.avg_users, dist, p)[1]
         except InfeasibleError:
             continue
         assert opt.avg_power_w <= other.avg_power_w * (1.0 + 4.5e-16), \
@@ -831,20 +844,13 @@ PEAK_SLACK = 9.11e-15
 def test_every_result_is_what_evaluate_measures_of_it(p, frac, dist):
     u = frac * max_achievable_throughput(dist, p)
     found = {}
-    try:
-        policy, reported = solve(u, dist, p)
-        found["solve"] = reported, evaluate(policy.radius_at, dist, p,
-                                            breakpoints=policy.breakpoints)
-    except InfeasibleError:
-        pass
-    for scheme in SCHEMES:
+    for solver in POLICIES:
         try:
-            res = scheme(u, dist, p)
+            policy, reported = solver(u, dist, p)
         except InfeasibleError:
             continue
-        found[scheme.__name__] = res.metrics, evaluate(
-            lambda lam: res.radius_at(lam, p), dist, p,
-            breakpoints=(res.cutoff,))
+        found[solver.__name__] = reported, evaluate(
+            policy.radius_at, dist, p, breakpoints=policy.breakpoints)
     for name, (reported, measured) in found.items():
         assert reported.avg_users >= u, name
         for field, value in reported.as_dict().items():
@@ -887,14 +893,14 @@ def _ofc_edge(scheme, u_avg, dist, p):
                              p)))[0]
 
 
-def _ofc_point(res, cutoff, u_avg, dist, p):
-    """The family's point at ``cutoff``; at the result's own cut-off, the
-    result's (ARw: at its level)."""
-    share = res.fixed_share
+def _ofc_point(policy, cutoff, u_avg, dist, p):
+    """The family's point at ``cutoff``; at the policy's own cut-off, the
+    policy's (ARw: at its level)."""
+    share = policy.fixed_share
     if share is None:
         return _frw_cut(cutoff, u_avg, dist, p)
     problem = Problem(dist, p)
-    if cutoff == res.cutoff:
+    if cutoff == policy.cutoff:
         rule = suboptimal._tail_rule(problem, cutoff)
         return suboptimal._arw_at(rule, cutoff, share, suboptimal._arw_tail(
             rule, cutoff, share, p), p)
@@ -909,24 +915,26 @@ def _floor_and_root(u_avg, dist, p):
     m = dist.lambda_max
     for scheme in SCHEMES:
         try:
-            res = scheme(u_avg, dist, p)
+            policy, metrics = scheme(u_avg, dist, p)
         except InfeasibleError:
             continue
-        users, steps = res.metrics.avg_users, None
+        users, steps = metrics.avg_users, None
         assert users >= u_avg, scheme.__name__
         excess = users / u_avg - 1.0
         at_edge = scheme in (frw_ofc, arw_ofc) \
-            and res.cutoff == _ofc_edge(scheme, u_avg, dist, p)
+            and policy.cutoff == _ofc_edge(scheme, u_avg, dist, p)
         if at_edge:
             excess = None
-        if scheme in (frw_ofc, arw_ofc) and res.cutoff > 0.0 and not at_edge:
-            at = _ofc_point(res, res.cutoff, u_avg, dist, p)
+        if scheme in (frw_ofc, arw_ofc) and policy.cutoff > 0.0 \
+                and not at_edge:
+            at = _ofc_point(policy, policy.cutoff, u_avg, dist, p)
             assert math.log(at.gain / at.loss) >= 0.0, scheme.__name__
             steps = 0.0
             while steps < 64.0:
                 steps = 2.0 * steps or 0.25
-                c = max(res.cutoff - steps * suboptimal._CUT_TOL * m, 0.0)
-                lower = _ofc_point(res, c, u_avg, dist, p)
+                c = max(policy.cutoff - steps * suboptimal._CUT_TOL * m,
+                        0.0)
+                lower = _ofc_point(policy, c, u_avg, dist, p)
                 if lower.gain < lower.loss:
                     break
         out[scheme.__name__] = excess, steps
