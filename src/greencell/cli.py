@@ -31,7 +31,6 @@ _SCHEME_FUNCS = {
     suboptimal.ARW_OFC: suboptimal.arw_ofc,
     suboptimal.ARW_OOFC: suboptimal.arw_oofc,
 }
-_DEFAULT_SCHEMES = tuple(_SCHEME_FUNCS)
 
 _DIST_KEYS = {"lambda_max", "density_csv"}
 
@@ -192,13 +191,13 @@ def _positive_int(raw: str) -> int:
 
 def _scheme_list(raw: str) -> List[str]:
     """Comma-separated policy names in any case, at least one."""
-    by_lower = {name.lower(): name for name in _DEFAULT_SCHEMES}
+    by_lower = {name.lower(): name for name in _SCHEME_FUNCS}
     tokens = [t.strip().lower() for t in raw.split(",") if t.strip()]
     for token in tokens:
         if token not in by_lower:
             raise argparse.ArgumentTypeError(
                 f"unknown scheme {token!r}; choose from "
-                + ", ".join(_DEFAULT_SCHEMES))
+                + ", ".join(_SCHEME_FUNCS))
     if not tokens:
         raise argparse.ArgumentTypeError("needs at least one value")
     return [by_lower[t] for t in tokens]
@@ -279,8 +278,8 @@ def cmd_sweep(args) -> int:
 def cmd_schemes(args) -> int:
     params, dist = _build_context(_load_config(args.config))
     problem = optimal.Problem(dist, params)
-    rows = [_scheme_row(name, args.u_avg, problem)  # optimal left out
-            for name in sorted(_DEFAULT_SCHEMES[1:])]
+    rows = [_scheme_row(name, args.u_avg, problem)
+            for name in sorted(n for n in _SCHEME_FUNCS if n != "optimal")]
     _emit(args, rows, ["scheme", "u_avg", "feasible", "cutoff",
                        "fixed_radius_m", "fixed_power_w", "avg_power_w",
                        "avg_users", "on_probability", "peak_bs_power_w"])
@@ -325,7 +324,7 @@ def _build_parser() -> _Parser:
     sw.add_argument("--u-avg", type=_float_list, required=True,
                     help="comma-separated throughput targets")
     sw.add_argument("--schemes", type=_scheme_list,
-                    default=",".join(_DEFAULT_SCHEMES))
+                    default=",".join(_SCHEME_FUNCS))
 
     sc = sub.add_parser("schemes",
                         help="run all four reduced-complexity schemes at one target")
