@@ -109,10 +109,10 @@ def newton_log(fn, x0: np.ndarray, *args: np.ndarray) -> np.ndarray:
     ``x0``.  Each element stops on its own once its step falls below
     ``NEWTON_STEP_TOL``, so its result does not depend on the others.
     Steps are applied as factors on x, so x keeps full relative precision.
+    An element whose step is NaN (as from a seed that is not positive and
+    finite) or that has not stopped in ``NEWTON_MAX_ITER`` steps is NaN.
     """
     x = np.array(x0, dtype=float)
-    if not (x > 0.0).all() or not np.isfinite(x).all():
-        raise ValueError("Newton seeds must be positive and finite")
     active = np.arange(x.size)
     for _ in range(NEWTON_MAX_ITER):
         if not active.size:
@@ -123,10 +123,7 @@ def newton_log(fn, x0: np.ndarray, *args: np.ndarray) -> np.ndarray:
                           NEWTON_STEP_CAP)
         x[active] = xa * np.exp(-step)
         active = active[np.abs(step) > NEWTON_STEP_TOL]
-    if active.size:
-        raise ConvergenceError(
-            f"Newton did not converge in {NEWTON_MAX_ITER} iterations for "
-            f"{active.size} element(s)")
+    x[active] = math.nan
     return x
 
 

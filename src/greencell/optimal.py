@@ -70,9 +70,7 @@ class CriticalDensities:
 
     @property
     def case_tag(self) -> str:
-        # relative tolerance avoids tag flip-flop at near-equality
-        return CASE_A if self.lambda2 >= self.lambda1 * (1.0 - 1e-9) \
-            else CASE_B
+        return CASE_A if self.lambda2 >= self.lambda1 else CASE_B
 
     @property
     def on_cutoff(self) -> float:
@@ -99,9 +97,15 @@ def x1_star(density, mu: float, p: SystemParams):
     _check_mu(mu)
     c = derive_constants(p)
     a_d1 = p.amp_scaling * c.d1
+    log_on = math.log(mu) + math.log(math.pi / a_d1)
+
+    def log_rhs(lam):  # in parts where the product is not a normal float
+        v = mu * math.pi * lam / a_d1
+        return np.where((v >= sys.float_info.min) & (v < math.inf),
+                        np.log(v), log_on + np.log(lam))
     return _curve_x(density, c.d3 * math.pi, mu / (a_d1 * c.d3),
-                    0.5 * p.pathloss_exp, _stationary_law,
-                    lambda lam: np.log(mu * math.pi * lam / a_d1))
+                    0.5 * p.pathloss_exp, ("mu", mu), _stationary_law,
+                    log_rhs)
 
 
 def x2_star(density, p: SystemParams):
@@ -217,7 +221,8 @@ def hse_x1(density, mu: float, p: SystemParams):
     _check_mu(mu)
     c = derive_constants(p)
     return _curve_x(density, c.d3 * math.pi,
-                    mu / (p.amp_scaling * c.d1 * c.d3), 0.5 * p.pathloss_exp)
+                    mu / (p.amp_scaling * c.d1 * c.d3), 0.5 * p.pathloss_exp,
+                    ("mu", mu))
 
 
 def hse_x2(density, p: SystemParams):
@@ -225,7 +230,8 @@ def hse_x2(density, p: SystemParams):
     c = derive_constants(p)
     pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
     return _curve_x(density, c.d3 * math.pi, pt_max / c.d1,
-                    0.5 * p.pathloss_exp)
+                    0.5 * p.pathloss_exp,
+                    ("share", p.max_bs_power - p.static_power))
 
 
 def hse_critical_densities(mu: float, p: SystemParams) -> CriticalDensities:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property
 
 
 class InvalidParameterError(ValueError):
@@ -78,6 +78,17 @@ class SystemParams:
             raise InvalidParameterError(
                 "require static_power >= sleep_power >= 0, got "
                 f"{self.static_power} / {self.sleep_power}")
+
+    @cached_property
+    def _constants(self) -> DerivedConstants:
+        """The derived constants (``derive_constants``); pure."""
+        c1 = -math.log1p(-self.outage_target ** (1.0 / self.coding_blocks))
+        c2 = self.user_rate / self.bandwidth_w
+        d1 = (2.0 * self.snr_gap * self.noise_psd * self.bandwidth_w
+              / (self.ref_pathloss * c1 * (self.pathloss_exp + 2.0)
+                 * self.ref_distance ** self.pathloss_exp))
+        d3 = math.log(2.0) * c2
+        return DerivedConstants(c1=c1, c2=c2, d1=d1, d2=c2, d3=d3)
 
 
 # keys the config layer accepts on top of the plain field names
@@ -154,14 +165,6 @@ class DerivedConstants:
     d3: float
 
 
-@lru_cache(maxsize=None)
 def derive_constants(p: SystemParams) -> DerivedConstants:
-    """Compute the derived constants; pure and deterministic."""
-    c1 = -math.log1p(-p.outage_target ** (1.0 / p.coding_blocks))
-    c2 = p.user_rate / p.bandwidth_w
-    d1 = (2.0 * p.snr_gap * p.noise_psd * p.bandwidth_w
-          / (p.ref_pathloss * c1 * (p.pathloss_exp + 2.0)
-             * p.ref_distance ** p.pathloss_exp))
-    d2 = c2
-    d3 = math.log(2.0) * d2
-    return DerivedConstants(c1=c1, c2=c2, d1=d1, d2=d2, d3=d3)
+    """The constants of ``p``, computed on first use and kept by it."""
+    return p._constants

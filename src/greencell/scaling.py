@@ -40,22 +40,16 @@ def stpc_power(distance, n_users, p: SystemParams):
     n = np.asarray(n_users, dtype=float)
     if np.any(n < 1):
         raise ValueError("n_users must be >= 1")
-    bits = n * (p.user_rate / p.bandwidth_w)
+    bits = n * c.c2
     if np.any(bits > EXPONENT_GUARD_BITS):
         raise PowerOverflowError(
             f"per-cell load exponent {np.max(bits)} bits exceeds guard "
             f"({EXPONENT_GUARD_BITS})")
     scale = (p.snr_gap * p.noise_psd * p.bandwidth_w / (p.ref_pathloss * c.c1)) \
         * (np.expm1(bits * _LN2) / n)
-    # max(d, r0) / r0 has the bits of max(d / r0, 1); the power and the
-    # scaling run in place, so an array distance allocates only the result
-    out = np.maximum(np.asarray(distance, dtype=float), p.ref_distance)
-    out /= p.ref_distance
-    out **= p.pathloss_exp
-    if np.shape(out) == np.broadcast_shapes(np.shape(out), np.shape(scale)):
-        out *= scale
-    else:
-        out = out * scale
+    # max(d, r0) / r0 has the bits of max(d / r0, 1)
+    out = (np.maximum(np.asarray(distance, dtype=float), p.ref_distance)
+           / p.ref_distance) ** p.pathloss_exp * scale
     return out if out.ndim else float(out)
 
 
@@ -152,7 +146,7 @@ def _cap_law(x, qp, log_rhs, h):
     return h * np.log(x) + y + np.log(em) - log_rhs, h + y / em
 
 
-def _curve_x(density, qp1, r, h, law=None, log_rhs=None):
+def _curve_x(density, qp1, r, h, given, law=None, log_rhs=None):
     """x on one curve at each density, with qp = ``qp1`` lambda.
 
     With the -1 of e^y - 1 dropped, both laws read h log x + qp x = log
@@ -161,7 +155,9 @@ def _curve_x(density, qp1, r, h, law=None, log_rhs=None):
     in log x (``newton_log``) on ``law``, its right side per density
     ``log_rhs(lambda)`` if given, from that root with Winitzki's W; both
     laws are convex and increasing in log x, so each step after the first
-    descends onto the root.
+    descends onto the root.  Where the seed, the right side or the root
+    leaves the float range, ValueError names the density and ``given``,
+    the (name, value) of the price or share that set ``r``.
     """
     shape, (lam,) = as_arrays(density)
     bad = ~((lam >= sys.float_info.min) & (lam <= sys.float_info.max))
@@ -170,12 +166,18 @@ def _curve_x(density, qp1, r, h, law=None, log_rhs=None):
                          f"{lam[bad][0]}")
     qp = qp1 * lam
     k = qp / h
-    w = k * r ** (1.0 / h)
-    if law is None:
-        return shaped(lambert_w0(w) / k, shape)
-    args = (qp,) if log_rhs is None else (qp, log_rhs(lam))
-    return shaped(newton_log(partial(law, h=h), _winitzki(w) / k, *args),
-                  shape)
+    with np.errstate(all="ignore"):  # a non-finite x is reported below
+        w = k * r ** (1.0 / h)
+        if law is None:
+            x = lambert_w0(w) / k
+        else:
+            args = (qp,) if log_rhs is None else (qp, log_rhs(lam))
+            x = newton_log(partial(law, h=h), _winitzki(w) / k, *args)
+    bad = ~((x > 0.0) & (x < math.inf))
+    if bad.any():
+        raise ValueError("the root search leaves the float range at density "
+                         "%s and %s %r" % (lam[bad][0], *given))
+    return shaped(x, shape)
 
 
 def max_range_x(density, share: float, p: SystemParams):
@@ -188,6 +190,7 @@ def max_range_x(density, share: float, p: SystemParams):
     c = derive_constants(p)
     ratio = share / (p.amp_scaling * c.d1)
     return _curve_x(density, c.d3 * math.pi, ratio, 0.5 * p.pathloss_exp,
+                    ("share", share),
                     partial(_cap_law, log_rhs=math.log(ratio)))
 
 

@@ -2,6 +2,7 @@
 and shared by solve's feasibility check and the four schemes."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -91,3 +92,21 @@ def test_the_cap_tail_is_read_only():
     for values in (rule.nodes, rule.weights, x):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 1.0
+
+
+@pytest.mark.parametrize("config", [CONFIG, CONFIG.with_name(
+    "low_static.cfg")], ids=lambda path: path.name)
+def test_each_family_meets_a_floor_at_exactly_its_cap(config):
+    # solve at the cap returns policy_for_mu's mu = inf policy, as README
+    # says; FRw, whose cap is its reach at lambda_max, meets its own cap
+    p, dist = cli._build_context(cli._load_config(str(config)))
+    problem = Problem(dist, p)
+    for mode in ("exact", "hse"):
+        policy, metrics = solve(problem.cap, problem, mode=mode)
+        want = optimal.policy_for_mu(math.inf, p, dist.lambda_max, mode)
+        assert policy.summary() == want.summary()
+        assert list(policy.rows()) == list(want.rows())
+        assert metrics.avg_users >= problem.cap
+    for scheme in (suboptimal.frw_ofc, suboptimal.frw_oofc):
+        _, metrics = scheme(problem.frw_cap, problem)
+        assert metrics.avg_users >= problem.frw_cap

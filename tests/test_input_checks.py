@@ -3,17 +3,20 @@
 import functools
 import json
 import math
+import re
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from greencell import cli, mcsim, numerics, optimal, scaling, suboptimal
 from greencell.cli import EXIT_OK, EXIT_USAGE, main
 from greencell.metrics import evaluate
 from greencell.optimal import solve
 from greencell.params import (InvalidParameterError, SystemParams,
-                              params_from_mapping)
+                              derive_constants, params_from_mapping)
 from greencell.traffic import from_csv, from_table, triangular
 from oracles import simulate_outage
 
@@ -481,6 +484,61 @@ def test_kernel_density_must_be_positive(call, density):
     with pytest.raises(ValueError,
                        match="density must be positive, normal and finite"):
         call(density)
+
+
+# mu pi lambda / (a d1) underflowed before its log: NaN with a RuntimeWarning
+# (the first two), or a subnormal whose log put x off by 3.6e-5
+@pytest.mark.parametrize("density, mu", [
+    (1e-30, 1e-300), (1e-4, 5e-324), (1e-10, 1e-310)])
+def test_x1_star_takes_a_right_side_below_the_float_range(density, mu):
+    x = optimal.x1_star(density, mu, P)
+    c, h = derive_constants(P), 0.5 * P.pathloss_exp
+    y = c.d3 * math.pi * density * x
+    # a Pt'(x) = mu pi lambda, each side in logs
+    lhs = math.log(P.amp_scaling * c.d1) + (h - 1.0) * math.log(x) + y \
+        + math.log(h * -math.expm1(-y) + y)
+    assert lhs == pytest.approx(
+        math.log(mu) + math.log(math.pi) + math.log(density), rel=1e-14)
+    assert optimal.subproblem(density, mu, P) == 0.0
+
+
+# the seed W(k r^(1/h)) / k underflowed to 0 or overflowed to NaN, and
+# newton_log failed on its own seed check; the hse forms gave 0 or NaN
+@pytest.mark.parametrize("call, density, value", [
+    (optimal.x1_star, 1e-300, 1e-300), (optimal.x1_star, 1e-4, 1e300),
+    (optimal.hse_x1, 1e-300, 1e-300), (optimal.hse_x1, 1e-4, 1e300),
+    (scaling.max_range_x, 1e-300, 1e-300),
+    (scaling.max_range_x, 1e300, 1e300)],
+    ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_a_root_search_that_leaves_the_float_range_names_its_inputs(
+        call, density, value):
+    name = "share" if call is scaling.max_range_x else "mu"
+    with pytest.raises(ValueError, match=re.escape(
+            f"leaves the float range at density {density!r} and "
+            f"{name} {value!r}")):
+        call(density, value, P)
+
+
+@given(density=st.floats(min_value=sys.float_info.min,
+                         max_value=sys.float_info.max),
+       value=st.floats(min_value=5e-324, max_value=sys.float_info.max),
+       kernel=st.sampled_from(["x1_star", "hse_x1", "max_range_x"]))
+@example(density=1e-30, value=1e-300, kernel="x1_star")
+@example(density=1e-300, value=1e-300, kernel="max_range_x")
+def test_each_kernel_returns_its_root_or_names_its_inputs(density, value,
+                                                          kernel):
+    # at any positive normal density and positive price or share: a
+    # positive finite x, or ValueError naming both; never NaN, never a
+    # warning (an error under this suite's settings)
+    call = {"x1_star": optimal.x1_star, "hse_x1": optimal.hse_x1,
+            "max_range_x": scaling.max_range_x}[kernel]
+    try:
+        x = call(np.array([density, density]), value, P)
+    except ValueError as exc:
+        assert f"density {density!r}" in str(exc)
+        assert f"{value!r}" in str(exc)
+    else:
+        assert np.all((x > 0.0) & (x < math.inf))
 
 
 SOLVERS = (solve, suboptimal.frw_ofc, suboptimal.frw_oofc,

@@ -115,6 +115,27 @@ class TestCriticalDensities:
         assert crits.lambda3 > crits.lambda1 > crits.lambda2
         assert crits.case_tag == CASE_B
 
+    def test_the_case_switches_once_where_lambda2_meets_lambda1(self):
+        # case A is lambda2 >= lambda1, exactly: across the switch, 800
+        # steps of 2e-12 relative in mu change the tag once, and u moves by
+        # no more than the step itself, so no tolerance is needed
+        lo, hi = 1.0, 2.0  # case A at 1, case B at 2
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if critical_densities(mid, P).case_tag == CASE_A:
+                lo = mid
+            else:
+                hi = mid
+        at = critical_densities(lo, P)
+        assert 0.0 <= at.lambda2 - at.lambda1 <= 4.0 * math.ulp(at.lambda1)
+        mus = lo * (1.0 + 2e-12 * (np.arange(800) - 400))
+        tags = [critical_densities(mu, P).case_tag for mu in mus]
+        assert sum(a != b for a, b in zip(tags, tags[1:])) == 1
+        assert (tags[0], tags[-1]) == (CASE_A, CASE_B)
+        u = np.array([optimal._avg_throughput(mu, DIST, P)[0]
+                      for mu in mus])
+        assert np.max(np.abs(np.diff(u)) / u[1:]) <= 1e-11
+
     def test_threshold_defining_equations(self):
         crits = critical_densities(1.05, P)
         l1 = crits.lambda1

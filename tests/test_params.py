@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
-from greencell.params import (InvalidParameterError, SystemParams,
-                              derive_constants, params_from_mapping)
+from greencell import params
+from greencell.params import (DerivedConstants, InvalidParameterError,
+                              SystemParams, derive_constants,
+                              params_from_mapping)
 
 
 def test_defaults_are_the_benchmark_setup():
@@ -38,6 +41,27 @@ def test_derive_constants_is_pure():
     a = derive_constants(SystemParams())
     b = derive_constants(SystemParams())
     assert a == b
+
+
+def test_each_params_object_computes_its_constants_once(monkeypatch):
+    built = []
+
+    def counted(**kwargs):
+        built.append(kwargs)
+        return DerivedConstants(**kwargs)
+
+    monkeypatch.setattr(params, "DerivedConstants", counted)
+    p, q = SystemParams(), SystemParams()
+    assert derive_constants(p) is derive_constants(p)
+    assert len(built) == 1
+    # an equal object keeps its own, so nothing is shared across objects
+    assert derive_constants(q) == derive_constants(p)
+    assert derive_constants(q) is not derive_constants(p)
+    assert len(built) == 2
+    # the kept constants are no field: equality, hash and the manifest's
+    # asdict are those of the fields alone
+    assert p == SystemParams() and hash(p) == hash(SystemParams())
+    assert dataclasses.asdict(p) == dataclasses.asdict(SystemParams())
 
 
 def test_d1_decreasing_in_pathloss_exp():

@@ -64,7 +64,8 @@ def _resolve(dotted: str):
 
 
 def _module_function(obj) -> bool:
-    # a function, or one wrapped at module level as derive_constants is
+    # a module-level function, bare or under a decorator that keeps its
+    # names, as functools' do
     return (callable(obj) and not inspect.isclass(obj)
             and obj.__module__.startswith("greencell.")
             and obj.__qualname__ == obj.__name__)
