@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +13,11 @@ from .params import SystemParams
 from .scaling import _check_nonneg_finite, stpc_power
 
 _TRIAL_CHUNK = 20_000
-# most users drawn and powered at once; bounds the simulator's working memory
+# most users drawn and powered at once, over all threads; bounds the
+# simulator's working memory
 _PIECE_USERS = 1 << 16
+# 64-bit draws in one Philox block
+_BLOCK = 4
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -42,11 +47,18 @@ def simulate_total_power(density: float, radius: float, p: SystemParams,
     Each trial draws a Poisson user population, places it uniformly in the
     disc and sums the short-term power control output; trials with zero
     users contribute zero.  Per chunk of trials the Poisson counts are drawn
-    first, then the users piece by piece (see ``_trial_sums``), so memory
-    stays bounded however large ``density * radius**2`` grows.
+    first, then the users piece by piece, in one run of trials per usable
+    CPU (see ``_trial_sums``), so memory stays bounded however large
+    ``density * radius**2`` grows.  ``rng`` must come from ``make_rng``:
+    each run draws from a Philox positioned at its first user in ``rng``'s
+    stream, so the estimate and ``rng``'s state afterwards do not depend on
+    the CPU count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not isinstance(getattr(rng, "bit_generator", None), np.random.Philox):
+        raise TypeError("rng must be a Philox generator from make_rng: "
+                        f"{rng!r}")
     _check_nonneg_finite(density=density, radius=radius)
     mean_count = density * math.pi * radius * radius
     per_trial = np.zeros(trials)
@@ -64,8 +76,8 @@ def simulate_total_power(density: float, radius: float, p: SystemParams,
     return McEstimate(mean=mean, std_err=se, trials=trials)
 
 
-def edge_fraction(uniforms: np.ndarray, radius: float,
-                  p: SystemParams) -> np.ndarray:
+def _edge_fraction(uniforms: np.ndarray, radius: float,
+                   p: SystemParams) -> np.ndarray:
     """Turn uniforms v in place into each user's share of the edge power.
 
     A user at distance R sqrt(v) needs stpc_power(R sqrt(v)) = stpc_power(R)
@@ -81,42 +93,125 @@ def edge_fraction(uniforms: np.ndarray, radius: float,
     return np.exp(uniforms, out=uniforms)
 
 
+def _workers() -> int:
+    """Usable CPUs: the calling thread and one helper thread per other CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _seek(bg: np.random.Philox, state: dict, offset: int) -> np.random.Philox:
+    """Put ``bg`` ``offset`` 64-bit draws past the Philox ``state``, field
+    for field where drawing them one by one would leave it; returns ``bg``.
+
+    Philox is counter-based (Salmon et al., SC 2011): the draws left in the
+    current block are skipped, ``advance`` moves the counter past the whole
+    blocks after them and empties the block, and ``random_raw`` draws the
+    rest.  The rest is at least one draw, so an offset that ends on a block
+    boundary leaves that block in the buffer, as sequential drawing does.
+    The buffered 32-bit half (``has_uint32``, ``uinteger``), which
+    ``advance`` clears, is carried over from ``state``.
+    """
+    bg.state = state
+    left = _BLOCK - state["buffer_pos"]
+    if offset > left:
+        blocks, rest = divmod(offset - left - 1, _BLOCK)
+        bg.advance(blocks)
+        offset = rest + 1
+    bg.random_raw(offset)
+    moved = bg.state
+    moved["has_uint32"] = state["has_uint32"]
+    moved["uinteger"] = state["uinteger"]
+    bg.state = moved
+    return bg
+
+
 def _trial_sums(out: np.ndarray, counts: np.ndarray, radius: float,
                 p: SystemParams, rng: np.random.Generator) -> None:
     """Write each non-empty trial's summed STPC power into ``out``.
 
     A user at distance R sqrt(v), v uniform, needs its trial's edge power
-    stpc_power(R, n) times ``edge_fraction``'s share, which depends on v
+    stpc_power(R, n) times ``_edge_fraction``'s share, which depends on v
     alone: all users of a trial share its load, and only the path loss is
     per user.  So each piece of uniforms becomes shares in place, one
     ``reduceat`` sums them per trial, and each non-empty trial's sum is
     scaled once by its edge power (computed, with its load guard, before
-    any user is drawn).  The users are drawn in pieces of at most
-    ``_PIECE_USERS`` users, split at trial boundaries, in one reused
-    buffer; a piece holds at least one trial, so one trial larger than the
-    bound is a piece of its own.  Consecutive ``rng.random`` calls continue
-    one stream, and every trial is reduced over the same elements in the
-    same order, so the sums do not depend on the piece size.  Empty trials
-    are left untouched.
+    any user is drawn).
+
+    The chunk's trials are cut at trial boundaries, near equal shares of
+    its users, into one run per usable CPU (``_workers``).  The calling
+    thread draws the first run from ``rng``; a helper thread draws each
+    other run from its own Philox, ``_seek``-positioned at the run's first
+    user.  The helpers are joined before this returns, an exception raised
+    on one is re-raised here, and ``rng`` is moved past the chunk's users.
+    A run draws its users in pieces of at most ``_PIECE_USERS // workers``
+    users, split at trial boundaries, into its own reused buffer, so all
+    runs together hold at most ``_PIECE_USERS``; a piece holds at least one
+    trial, so one trial larger than the bound is a piece of its own.  A
+    chunk that fits in one piece runs on the calling thread alone.  Every
+    trial is reduced over the same elements of the one stream in the same
+    order, so the sums depend on neither the piece size nor the CPU count.
+    Empty trials are left untouched.
     """
     busy = counts > 0
     edge = stpc_power(radius, counts[busy], p)
     ends = np.cumsum(counts)
     begins = ends - counts
-    work = np.empty(min(int(ends[-1]), _PIECE_USERS))
-    first, start = 0, 0
-    while first < counts.size:
-        last = max(int(np.searchsorted(ends, start + _PIECE_USERS,
-                                       side="right")), first + 1)
-        stop = int(ends[last - 1])
-        if stop > start:
-            if stop - start > work.size:
-                work = np.empty(stop - start)
-            shares = work[:stop - start]
-            rng.random(out=shares)
-            filled = busy[first:last]
-            offsets = begins[first:last][filled] - start
-            out[first:last][filled] = np.add.reduceat(
-                edge_fraction(shares, radius, p), offsets)
-        first, start = last, stop
+    total = int(ends[-1])
+    workers = _workers()
+    piece = _PIECE_USERS // workers
+
+    def run(lo: int, hi: int, gen: np.random.Generator) -> None:
+        start = int(begins[lo])
+        work = np.empty(min(int(ends[hi - 1]) - start, piece))
+        first = lo
+        while first < hi:
+            last = min(max(int(np.searchsorted(ends, start + piece,
+                                               side="right")), first + 1), hi)
+            stop = int(ends[last - 1])
+            if stop > start:
+                if stop - start > work.size:
+                    work = np.empty(stop - start)
+                shares = work[:stop - start]
+                gen.random(out=shares)
+                filled = busy[first:last]
+                offsets = begins[first:last][filled] - start
+                out[first:last][filled] = np.add.reduceat(
+                    _edge_fraction(shares, radius, p), offsets)
+            first, start = last, stop
+
+    if total <= piece:
+        run(0, counts.size, rng)
+    else:
+        cuts = np.searchsorted(ends, [total * k // workers
+                                      for k in range(1, workers)],
+                               side="right").tolist()
+        bounds = [0, *cuts, counts.size]
+        runs = [(lo, hi) for lo, hi in zip(bounds, bounds[1:])
+                if hi > lo and ends[hi - 1] > begins[lo]]
+        state = rng.bit_generator.state
+        errors = []
+
+        def helper(lo: int, hi: int, gen: np.random.Generator) -> None:
+            try:
+                run(lo, hi, gen)
+            except BaseException as exc:  # re-raised by the calling thread
+                errors.append(exc)
+
+        threads = []
+        for lo, hi in runs[1:]:
+            gen = np.random.Generator(
+                _seek(np.random.Philox(), state, int(begins[lo])))
+            threads.append(threading.Thread(target=helper,
+                                            args=(lo, hi, gen)))
+        for thread in threads:
+            thread.start()
+        try:
+            run(*runs[0], rng)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+        _seek(rng.bit_generator, state, total)
     out[busy] *= edge

@@ -99,10 +99,13 @@ def x1_star(density, mu: float, p: SystemParams):
     a_d1 = p.amp_scaling * c.d1
     log_on = math.log(mu) + math.log(math.pi / a_d1)
 
-    def log_rhs(lam):  # in parts where the product is not a normal float
-        v = mu * math.pi * lam / a_d1
-        return np.where((v >= sys.float_info.min) & (v < math.inf),
-                        np.log(v), log_on + np.log(lam))
+    def log_rhs(lam):  # in parts where a product is not a normal float
+        tiny = sys.float_info.min
+        mu_pi_lam = mu * math.pi * lam
+        v = mu_pi_lam / a_d1
+        normal = ((mu * math.pi >= tiny) & (mu_pi_lam >= tiny) & (v >= tiny)
+                  & (v < math.inf))
+        return np.where(normal, np.log(v), log_on + np.log(lam))
     return _curve_x(density, c.d3 * math.pi, mu / (a_d1 * c.d3),
                     0.5 * p.pathloss_exp, ("mu", mu), _stationary_law,
                     log_rhs)

@@ -188,10 +188,15 @@ def max_range_x(density, share: float, p: SystemParams):
         raise InfeasibleBudgetError(
             f"budget above static power must be finite and > 0 W: {share!r}")
     c = derive_constants(p)
-    ratio = share / (p.amp_scaling * c.d1)
+    a_d1 = p.amp_scaling * c.d1
+    ratio = share / a_d1
+    # in parts where the ratio is not a normal float
+    if sys.float_info.min <= ratio < math.inf:
+        log_rhs = math.log(ratio)
+    else:
+        log_rhs = math.log(share) - math.log(a_d1)
     return _curve_x(density, c.d3 * math.pi, ratio, 0.5 * p.pathloss_exp,
-                    ("share", share),
-                    partial(_cap_law, log_rhs=math.log(ratio)))
+                    ("share", share), partial(_cap_law, log_rhs=log_rhs))
 
 
 def max_range(density, budget: float, p: SystemParams):

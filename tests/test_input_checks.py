@@ -414,6 +414,15 @@ def test_simulate_total_power_rejects_no_trials(trials):
                                    mcsim.make_rng(0))
 
 
+# the runs of users are drawn from Philox copies positioned by counter
+@pytest.mark.parametrize("rng", [
+    np.random.default_rng(0), np.random.Generator(np.random.MT19937(0)),
+    np.random.RandomState(0)], ids=["pcg64", "mt19937", "random_state"])
+def test_simulate_total_power_takes_only_a_philox_generator(rng):
+    with pytest.raises(TypeError, match="make_rng"):
+        mcsim.simulate_total_power(1e-5, 1000.0, P, 10, rng)
+
+
 @pytest.mark.parametrize("mu", [0.0, -1.0])
 @pytest.mark.parametrize("call", [
     lambda mu: optimal.critical_densities(mu, P),
@@ -487,9 +496,10 @@ def test_kernel_density_must_be_positive(call, density):
 
 
 # mu pi lambda / (a d1) underflowed before its log: NaN with a RuntimeWarning
-# (the first two), or a subnormal whose log put x off by 3.6e-5
+# (the first two), or a subnormal whose log put x off by 3.6e-5; a subnormal
+# mu pi put the law off by 6.2e-11 in logs (the last)
 @pytest.mark.parametrize("density, mu", [
-    (1e-30, 1e-300), (1e-4, 5e-324), (1e-10, 1e-310)])
+    (1e-30, 1e-300), (1e-4, 5e-324), (1e-10, 1e-310), (1e-4, 1e-310)])
 def test_x1_star_takes_a_right_side_below_the_float_range(density, mu):
     x = optimal.x1_star(density, mu, P)
     c, h = derive_constants(P), 0.5 * P.pathloss_exp
@@ -500,6 +510,19 @@ def test_x1_star_takes_a_right_side_below_the_float_range(density, mu):
     assert lhs == pytest.approx(
         math.log(mu) + math.log(math.pi) + math.log(density), rel=1e-14)
     assert optimal.subproblem(density, mu, P) == 0.0
+
+
+# share / (a d1) was a subnormal whose log put the law off by 2.9e-9 in logs
+@pytest.mark.parametrize("density, share", [
+    (1e-4, 5e-324), (1e-4, 1e-322), (1e-30, 5e-324)])
+def test_max_range_x_takes_a_right_side_below_the_float_range(density, share):
+    x = scaling.max_range_x(density, share, P)
+    c, h = derive_constants(P), 0.5 * P.pathloss_exp
+    y = c.d3 * math.pi * density * x
+    # a Pt(x) = share, each side in logs
+    lhs = math.log(P.amp_scaling * c.d1) + h * math.log(x) + y \
+        + math.log(-math.expm1(-y))
+    assert lhs == pytest.approx(math.log(share), rel=1e-14)
 
 
 # the seed W(k r^(1/h)) / k underflowed to 0 or overflowed to NaN, and

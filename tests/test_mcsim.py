@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from greencell import mcsim
-from greencell.mcsim import (McEstimate, edge_fraction, make_rng,
-                             simulate_total_power)
+from greencell.mcsim import (McEstimate, _edge_fraction as edge_fraction,
+                             make_rng, simulate_total_power)
 from greencell.params import SystemParams
 from greencell.scaling import (PowerOverflowError, avg_transmit_power_exact,
                                stpc_power)
@@ -226,7 +228,8 @@ class TestPieces:
             pieces += users > 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mcsim, "_PIECE_USERS", piece)
-            mp.setattr(mcsim, "edge_fraction", counting)
+            mp.setattr(mcsim, "_workers", lambda: 1)
+            mp.setattr(mcsim, "_edge_fraction", counting)
             simulate_total_power(lam, radius, P, trials, make_rng(21))
         assert sum(sizes) == sum(int(c.sum()) for c in chunk_counts)
         assert len(sizes) == pieces and 0 not in sizes
@@ -244,6 +247,84 @@ class TestPieces:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * 2 ** 20
+
+
+def philox_fields(rng):
+    """Every field of a Philox generator's state, arrays as lists."""
+    state = rng.bit_generator.state
+    return {"counter": state["state"]["counter"].tolist(),
+            "key": state["state"]["key"].tolist(),
+            "buffer": state["buffer"].tolist(),
+            "buffer_pos": state["buffer_pos"],
+            "has_uint32": state["has_uint32"],
+            "uinteger": state["uinteger"]}
+
+
+class TestRuns:
+    """One run of trials per CPU, each from a Philox positioned in the one
+    stream, leaves every estimate and the stream bit-identical."""
+
+    @pytest.mark.parametrize("trials", [20_000, 45_000])
+    def test_worker_count_is_invisible(self, trials):
+        # more workers than cores, switching threads as often as it can
+        seen = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 5):
+                rng = make_rng(1234)
+                rng.random(3)  # a part-used block
+                rng.integers(0, 10, dtype=np.uint32)  # a buffered 32-bit half
+                assert rng.bit_generator.state["has_uint32"] == 1
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(mcsim, "_workers", lambda: workers)
+                    ests = [simulate_total_power(lam, radius, P, trials, rng)
+                            for radius, lam in VALIDATE_GRID]
+                seen[workers] = (ests, philox_fields(rng))
+        finally:
+            sys.setswitchinterval(interval)
+        for workers in (2, 3, 5):
+            assert seen[workers] == seen[1], workers
+
+    @pytest.mark.parametrize("offset", [*range(13), *range(4_095, 4_100),
+                                        65_536])
+    @pytest.mark.parametrize("pos", range(5))
+    def test_seek_matches_sequential_draws(self, pos, offset):
+        bg = np.random.Philox(77)
+        bg.random_raw(8 + pos)  # a block read up to pos (4 for pos 0)
+        state = bg.state
+        state["buffer_pos"] = pos  # pos 0: a block generated, none read
+        state["has_uint32"], state["uinteger"] = 1, 123_456_789
+        want = np.random.Generator(np.random.Philox(0))
+        want.bit_generator.state = state
+        want.bit_generator.random_raw(offset)
+        got = np.random.Generator(
+            mcsim._seek(np.random.Philox(0), state, offset))
+        assert philox_fields(got) == philox_fields(want)
+        assert got.bit_generator.random_raw(9).tolist() == \
+            want.bit_generator.random_raw(9).tolist()
+
+    def test_a_failing_helper_raises_in_the_caller(self):
+        class Boom(Exception):
+            pass
+
+        calls = []
+
+        def failing(uniforms, radius, p):
+            if threading.current_thread() is not threading.main_thread():
+                calls.append(None)
+                if len(calls) == 2:
+                    raise Boom
+            return edge_fraction(uniforms, radius, p)
+
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_workers", lambda: 2)
+            mp.setattr(mcsim, "_edge_fraction", failing)
+            with pytest.raises(Boom):
+                simulate_total_power(5e-5, 1000.0, P, 20_000, make_rng(3))
+        assert len(calls) == 2
+        assert threading.active_count() == before
 
 
 R0 = P.ref_distance
@@ -303,7 +384,7 @@ class TestEdgeFraction:
 
         rng = make_rng(5)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mcsim, "edge_fraction", counting)
+            mp.setattr(mcsim, "_edge_fraction", counting)
             est = simulate_total_power(1e-5, 0.0, P, 30_000, rng)
         assert est.mean == 0.0 and est.std_err == 0.0 and sizes == []
         # the stream moved past the two chunks' counts and nothing more
