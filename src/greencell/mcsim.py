@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,11 @@ _TRIAL_CHUNK = 20_000
 # most users drawn and powered at once, over all threads; bounds the
 # simulator's working memory
 _PIECE_USERS = 1 << 16
+# a chunk is shared by helper threads only when it holds more users than
+# this many pieces: below it the chunk's serial steps (its Poisson counts
+# and edge powers) and a helper's start take most of what a second CPU
+# saves, and the chunk's time would follow the other CPUs' load
+_HELPED_PIECES = 8
 # 64-bit draws in one Philox block
 _BLOCK = 4
 
@@ -47,12 +53,12 @@ def simulate_total_power(density: float, radius: float, p: SystemParams,
     Each trial draws a Poisson user population, places it uniformly in the
     disc and sums the short-term power control output; trials with zero
     users contribute zero.  Per chunk of trials the Poisson counts are drawn
-    first, then the users piece by piece, in one run of trials per usable
-    CPU (see ``_trial_sums``), so memory stays bounded however large
-    ``density * radius**2`` grows.  ``rng`` must come from ``make_rng``:
-    each run draws from a Philox positioned at its first user in ``rng``'s
-    stream, so the estimate and ``rng``'s state afterwards do not depend on
-    the CPU count.
+    first, then the users piece by piece, shared by one worker per usable
+    CPU in a large chunk (see ``_trial_sums``), so memory stays bounded
+    however large ``density * radius**2`` grows.  ``rng`` must come from
+    ``make_rng``: a helper draws each piece from a Philox positioned at its
+    first user in ``rng``'s stream, so the estimate and ``rng``'s state
+    afterwards do not depend on the CPU count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -138,80 +144,84 @@ def _trial_sums(out: np.ndarray, counts: np.ndarray, radius: float,
     scaled once by its edge power (computed, with its load guard, before
     any user is drawn).
 
-    The chunk's trials are cut at trial boundaries, near equal shares of
-    its users, into one run per usable CPU (``_workers``).  The calling
-    thread draws the first run from ``rng``; a helper thread draws each
-    other run from its own Philox, ``_seek``-positioned at the run's first
-    user.  The helpers are joined before this returns, an exception raised
-    on one is re-raised here, and ``rng`` is moved past the chunk's users.
-    A run draws its users in pieces of at most ``_PIECE_USERS // workers``
-    users, split at trial boundaries, into its own reused buffer, so all
-    runs together hold at most ``_PIECE_USERS``; a piece holds at least one
-    trial, so one trial larger than the bound is a piece of its own.  A
-    chunk that fits in one piece runs on the calling thread alone.  Every
-    trial is reduced over the same elements of the one stream in the same
-    order, so the sums depend on neither the piece size nor the CPU count.
-    Empty trials are left untouched.
+    The chunk's users are cut at trial boundaries into pieces of at most
+    ``_PIECE_USERS // workers`` users; a piece holds at least one trial, so
+    one trial larger than the bound is a piece of its own.  A chunk of more
+    than ``_HELPED_PIECES * _PIECE_USERS`` users is shared by one worker per
+    usable CPU (``_workers``); a smaller one runs on the calling thread
+    alone, in pieces of ``_PIECE_USERS``.  The calling thread takes pieces
+    from the front and draws them from ``rng`` in stream order; a helper
+    thread per other CPU takes pieces from the back and draws each from its
+    own Philox, ``_seek``-positioned at the piece's first user, so a helper
+    that starts late or runs slow leaves its share to the others.  Each
+    worker reuses one buffer, so all of them together hold at most
+    ``_PIECE_USERS`` users.  The helpers are joined before this returns, an
+    exception raised on one is re-raised here, and ``rng`` is moved past
+    the chunk's users.  Every trial is reduced over the same elements of
+    the one stream in the same order, so the sums depend on neither the
+    piece size, the CPU count nor which worker drew them.  Empty trials are
+    left untouched.
     """
     busy = counts > 0
     edge = stpc_power(radius, counts[busy], p)
     ends = np.cumsum(counts)
     begins = ends - counts
     total = int(ends[-1])
-    workers = _workers()
+    workers = _workers() if total > _HELPED_PIECES * _PIECE_USERS else 1
     piece = _PIECE_USERS // workers
+    pieces = deque()
+    first = 0
+    while first < counts.size:
+        last = max(int(np.searchsorted(ends, int(begins[first]) + piece,
+                                       side="right")), first + 1)
+        if ends[last - 1] > begins[first]:
+            pieces.append((first, last))
+        first = last
+    state = rng.bit_generator.state
 
-    def run(lo: int, hi: int, gen: np.random.Generator) -> None:
-        start = int(begins[lo])
-        work = np.empty(min(int(ends[hi - 1]) - start, piece))
-        first = lo
-        while first < hi:
-            last = min(max(int(np.searchsorted(ends, start + piece,
-                                               side="right")), first + 1), hi)
-            stop = int(ends[last - 1])
-            if stop > start:
-                if stop - start > work.size:
-                    work = np.empty(stop - start)
-                shares = work[:stop - start]
-                gen.random(out=shares)
-                filled = busy[first:last]
-                offsets = begins[first:last][filled] - start
-                out[first:last][filled] = np.add.reduceat(
-                    _edge_fraction(shares, radius, p), offsets)
-            first, start = last, stop
-
-    if total <= piece:
-        run(0, counts.size, rng)
-    else:
-        cuts = np.searchsorted(ends, [total * k // workers
-                                      for k in range(1, workers)],
-                               side="right").tolist()
-        bounds = [0, *cuts, counts.size]
-        runs = [(lo, hi) for lo, hi in zip(bounds, bounds[1:])
-                if hi > lo and ends[hi - 1] > begins[lo]]
-        state = rng.bit_generator.state
-        errors = []
-
-        def helper(lo: int, hi: int, gen: np.random.Generator) -> None:
+    def draw(gen: np.random.Generator, work: np.ndarray, take,
+             seek: bool) -> None:
+        while True:
             try:
-                run(lo, hi, gen)
-            except BaseException as exc:  # re-raised by the calling thread
-                errors.append(exc)
+                first, last = take()
+            except IndexError:
+                return
+            start, stop = int(begins[first]), int(ends[last - 1])
+            if stop - start > work.size:
+                work = np.empty(stop - start)
+            shares = work[:stop - start]
+            if seek:
+                _seek(gen.bit_generator, state, start)
+            gen.random(out=shares)
+            filled = busy[first:last]
+            out[first:last][filled] = np.add.reduceat(
+                _edge_fraction(shares, radius, p),
+                begins[first:last][filled] - start)
 
-        threads = []
-        for lo, hi in runs[1:]:
-            gen = np.random.Generator(
-                _seek(np.random.Philox(), state, int(begins[lo])))
-            threads.append(threading.Thread(target=helper,
-                                            args=(lo, hi, gen)))
-        for thread in threads:
-            thread.start()
+    errors = []
+
+    def helper(gen: np.random.Generator, work: np.ndarray) -> None:
         try:
-            run(*runs[0], rng)
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
+            draw(gen, work, pieces.pop, True)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+            pieces.clear()
+
+    # each helper's generator and buffer are made here: memory that a
+    # helper allocates stays in its own malloc arena and adds to the RSS
+    threads = [threading.Thread(target=helper, args=(
+        np.random.Generator(np.random.Philox()), np.empty(min(total, piece))))
+        for _ in range(min(workers, len(pieces)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        draw(rng, np.empty(min(total, piece)), pieces.popleft, False)
+    finally:
+        pieces.clear()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    if threads:
         _seek(rng.bit_generator, state, total)
     out[busy] *= edge

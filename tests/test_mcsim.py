@@ -309,11 +309,17 @@ class TestRuns:
             pass
 
         calls = []
+        raised = threading.Event()
 
         def failing(uniforms, radius, p):
-            if threading.current_thread() is not threading.main_thread():
+            if threading.current_thread() is threading.main_thread():
+                # the caller waits, so the helper takes two pieces however
+                # late it starts
+                raised.wait(timeout=60)
+            else:
                 calls.append(None)
                 if len(calls) == 2:
+                    raised.set()
                     raise Boom
             return edge_fraction(uniforms, radius, p)
 
@@ -325,6 +331,61 @@ class TestRuns:
                 simulate_total_power(5e-5, 1000.0, P, 20_000, make_rng(3))
         assert len(calls) == 2
         assert threading.active_count() == before
+
+    def test_a_chunk_of_few_pieces_stays_on_the_calling_thread(self):
+        # 251k users, under 8 full pieces: whole pieces, no helper
+        seen = []
+
+        def recording(uniforms, radius, p):
+            seen.append((threading.current_thread(), np.size(uniforms)))
+            return edge_fraction(uniforms, radius, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_workers", lambda: 2)
+            mp.setattr(mcsim, "_edge_fraction", recording)
+            simulate_total_power(1e-6, 2000.0, P, 20_000, make_rng(6))
+        assert {thread for thread, _ in seen} == {threading.main_thread()}
+        assert max(size for _, size in seen) > mcsim._PIECE_USERS // 2
+
+    def test_a_late_helper_leaves_its_share_to_the_caller(self):
+        # the caller waits until the helper has taken a piece, then the
+        # helper waits on it until the caller has drawn every other piece:
+        # the caller takes them all, and the estimate and the stream are
+        # those of one worker
+        def run(kernel=edge_fraction, workers=2):
+            rng = make_rng(8)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mcsim, "_workers", lambda: workers)
+                mp.setattr(mcsim, "_edge_fraction", kernel)
+                est = simulate_total_power(5e-5, 1000.0, P, 20_000, rng)
+            return est, philox_fields(rng)
+
+        sizes = []
+
+        def counting(uniforms, radius, p):
+            sizes.append(np.size(uniforms))
+            return edge_fraction(uniforms, radius, p)
+
+        run(counting)
+        pieces = len(sizes)
+        assert pieces > 8 * 2
+        caller, helper = [], []
+        helper_in, others_done = threading.Event(), threading.Event()
+
+        def holding(uniforms, radius, p):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_in.wait(timeout=60)
+                caller.append(None)
+                if len(caller) == pieces - 1:
+                    others_done.set()
+            else:
+                helper_in.set()
+                assert others_done.wait(timeout=60)
+                helper.append(None)
+            return edge_fraction(uniforms, radius, p)
+
+        assert run(holding) == run(workers=1)
+        assert (len(caller), len(helper)) == (pieces - 1, 1)
 
 
 R0 = P.ref_distance
