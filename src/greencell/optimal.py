@@ -16,8 +16,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .metrics import PolicyMetrics
-from .numerics import (as_arrays, as_densities, bracketed_newton,
-                       gauss_legendre, shaped)
+from .numerics import (QuadratureRule, as_arrays, as_densities,
+                       bracketed_newton, gauss_legendre, shaped)
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
@@ -393,19 +393,45 @@ def _breakpoints(crits: CriticalDensities, lambda_max: float) -> list:
                    if 0.0 < c < lambda_max})
 
 
-def _avg_throughput(mu: float, dist: DensityDistribution,
-                    p: SystemParams) -> tuple:
-    """One dual evaluation: u(mu), its exact slope du/dmu, and the state used.
+@dataclass(frozen=True)
+class DualState:
+    """One dual evaluation, which ``solve`` keeps and reports: the exact
+    policy at ``mu``, with x at the nodes of ``rule`` on [0, lambda_max],
+    split at the thresholds ``criticals``, and ``x_end`` at lambda_max from
+    one kernel call; ``users`` = E[pi lambda x] on the rule and ``slope`` =
+    du/dmu (None if unknown).  ``metrics`` reads the same x, with no kernel
+    call and in hse mode too (ROADMAP known defect).  The on-probability is
+    the mass of the nodes served, as ``metrics.evaluate`` sums it.  Exact
+    consumption rises with the density, so the peak is at ``x_end`` (Ps if
+    off).  The hse peak is the largest in its table, which holds each
+    threshold and the density just above: ``hse_x2`` overshoots the cap."""
 
-    u is the long-term throughput E[pi lambda x] of the exact policy at
-    ``mu``; the state is (thresholds, the rule split at them, x at its
-    nodes and then at lambda_max), from which ``solve`` reports the metrics
-    of its final mu.  x at lambda_max, and x just above the switch-on
-    cut-off lambda_on when 0 < lambda_on < lambda_max, ride on the one
-    kernel call.  The slope has two terms.  On the stationary segment x1*
-    solves log Pt'(x) = log(mu pi lambda / (a d1)), so dx1*/dmu =
-    x1* / (mu s), with s the log-x slope of the left side at x1*; the
-    capped point does not move with mu.  The cut-off moves, which adds
+    mu: float
+    users: float
+    slope: Optional[float]
+    criticals: CriticalDensities
+    rule: QuadratureRule
+    x: np.ndarray
+    x_end: float
+
+    def metrics(self, policy: AdaptationPolicy) -> PolicyMetrics:
+        """The metrics of ``policy``, the policy at ``mu``."""
+        p, rule, x = policy.params, self.rule, self.x
+        peak = bs_power_x(self.x_end, policy.lambda_max, p) \
+            if policy.mode == "exact" else float(policy.powers.max())
+        return PolicyMetrics(rule.integrate(bs_power_x(x, rule.nodes, p)),
+                             self.users, min(rule.integrate(x > 0.0), 1.0),
+                             peak)
+
+
+def _avg_throughput(mu: float, dist: DensityDistribution,
+                    p: SystemParams) -> DualState:
+    """The ``DualState`` at ``mu``.  x just above the switch-on cut-off
+    lambda_on, when 0 < lambda_on < lambda_max, rides on its kernel call.
+    The slope has two terms.  On the stationary segment x1* solves
+    log Pt'(x) = log(mu pi lambda / (a d1)), so dx1*/dmu = x1* / (mu s),
+    with s the log-x slope of the left side at x1*; the capped point does
+    not move with mu.  The cut-off moves, which adds
     -pi lambda_on x(lambda_on+) f(lambda_on) dlambda_on/dmu.  There L = Ps,
     and either dL/dx = 0 (case A) or x is the capped point (case B), so in
     both cases d log lambda_on / d log mu = -(1 + y / (h E)), with
@@ -422,7 +448,7 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     inside = 0.0 < cut < m
     ends = [m, np.nextafter(cut, m)] if inside else [m]
     x_ends, stationary = _policy_x(np.append(lams, ends), mu, crits, p)
-    x_all, x, stationary = x_ends[:n + 1], x_ends[:n], stationary[:n]
+    x, stationary = x_ends[:n], stationary[:n]
     d3, h = derive_constants(p).d3, 0.5 * p.pathloss_exp
     dx = np.zeros_like(x)
     if stationary.any():
@@ -434,7 +460,8 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
         y = d3 * math.pi * cut * float(x_ends[-1])
         slope += (y / d3 * (1.0 + y / (h * -math.expm1(-y))) * dist.pdf(cut)
                   * cut / mu)
-    return rule.integrate(math.pi * lams * x), slope, (crits, rule, x_all)
+    return DualState(mu, rule.integrate(math.pi * lams * x), slope, crits,
+                     rule, x, float(x_ends[n]))
 
 
 @dataclass(frozen=True)
@@ -448,30 +475,31 @@ class Problem:
     params: SystemParams
 
     @cached_property
-    def cap_tail(self) -> tuple:
-        """``solve``'s state at the cap: the rule on [0, lambda_max] and
-        x2_star on its nodes, then at lambda_max (one call); read-only."""
+    def cap_state(self) -> DualState:
+        """The ``DualState`` at mu = inf, the cap everywhere: every
+        threshold 0, on the unsplit rule; its arrays are read-only."""
         rule = gauss_legendre(self.dist, 0.0, self.dist.lambda_max)
         x = x2_star(np.append(rule.nodes, self.dist.lambda_max), self.params)
         for a in (rule.nodes, rule.weights, x):
             a.flags.writeable = False
-        return rule, x
+        u = rule.integrate(math.pi * rule.nodes * x[:-1])
+        return DualState(math.inf, u, 0.0, CriticalDensities(0.0, 0.0, 0.0),
+                         rule, x[:-1], float(x[-1]))
 
-    @cached_property
+    @property
     def cap(self) -> float:
         """Throughput at the cap everywhere: ``solve``'s and ARw's bound."""
-        rule, x = self.cap_tail
-        return rule.integrate(math.pi * rule.nodes * x[:-1])
+        return self.cap_state.users
 
     @property
     def x_cap(self) -> float:
         """The most x within the cap at lambda_max; FRw's bound is its
         reach at every density, pi x_cap T1(0) (``frw_cap``)."""
-        return float(self.cap_tail[1][-1])
+        return self.cap_state.x_end
 
     @property
     def frw_cap(self) -> float:
-        rule = self.cap_tail[0]
+        rule = self.cap_state.rule
         return math.pi * self.x_cap * rule.integrate(rule.nodes)
 
     def check(self, u_avg: float, cap: Optional[float] = None) -> None:
@@ -500,14 +528,13 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
     on (``dist``, ``p``), or on the Problem ``dist``.
 
     A floor at the cap, the feasibility bound (``Problem.cap``), is met
-    only by the policy at the cap everywhere, mu = inf: its state is the
-    cap tail (``Problem.cap_tail``), with no dual evaluation.  Below the
-    cap the dual variable mu is bracketed by a gallop from 1 (below 1,
-    down to the least normal float, unevaluated: u(0) = 0 is below every
-    target): mu doubles to 64, then its step in
-    log mu doubles up to 2^261, where u is flat; a floor not met there is
-    within rounding of the cap, and the cap state meets it.  Else mu is
-    found by Newton steps in t = log mu on
+    only by the policy at the cap everywhere, mu = inf: its state is
+    ``Problem.cap_state``, with no dual evaluation.  Below the cap the dual
+    variable mu is bracketed by a gallop from 1 (below 1, down to the least
+    normal float, unevaluated: u(0) = 0 is below every target): mu doubles
+    to 64, then its step in log mu doubles up to 2^261, where u is flat; a
+    floor not met there is within rounding of the cap, and the cap state
+    meets it.  Else mu is found by Newton steps in t = log mu on
     H(t) = log(cap - ``u_avg``) - log(cap - u(mu)).  Near the cap, cap - u
     falls like a power of mu, so H is close to linear in t; at low load H
     is close to (u - ``u_avg``) / (cap - ``u_avg``).  H >= 0 exactly when
@@ -516,35 +543,33 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
     reaches the cap by rounding, H is inf and carries no slope.  The steps
     are safeguarded by the bracket (``bracketed_newton``) and start from
     the bracket end nearer the floor, to within ``DUAL_TOL`` in log mu.
-    The result is an evaluated mu on the floor's satisfied side, or the cap
-    state, so the reported throughput is never below ``u_avg``.  That
-    state's thresholds, rule and x give the policy and the reported
-    metrics, so none is computed twice and no kernel runs after the search
-    (``_state_metrics``); the policy builds its table only when read.
+    The result is the last evaluated state on the floor's satisfied side,
+    or the cap state, so the reported throughput is never below ``u_avg``,
+    and the policy and metrics read it: no kernel runs after the search.
     """
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
     problem = dist if p is None else Problem(dist, p)
     dist, p, cap = problem.dist, problem.params, problem.cap
     problem.check(u_avg)
-    # (mu, state) of the latest evaluation with u >= u_avg; at first the cap's
-    satisfied = [math.inf, (CriticalDensities(0.0, 0.0, 0.0),
-                            *problem.cap_tail)]
+    # the latest evaluation with u >= u_avg; at first the cap's
+    state = problem.cap_state
 
     def gap(mu: float) -> tuple:
         """H and its slope in log mu."""
-        u, slope, state = _avg_throughput(mu, dist, p)
-        if u >= u_avg:
-            satisfied[:] = [mu, state]
-        room = cap - u
+        nonlocal state
+        at = _avg_throughput(mu, dist, p)
+        if at.users >= u_avg:
+            state = at
+        room = cap - at.users
         if room <= 0.0:  # u at the cap by rounding
             return math.inf, 0.0
         # log1p keeps H's sign that of u - u_avg, whatever the rounding;
         # where the ratio rounds to -1, u is far below u_avg < cap
-        ratio = (u - u_avg) / room
+        ratio = (at.users - u_avg) / room
         return (math.log1p(ratio) if ratio > -1.0
                 else math.log((cap - u_avg) / room),
-                None if slope is None else mu * slope / room)
+                None if at.slope is None else mu * at.slope / room)
 
     if u_avg < cap:
         lo, h_lo, s_lo, hi = sys.float_info.min, -math.inf, 0.0, 1.0
@@ -563,32 +588,7 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
             bracketed_newton(lambda t: gap(math.exp(t)), t_hi, t_lo,
                              next((t for t in starts if t_lo < t < t_hi),
                                   math.nan), DUAL_TOL)
-    # the latest evaluated mu with H >= 0, else the cap state (mu = inf)
-    mu, state = satisfied
-    policy = AdaptationPolicy(mu, state[0], mode, dist.lambda_max, p) \
-        if mode == "exact" else policy_for_mu(mu, p, dist.lambda_max, mode)
-    return policy, _state_metrics(state, policy, p)
-
-
-def _state_metrics(state: tuple, policy: AdaptationPolicy,
-                   p: SystemParams) -> PolicyMetrics:
-    """Metrics of ``policy`` from the state of ``solve``'s last evaluation.
-
-    The averages and the on-probability (the mass of the nodes served, as
-    ``metrics.evaluate`` sums it) integrate the exact policy's x on the
-    state's rule (ROADMAP known defect: in hse mode too).  Along the exact
-    policy consumption rises with the density, so its peak is the
-    consumption at lambda_max, from the state's last x (Ps when the policy
-    is off there).  The hse peak is the largest consumption in its table,
-    whose grid holds each threshold and the density just above: ``hse_x2``
-    overshoots the cap, so the rise is not assured there.
-    """
-    _, rule, x_all = state
-    x = x_all[:-1]
-    peak = bs_power_x(x_all[-1], policy.lambda_max, p) \
-        if policy.mode == "exact" else float(policy.powers.max())
-    return PolicyMetrics(
-        avg_power_w=rule.integrate(bs_power_x(x, rule.nodes, p)),
-        avg_users=rule.integrate(math.pi * rule.nodes * x),
-        on_probability=min(rule.integrate(x > 0.0), 1.0),
-        peak_bs_power_w=peak)
+    policy = AdaptationPolicy(state.mu, state.criticals, mode,
+                              dist.lambda_max, p) if mode == "exact" \
+        else policy_for_mu(state.mu, p, dist.lambda_max, mode)
+    return policy, state.metrics(policy)

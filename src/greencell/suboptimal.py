@@ -11,7 +11,7 @@ that cut-off's one rule.  Each scheme returns (policy, metrics) as
 target above a family's throughput cap is rejected before any search; every
 root is found by ``numerics.bracketed_newton`` on exact derivatives.  Each
 scheme solves (dist, p), or the ``optimal.Problem`` passed as ``dist``, whose
-cap tail serves its cut-off 0.
+cap state serves its cut-off 0.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def _result(tag: str, at: _Cut, problem: Problem) -> tuple:
 
 
 def _tail_rule(problem: Problem, cutoff: float):
-    """The rule on [cutoff, lambda_max]; at cut-off 0, the cap tail's."""
-    return problem.cap_tail[0] if cutoff == 0.0 \
+    """The rule on [cutoff, lambda_max]; at cut-off 0, the cap state's."""
+    return problem.cap_state.rule if cutoff == 0.0 \
         else gauss_legendre(problem.dist, cutoff, problem.dist.lambda_max)
 
 

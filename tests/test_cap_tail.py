@@ -1,4 +1,4 @@
-"""The always-at-cap tail: built once per Problem, a (density, params) pair,
+"""The always-at-cap state: built once per Problem, a (density, params) pair,
 and shared by solve's feasibility check and the four schemes."""
 
 import dataclasses
@@ -56,7 +56,7 @@ def _bits(out) -> tuple:
     "low_static.cfg")], ids=lambda path: path.name)
 def test_the_cli_problem_solves_as_its_dist_and_params(config, monkeypatch,
                                                        tmp_path):
-    # the one Problem a sweep builds, its cap tail read by every row, gives
+    # the one Problem a sweep builds, its cap state read by every row, gives
     # the results of a fresh solve or scheme call on (dist, p)
     seen = []
     row = cli._scheme_row
@@ -78,6 +78,24 @@ def test_the_cli_problem_solves_as_its_dist_and_params(config, monkeypatch,
             assert _bits(solver(u, problem)) == _bits(solver(u, dist, p))
 
 
+@pytest.mark.parametrize("fraction", [1e-3, 0.3, 1.0])
+@pytest.mark.parametrize("config", [CONFIG, CONFIG.with_name(
+    "low_static.cfg")], ids=lambda path: path.name)
+def test_every_number_a_solver_reports_is_a_float(config, fraction):
+    # not a numpy scalar, whose repr the CLI's CSV would print
+    p, dist = cli._build_context(cli._load_config(str(config)))
+    problem = Problem(dist, p)
+    numbers = [problem.cap, problem.frw_cap]
+    for solver in (*POLICIES, lambda u, q: solve(u, q, mode="hse")):
+        frw = solver in (suboptimal.frw_ofc, suboptimal.frw_oofc)
+        policy, metrics = solver(
+            fraction * (problem.frw_cap if frw else problem.cap), problem)
+        numbers += [*metrics.as_dict().values(), *(
+            v for v in policy.summary().values()
+            if v is not None and not isinstance(v, str))]
+    assert [type(v) for v in numbers] == [float] * len(numbers)
+
+
 @pytest.mark.parametrize("switch", ["params", "density"])
 def test_problems_that_differ_in_one_argument_have_different_caps(switch):
     p, dist = SystemParams(), TABLE_A
@@ -87,26 +105,46 @@ def test_problems_that_differ_in_one_argument_have_different_caps(switch):
     assert other.cap == max_achievable_throughput(other.dist, other.params)
 
 
-def test_the_cap_tail_is_read_only():
-    rule, x = Problem(triangular(1e-4), SystemParams()).cap_tail
-    for values in (rule.nodes, rule.weights, x):
+def test_the_cap_state_is_read_only():
+    state = Problem(triangular(1e-4), SystemParams()).cap_state
+    for values in (state.rule.nodes, state.rule.weights, state.x):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.users = 0.0
 
 
 @pytest.mark.parametrize("config", [CONFIG, CONFIG.with_name(
     "low_static.cfg")], ids=lambda path: path.name)
-def test_each_family_meets_a_floor_at_exactly_its_cap(config):
-    # solve at the cap returns policy_for_mu's mu = inf policy, as README
-    # says; FRw, whose cap is its reach at lambda_max, meets its own cap
+def test_each_family_meets_a_floor_at_exactly_its_cap(config, monkeypatch):
+    # solve at the cap returns policy_for_mu's mu = inf policy and the cap
+    # state's metrics with no dual evaluation, as README says; below the
+    # cap it reports the last state that met the floor.  FRw, whose cap is
+    # its reach at lambda_max, meets its own cap
     p, dist = cli._build_context(cli._load_config(str(config)))
     problem = Problem(dist, p)
+    states = []
+    real = optimal._avg_throughput
+    monkeypatch.setattr(optimal, "_avg_throughput", lambda mu, dist, p:
+                        states.append(real(mu, dist, p)) or states[-1])
     for mode in ("exact", "hse"):
         policy, metrics = solve(problem.cap, problem, mode=mode)
         want = optimal.policy_for_mu(math.inf, p, dist.lambda_max, mode)
         assert policy.summary() == want.summary()
         assert list(policy.rows()) == list(want.rows())
         assert metrics.avg_users >= problem.cap
+        assert states == []
+        assert metrics == problem.cap_state.metrics(policy)
+        for fraction in (1e-3, 0.3):
+            u_avg = fraction * problem.cap
+            policy, metrics = solve(u_avg, problem, mode=mode)
+            kept = [state for state in states if state.users >= u_avg][-1]
+            states.clear()
+            assert metrics.avg_users == kept.users
+            assert metrics == kept.metrics(policy)
+            assert policy.mu == kept.mu
+            if mode == "exact":  # hse thresholds come from its closed forms
+                assert policy.criticals == kept.criticals
     for scheme in (suboptimal.frw_ofc, suboptimal.frw_oofc):
         _, metrics = scheme(problem.frw_cap, problem)
         assert metrics.avg_users >= problem.frw_cap

@@ -26,7 +26,7 @@ GALLOP_END = 2.0 ** 261
 
 
 def _throughput(mu, dist, p):
-    return optimal._avg_throughput(mu, dist, p)[0]
+    return optimal._avg_throughput(mu, dist, p).users
 
 
 def _smooth_between(mu_lo, mu_hi, dist, p):
@@ -53,7 +53,7 @@ def _slope_error(static, sleep, alpha, dist_name, fraction):
                 - _throughput(mu - step, dist, p)) / (2.0 * step)
 
     want = (4.0 * central(0.5 * h) - central(h)) / 3.0
-    _, got, _ = optimal._avg_throughput(mu, dist, p)
+    got = optimal._avg_throughput(mu, dist, p).slope
     return (pol.case_tag, abs(got - want) / abs(want),
             _smooth_between(mu - h, mu + h, dist, p))
 
@@ -215,13 +215,13 @@ def test_the_gallop_ends_where_a_dual_evaluation_works(dist_name, alpha,
                                                        static):
     p = SystemParams(pathloss_exp=alpha, static_power=static,
                      max_bs_power=static + 40.0)
-    u, slope, _ = optimal._avg_throughput(GALLOP_END, DISTS[dist_name], p)
-    assert math.isfinite(u) and math.isfinite(slope)
+    state = optimal._avg_throughput(GALLOP_END, DISTS[dist_name], p)
+    assert math.isfinite(state.users) and math.isfinite(state.slope)
 
 
 # One float below the cap, each of these raised InfeasibleError when the
 # bracket doubled mu up to 1e12: u on the rule split at the thresholds
-# rounds 1-2 ulp below the cap tail's.  They are the settings that raised
+# rounds 1-2 ulp below the cap state's.  They are the settings that raised
 # among 200 random draws (numpy seed 5) x three densities.
 @pytest.mark.parametrize("dist_name,alpha,static,max_power,sleep,amp", [
     ("table0", 4.815681979341809, 111.67579533124551, 160.08279332764928,

@@ -1,7 +1,7 @@
 """The model keeps no module-level cache.
 
 State that a computation keeps belongs to the object it is computed from,
-as a ``Problem`` keeps its cap tail and a ``SystemParams`` its derived
+as a ``Problem`` keeps its cap state and a ``SystemParams`` its derived
 constants: a module-level ``functools`` cache grows without bound across
 objects and hashes its key on every call.  ``cli.py`` is the front end, not
 the model; its parser is built once per process.

@@ -700,7 +700,7 @@ class _KernelLog:
 @pytest.fixture
 def kernel_log(monkeypatch):
     log = _KernelLog(suboptimal.max_range_x)
-    # optimal's binding makes the cap tail's call
+    # optimal's binding makes the cap state's call
     for module in (suboptimal, optimal):
         monkeypatch.setattr(module, "max_range_x", log)
     evaluated = []
@@ -738,7 +738,7 @@ def test_feasible_search_stays_batched(kernel_log, scheme):
     if scheme is arw_oofc:
         assert len(kernel_log.sizes) <= 12
     if scheme in (frw_ofc, frw_oofc):
-        # the cap tail: the capped x on the full rule and at lambda_max
+        # the cap state: the capped x on the full rule and at lambda_max
         full = gauss_legendre(dist, 0.0, dist.lambda_max).nodes.size
         assert kernel_log.sizes == [full + 1]
 
@@ -747,7 +747,7 @@ def test_arw_ofc_kernel_calls_stay_bounded_on_the_grid(kernel_log):
     # the level search it replaced made 7,999 kernel calls on this 288-case
     # grid, 82 in its costliest call; the level search on a float grid,
     # 6,249 and 49; the search in the share's log, 6,179 and 47.  Each
-    # count leaves out the cap tail, built once per problem
+    # count leaves out the cap state, built once per problem
     worst = total = 0
     for pc in (20.0, 42.5, 60.0, 100.0, 120.0, 140.0):
         for alpha in (3.0, 3.7):
