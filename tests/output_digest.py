@@ -15,6 +15,11 @@ output file, its manifest and what the command wrote to stdout.  Reprs,
 not values, are hashed, so a float that turns into a numpy scalar changes
 the digest.  Two checkouts on one host that print the same digest give
 the same outputs.  The CLI files are written to a temporary directory.
+
+Below the total line it prints one digest per section: the solver reprs,
+the CLI ``solve``/``sweep``/``schemes`` files and the CLI
+``validate-scaling`` files.  A change to one section can so show that the
+others are bit-identical; the total line reads as it always has.
 """
 
 from __future__ import annotations
@@ -102,15 +107,28 @@ def main() -> int:
         raise SystemExit(f"imported {greencell.__file__}, not {ROOT}/src: "
                          "run from the root of a checkout")
     digest = hashlib.sha256()
-    reprs = files = 0
+    sections = {name: hashlib.sha256() for name in
+                ("solver reprs", "cli solve/sweep/schemes",
+                 "cli validate-scaling")}
+    counts = dict.fromkeys(sections, 0)
+
+    def add(section: str, data: bytes) -> None:
+        digest.update(data)
+        sections[section].update(data)
+        counts[section] += 1
+
     for text in solver_reprs():
-        digest.update(text.encode() + b"\n")
-        reprs += 1
+        add("solver reprs", text.encode() + b"\n")
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in cli_files(Path(tmp)):
-            digest.update(name.encode() + b"\0" + data)
-            files += 1
+            section = ("cli validate-scaling" if "-validate-scaling." in name
+                       else "cli solve/sweep/schemes")
+            add(section, name.encode() + b"\0" + data)
+    reprs = counts["solver reprs"]
+    files = counts["cli solve/sweep/schemes"] + counts["cli validate-scaling"]
     print(f"{digest.hexdigest()}  {reprs} reprs, {files} CLI outputs")
+    for name, section in sections.items():
+        print(f"{section.hexdigest()}  {name} ({counts[name]})")
     return 0
 
 

@@ -414,13 +414,28 @@ def test_simulate_total_power_rejects_no_trials(trials):
                                    mcsim.make_rng(0))
 
 
-# the runs of users are drawn from Philox copies positioned by counter
-@pytest.mark.parametrize("rng", [
-    np.random.default_rng(0), np.random.Generator(np.random.MT19937(0)),
-    np.random.RandomState(0)], ids=["pcg64", "mt19937", "random_state"])
-def test_simulate_total_power_takes_only_a_philox_generator(rng):
-    with pytest.raises(TypeError, match="make_rng"):
-        mcsim.simulate_total_power(1e-5, 1000.0, P, 10, rng)
+# any numpy Generator draws the users, each from its own stream; a legacy
+# RandomState is no Generator
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.Philox, np.random.MT19937],
+    ids=["pcg64", "philox", "mt19937"])
+def test_simulate_total_power_takes_any_numpy_generator(bit_generator):
+    lam, radius, trials = 1e-5, 1000.0, 10
+    est = mcsim.simulate_total_power(lam, radius, P, trials,
+                                     np.random.Generator(bit_generator(0)))
+    replay = np.random.Generator(bit_generator(0))
+    counts = replay.poisson(lam * math.pi * radius ** 2, trials)
+    dist = radius * np.sqrt(replay.random(int(counts.sum())))
+    sums = [float(np.sum(scaling.stpc_power(users, float(users.size), P)))
+            if users.size else 0.0
+            for users in np.split(dist, np.cumsum(counts)[:-1])]
+    assert est.mean == pytest.approx(np.mean(sums), rel=1e-12)
+
+
+def test_simulate_total_power_rejects_a_random_state():
+    with pytest.raises(TypeError, match="Generator"):
+        mcsim.simulate_total_power(1e-5, 1000.0, P, 10,
+                                   np.random.RandomState(0))
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0])

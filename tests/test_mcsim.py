@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -155,20 +154,22 @@ class TestPieces:
         assert got == want
 
     def test_last_user_before_trailing_empty_trials_counts(self):
-        trials, lam, radius, seed = 20, 1e-6, 500.0, 0
-        counts = make_rng(seed).poisson(lam * math.pi * radius ** 2, trials)
-        last = int(np.flatnonzero(counts)[-1])
-        assert last < trials - 1 and counts[last] >= 2
-        rng = make_rng(seed)
-        rng.poisson(lam * math.pi * radius ** 2, trials)
-        dist = radius * np.sqrt(rng.random(int(counts.sum())))
-        sums, start = [], 0
+        # a two-user trial followed by two empty ones: clipping their
+        # offsets to the last element would drop the trial's last user
+        counts = np.array([0, 3, 0, 2, 0, 0])
+        radius = 500.0
+        dist = radius * np.sqrt(make_rng(0).random(int(counts.sum())))
+        want, start = [], 0
         for n in counts:
-            sums.append(float(np.sum(stpc_power(dist[start:start + n],
+            want.append(float(np.sum(stpc_power(dist[start:start + n],
                                                 float(n), P))) if n else 0.0)
             start += n
-        est = simulate_total_power(lam, radius, P, trials, make_rng(seed))
-        assert est.mean == pytest.approx(np.mean(sums), rel=1e-12)
+        for piece in (1, 3, 4, 1 << 16):
+            out = np.zeros(counts.size)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mcsim, "_PIECE_USERS", piece)
+                mcsim._trial_sums(out, counts, radius, P, make_rng(0))
+            np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
 
     @given(piece=st.sampled_from([1, 7, 1 << 10, 1 << 16, 1 << 40]),
            lam=st.floats(0.0, 5e-5), radius=st.floats(0.0, 500.0),
@@ -228,11 +229,40 @@ class TestPieces:
             pieces += users > 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mcsim, "_PIECE_USERS", piece)
-            mp.setattr(mcsim, "_workers", lambda: 1)
             mp.setattr(mcsim, "_edge_fraction", counting)
             simulate_total_power(lam, radius, P, trials, make_rng(21))
         assert sum(sizes) == sum(int(c.sum()) for c in chunk_counts)
         assert len(sizes) == pieces and 0 not in sizes
+
+    @pytest.mark.parametrize("prefix", [0, 1])
+    def test_rng_ends_past_each_chunks_counts_and_users(self, prefix):
+        # validate-scaling draws its whole grid from one generator: each
+        # op leaves it where drawing every chunk's counts and then all of
+        # its users at once would
+        rng, replay = make_rng(31), make_rng(31)
+        for gen in (rng, replay):
+            gen.integers(0, 10, size=prefix, dtype=np.uint32)
+        for lam, radius, trials in [(5e-5, 500.0, 45_000),
+                                    (2e-7, 500.0, 30_000),
+                                    (1e-5, 0.0, 20_000),
+                                    (1e-5, 1000.0, 1)]:
+            simulate_total_power(lam, radius, P, trials, rng)
+            for done in range(0, trials, 20_000):
+                counts = replay.poisson(lam * math.pi * radius ** 2,
+                                        min(20_000, trials - done))
+                replay.random(int(counts.sum()))
+        assert rng.bit_generator.state == replay.bit_generator.state
+        assert rng.random(4).tolist() == replay.random(4).tolist()
+
+    def test_largest_validate_op_starts_no_thread(self):
+        # perfbench times one CPU and traces one span stack, so an op must
+        # run on the calling thread alone
+        started = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(threading.Thread, "start",
+                       lambda thread: started.append(thread))
+            simulate_total_power(5e-5, 2000.0, P, 20_000, make_rng(1))
+        assert started == []
 
     def test_memory_stays_bounded(self):
         # 12.6M users in one chunk: whole-chunk arrays peak near 600 MB.
@@ -247,145 +277,6 @@ class TestPieces:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * 2 ** 20
-
-
-def philox_fields(rng):
-    """Every field of a Philox generator's state, arrays as lists."""
-    state = rng.bit_generator.state
-    return {"counter": state["state"]["counter"].tolist(),
-            "key": state["state"]["key"].tolist(),
-            "buffer": state["buffer"].tolist(),
-            "buffer_pos": state["buffer_pos"],
-            "has_uint32": state["has_uint32"],
-            "uinteger": state["uinteger"]}
-
-
-class TestRuns:
-    """One run of trials per CPU, each from a Philox positioned in the one
-    stream, leaves every estimate and the stream bit-identical."""
-
-    @pytest.mark.parametrize("trials", [20_000, 45_000])
-    def test_worker_count_is_invisible(self, trials):
-        # more workers than cores, switching threads as often as it can
-        seen = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 3, 5):
-                rng = make_rng(1234)
-                rng.random(3)  # a part-used block
-                rng.integers(0, 10, dtype=np.uint32)  # a buffered 32-bit half
-                assert rng.bit_generator.state["has_uint32"] == 1
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(mcsim, "_workers", lambda: workers)
-                    ests = [simulate_total_power(lam, radius, P, trials, rng)
-                            for radius, lam in VALIDATE_GRID]
-                seen[workers] = (ests, philox_fields(rng))
-        finally:
-            sys.setswitchinterval(interval)
-        for workers in (2, 3, 5):
-            assert seen[workers] == seen[1], workers
-
-    @pytest.mark.parametrize("offset", [*range(13), *range(4_095, 4_100),
-                                        65_536])
-    @pytest.mark.parametrize("pos", range(5))
-    def test_seek_matches_sequential_draws(self, pos, offset):
-        bg = np.random.Philox(77)
-        bg.random_raw(8 + pos)  # a block read up to pos (4 for pos 0)
-        state = bg.state
-        state["buffer_pos"] = pos  # pos 0: a block generated, none read
-        state["has_uint32"], state["uinteger"] = 1, 123_456_789
-        want = np.random.Generator(np.random.Philox(0))
-        want.bit_generator.state = state
-        want.bit_generator.random_raw(offset)
-        got = np.random.Generator(
-            mcsim._seek(np.random.Philox(0), state, offset))
-        assert philox_fields(got) == philox_fields(want)
-        assert got.bit_generator.random_raw(9).tolist() == \
-            want.bit_generator.random_raw(9).tolist()
-
-    def test_a_failing_helper_raises_in_the_caller(self):
-        class Boom(Exception):
-            pass
-
-        calls = []
-        raised = threading.Event()
-
-        def failing(uniforms, radius, p):
-            if threading.current_thread() is threading.main_thread():
-                # the caller waits, so the helper takes two pieces however
-                # late it starts
-                raised.wait(timeout=60)
-            else:
-                calls.append(None)
-                if len(calls) == 2:
-                    raised.set()
-                    raise Boom
-            return edge_fraction(uniforms, radius, p)
-
-        before = threading.active_count()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mcsim, "_workers", lambda: 2)
-            mp.setattr(mcsim, "_edge_fraction", failing)
-            with pytest.raises(Boom):
-                simulate_total_power(5e-5, 1000.0, P, 20_000, make_rng(3))
-        assert len(calls) == 2
-        assert threading.active_count() == before
-
-    def test_a_chunk_of_few_pieces_stays_on_the_calling_thread(self):
-        # 251k users, under 8 full pieces: whole pieces, no helper
-        seen = []
-
-        def recording(uniforms, radius, p):
-            seen.append((threading.current_thread(), np.size(uniforms)))
-            return edge_fraction(uniforms, radius, p)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mcsim, "_workers", lambda: 2)
-            mp.setattr(mcsim, "_edge_fraction", recording)
-            simulate_total_power(1e-6, 2000.0, P, 20_000, make_rng(6))
-        assert {thread for thread, _ in seen} == {threading.main_thread()}
-        assert max(size for _, size in seen) > mcsim._PIECE_USERS // 2
-
-    def test_a_late_helper_leaves_its_share_to_the_caller(self):
-        # the caller waits until the helper has taken a piece, then the
-        # helper waits on it until the caller has drawn every other piece:
-        # the caller takes them all, and the estimate and the stream are
-        # those of one worker
-        def run(kernel=edge_fraction, workers=2):
-            rng = make_rng(8)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mcsim, "_workers", lambda: workers)
-                mp.setattr(mcsim, "_edge_fraction", kernel)
-                est = simulate_total_power(5e-5, 1000.0, P, 20_000, rng)
-            return est, philox_fields(rng)
-
-        sizes = []
-
-        def counting(uniforms, radius, p):
-            sizes.append(np.size(uniforms))
-            return edge_fraction(uniforms, radius, p)
-
-        run(counting)
-        pieces = len(sizes)
-        assert pieces > 8 * 2
-        caller, helper = [], []
-        helper_in, others_done = threading.Event(), threading.Event()
-
-        def holding(uniforms, radius, p):
-            if threading.current_thread() is threading.main_thread():
-                assert helper_in.wait(timeout=60)
-                caller.append(None)
-                if len(caller) == pieces - 1:
-                    others_done.set()
-            else:
-                helper_in.set()
-                assert others_done.wait(timeout=60)
-                helper.append(None)
-            return edge_fraction(uniforms, radius, p)
-
-        assert run(holding) == run(workers=1)
-        assert (len(caller), len(helper)) == (pieces - 1, 1)
 
 
 R0 = P.ref_distance
