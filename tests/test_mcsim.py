@@ -279,6 +279,51 @@ class TestPieces:
         assert peak <= 1.75 * 2 ** 20
 
 
+class TestRuns:
+    """A chunk's users are drawn piece by piece on the calling thread, each
+    piece reaching its place in the stream by following the one before."""
+
+    @pytest.mark.parametrize("offset", [*range(13), *range(4_095, 4_100),
+                                        65_536])
+    @pytest.mark.parametrize("pos", range(5))
+    def test_seek_matches_sequential_draws(self, pos, offset):
+        # a piece that starts `offset` users into the chunk, on a generator
+        # `pos` 32-bit halves in, reads the draws that follow the first
+        # `offset` users of one sequential draw, neither skipping nor
+        # repeating any; a light user rate keeps 2^16 users in one trial
+        # under the load guard
+        counts = np.array([offset, 9])
+        radius, p = 500.0, SystemParams(user_rate=1e3)
+        rng, replay = make_rng(77), make_rng(77)
+        for gen in (rng, replay):
+            gen.integers(0, 10, size=pos, dtype=np.uint32)
+        out = np.zeros(counts.size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_PIECE_USERS", max(offset, 1))
+            mcsim._trial_sums(out, counts, radius, p, rng)
+        dist = radius * np.sqrt(replay.random(offset + 9))
+        want = [float(np.sum(stpc_power(users, float(users.size), p)))
+                if users.size else 0.0
+                for users in (dist[:offset], dist[offset:])]
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        assert rng.random(9).tolist() == replay.random(9).tolist()
+
+    def test_a_chunk_of_few_pieces_stays_on_the_calling_thread(self):
+        # 251k users, under 8 full pieces: whole pieces, no other thread
+        seen = []
+
+        def recording(uniforms, radius, p):
+            seen.append((threading.current_thread(), np.size(uniforms)))
+            return edge_fraction(uniforms, radius, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_edge_fraction", recording)
+            simulate_total_power(1e-6, 2000.0, P, 20_000, make_rng(6))
+        assert {thread for thread, _ in seen} == {threading.main_thread()}
+        assert max(size for _, size in seen) > mcsim._PIECE_USERS // 2
+
+
 R0 = P.ref_distance
 # stpc_power(R) * share against stpc_power(R sqrt(v)): measured at most
 # 6.2e-15 relative over 159M draws (worst at alpha = 6, R = 2,000 m and v
