@@ -37,6 +37,7 @@ _DIST_KEYS = {"lambda_max", "density_csv"}
 # the root tolerances that set a solve or scheme output, by manifest key:
 # the module and name of each constant, read when a manifest is written
 TOLERANCES = {"dual_tol": (optimal, "DUAL_TOL"),
+              "dual_grain": (optimal, "DUAL_GRAIN"),
               "threshold_tol": (optimal, "THRESHOLD_TOL"),
               "newton_step_tol": (numerics, "NEWTON_STEP_TOL"),
               "cut_tol": (suboptimal, "_CUT_TOL"),

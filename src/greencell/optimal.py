@@ -22,7 +22,7 @@ from .numerics import (QuadratureRule, as_arrays, as_densities,
 from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
 from .scaling import (_cap_law, _curve_x, _stationary_law, bs_power_x,
-                      max_range_x)
+                      max_range_x, transmit_power_x)
 from .traffic import DensityDistribution
 
 
@@ -486,6 +486,43 @@ class Problem:
         return DualState(math.inf, u, 0.0, CriticalDensities(0.0, 0.0, 0.0),
                          rule, x[:-1], float(x[-1]))
 
+    @cached_property
+    def mu0(self) -> float:
+        """The switch-on price: at mu <= mu0 every policy is off and u = 0.
+        It is the least watts per served user at lambda_max,
+        (a Pt(x, lambda_max) + Pc - Ps) / (pi lambda_max x) over
+        0 < x <= ``x_cap``, and 0 when Pc = Ps.  With y = d3 pi lambda_max x,
+        h = alpha/2 and E = 1 - e^-y, the ratio's stationary point solves
+        A y^h e^y (y + (h - 1) E) = Pc - Ps, A = a d1 / (d3 pi lambda_max)^h,
+        whose log is convex and increasing in log y.  As h y <= y + (h - 1) E
+        <= h y e^y, the root lies below where A h y^(h+1) reaches Pc - Ps,
+        and, once log((Pc - Ps) / A) >= 1, below y = log((Pc - Ps) / A);
+        Newton in log y (``bracketed_newton``) descends onto it from there.
+        The ratio falls up to that point, so past ``x_cap`` it is read at
+        ``x_cap``."""
+        p, m = self.params, self.dist.lambda_max
+        room = p.static_power - p.sleep_power
+        if room == 0.0:
+            return 0.0
+        c = derive_constants(p)
+        h, qp = 0.5 * p.pathloss_exp, c.d3 * math.pi * m
+        log_r = math.log(room / (p.amp_scaling * c.d1)) + h * math.log(qp)
+
+        def law(s):  # log of the left side over A, less log_r; slope in s
+            y = math.exp(s)
+            t = y - (h - 1.0) * math.expm1(-y)
+            return h * s + y + math.log(t) - log_r, h + y * (h + y) / t
+
+        s_small = (log_r - math.log(h)) / (h + 1.0)
+        s = min(s_small, math.log(log_r)) if log_r >= 1.0 else s_small
+        g, slope = law(s)
+        if g > 0.0:  # else at the root by rounding
+            s = bracketed_newton(law, s, s_small - math.exp(s) / (h + 1.0),
+                                 s - g / slope, THRESHOLD_TOL)
+        x = min(math.exp(s) / qp, self.x_cap)
+        return ((p.amp_scaling * float(transmit_power_x(x, m, p)) + room)
+                / (math.pi * m * x))
+
     @property
     def cap(self) -> float:
         """Throughput at the cap everywhere: ``solve``'s and ARw's bound."""
@@ -518,8 +555,14 @@ def max_achievable_throughput(dist, p: Optional[SystemParams] = None) -> float:
     return (dist if p is None else Problem(dist, p)).cap
 
 
-# the dual search stops within this distance in log mu
+# the dual search stops within this distance in log mu, and its bracket
+# within this in t = log(mu - mu0)
 DUAL_TOL = 1e-13
+# prices this close in log mu are not told apart: u's rounding, mostly the
+# thresholds' (THRESHOLD_TOL in log y), moves u by up to about half as much
+DUAL_GRAIN = 3e-15
+# the first price is mu0 (1 + DUAL_FIRST), or 1 where mu0 = 0
+DUAL_FIRST = 0.3
 
 
 def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
@@ -529,63 +572,124 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
 
     A floor at the cap, the feasibility bound (``Problem.cap``), is met
     only by the policy at the cap everywhere, mu = inf: its state is
-    ``Problem.cap_state``, with no dual evaluation.  Below the cap the dual
-    variable mu is bracketed by a gallop from 1 (below 1, down to the least
-    normal float, unevaluated: u(0) = 0 is below every target): mu doubles
-    to 64, then its step in log mu doubles up to 2^261, where u is flat; a
-    floor not met there is within rounding of the cap, and the cap state
-    meets it.  Else mu is found by Newton steps in t = log mu on
-    H(t) = log(cap - ``u_avg``) - log(cap - u(mu)).  Near the cap, cap - u
-    falls like a power of mu, so H is close to linear in t; at low load H
-    is close to (u - ``u_avg``) / (cap - ``u_avg``).  H >= 0 exactly when
-    u >= ``u_avg``, and its slope mu du/dmu / (cap - u) comes from the
-    exact du/dmu of each dual evaluation (``_avg_throughput``); where u
-    reaches the cap by rounding, H is inf and carries no slope.  The steps
-    are safeguarded by the bracket (``bracketed_newton``) and start from
-    the bracket end nearer the floor, to within ``DUAL_TOL`` in log mu.
-    The result is the last evaluated state on the floor's satisfied side,
-    or the cap state, so the reported throughput is never below ``u_avg``,
-    and the policy and metrics read it: no kernel runs after the search.
+    ``Problem.cap_state``, with no dual evaluation.  So is a floor within an
+    ulp of the cap: there a dual evaluation, on the rule split at the
+    thresholds, rounds 1-2 ulps below the cap state's throughput, and
+    whether a finite mu meets the floor is left to rounding.
+
+    Below that, the dual variable mu is searched above the switch-on price
+    ``Problem.mu0``, where every policy is off (u = 0 there is below every
+    target, and no price at or below mu0 is evaluated), in
+    t = log(mu - mu0), on H = log1p((u - ``u_avg``) / ``u_avg``)
+    + log1p((u - ``u_avg``) / (cap - u)), which is logit(u / cap) -
+    logit(``u_avg`` / cap).  Near mu0, u grows like a power of mu - mu0,
+    and near the cap, cap - u falls like a power of mu, so H is close to
+    linear in t at both ends.  H >= 0 exactly when u >= ``u_avg``, and its
+    slope (mu - mu0) du/dmu (1/u + 1/(cap - u)) comes from the exact
+    du/dmu of each dual evaluation (``_avg_throughput``); where u reaches
+    the cap by rounding, H is inf and carries no slope.
+
+    A gallop in mu - mu0 brackets the floor: from ``DUAL_FIRST`` mu0 (1
+    where mu0 = 0) it doubles to 64, then its step in log doubles, or it
+    takes Newton's step in t where that is longer, up to mu = 2^261, where
+    u is flat; a floor not met there is within rounding of the cap, and the
+    cap state meets it.  Then Newton steps in t start from the bracket end
+    nearer the floor, safeguarded by the bracket (``bracketed_newton``, to
+    ``DUAL_TOL`` in t), which they halve where a step is not half the one
+    two points before.  They stop at a u on the floor's side whose Newton
+    step is within ``DUAL_TOL`` in log mu and 10 ``DUAL_TOL`` in t, or once
+    mu is resolved: a price nearer than ``DUAL_GRAIN`` in log mu to an end
+    of the bracket moves that far inside it, and the search ends where no
+    such price is left, at a Newton step within ``DUAL_GRAIN``, or once
+    both ends of the bracket are within 2 ulps of the floor.  The result is
+    the last evaluated state on the floor's satisfied side, or the cap
+    state, so the reported throughput is never below ``u_avg``, and the
+    policy and metrics read it: no kernel runs after the search.
     """
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
     problem = dist if p is None else Problem(dist, p)
     dist, p, cap = problem.dist, problem.params, problem.cap
     problem.check(u_avg)
-    # the latest evaluation with u >= u_avg; at first the cap's
-    state = problem.cap_state
+    mu0 = problem.mu0
+    # the latest evaluation with u >= u_avg, at first the cap's, and the
+    # greatest price with u < u_avg and its u, at first mu0 (or the least
+    # normal float) and 0
+    state, below, u_below = problem.cap_state, mu0 or sys.float_info.min, 0.0
+    tie = 2.0 * math.ulp(u_avg)  # u this near u_avg is u_avg within rounding
 
     def gap(mu: float) -> tuple:
-        """H and its slope in log mu."""
-        nonlocal state
-        at = _avg_throughput(mu, dist, p)
-        if at.users >= u_avg:
+        """H at mu, or at the nearest price DUAL_GRAIN inside the bracket,
+        and its slope in t; or (0, None), which ends the search, once mu is
+        resolved."""
+        nonlocal state, below, u_below
+        lo, hi = below * (1.0 + DUAL_GRAIN), state.mu * (1.0 - DUAL_GRAIN)
+        if not lo < hi:
+            return 0.0, None
+        at = _avg_throughput(min(max(mu, lo), hi), dist, p)
+        u, mu = at.users, at.mu
+        if u < u_avg:
+            below, u_below = mu, u
+        else:
             state = at
-        room = cap - at.users
+        if state.users - u_avg <= tie and u_avg - u_below <= tie:
+            return 0.0, None
+        room = cap - u
         if room <= 0.0:  # u at the cap by rounding
             return math.inf, 0.0
-        # log1p keeps H's sign that of u - u_avg, whatever the rounding;
-        # where the ratio rounds to -1, u is far below u_avg < cap
-        ratio = (at.users - u_avg) / room
-        return (math.log1p(ratio) if ratio > -1.0
-                else math.log((cap - u_avg) / room),
-                None if at.slope is None else mu * at.slope / room)
+        if u <= 0.0:  # off everywhere by rounding
+            return -math.inf, 0.0
+        # each log1p keeps its sign that of u - u_avg, whatever the
+        # rounding; where a ratio rounds to -1, u is far below u_avg
+        low, high = (u - u_avg) / u_avg, (u - u_avg) / room
+        h = ((math.log1p(low) if low > -1.0
+              else math.log(u) - math.log(u_avg))
+             + (math.log1p(high) if high > -1.0
+                else math.log((cap - u_avg) / room)))
+        if at.slope is None:
+            return h, None
+        d = mu - mu0
+        slope = d * at.slope * (1.0 / u + 1.0 / room)
+        # the Newton step's bound in log mu: DUAL_TOL, or 10 DUAL_TOL in t
+        # where that is finer, near mu0, where u grows like (mu - mu0)^k and
+        # it holds the over-delivery to about k 1e-12; never below the grain
+        tol = max(DUAL_GRAIN, DUAL_TOL * min(1.0, 10.0 * d / mu))
+        if 0.0 < h <= tol * mu / d * slope:
+            return 0.0, None
+        return h, slope
 
-    if u_avg < cap:
-        lo, h_lo, s_lo, hi = sys.float_info.min, -math.inf, 0.0, 1.0
-        h_hi, s_hi = gap(hi)
-        while h_hi < 0.0 and hi < 2.0 ** 261:
-            lo, h_lo, s_lo = hi, h_hi, s_hi
-            hi = 2.0 * hi if hi < 64.0 else hi * hi / 32.0
-            h_hi, s_hi = gap(hi)
-        if h_hi >= 0.0:
+    if cap - u_avg > math.ulp(cap):
+        # the gallop in d = mu - mu0; the bracket's lower end is unevaluated
+        top = 2.0 ** 261  # where the gallop ends
+        d_lo, h_lo, s_lo = mu0 * DUAL_GRAIN or below, -math.inf, 0.0
+        d_hi = DUAL_FIRST * mu0 or 1.0
+        h_hi, s_hi = gap(mu0 + d_hi)
+        while h_hi < 0.0 and mu0 + d_hi < top:
+            d_lo, h_lo, s_lo = d_hi, h_hi, s_hi
+            t_hi = math.log(2.0 * d_hi if d_hi < 64.0 else d_hi * d_hi / 32.0)
+            if s_hi and h_hi > -math.inf:
+                t_hi = max(t_hi, math.log(d_hi) - h_hi / s_hi)
+            d_hi = min(math.exp(min(t_hi, math.log(top))), top - mu0)
+            h_hi, s_hi = gap(mu0 + d_hi)
+        if h_hi > 0.0:
             # Newton's first step from the end nearer the floor, else from
             # the other; with neither inside, bracketed_newton halves
-            t_lo, t_hi = math.log(lo), math.log(hi)
+            t_lo, t_hi = math.log(d_lo), math.log(d_hi)
             ends = sorted([(t_lo, h_lo, s_lo), (t_hi, h_hi, s_hi)],
                           key=lambda end: abs(end[1]))
             starts = [t - h / s if s else math.nan for t, h, s in ends]
-            bracketed_newton(lambda t: gap(math.exp(t)), t_hi, t_lo,
+            steps = []  # the length of Newton's step from each point
+
+            def newton(t: float) -> tuple:
+                """gap at t; a zero slope, and so a halving, where Newton's
+                step is not half the one two points before."""
+                h, slope = gap(mu0 + math.exp(t))
+                steps.append(abs(h / slope) if slope else math.inf)
+                if len(steps) > 2 and steps[-1] > 0.5 * steps[-3]:
+                    return h, 0.0
+                return h, slope
+
+            bracketed_newton(newton, t_hi, t_lo,
                              next((t for t in starts if t_lo < t < t_hi),
                                   math.nan), DUAL_TOL)
     policy = AdaptationPolicy(state.mu, state.criticals, mode,

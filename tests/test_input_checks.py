@@ -143,6 +143,7 @@ def test_manifest_records_mode(tmp_path, capsys):
     for manifest in (exact, hse, sweep, schemes):
         assert manifest["tolerances"] == {
             "dual_tol": optimal.DUAL_TOL,
+            "dual_grain": optimal.DUAL_GRAIN,
             "threshold_tol": optimal.THRESHOLD_TOL,
             "newton_step_tol": numerics.NEWTON_STEP_TOL,
             "cut_tol": suboptimal._CUT_TOL,
