@@ -5,14 +5,18 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from . import __version__, mcsim, numerics, optimal, scaling, suboptimal
 from .params import (InvalidParameterError, SystemParams, config_float,
@@ -143,11 +147,25 @@ def _tolerances() -> dict:
             for key, (module, name) in TOLERANCES.items()}
 
 
+@lru_cache(maxsize=1)
+def _source_sha256() -> str:
+    """SHA-256 of the package's ``.py`` files, each its name and its bytes,
+    in sorted name order: read once a process."""
+    package = Path(__file__).parent
+    digest = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        digest.update(name.encode() + b"\0")
+        digest.update((package / name).read_bytes())
+    return digest.hexdigest()
+
+
 def _write_manifest(args, params: SystemParams, dist: DensityDistribution,
                     tolerances: dict) -> None:
     """Write ``args.out``'s manifest: everything needed to reproduce the
-    output byte for byte.  Every flag but the paths is an option; the
-    config stands in the manifest as the params and density it gave."""
+    output byte for byte on one numpy build and CPU feature set.  Every
+    flag but the paths is an option; the config stands in the manifest as
+    the params and density it gave, and the code as the hash of its
+    source."""
     if args.out is None:
         return
     options = {k: v for k, v in vars(args).items()
@@ -155,7 +173,8 @@ def _write_manifest(args, params: SystemParams, dist: DensityDistribution,
     manifest = {"command": args.command, "params": dataclasses.asdict(params),
                 "distribution": dist.describe(),
                 "seed": getattr(args, "seed", None), "tolerances": tolerances,
-                "version": __version__, "options": options}
+                "version": __version__, "source_sha256": _source_sha256(),
+                "numpy_version": np.__version__, "options": options}
     Path(args.out + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

@@ -3,9 +3,13 @@
 import functools
 import json
 import math
+import os
 import re
+import shutil
+import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,44 @@ def test_manifest_tells_density_tables_apart(tmp_path, capsys):
     assert a != b
 
 
+def test_manifest_changes_with_the_source(tmp_path):
+    # a constant edited in a copy of the package changes validate-scaling's
+    # bytes, and its manifest with them; an unedited copy writes the same
+    # manifest and output as the package itself
+    package = Path(cli.__file__).resolve().parent
+
+    def copy(name, old="", new=""):
+        tree = tmp_path / name
+        shutil.copytree(package, tree / "greencell",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = tree / "greencell" / "mcsim.py"
+        text = source.read_text()
+        assert old in text
+        source.write_text(text.replace(old, new))
+        return tree
+
+    def run(tree, name):
+        out = tmp_path / f"{name}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "greencell.cli", "validate-scaling",
+             "--trials", "20", "--radii", "500", "--densities", "1e-5",
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(tree)}, cwd=tmp_path,
+            capture_output=True)
+        assert done.returncode in (EXIT_OK, cli.EXIT_VALIDATION_FAILED)
+        return out.read_bytes(), json.loads(
+            (tmp_path / f"{name}.csv.manifest.json").read_text())
+
+    output, manifest = run(package.parent, "package")
+    assert run(copy("same"), "same") == (output, manifest)
+    edited_output, edited_manifest = run(
+        copy("edited", "_TRIAL_CHUNK = 20_000", "_TRIAL_CHUNK = 7"), "edited")
+    assert edited_output != output
+    assert {k for k in manifest if edited_manifest[k] != manifest[k]} == {
+        "source_sha256"}
+    assert manifest["numpy_version"] == np.__version__
+
+
 def test_table_digest_ignores_row_order_and_scale(tmp_path):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     first.write_text("0,1\n5e-5,2\n1e-4,1\n")
@@ -425,7 +467,8 @@ def test_simulate_total_power_takes_any_numpy_generator(bit_generator):
     est = mcsim.simulate_total_power(lam, radius, P, trials,
                                      np.random.Generator(bit_generator(0)))
     replay = np.random.Generator(bit_generator(0))
-    counts = replay.poisson(lam * math.pi * radius ** 2, trials)
+    counts = mcsim._poisson_counts(lam * math.pi * radius ** 2, trials, P,
+                                   replay)
     dist = radius * np.sqrt(replay.random(int(counts.sum())))
     sums = [float(np.sum(scaling.stpc_power(users, float(users.size), P)))
             if users.size else 0.0

@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
 from greencell import mcsim
 from greencell.mcsim import (McEstimate, _edge_fraction as edge_fraction,
                              make_rng, simulate_total_power)
-from greencell.params import SystemParams
-from greencell.scaling import (PowerOverflowError, avg_transmit_power_exact,
-                               stpc_power)
+from greencell.params import SystemParams, derive_constants
+from greencell.scaling import (EXPONENT_GUARD_BITS, PowerOverflowError,
+                               avg_transmit_power_exact, stpc_power)
 from oracles import sample_users, simulate_outage
 
 P = SystemParams()
@@ -86,8 +87,10 @@ class TestSimulateTotalPower:
 def whole_chunk_oracle(density, radius, p, trials, rng, per_user_load=False):
     """The whole-chunk simulator: every user of a 20k-trial chunk at once.
 
-    The same stream order as ``simulate_total_power`` (a chunk's counts,
-    then its uniforms) and the same arithmetic: each uniform v turned into
+    The same stream order as ``simulate_total_power`` (a chunk's counts
+    from ``mcsim._poisson_counts``, then its uniforms) and the same
+    arithmetic, with one ``stpc_power`` call per trial where the simulator
+    reads a per-count table: each uniform v turned into
     its share exp(alpha/2 log max(v, (r0 / max(R, r0))^2)) of the edge
     power, one ``reduceat`` over the chunk, and each non-empty trial's sum
     scaled by its edge power stpc_power(R, n).  The offsets are the start
@@ -103,7 +106,7 @@ def whole_chunk_oracle(density, radius, p, trials, rng, per_user_load=False):
     done = 0
     while done < trials:
         chunk = min(20_000, trials - done)
-        counts = rng.poisson(mean_count, chunk)
+        counts = mcsim._poisson_counts(mean_count, chunk, p, rng)
         total = int(counts.sum())
         if total:
             busy = counts > 0
@@ -214,8 +217,8 @@ class TestPieces:
         rng = make_rng(21)
         chunk_counts = []
         for done in range(0, trials, 20_000):
-            counts = rng.poisson(lam * math.pi * radius ** 2,
-                                 min(20_000, trials - done))
+            counts = mcsim._poisson_counts(lam * math.pi * radius ** 2,
+                                           min(20_000, trials - done), P, rng)
             rng.random(int(counts.sum()))
             chunk_counts.append(counts)
         pieces = 0
@@ -248,8 +251,9 @@ class TestPieces:
                                     (1e-5, 1000.0, 1)]:
             simulate_total_power(lam, radius, P, trials, rng)
             for done in range(0, trials, 20_000):
-                counts = replay.poisson(lam * math.pi * radius ** 2,
-                                        min(20_000, trials - done))
+                counts = mcsim._poisson_counts(lam * math.pi * radius ** 2,
+                                               min(20_000, trials - done), P,
+                                               replay)
                 replay.random(int(counts.sum()))
         assert rng.bit_generator.state == replay.bit_generator.state
         assert rng.random(4).tolist() == replay.random(4).tolist()
@@ -277,6 +281,123 @@ class TestPieces:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * 2 ** 20
+
+    def test_one_edge_power_call_per_chunk(self):
+        # each chunk's edge powers come from one stpc_power call over the
+        # counts 1..max(counts), never from one call or element per trial;
+        # a count of the calls, so it holds however fast the host runs
+        calls, chunk_max = [], []
+        draw_counts = mcsim._poisson_counts
+
+        def recording_counts(*args):
+            counts = draw_counts(*args)
+            chunk_max.append(int(counts.max()))
+            return counts
+
+        def recording_power(distance, n_users, p):
+            calls.append(max(np.size(distance), np.size(n_users)))
+            return stpc_power(distance, n_users, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_poisson_counts", recording_counts)
+            mp.setattr(mcsim, "stpc_power", recording_power)
+            simulate_total_power(5e-5, 2000.0, P, 45_000, make_rng(3))
+        assert len(calls) == len(chunk_max) == 3
+        assert all(size <= most for size, most in zip(calls, chunk_max))
+
+
+def _pooled(observed, expected, least=5.0):
+    """Adjacent bins merged from the left until each expects >= ``least``;
+    what is left over joins the last bin."""
+    obs, exp, o, e = [], [], 0.0, 0.0
+    for a, b in zip(observed, expected):
+        o, e = o + a, e + b
+        if e >= least:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0.0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    return np.array(obs), np.array(exp)
+
+
+class TestPoissonCounts:
+    """Each chunk's counts: one multinomial histogram over a window of the
+    Poisson pmf, expanded in ascending order."""
+
+    def test_window_pmf_matches_scipy(self):
+        # 400 means up to past the load guard: below it the window's pmf is
+        # scipy's to 1e-9 relative and leaves out at most 1e-30 of the mass
+        # (measured: 1.4e-10 and 1.43e-32); above it the window is never
+        # built
+        c2 = derive_constants(P).c2
+        built = 0
+        for mean in np.geomspace(1e-6, 4e4, 400):
+            lo = max(0, math.floor(mean - 12.0 * math.sqrt(mean) - 10.0))
+            if lo * c2 > EXPONENT_GUARD_BITS:
+                with pytest.raises(PowerOverflowError):
+                    mcsim._poisson_window(mean, P)
+                continue
+            got_lo, pmf = mcsim._poisson_window(mean, P)
+            k = np.arange(lo, lo + pmf.size)
+            want = stats.poisson.pmf(k, mean)
+            seen = want >= 1e-12
+            # 4,613 entries at most, at a mean of 36,400 just below the guard
+            assert got_lo == lo and pmf.size <= 4_613
+            np.testing.assert_allclose(pmf[seen], want[seen], rtol=1e-9,
+                                       atol=0.0)
+            left_out = (stats.poisson.cdf(lo - 1, mean)
+                        + stats.poisson.sf(k[-1], mean))
+            assert left_out <= 1e-30, mean
+            built += 1
+        assert 300 < built < 400
+
+    @pytest.mark.parametrize("mean, seed", [(0.196, 41), (7.85, 42),
+                                            (39.3, 43), (628.0, 44)])
+    def test_counts_follow_the_poisson_law(self, mean, seed):
+        # 10^6 counts in the simulator's chunks against scipy's pmf; the
+        # threshold p >= 1e-6 was fixed before the first run
+        rng = make_rng(seed)
+        counts = np.concatenate([mcsim._poisson_counts(mean, 20_000, P, rng)
+                                 for _ in range(50)])
+        top = int(counts.max())
+        expected = counts.size * np.append(
+            stats.poisson.pmf(np.arange(top), mean),
+            stats.poisson.sf(top - 1, mean))
+        obs, exp = _pooled(np.bincount(counts, minlength=top + 1), expected)
+        assert obs.size >= 3
+        assert stats.chisquare(obs, exp).pvalue >= 1e-6
+
+    def test_counts_ascend(self):
+        counts = mcsim._poisson_counts(7.85, 20_000, P, make_rng(45))
+        assert counts.dtype == np.int64 and counts.size == 20_000
+        assert np.all(np.diff(counts) >= 0)
+
+    def test_zero_mean_gives_zeros_and_draws_nothing(self):
+        rng = make_rng(46)
+        state = rng.bit_generator.state
+        counts = mcsim._poisson_counts(0.0, 1_000, P, rng)
+        assert counts.tolist() == [0] * 1_000
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("density, radius", [
+        (1.0 / math.pi, 1e6),   # 1e12 users a drop, as from a mistyped radius
+        (1e300, 1e10),          # a mean that overflows to inf
+    ])
+    def test_absurd_mean_raises_before_any_table(self, density, radius):
+        # every count of the window would break the load guard: raised
+        # before a table of sqrt(mean) entries or any count is drawn
+        rng = make_rng(47)
+        state = rng.bit_generator.state
+        tracemalloc.start()
+        try:
+            with pytest.raises(PowerOverflowError):
+                simulate_total_power(density, radius, P, 20_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert rng.bit_generator.state == state
 
 
 class TestRuns:
