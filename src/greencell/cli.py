@@ -361,7 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

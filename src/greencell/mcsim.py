@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams, derive_constants
-from .scaling import (EXPONENT_GUARD_BITS, PowerOverflowError,
-                      _check_nonneg_finite, stpc_power)
+from .scaling import _check_load, _check_nonneg_finite, stpc_power
 
 _TRIAL_CHUNK = 20_000
 # most users drawn and powered at once; bounds the simulator's working memory
@@ -80,18 +79,14 @@ def _poisson_window(mean: float, p: SystemParams):
     12 sqrt(mean) + 20); the pmf is normalised over the window, from log
     p(lo) by ``math.lgamma`` and each later term by adding log(mean / k).
     The Poisson mass outside the window is below 1.5e-32.  When lo already
-    breaks ``stpc_power``'s load guard, so would every count in the window,
-    and PowerOverflowError is raised before the table is built, so that an
-    absurd mean costs no table of its size.  Returns ``(lo, pmf)``.
+    breaks the load guard (``_check_load``), so would every count in the
+    window, and PowerOverflowError is raised before the table is built, so
+    that an absurd mean costs no table of its size.  Returns ``(lo, pmf)``.
     """
     spread = 12.0 * math.sqrt(mean)
     # inf - inf would be nan: an infinite mean starts past any guard
     lo = max(0, math.floor(mean - spread - 10.0)) if mean < math.inf else mean
-    bits = lo * derive_constants(p).c2
-    if bits > EXPONENT_GUARD_BITS:
-        raise PowerOverflowError(
-            f"per-cell load exponent {bits} bits exceeds guard "
-            f"({EXPONENT_GUARD_BITS}) at every likely count")
+    _check_load(lo * derive_constants(p).c2)
     k = np.arange(lo + 1, math.floor(mean + spread + 20.0) + 1)
     pmf = np.exp(np.cumsum(np.concatenate((
         [lo * math.log(mean) - mean - math.lgamma(lo + 1)], np.log(mean / k)))))

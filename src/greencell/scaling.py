@@ -25,6 +25,15 @@ class InfeasibleBudgetError(ValueError):
     """The requested power budget cannot cover the static consumption."""
 
 
+def _check_load(bits) -> None:
+    """PowerOverflowError if any per-cell load exponent in ``bits`` (n v/W,
+    a float or an array) exceeds ``EXPONENT_GUARD_BITS``; NaN passes."""
+    if np.any(bits > EXPONENT_GUARD_BITS):
+        raise PowerOverflowError(
+            f"per-cell load exponent {np.max(bits)} bits exceeds guard "
+            f"({EXPONENT_GUARD_BITS})")
+
+
 def stpc_power(distance, n_users, p: SystemParams):
     """Transmit power towards one user at ``distance`` with ``n_users`` sharing the band.
 
@@ -33,22 +42,25 @@ def stpc_power(distance, n_users, p: SystemParams):
     reference distance.  Accepts numpy arrays for either argument.  The
     power is a constant times the path-loss factor max(d/r0, 1)^alpha and
     the bandwidth-sharing factor (2^(n v/W) - 1) / n, the same for every
-    user of a drop.  ``n_users`` below 1 raises ValueError, and a load
-    exponent n v/W above ``EXPONENT_GUARD_BITS`` PowerOverflowError.
+    user of a drop.  An ``n_users`` below 1 or NaN, or a distance that is
+    negative or not finite, raises ValueError, and a load exponent n v/W
+    above ``EXPONENT_GUARD_BITS`` PowerOverflowError.
     """
     c = derive_constants(p)
+    d = np.asarray(distance, dtype=float)
     n = np.asarray(n_users, dtype=float)
-    if np.any(n < 1):
+    if not np.all(n >= 1):  # NaN fails it too
         raise ValueError("n_users must be >= 1")
+    bad = ~(np.isfinite(d) & (d >= 0.0))
+    if bad.any():
+        raise ValueError(
+            f"distance must be finite and >= 0, got {float(d[bad][0])!r}")
     bits = n * c.c2
-    if np.any(bits > EXPONENT_GUARD_BITS):
-        raise PowerOverflowError(
-            f"per-cell load exponent {np.max(bits)} bits exceeds guard "
-            f"({EXPONENT_GUARD_BITS})")
+    _check_load(bits)
     scale = (p.snr_gap * p.noise_psd * p.bandwidth_w / (p.ref_pathloss * c.c1)) \
         * (np.expm1(bits * _LN2) / n)
     # max(d, r0) / r0 has the bits of max(d / r0, 1)
-    out = (np.maximum(np.asarray(distance, dtype=float), p.ref_distance)
+    out = (np.maximum(d, p.ref_distance)
            / p.ref_distance) ** p.pathloss_exp * scale
     return out if out.ndim else float(out)
 
@@ -65,10 +77,7 @@ def transmit_power_x(x, density, p: SystemParams):
         c = derive_constants(p)
         xo = x[on]
         bits = c.d2 * math.pi * lam[on] * xo
-        if bits.max() > EXPONENT_GUARD_BITS:
-            raise PowerOverflowError(
-                f"load exponent {bits.max()} bits exceeds guard "
-                f"({EXPONENT_GUARD_BITS})")
+        _check_load(bits)
         out[on] = c.d1 * xo ** (0.5 * p.pathloss_exp) * np.expm1(bits * _LN2)
     return shaped(out, shape)
 
@@ -107,9 +116,7 @@ def avg_transmit_power_exact(radius: float, density: float,
     alpha = p.pathloss_exp
     d1_exp = math.expm1(c.c2 * _LN2)  # 2^(v/W) - 1
     ex = d1_exp * math.pi * density * radius * radius
-    if ex > EXPONENT_GUARD_BITS * _LN2:
-        raise PowerOverflowError(
-            f"load exponent {ex} nats exceeds guard")
+    _check_load(ex / _LN2)
     geom = radius ** alpha + alpha * p.ref_distance ** (alpha + 2.0) \
         / (2.0 * radius * radius)
     return c.d1 * geom * math.expm1(ex)

@@ -13,13 +13,16 @@ Then it runs the CLI's ``solve``, ``sweep``, ``schemes`` and
 ``validate-scaling`` on both configs in CSV and JSON, and hashes each
 output file, its manifest and what the command wrote to stdout.  Reprs,
 not values, are hashed, so a float that turns into a numpy scalar changes
-the digest.  Two checkouts on one host that print the same digest give
-the same outputs.  The CLI files are written to a temporary directory.
+the digest.  Each manifest is hashed without its ``source_sha256``, the
+hash of the package's source, which any edit under ``src/`` changes.  Two
+checkouts on one host that print the same digest give the same outputs.
+The CLI files are written to a temporary directory.
 
 Below the total line it prints one digest per section: the solver reprs,
 the CLI ``solve``/``sweep``/``schemes`` files and the CLI
 ``validate-scaling`` files.  A change to one section can so show that the
-others are bit-identical; the total line reads as it always has.
+others are bit-identical.  The last line is the manifests'
+``source_sha256``, which tells the two checkouts apart.
 
 A digest can only say that outputs changed.  To see by how much:
 
@@ -108,10 +111,21 @@ def cli_runs(config: Path):
     yield ["validate-scaling", "--trials", "2000"]
 
 
-def cli_files(out_dir: Path):
+def manifest_bytes(path: Path, sources: set) -> bytes:
+    """The manifest at ``path`` dumped again with sorted keys and without
+    its ``source_sha256``, which is added to ``sources``."""
+    if not path.exists():
+        return b"missing"
+    doc = json.loads(path.read_text())
+    sources.add(doc.pop("source_sha256", "none"))
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def cli_files(out_dir: Path, sources: set):
     """(name, bytes hashed, numbers) of what each CLI run wrote to stdout,
-    its output file and its manifest; the numbers are (key, float) of
-    every numeric cell of the output file, or of stdout if it is JSON."""
+    its output file and its manifest (see ``manifest_bytes``); the numbers
+    are (key, float) of every numeric cell of the output file, or of stdout
+    if it is JSON."""
     for config in CONFIGS:
         for i, argv in enumerate(cli_runs(config)):
             for fmt in ("csv", "json"):
@@ -127,8 +141,7 @@ def cli_files(out_dir: Path):
                 yield out.name, data, cell_floats(out.name, data.decode(),
                                                   out.suffix)
                 manifest = Path(str(out) + ".manifest.json")
-                yield manifest.name, (manifest.read_bytes()
-                                      if manifest.exists() else b"missing"), ()
+                yield manifest.name, manifest_bytes(manifest, sources), ()
 
 
 def floats(key: str, value):
@@ -215,6 +228,7 @@ def main(argv=None) -> int:
                  "cli validate-scaling")}
     counts = dict.fromkeys(sections, 0)
     values = {}
+    sources = set()
 
     def add(section: str, data: bytes) -> None:
         digest.update(data)
@@ -226,7 +240,7 @@ def main(argv=None) -> int:
         if not isinstance(output, Exception):
             values.update(floats(key, output))
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data, numbers in cli_files(Path(tmp)):
+        for name, data, numbers in cli_files(Path(tmp), sources):
             section = ("cli validate-scaling" if "-validate-scaling." in name
                        else "cli solve/sweep/schemes")
             add(section, name.encode() + b"\0" + data)
@@ -236,6 +250,7 @@ def main(argv=None) -> int:
     print(f"{digest.hexdigest()}  {reprs} reprs, {files} CLI outputs")
     for name, section in sections.items():
         print(f"{section.hexdigest()}  {name} ({counts[name]})")
+    print(f"{' '.join(sorted(sources))}  source_sha256 (not in the digests)")
     if args.values:
         Path(args.values).write_text(json.dumps(values, indent=0))
         print(f"{len(values)} values written to {args.values}")

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from greencell import cli, mcsim
 from greencell.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE,
                            EXIT_VALIDATION_FAILED, main)
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -130,6 +136,24 @@ class TestValidateScaling:
         assert code == EXIT_USAGE
         assert "argument --radii: values must be >= 0, got -1.0" in err
         assert out == ""
+
+    def test_a_load_past_the_guard_is_an_error_line(self, capsys):
+        # about 3.1e6 users a cell: a load exponent far past 1,024 bits
+        code, out, err = run(capsys, "validate-scaling", "--trials", "10",
+                             "--radii", "100000", "--densities", "1e-4")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: per-cell load exponent ")
+        assert out == ""
+
+    def test_a_load_past_the_guard_prints_no_traceback(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "greencell.cli", "validate-scaling",
+             "--trials", "10", "--radii", "100000", "--densities", "1e-4"],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+            text=True)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.startswith("error: per-cell load exponent ")
+        assert "Traceback" not in done.stderr
 
     def test_mismatch_exits_validation_failed(self, capsys, monkeypatch):
         def broken(density, radius, p, trials, rng):

@@ -105,6 +105,34 @@ def test_transmit_power_laws_give_zero_at_zero_geometry(law):
     assert law(0.0, 0.0, P) == 0.0
 
 
+@pytest.mark.parametrize("bad", BAD_SIZES)
+def test_stpc_power_rejects_a_bad_distance(bad):
+    # a negative distance would get the power at r0, a non-finite one NaN
+    # or inf
+    with pytest.raises(ValueError, match="distance"):
+        scaling.stpc_power(bad, 3, P)
+    with pytest.raises(ValueError, match="distance"):
+        scaling.stpc_power(np.array([100.0, bad]), 3, P)
+
+
+def test_stpc_power_takes_zero_distance_as_the_reference_distance():
+    assert scaling.stpc_power(0.0, 3, P) == scaling.stpc_power(
+        P.ref_distance, 3, P)
+
+
+@pytest.mark.parametrize("n_users", [0, 0.5, -3, math.nan, -math.inf])
+def test_stpc_power_rejects_fewer_than_one_user(n_users):
+    with pytest.raises(ValueError, match="n_users"):
+        scaling.stpc_power(100.0, n_users, P)
+    with pytest.raises(ValueError, match="n_users"):
+        scaling.stpc_power(100.0, np.array([2.0, n_users]), P)
+
+
+def test_stpc_power_an_infinite_count_breaks_the_load_guard():
+    with pytest.raises(scaling.PowerOverflowError):
+        scaling.stpc_power(100.0, math.inf, P)
+
+
 @pytest.mark.parametrize("flag", ["--radii", "--densities"])
 def test_validate_scaling_rejects_negative_grid(flag, capsys):
     code = main(["validate-scaling", "--trials", "10", f"{flag}=1e-6,-1000"])
