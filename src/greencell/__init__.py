@@ -10,7 +10,7 @@ from .optimal import (AdaptationPolicy, CriticalDensities, InfeasibleError,
 from .params import (DerivedConstants, InvalidParameterError, SystemParams,
                      derive_constants, params_from_mapping)
 from .scaling import (avg_transmit_power, avg_transmit_power_exact, bs_power,
-                      max_range, stpc_power, throughput)
+                      stpc_power)
 from .suboptimal import SchemePolicy, arw_ofc, arw_oofc, frw_ofc, frw_oofc
 from .traffic import DensityDistribution, from_csv, from_table, triangular
 
@@ -39,13 +39,11 @@ __all__ = [
     "hse_critical_densities",
     "hse_x1",
     "hse_x2",
-    "max_range",
     "params_from_mapping",
     "policy_for_mu",
     "solve",
     "stpc_power",
     "subproblem",
-    "throughput",
     "triangular",
     "x1_star",
     "x2_star",

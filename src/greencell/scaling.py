@@ -205,13 +205,3 @@ def max_range_x(density, share: float, p: SystemParams):
     return _curve_x(density, c.d3 * math.pi, ratio, 0.5 * p.pathloss_exp,
                     ("share", share), partial(_cap_law, log_rhs=log_rhs))
 
-
-def max_range(density, budget: float, p: SystemParams):
-    """Coverage radius with consumption exactly at ``budget``; decreasing in density."""
-    shape, (x,) = as_arrays(max_range_x(density, budget - p.static_power, p))
-    return shaped(np.sqrt(x), shape)
-
-
-def throughput(radius: float, density: float) -> float:
-    """Average number of simultaneously supported users, pi * lambda * R^2."""
-    return math.pi * density * radius * radius

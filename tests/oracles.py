@@ -10,7 +10,9 @@ power control as written before ``stpc_power`` ran in place.
 placement and of the short-term power control's outage target.
 ``paper_hse_thresholds`` are the paper's three closed-form threshold
 densities as it writes them, which ``optimal.hse_critical_densities`` now
-reads from its laws.  None of this is used by the package itself.
+reads from its laws.  ``density_cdf`` is the exact cdf of a traffic
+density, which the package never needs: it only integrates against the
+pdf.  None of this is used by the package itself.
 """
 
 from __future__ import annotations
@@ -101,6 +103,30 @@ def grow_bracket(f: Callable[[float], float], lo: float, hi0: float,
         hi *= 2.0
     raise NoSignChangeError(
         f"no sign change found while doubling up to hi={hi}")
+
+
+def density_cdf(dist, lam):
+    """Exact cdf of ``dist``: the integral of its pdf from 0 to ``lam``.
+
+    The pdf is linear between the knots 0, ``dist.breakpoints`` and
+    ``lambda_max``, so the cdf is its trapezoid sums at the knots plus a
+    quadratic inside each cell.  A repeated knot raises: at a step the pdf
+    alone does not fix the cdf.
+    """
+    knots = np.array([0.0, *dist.breakpoints, dist.lambda_max])
+    width = np.diff(knots)
+    if not np.all(width > 0.0):
+        raise ValueError(f"repeated knot in {knots.tolist()}")
+    dens = np.asarray(dist.pdf(knots), dtype=float)
+    slope = np.diff(dens) / width
+    cum = np.append(0.0, np.cumsum(0.5 * (dens[1:] + dens[:-1]) * width))
+    lam = np.asarray(lam, dtype=float)
+    k = np.clip(np.searchsorted(knots, lam, side="right") - 1,
+                0, width.size - 1)
+    t = np.clip(lam - knots[k], 0.0, width[k])
+    out = np.where(lam >= dist.lambda_max, 1.0, np.clip(
+        cum[k] + t * (dens[k] + 0.5 * slope[k] * t), 0.0, 1.0))
+    return out if out.ndim else float(out)
 
 
 def arw_tail_users(share, cutoff, dist, p) -> float:

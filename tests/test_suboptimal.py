@@ -14,12 +14,12 @@ from greencell.numerics import conditional_expect, expect, gauss_legendre
 from greencell.optimal import (InfeasibleError, Problem,
                               max_achievable_throughput, solve)
 from greencell.params import SystemParams
-from greencell.scaling import bs_power, max_range, max_range_x
+from greencell.scaling import bs_power, max_range_x
 from greencell.suboptimal import (ARW_OFC, ARW_OOFC, FRW_OFC, FRW_OOFC,
                                   arw_ofc, arw_oofc, frw_ofc, frw_oofc)
 from greencell.traffic import from_table, triangular
 from oracles import (Bracket, accurate_cutoff, arw_tail_users, bisect,
-                     minimize_bounded)
+                     density_cdf, minimize_bounded)
 
 P = SystemParams(static_power=60.0)
 DIST = triangular(1e-4)
@@ -117,15 +117,16 @@ class TestAdaptiveRangeWithCutoff:
     def test_tail_throughput_met(self, results):
         policy, _ = results[ARW_OFC]
         achieved = conditional_expect(
-            lambda lam: math.pi * lam * max_range(lam, _level(policy), P) ** 2
-            if lam > 0 else 0.0,
+            lambda lam: math.pi * lam
+            * max_range_x(lam, policy.fixed_share, P) if lam > 0 else 0.0,
             DIST, policy.cutoff)
         assert achieved >= U_AVG * (1.0 - 1e-6)
 
     def test_radius_decreasing_on_the_on_region(self, results):
         policy, _ = results[ARW_OFC]
         lams = np.linspace(max(policy.cutoff, 1e-6), DIST.lambda_max, 32)
-        radii = [max_range(float(lam), _level(policy), P) for lam in lams]
+        radii = [math.sqrt(max_range_x(float(lam), policy.fixed_share, P))
+                 for lam in lams]
         assert all(b < a for a, b in zip(radii, radii[1:]))
 
     def test_cutoff_saves_power(self, results):
@@ -214,7 +215,7 @@ def _ref_level_cost(xs, pf, u_avg, dist, p, lam_grid, pdf_grid):
     if tail[0] < u_avg:
         return BIG
     cutoff = float(np.interp(u_avg, tail[::-1], lam_grid[::-1]))
-    on_prob = 1.0 - float(dist.cdf(cutoff))
+    on_prob = 1.0 - float(density_cdf(dist, cutoff))
     return pf * on_prob + p.sleep_power * (1.0 - on_prob)
 
 
@@ -274,7 +275,7 @@ def _ref_frw_power(u_avg, dist, p):
         if r_f * r_f > x_cap * (1.0 + 1e-12):
             return BIG
         return rule.integrate(bs_power(r_f, rule.nodes, p)) \
-            + p.sleep_power * float(dist.cdf(cutoff))
+            + p.sleep_power * float(density_cdf(dist, cutoff))
 
     cuts = np.linspace(0.0, m, 513)[:-1]
     costs = np.array([objective(float(c)) for c in cuts])
