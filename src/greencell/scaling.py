@@ -18,7 +18,8 @@ EXPONENT_GUARD_BITS = 1024.0
 
 
 class PowerOverflowError(OverflowError):
-    """Per-cell load implies an exponent outside the guarded range."""
+    """Per-cell load implies an exponent outside the guarded range, or a
+    transmit power past the float range."""
 
 
 class InfeasibleBudgetError(ValueError):
@@ -34,6 +35,17 @@ def _check_load(bits) -> None:
             f"({EXPONENT_GUARD_BITS})")
 
 
+def _check_power(power) -> None:
+    """PowerOverflowError unless every element of ``power`` (W, a float or
+    an array) is a finite float.  ``_check_load`` bounds the exponent, but
+    2^1024 is already the float maximum, so a power whose load passes it
+    can still overflow; computed under ``np.errstate``, it raises here
+    instead of turning into inf with a RuntimeWarning."""
+    if not np.isfinite(power).all():
+        raise PowerOverflowError(
+            f"transmit power {np.max(power)} W is not a finite float")
+
+
 def stpc_power(distance, n_users, p: SystemParams):
     """Transmit power towards one user at ``distance`` with ``n_users`` sharing the band.
 
@@ -44,7 +56,8 @@ def stpc_power(distance, n_users, p: SystemParams):
     the bandwidth-sharing factor (2^(n v/W) - 1) / n, the same for every
     user of a drop.  An ``n_users`` below 1 or NaN, or a distance that is
     negative or not finite, raises ValueError, and a load exponent n v/W
-    above ``EXPONENT_GUARD_BITS`` PowerOverflowError.
+    above ``EXPONENT_GUARD_BITS``, or a power past the float range,
+    PowerOverflowError.
     """
     c = derive_constants(p)
     d = np.asarray(distance, dtype=float)
@@ -57,18 +70,21 @@ def stpc_power(distance, n_users, p: SystemParams):
             f"distance must be finite and >= 0, got {float(d[bad][0])!r}")
     bits = n * c.c2
     _check_load(bits)
-    scale = (p.snr_gap * p.noise_psd * p.bandwidth_w / (p.ref_pathloss * c.c1)) \
-        * (np.expm1(bits * _LN2) / n)
-    # max(d, r0) / r0 has the bits of max(d / r0, 1)
-    out = (np.maximum(d, p.ref_distance)
-           / p.ref_distance) ** p.pathloss_exp * scale
+    with np.errstate(over="ignore"):
+        scale = (p.snr_gap * p.noise_psd * p.bandwidth_w
+                 / (p.ref_pathloss * c.c1)) * (np.expm1(bits * _LN2) / n)
+        # max(d, r0) / r0 has the bits of max(d / r0, 1)
+        out = (np.maximum(d, p.ref_distance)
+               / p.ref_distance) ** p.pathloss_exp * scale
+    _check_power(out)
     return out if out.ndim else float(out)
 
 
 def transmit_power_x(x, density, p: SystemParams):
     """Average transmit power as a function of x = R^2 (the solver's variable).
 
-    Zero where x <= 0 or density < 0; elementwise for arrays.
+    Zero where x <= 0 or density < 0; elementwise for arrays.  A power
+    past the float range raises PowerOverflowError.
     """
     shape, (x, lam) = as_arrays(x, density)
     out = np.zeros_like(x)
@@ -78,7 +94,10 @@ def transmit_power_x(x, density, p: SystemParams):
         xo = x[on]
         bits = c.d2 * math.pi * lam[on] * xo
         _check_load(bits)
-        out[on] = c.d1 * xo ** (0.5 * p.pathloss_exp) * np.expm1(bits * _LN2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[on] = c.d1 * xo ** (0.5 * p.pathloss_exp) \
+                * np.expm1(bits * _LN2)
+        _check_power(out)
     return shaped(out, shape)
 
 
@@ -107,7 +126,8 @@ def avg_transmit_power_exact(radius: float, density: float,
     exact exponent base (2^(v/W) - 1 instead of (ln 2) v/W), so it equals the
     expectation of the per-user power over the Poisson population exactly.
     Intended for validation; the scaling law above is the modeling surface.
-    A negative or non-finite argument raises ValueError.
+    A negative or non-finite argument raises ValueError, and a power past
+    the float range PowerOverflowError.
     """
     _check_nonneg_finite(radius=radius, density=density)
     if radius == 0.0:
@@ -119,7 +139,9 @@ def avg_transmit_power_exact(radius: float, density: float,
     _check_load(ex / _LN2)
     geom = radius ** alpha + alpha * p.ref_distance ** (alpha + 2.0) \
         / (2.0 * radius * radius)
-    return c.d1 * geom * math.expm1(ex)
+    power = c.d1 * geom * math.expm1(ex)
+    _check_power(power)
+    return power
 
 
 def bs_power_x(x, density, p: SystemParams):

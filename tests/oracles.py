@@ -7,7 +7,9 @@ on exact derivatives.  ``minimize_bounded`` is Brent's bounded minimiser,
 which FRwOFC used the same way.  ``stpc_power_formula`` is the short-term
 power control as written before ``stpc_power`` ran in place.
 ``sample_users`` and ``simulate_outage`` are Monte Carlo checks of the user
-placement and of the short-term power control's outage target.
+placement and of the short-term power control's outage target, and
+``poisson_counts`` expands a chunk's count histogram into one count per
+trial, in the order the simulator lays the trials out.
 ``paper_hse_thresholds`` are the paper's three closed-form threshold
 densities as it writes them, which ``optimal.hse_critical_densities`` now
 reads from its laws.  ``density_cdf`` is the exact cdf of a traffic
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from greencell.mcsim import _TRIAL_CHUNK, McEstimate
+from greencell.mcsim import _TRIAL_CHUNK, McEstimate, _poisson_window
 from greencell.numerics import ConvergenceError, gauss_legendre
 from greencell.optimal import CriticalDensities
 from greencell.params import SystemParams, derive_constants
@@ -268,6 +270,19 @@ def sample_users(density: float, radius: float,
     mean_count = density * math.pi * radius * radius
     n = rng.poisson(mean_count)
     return radius * np.sqrt(rng.random(n))
+
+
+def poisson_counts(mean: float, size: int, p: SystemParams,
+                   rng: np.random.Generator) -> np.ndarray:
+    """``size`` iid Poisson(``mean``) counts in ascending order, from the
+    stream ``simulate_total_power`` reads for one chunk: one
+    ``rng.multinomial`` over ``_poisson_window``'s pmf, expanded by
+    ``np.repeat``.  A mean of 0 gives zeros and leaves ``rng`` untouched.
+    """
+    if mean == 0.0:
+        return np.zeros(size, dtype=np.int64)
+    lo, pmf = _poisson_window(mean, p)
+    return np.repeat(np.arange(lo, lo + pmf.size), rng.multinomial(size, pmf))
 
 
 def simulate_outage(distance: float, n_users: int, per_user_power: float,

@@ -155,6 +155,15 @@ class TestValidateScaling:
         assert done.stderr.startswith("error: per-cell load exponent ")
         assert "Traceback" not in done.stderr
 
+    def test_a_power_past_the_float_range_is_an_error_line(self, capsys):
+        # 103.1 km at 1e-6 users/m^2: a 1,002-bit load passes the load
+        # guard, but the analytic power is past the float maximum
+        code, out, err = run(capsys, "validate-scaling", "--trials", "10",
+                             "--radii", "103100", "--densities", "1e-6")
+        assert code == EXIT_USAGE == 1
+        assert err.startswith("error: transmit power inf W is not a finite")
+        assert out == ""
+
     def test_mismatch_exits_validation_failed(self, capsys, monkeypatch):
         def broken(density, radius, p, trials, rng):
             return mcsim.McEstimate(mean=1e9, std_err=1e-6, trials=trials)

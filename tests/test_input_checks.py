@@ -22,7 +22,7 @@ from greencell.optimal import solve
 from greencell.params import (InvalidParameterError, SystemParams,
                               derive_constants, params_from_mapping)
 from greencell.traffic import from_csv, from_table, triangular
-from oracles import simulate_outage
+from oracles import poisson_counts, simulate_outage
 
 P = SystemParams(static_power=60.0)
 DIST = triangular(1e-4)
@@ -495,8 +495,7 @@ def test_simulate_total_power_takes_any_numpy_generator(bit_generator):
     est = mcsim.simulate_total_power(lam, radius, P, trials,
                                      np.random.Generator(bit_generator(0)))
     replay = np.random.Generator(bit_generator(0))
-    counts = mcsim._poisson_counts(lam * math.pi * radius ** 2, trials, P,
-                                   replay)
+    counts = poisson_counts(lam * math.pi * radius ** 2, trials, P, replay)
     dist = radius * np.sqrt(replay.random(int(counts.sum())))
     sums = [float(np.sum(scaling.stpc_power(users, float(users.size), P)))
             if users.size else 0.0

@@ -13,7 +13,7 @@ from greencell.mcsim import (McEstimate, _edge_fraction as edge_fraction,
 from greencell.params import SystemParams, derive_constants
 from greencell.scaling import (EXPONENT_GUARD_BITS, PowerOverflowError,
                                avg_transmit_power_exact, stpc_power)
-from oracles import sample_users, simulate_outage
+from oracles import poisson_counts, sample_users, simulate_outage
 
 P = SystemParams()
 
@@ -88,9 +88,9 @@ def whole_chunk_oracle(density, radius, p, trials, rng, per_user_load=False):
     """The whole-chunk simulator: every user of a 20k-trial chunk at once.
 
     The same stream order as ``simulate_total_power`` (a chunk's counts
-    from ``mcsim._poisson_counts``, then its uniforms) and the same
+    from ``oracles.poisson_counts``, then its uniforms) and the same
     arithmetic, with one ``stpc_power`` call per trial where the simulator
-    reads a per-count table: each uniform v turned into
+    makes one per chunk over the counts drawn: each uniform v turned into
     its share exp(alpha/2 log max(v, (r0 / max(R, r0))^2)) of the edge
     power, one ``reduceat`` over the chunk, and each non-empty trial's sum
     scaled by its edge power stpc_power(R, n).  The offsets are the start
@@ -106,7 +106,7 @@ def whole_chunk_oracle(density, radius, p, trials, rng, per_user_load=False):
     done = 0
     while done < trials:
         chunk = min(20_000, trials - done)
-        counts = mcsim._poisson_counts(mean_count, chunk, p, rng)
+        counts = poisson_counts(mean_count, chunk, p, rng)
         total = int(counts.sum())
         if total:
             busy = counts > 0
@@ -156,23 +156,28 @@ class TestPieces:
         want = whole_chunk_oracle(lam, radius, P, trials, make_rng(13))
         assert got == want
 
-    def test_last_user_before_trailing_empty_trials_counts(self):
-        # a two-user trial followed by two empty ones: clipping their
-        # offsets to the last element would drop the trial's last user
-        counts = np.array([0, 3, 0, 2, 0, 0])
+    def test_every_user_of_a_histogram_counts(self):
+        # the trials take the histogram's counts in ascending order, so the
+        # empty ones lead and none can trail a busy trial, the case where
+        # clipping offsets once dropped a user; each busy trial sums its
+        # own users, the chunk's last user included
         radius = 500.0
-        dist = radius * np.sqrt(make_rng(0).random(int(counts.sum())))
-        want, start = [], 0
-        for n in counts:
-            want.append(float(np.sum(stpc_power(dist[start:start + n],
-                                                float(n), P))) if n else 0.0)
-            start += n
-        for piece in (1, 3, 4, 1 << 16):
-            out = np.zeros(counts.size)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mcsim, "_PIECE_USERS", piece)
-                mcsim._trial_sums(out, counts, radius, P, make_rng(0))
-            np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
+        for lo, hist in [(0, [4, 0, 1, 1]),      # empty trials and a gap
+                         (2, [0, 2, 0, 1, 3])]:  # no empty trial
+            counts = np.repeat(np.arange(lo, lo + len(hist)), hist)
+            dist = radius * np.sqrt(make_rng(0).random(int(counts.sum())))
+            want, start = [], 0
+            for n in counts:
+                want.append(float(np.sum(stpc_power(
+                    dist[start:start + n], float(n), P))) if n else 0.0)
+                start += n
+            for piece in (1, 3, 4, 1 << 16):
+                out = np.zeros(counts.size)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(mcsim, "_PIECE_USERS", piece)
+                    mcsim._trial_sums(out, lo, np.array(hist), radius, P,
+                                      make_rng(0))
+                np.testing.assert_allclose(out, want, rtol=1e-12, atol=0.0)
 
     @given(piece=st.sampled_from([1, 7, 1 << 10, 1 << 16, 1 << 40]),
            lam=st.floats(0.0, 5e-5), radius=st.floats(0.0, 500.0),
@@ -217,8 +222,8 @@ class TestPieces:
         rng = make_rng(21)
         chunk_counts = []
         for done in range(0, trials, 20_000):
-            counts = mcsim._poisson_counts(lam * math.pi * radius ** 2,
-                                           min(20_000, trials - done), P, rng)
+            counts = poisson_counts(lam * math.pi * radius ** 2,
+                                    min(20_000, trials - done), P, rng)
             rng.random(int(counts.sum()))
             chunk_counts.append(counts)
         pieces = 0
@@ -251,9 +256,9 @@ class TestPieces:
                                     (1e-5, 1000.0, 1)]:
             simulate_total_power(lam, radius, P, trials, rng)
             for done in range(0, trials, 20_000):
-                counts = mcsim._poisson_counts(lam * math.pi * radius ** 2,
-                                               min(20_000, trials - done), P,
-                                               replay)
+                counts = poisson_counts(lam * math.pi * radius ** 2,
+                                        min(20_000, trials - done), P,
+                                        replay)
                 replay.random(int(counts.sum()))
         assert rng.bit_generator.state == replay.bit_generator.state
         assert rng.random(4).tolist() == replay.random(4).tolist()
@@ -270,9 +275,10 @@ class TestPieces:
 
     def test_memory_stays_bounded(self):
         # 12.6M users in one chunk: whole-chunk arrays peak near 600 MB.
-        # The simulator peaks at 1.44 MiB (1.79 MiB with a result array per
-        # piece); the RNG is made first, as its first call may import
-        # numpy.random (0.67 MiB more).  The bound leaves 0.31 MiB headroom.
+        # The simulator peaks at 0.98 MiB (1.44 MiB with masks and offsets
+        # the length of the chunk, 1.79 MiB with a result array per piece);
+        # the RNG is made first, as its first call may import numpy.random
+        # (0.67 MiB more).
         rng = make_rng(1)
         tracemalloc.start()
         try:
@@ -282,28 +288,44 @@ class TestPieces:
             tracemalloc.stop()
         assert peak <= 1.75 * 2 ** 20
 
+    def test_an_almost_empty_chunk_allocates_little_besides_its_result(self):
+        # 250 m at 1e-9 users/m^2: about 4 of the 20,000 trials hold a
+        # user.  Besides the 160 KB result array and std's temporary of its
+        # size, a chunk allocates only for its busy trials and its
+        # histogram: measured 322 KB at seeds 1-5, where arrays the length
+        # of the chunk (counts, mask, user offsets) peaked at 662 KB
+        rng = make_rng(1)
+        tracemalloc.start()
+        try:
+            simulate_total_power(1e-9, 250.0, P, 20_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 336_000
+
     def test_one_edge_power_call_per_chunk(self):
         # each chunk's edge powers come from one stpc_power call over the
-        # counts 1..max(counts), never from one call or element per trial;
-        # a count of the calls, so it holds however fast the host runs
-        calls, chunk_max = [], []
-        draw_counts = mcsim._poisson_counts
+        # distinct counts it drew, never from one call or element per
+        # trial, so the load guard reads the chunk's largest count; a count
+        # of the calls, so it holds however fast the host runs
+        trial_sums = mcsim._trial_sums
+        for lam, radius in [(5e-5, 2000.0), (1e-6, 250.0)]:
+            calls, drawn = [], []
 
-        def recording_counts(*args):
-            counts = draw_counts(*args)
-            chunk_max.append(int(counts.max()))
-            return counts
+            def recording_sums(out, lo, hist, radius, p, rng):
+                counts = lo + np.flatnonzero(hist)
+                drawn.append(counts[counts > 0].tolist())
+                return trial_sums(out, lo, hist, radius, p, rng)
 
-        def recording_power(distance, n_users, p):
-            calls.append(max(np.size(distance), np.size(n_users)))
-            return stpc_power(distance, n_users, p)
+            def recording_power(distance, n_users, p):
+                calls.append(np.asarray(n_users).tolist())
+                return stpc_power(distance, n_users, p)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mcsim, "_poisson_counts", recording_counts)
-            mp.setattr(mcsim, "stpc_power", recording_power)
-            simulate_total_power(5e-5, 2000.0, P, 45_000, make_rng(3))
-        assert len(calls) == len(chunk_max) == 3
-        assert all(size <= most for size, most in zip(calls, chunk_max))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mcsim, "_trial_sums", recording_sums)
+                mp.setattr(mcsim, "stpc_power", recording_power)
+                simulate_total_power(lam, radius, P, 45_000, make_rng(3))
+            assert len(drawn) == 3 and calls == drawn
 
 
 def _pooled(observed, expected, least=5.0):
@@ -321,9 +343,21 @@ def _pooled(observed, expected, least=5.0):
     return np.array(obs), np.array(exp)
 
 
+def _histograms(mean, trials, seed):
+    """The (lo, histogram) of each chunk ``simulate_total_power`` draws at
+    ``mean`` users a trial, drawing no user."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcsim, "_trial_sums",
+                   lambda out, lo, hist, *rest: seen.append((lo, hist)))
+        simulate_total_power(mean / (math.pi * 1e6), 1000.0, P, trials,
+                             make_rng(seed))
+    return seen
+
+
 class TestPoissonCounts:
     """Each chunk's counts: one multinomial histogram over a window of the
-    Poisson pmf, expanded in ascending order."""
+    Poisson pmf, laid out in ascending order."""
 
     def test_window_pmf_matches_scipy(self):
         # 400 means up to past the load guard: below it the window's pmf is
@@ -357,27 +391,47 @@ class TestPoissonCounts:
     def test_counts_follow_the_poisson_law(self, mean, seed):
         # 10^6 counts in the simulator's chunks against scipy's pmf; the
         # threshold p >= 1e-6 was fixed before the first run
-        rng = make_rng(seed)
-        counts = np.concatenate([mcsim._poisson_counts(mean, 20_000, P, rng)
-                                 for _ in range(50)])
-        top = int(counts.max())
-        expected = counts.size * np.append(
+        chunks = _histograms(mean, 1_000_000, seed)
+        assert len(chunks) == 50
+        lo = chunks[0][0]
+        hist = np.sum([h for _, h in chunks], axis=0)
+        size = int(hist.sum())
+        top = lo + int(np.flatnonzero(hist)[-1])
+        expected = size * np.append(
             stats.poisson.pmf(np.arange(top), mean),
             stats.poisson.sf(top - 1, mean))
-        obs, exp = _pooled(np.bincount(counts, minlength=top + 1), expected)
+        observed = np.zeros(top + 1)
+        observed[lo:] = hist[:top + 1 - lo]
+        obs, exp = _pooled(observed, expected)
         assert obs.size >= 3
         assert stats.chisquare(obs, exp).pvalue >= 1e-6
 
     def test_counts_ascend(self):
-        counts = mcsim._poisson_counts(7.85, 20_000, P, make_rng(45))
-        assert counts.dtype == np.int64 and counts.size == 20_000
-        assert np.all(np.diff(counts) >= 0)
+        # inside r0 a trial of n users sums to n stpc_power(r0, n), which
+        # grows with n: the chunk's sums ascend with its counts, the empty
+        # trials first, as many as its histogram's zeros
+        chunks, trial_sums = [], mcsim._trial_sums
+
+        def recording(out, lo, hist, radius, p, rng):
+            trial_sums(out, lo, hist, radius, p, rng)
+            chunks.append((out.copy(), lo, hist))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_trial_sums", recording)
+            simulate_total_power(7.85 / (math.pi * 25.0), 5.0, P, 45_000,
+                                 make_rng(45))
+        assert [out.size for out, _, _ in chunks] == [20_000, 20_000, 5_000]
+        for out, lo, hist in chunks:
+            assert lo == 0 and hist.dtype == np.int64
+            assert hist.sum() == out.size and np.all(np.diff(out) >= 0)
+            assert np.count_nonzero(out) == out.size - hist[0]
 
     def test_zero_mean_gives_zeros_and_draws_nothing(self):
         rng = make_rng(46)
         state = rng.bit_generator.state
-        counts = mcsim._poisson_counts(0.0, 1_000, P, rng)
-        assert counts.tolist() == [0] * 1_000
+        for density, radius in [(0.0, 1000.0), (1e-5, 0.0)]:
+            est = simulate_total_power(density, radius, P, 1_000, rng)
+            assert est.mean == 0.0 and est.std_err == 0.0
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("density, radius", [
@@ -412,17 +466,19 @@ class TestRuns:
         # `pos` 32-bit halves in, reads the draws that follow the first
         # `offset` users of one sequential draw, neither skipping nor
         # repeating any; a light user rate keeps 2^16 users in one trial
-        # under the load guard
-        counts = np.array([offset, 9])
+        # under the load guard.  The chunk's ascending histogram holds one
+        # trial of `offset` users and one of `offset` + 9
+        hist = np.zeros(10, dtype=np.int64)
+        hist[[0, 9]] = 1
         radius, p = 500.0, SystemParams(user_rate=1e3)
         rng, replay = make_rng(77), make_rng(77)
         for gen in (rng, replay):
             gen.integers(0, 10, size=pos, dtype=np.uint32)
-        out = np.zeros(counts.size)
+        out = np.zeros(2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mcsim, "_PIECE_USERS", max(offset, 1))
-            mcsim._trial_sums(out, counts, radius, p, rng)
-        dist = radius * np.sqrt(replay.random(offset + 9))
+            mcsim._trial_sums(out, offset, hist, radius, p, rng)
+        dist = radius * np.sqrt(replay.random(2 * offset + 9))
         want = [float(np.sum(stpc_power(users, float(users.size), p)))
                 if users.size else 0.0
                 for users in (dist[:offset], dist[offset:])]
@@ -486,10 +542,11 @@ class TestEdgeFraction:
         # each of a trial's n users needs stpc_power(r0, n): n times
         # stpc_power(r0, 1) scaled by the load ratio load(n) / load(1)
         p = SystemParams(pathloss_exp=alpha)
-        counts = np.concatenate([[0, 1, 2, 0, 0, 1_000],
-                                 make_rng(3).poisson(4.0, 500)])
+        hist = np.bincount(np.concatenate([[0, 1, 2, 0, 0, 1_000],
+                                           make_rng(3).poisson(4.0, 500)]))
+        counts = np.repeat(np.arange(hist.size), hist)
         out = np.zeros(counts.size)
-        mcsim._trial_sums(out, counts, radius, p, make_rng(4))
+        mcsim._trial_sums(out, 0, hist, radius, p, make_rng(4))
         want = counts * stpc_power(R0, np.maximum(counts, 1), p)
         np.testing.assert_allclose(out, want, rtol=SHARE_REL, atol=0.0)
 
