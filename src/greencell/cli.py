@@ -28,6 +28,8 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VALIDATION_FAILED = 3
 
+# each policy's name and its one-target solver, in the sweep's default
+# order; the commands run every policy through ``suboptimal.solve_many``
 _SCHEME_FUNCS = {
     "optimal": optimal.solve,
     suboptimal.FRW_OFC: suboptimal.frw_ofc,
@@ -270,24 +272,29 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _scheme_row(name: str, u_avg: float, problem: optimal.Problem) -> dict:
-    """One policy's row at ``u_avg``: its summary and its metrics; an
-    infeasible row has neither.  ``_emit`` projects it onto the command's
-    fields."""
-    row = {"scheme": name, "u_avg": u_avg, "feasible": True}
-    try:
-        policy, metrics = _SCHEME_FUNCS[name](u_avg, problem)
-        row.update(policy.summary(), **metrics.as_dict())
-    except optimal.InfeasibleError:
-        row["feasible"] = False
-    return row
+def _policy_rows(names: List[str], u_avgs: List[float],
+                 problem: optimal.Problem) -> List[dict]:
+    """Each policy's row at each target, every search run in one lockstep
+    (``suboptimal.solve_many``): a row holds the policy's summary and its
+    metrics; an infeasible row has neither.  ``_emit`` projects each onto
+    the command's fields."""
+    rows = []
+    for name, outs in zip(names, suboptimal.solve_many(names, u_avgs,
+                                                       problem)):
+        for u_avg, out in zip(u_avgs, outs):
+            row = {"scheme": name, "u_avg": u_avg,
+                   "feasible": not isinstance(out, optimal.InfeasibleError)}
+            if row["feasible"]:
+                policy, metrics = out
+                row.update(policy.summary(), **metrics.as_dict())
+            rows.append(row)
+    return rows
 
 
 def cmd_sweep(args) -> int:
     params, dist = _build_context(_load_config(args.config))
     problem = optimal.Problem(dist, params)
-    rows = [_scheme_row(name, u, problem)
-            for name in args.schemes for u in args.u_avg]
+    rows = _policy_rows(args.schemes, args.u_avg, problem)
     rows.sort(key=lambda r: (r["scheme"], r["u_avg"]))
     _emit(args, rows,
           ["scheme", "u_avg", "feasible", "avg_power_w", "on_probability"])
@@ -298,8 +305,8 @@ def cmd_sweep(args) -> int:
 def cmd_schemes(args) -> int:
     params, dist = _build_context(_load_config(args.config))
     problem = optimal.Problem(dist, params)
-    rows = [_scheme_row(name, args.u_avg, problem)
-            for name in sorted(n for n in _SCHEME_FUNCS if n != "optimal")]
+    rows = _policy_rows(sorted(n for n in _SCHEME_FUNCS if n != "optimal"),
+                        [args.u_avg], problem)
     _emit(args, rows, ["scheme", "u_avg", "feasible", "cutoff",
                        "fixed_radius_m", "fixed_power_w", "avg_power_w",
                        "avg_users", "on_probability", "peak_bs_power_w"])

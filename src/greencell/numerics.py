@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,27 @@ def shaped(flat: np.ndarray, shape):
     return float(flat[0]) if shape == () else flat.reshape(shape)
 
 
+def all_set(mask: np.ndarray) -> bool:
+    """Whether every element of the boolean array ``mask`` is set, at a
+    third of the cost of ``mask.all()``: the kernels test one a step."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def joined(parts: list) -> np.ndarray:
+    """The arrays ``parts`` end to end, for one kernel call over them all;
+    a single part is passed as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def split_like(values: np.ndarray, parts: list) -> list:
+    """Undo ``joined``: ``values`` cut into views the sizes of ``parts``."""
+    out, start = [], 0
+    for a in parts:
+        out.append(values[start:start + a.size])
+        start += a.size
+    return out
+
+
 def as_densities(density) -> tuple:
     """``as_arrays`` of one density argument, (shape, array); ValueError
     unless every density is finite and >= 0."""
@@ -60,6 +81,28 @@ def as_densities(density) -> tuple:
 
 
 # --- scalar roots -----------------------------------------------------------
+
+def newton_steps(good: float, bad: float, x: float, tol: float):
+    """``bracketed_newton``'s search as a generator: it yields each point
+    to evaluate, is sent back (g, slope) there, and returns the root."""
+    prev = None
+    for _ in range(100):
+        if abs(bad - good) <= tol or math.nextafter(good, bad) == bad:
+            return good
+        if not min(good, bad) < x < max(good, bad):
+            x = 0.5 * (good + bad)
+        g, slope = yield x
+        good, bad = (x, bad) if g >= 0.0 else (good, x)
+        if slope is None and prev is not None and x != prev[0]:
+            slope = (g - prev[1]) / (x - prev[0])
+        prev = (x, g) if math.isfinite(g) else None
+        step = -g / slope if slope else math.nan
+        eps = max(tol, 2.0 * math.ulp(x))  # no finer than the grain of x
+        if g == 0.0 or (abs(step) <= eps and g >= 0.0):
+            return x
+        x += step + math.copysign(0.5 * eps, good - bad)
+    raise ConvergenceError(f"no root in 100 evaluations: [{good}, {bad}]")
+
 
 def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
                      x: float, tol: float) -> float:
@@ -74,24 +117,89 @@ def bracketed_newton(fn: Callable[[float], tuple], good: float, bad: float,
     So the result is an evaluated point with g >= 0 within about eps of the
     root, the first with g = 0, or the good end once the bracket is
     narrower than ``tol`` or holds no float; ConvergenceError at 100 calls.
+    The search itself is ``newton_steps``.
     """
-    prev = None
-    for _ in range(100):
-        if abs(bad - good) <= tol or math.nextafter(good, bad) == bad:
-            return good
-        if not min(good, bad) < x < max(good, bad):
-            x = 0.5 * (good + bad)
-        g, slope = fn(x)
-        good, bad = (x, bad) if g >= 0.0 else (good, x)
-        if slope is None and prev is not None and x != prev[0]:
-            slope = (g - prev[1]) / (x - prev[0])
-        prev = (x, g) if math.isfinite(g) else None
-        step = -g / slope if slope else math.nan
-        eps = max(tol, 2.0 * math.ulp(x))  # no finer than the grain of x
-        if g == 0.0 or (abs(step) <= eps and g >= 0.0):
-            return x
-        x += step + math.copysign(0.5 * eps, good - bad)
-    raise ConvergenceError(f"no root in 100 evaluations: [{good}, {bad}]")
+    search = newton_steps(good, bad, x, tol)
+    send = search.send
+    try:
+        x = next(search)
+        while True:
+            x = send(fn(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def newton_search(fn, good: float, bad: float, x: float, tol: float):
+    """``bracketed_newton`` inside a search that ``lockstep`` drives:
+    ``fn(x)`` is a generator returning (g, slope), whose requests pass
+    through.  Run it with ``yield from``, which returns the root."""
+    search = newton_steps(good, bad, x, tol)
+    try:
+        x = next(search)
+        while True:
+            x = search.send((yield from fn(x)))
+    except StopIteration as stop:
+        return stop.value
+
+
+def lockstep(searches: Sequence, evaluate: Callable[[list], list]) -> list:
+    """Run generator ``searches`` together; what each returns, or the
+    exception it raised, in order.
+
+    A search yields a request and is sent its answer.  Each round, the
+    requests of every unfinished search go into one ``evaluate(requests)``
+    call, which answers them in order.  Where a round of several requests
+    fails, each is evaluated alone, so that an error reaches only the
+    search that asked; a search does not catch it, and so ends with it.
+    """
+    out = [None] * len(searches)
+    asks = {}
+
+    def advance(i: int, answer=None, error: Optional[Exception] = None):
+        try:
+            asks[i] = searches[i].send(answer) if error is None \
+                else searches[i].throw(error)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except Exception as exc:  # noqa: BLE001 - the search's own result
+            out[i] = exc
+
+    def alone(request) -> tuple:  # (answer, error) of one request
+        try:
+            return evaluate([request])[0], None
+        except Exception as exc:  # noqa: BLE001 - passed to its search
+            return None, exc
+
+    for i in range(len(searches)):
+        advance(i)
+    while asks:
+        ids = list(asks)
+        requests = [asks.pop(i) for i in ids]
+        try:
+            replies = [(answer, None) for answer in evaluate(requests)]
+        except Exception:  # noqa: BLE001 - each alone, to place the error
+            replies = [alone(request) for request in requests]
+        for i, (answer, error) in zip(ids, replies):
+            advance(i, answer, error)
+    return out
+
+
+def by_runs(values, fn: Callable[[float], tuple]) -> tuple:
+    """``fn(v)``, a tuple of floats formed in Python math, for a float v or
+    an array of one value; for a flat array of several, each run of equal
+    values' tuple, repeated over the run as arrays.  A kernel given one
+    price per element so forms each price's scalars once, with the bits of
+    a call at that price alone."""
+    if not isinstance(values, np.ndarray):
+        return fn(values)
+    if not values.size:  # scalars that reach no element: any valid price
+        return fn(1.0)
+    starts = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()]
+    if len(starts) == 1:
+        return fn(float(values[0]))
+    counts = np.diff([*starts, values.size])
+    columns = zip(*(fn(v) for v in values[starts].tolist()))
+    return tuple(np.repeat(c, counts) for c in columns)
 
 
 # a step below this leaves an error of about its square: full double precision
@@ -113,16 +221,19 @@ def newton_log(fn, x0: np.ndarray, *args: np.ndarray) -> np.ndarray:
     finite) or that has not stopped in ``NEWTON_MAX_ITER`` steps is NaN.
     """
     x = np.array(x0, dtype=float)
-    active = np.arange(x.size)
+    active, xa = np.arange(x.size), x  # xa, args: at the active elements
     for _ in range(NEWTON_MAX_ITER):
         if not active.size:
             return x
-        xa = x[active]
-        g, slope = fn(xa, *(a[active] for a in args))
+        g, slope = fn(xa, *args)
         step = np.minimum(np.maximum(g / slope, -NEWTON_STEP_CAP),
                           NEWTON_STEP_CAP)
-        x[active] = xa * np.exp(-step)
-        active = active[np.abs(step) > NEWTON_STEP_TOL]
+        xa = xa * np.exp(-step)
+        go = np.abs(step) > NEWTON_STEP_TOL
+        if not all_set(go):  # keep the stopped x; go on with the rest
+            x[active] = xa
+            active, xa = active[go], xa[go]
+            args = [a[go] for a in args]
     x[active] = math.nan
     return x
 
@@ -185,9 +296,8 @@ class QuadratureRule:
     def integrate(self, values) -> float:
         """Sum of weights * values; values are the integrand at the nodes."""
         values = np.asarray(values, dtype=float)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if not all_set(np.isfinite(values)):
+            i = int(np.argmax(~np.isfinite(values)))
             raise NonFiniteIntegrandError(float(values[i]),
                                           float(self.nodes[i]))
         return float(self.weights @ values)
@@ -214,7 +324,7 @@ def gauss_legendre(dist, lo: float, hi: float,
     keep[0, :-1] = False
     edges = ladder[keep]
     t, w = GL_RULE
-    half = 0.5 * np.diff(edges)[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]  # np.diff, less its cost
     nodes = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * t).ravel()
     weights = (half * w).ravel() * np.asarray(dist.pdf(nodes), dtype=float)
     return QuadratureRule(nodes, weights)

@@ -10,19 +10,20 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .metrics import PolicyMetrics
 from .numerics import (QuadratureRule, as_arrays, as_densities,
-                       bracketed_newton, gauss_legendre, shaped)
+                       bracketed_newton, by_runs, gauss_legendre, joined,
+                       lockstep, newton_search, shaped)
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
-from .scaling import (_cap_law, _curve_x, _stationary_law, bs_power_x,
-                      max_range_x, transmit_power_x)
+from .scaling import (_cap_law, _curve_x, _stationary_law, _stationary_slope,
+                      bs_power_x, max_range_x, transmit_power_x)
 from .traffic import DensityDistribution
 
 
@@ -89,26 +90,37 @@ def lagrangian_x(x, density, mu: float, p: SystemParams):
     return shaped(bs_power_x(x, lam, p) - mu * math.pi * lam * x, shape)
 
 
-def x1_star(density, mu: float, p: SystemParams):
-    """Interior stationary point, elementwise over densities: the unique
-    positive root of dL/dx = 0, a Pt'(x) = mu pi lambda, which is that of
-    ``_stationary_law`` (``_curve_x``).  Pt'(x) rises from 0 at x = 0+
-    (alpha > 2) without bound."""
-    _check_mu(mu)
+def x1_star(density, mu, p: SystemParams):
+    """Interior stationary point, elementwise over densities, and over
+    prices where ``mu`` is an array: the unique positive root of dL/dx = 0,
+    a Pt'(x) = mu pi lambda, which is that of ``_stationary_law``
+    (``_curve_x``).  Pt'(x) rises from 0 at x = 0+ (alpha > 2) without
+    bound.  Each price's scalars are formed once (``by_runs``), so a
+    density gets the same bits in a call over many prices as alone."""
     c = derive_constants(p)
     a_d1 = p.amp_scaling * c.d1
-    log_on = math.log(mu) + math.log(math.pi / a_d1)
+    h = 0.5 * p.pathloss_exp
+
+    def scalars(mu: float) -> tuple:  # mu pi, log(mu pi / a d1), r^(1/h)
+        _check_mu(mu)
+        return (mu * math.pi, math.log(mu) + math.log(math.pi / a_d1),
+                (mu / (a_d1 * c.d3)) ** (1.0 / h))
+
+    shape, lam = None, density
+    if isinstance(mu, np.ndarray):
+        shape, (lam, mu) = as_arrays(density, mu)
+    mu_pi, log_on, root = by_runs(mu, scalars)
 
     def log_rhs(lam):  # in parts where a product is not a normal float
         tiny = sys.float_info.min
-        mu_pi_lam = mu * math.pi * lam
+        mu_pi_lam = mu_pi * lam
         v = mu_pi_lam / a_d1
-        normal = ((mu * math.pi >= tiny) & (mu_pi_lam >= tiny) & (v >= tiny)
+        normal = ((mu_pi >= tiny) & (mu_pi_lam >= tiny) & (v >= tiny)
                   & (v < math.inf))
         return np.where(normal, np.log(v), log_on + np.log(lam))
-    return _curve_x(density, c.d3 * math.pi, mu / (a_d1 * c.d3),
-                    0.5 * p.pathloss_exp, ("mu", mu), _stationary_law,
-                    log_rhs)
+    x = _curve_x(lam, c.d3 * math.pi, root, h, ("mu", mu), _stationary_law,
+                 log_rhs)
+    return x if shape is None else shaped(x, shape)
 
 
 def x2_star(density, p: SystemParams):
@@ -223,8 +235,9 @@ def hse_x1(density, mu: float, p: SystemParams):
     """Closed-form stationary point when the per-cell load exponent is large."""
     _check_mu(mu)
     c = derive_constants(p)
+    h = 0.5 * p.pathloss_exp
     return _curve_x(density, c.d3 * math.pi,
-                    mu / (p.amp_scaling * c.d1 * c.d3), 0.5 * p.pathloss_exp,
+                    (mu / (p.amp_scaling * c.d1 * c.d3)) ** (1.0 / h), h,
                     ("mu", mu))
 
 
@@ -232,8 +245,8 @@ def hse_x2(density, p: SystemParams):
     """Closed-form power-capped point when the load exponent is large."""
     c = derive_constants(p)
     pt_max = (p.max_bs_power - p.static_power) / p.amp_scaling
-    return _curve_x(density, c.d3 * math.pi, pt_max / c.d1,
-                    0.5 * p.pathloss_exp,
+    h = 0.5 * p.pathloss_exp
+    return _curve_x(density, c.d3 * math.pi, (pt_max / c.d1) ** (1.0 / h), h,
                     ("share", p.max_bs_power - p.static_power))
 
 
@@ -285,7 +298,7 @@ class AdaptationPolicy:
             np.nextafter(inner, self.lambda_max)]))
         # np.unique would do, but its first call imports numpy.ma
         lams = lams[np.insert(lams[1:] != lams[:-1], 0, True)]
-        xs, _ = _policy_x(lams, self.mu, self.criticals, self.params,
+        xs, _ = _policy_x([lams], [self.mu], [self.criticals], self.params,
                           self.mode)
         return lams, np.sqrt(xs), bs_power_x(xs, lams, self.params)
 
@@ -316,7 +329,7 @@ class AdaptationPolicy:
         ``powers``) is output only: this does not interpolate it.
         """
         shape, lams = as_densities(density)
-        xs, _ = _policy_x(lams, self.mu, self.criticals, self.params,
+        xs, _ = _policy_x([lams], [self.mu], [self.criticals], self.params,
                           self.mode)
         return shaped(np.sqrt(xs), shape)
 
@@ -338,33 +351,42 @@ class AdaptationPolicy:
         }
 
 
-def _regimes(lams: np.ndarray, crits: CriticalDensities) -> tuple:
-    """Masks of the stationary and the power-capped densities in ``lams``.
+def _policy_x(lams: list, mus: list, crits: list, p: SystemParams,
+              mode: str = "exact", x2=None) -> tuple:
+    """x = R^2 of the policy at each price ``mus[k]``, thresholds
+    ``crits[k]``, at its densities ``lams[k]``, and the mask of the
+    stationary densities, each over the densities end to end (``joined``).
+    One call of each kernel serves every price.
 
-    Off at or below the switch-on cut-off; then, in case A, the stationary
-    point up to lambda2; the power-capped point above.
+    By regime: off at or below the switch-on cut-off; then, in case A, the
+    stationary point up to lambda2; the power-capped point above, from
+    ``x2(densities, p)``, by default ``x2_star``.  ``mode="hse"`` takes
+    both points from their closed forms.
     """
-    on = lams > max(crits.on_cutoff, 0.0)
-    stationary = on & (lams <= crits.lambda2) if crits.case_tag == CASE_A \
-        else np.zeros_like(on)
-    return stationary, on & ~stationary
+    lam = joined(lams)
+    on = lam > _per_node([max(c.on_cutoff, 0.0) for c in crits], lams)
+    stationary = on & (lam <= _per_node([
+        c.lambda2 if c.case_tag == CASE_A else -math.inf for c in crits],
+        lams))
+    capped = on & ~stationary
+    x = np.zeros_like(lam)
+    x1_fn, x2_fn = (x1_star, x2 or x2_star) if mode == "exact" \
+        else (hse_x1, hse_x2)
+    if np.count_nonzero(stationary):
+        x[stationary] = x1_fn(lam[stationary],
+                              _per_node(mus, lams, stationary), p)
+    if np.count_nonzero(capped):
+        x[capped] = x2_fn(lam[capped], p)
+    return x, stationary
 
 
-def _policy_x(lams: np.ndarray, mu: float, crits: CriticalDensities,
-              p: SystemParams, mode: str = "exact") -> tuple:
-    """x = R^2 of the policy with thresholds ``crits``, by regime, and the
-    mask of the stationary densities in ``lams``.
-
-    ``mode="hse"`` takes both points from their closed forms.
-    """
-    xs = np.zeros_like(lams)
-    stationary, capped = _regimes(lams, crits)
-    x1_fn, x2_fn = (x1_star, x2_star) if mode == "exact" else (hse_x1, hse_x2)
-    if stationary.any():
-        xs[stationary] = x1_fn(lams[stationary], mu, p)
-    if capped.any():
-        xs[capped] = x2_fn(lams[capped], p)
-    return xs, stationary
+def _per_node(values: list, parts: list, mask=None):
+    """One value per part, repeated over the part's densities (at
+    ``mask``, if given); a single part's value stays a float."""
+    if len(values) == 1:
+        return values[0]
+    out = np.repeat(values, [a.size for a in parts])
+    return out if mask is None else out[mask]
 
 
 POLICY_GRID = 2048  # uniform grid of a policy table
@@ -424,10 +446,13 @@ class DualState:
                              peak)
 
 
-def _avg_throughput(mu: float, dist: DensityDistribution,
-                    p: SystemParams) -> DualState:
-    """The ``DualState`` at ``mu``.  x just above the switch-on cut-off
-    lambda_on, when 0 < lambda_on < lambda_max, rides on its kernel call.
+def _avg_throughput(mu, dist: DensityDistribution, p: SystemParams,
+                    x2=None):
+    """The ``DualState`` at ``mu``; for a list of prices, the list of their
+    states, each on its own thresholds and rule, from one ``_policy_x``
+    call (``x2`` as there) and so one call of each kernel.  x just above
+    the switch-on cut-off lambda_on, when 0 < lambda_on < lambda_max,
+    rides on it.
     The slope has two terms.  On the stationary segment x1* solves
     log Pt'(x) = log(mu pi lambda / (a d1)), so dx1*/dmu = x1* / (mu s),
     with s the log-x slope of the left side at x1*; the capped point does
@@ -439,29 +464,42 @@ def _avg_throughput(mu: float, dist: DensityDistribution,
     the term is (y / d3) (1 + y / (h E)) f(lambda_on) lambda_on / mu.
     x is continuous at lambda2, which adds nothing.
     """
+    mus = mu if isinstance(mu, list) else [mu]
     m = dist.lambda_max
-    crits = critical_densities(mu, p)
-    rule = gauss_legendre(dist, 0.0, m, _breakpoints(crits, m))
-    lams = rule.nodes
-    n = lams.size
-    cut = crits.on_cutoff
-    inside = 0.0 < cut < m
-    ends = [m, np.nextafter(cut, m)] if inside else [m]
-    x_ends, stationary = _policy_x(np.append(lams, ends), mu, crits, p)
-    x, stationary = x_ends[:n], stationary[:n]
+    crits = [critical_densities(v, p) for v in mus]
+    rules = [gauss_legendre(dist, 0.0, m, _breakpoints(c, m)) for c in crits]
+    cuts = [c.on_cutoff if 0.0 < c.on_cutoff < m else None for c in crits]
+    # each price's nodes, then lambda_max and the density just above its
+    # cut-off, end to end
+    parts = [np.append(rule.nodes, [m] if cut is None
+                       else [m, np.nextafter(cut, m)])
+             for rule, cut in zip(rules, cuts)]
+    x, stationary = _policy_x(parts, mus, crits, p, x2=x2)
+    lam, starts, a = joined(parts), [], 0
+    for rule, part in zip(rules, parts):
+        starts.append(a)
+        stationary[a + rule.nodes.size:a + part.size] = False  # the ends
+        a += part.size
     d3, h = derive_constants(p).d3, 0.5 * p.pathloss_exp
     dx = np.zeros_like(x)
-    if stationary.any():
-        lam, xs = lams[stationary], x[stationary]
-        _, s = _stationary_law(xs, d3 * math.pi * lam, 0.0, h)
-        dx[stationary] = xs / (mu * s)
-    slope = rule.integrate(math.pi * lams * dx)
-    if inside:
-        y = d3 * math.pi * cut * float(x_ends[-1])
-        slope += (y / d3 * (1.0 + y / (h * -math.expm1(-y))) * dist.pdf(cut)
-                  * cut / mu)
-    return DualState(mu, rule.integrate(math.pi * lams * x), slope, crits,
-                     rule, x, float(x_ends[n]))
+    if np.count_nonzero(stationary):
+        xs = x[stationary]
+        *_, s = _stationary_slope(xs, d3 * math.pi * lam[stationary], h)
+        dx[stationary] = xs / (_per_node(mus, parts, stationary) * s)
+    users, slopes = math.pi * lam * x, math.pi * lam * dx
+    inside = [cut for cut in cuts if cut is not None]
+    pdf_cuts = iter(dist.pdf(np.array(inside)).tolist() if inside else ())
+    states = []
+    for v, c, rule, cut, a in zip(mus, crits, rules, cuts, starts):
+        n = rule.nodes.size
+        slope = rule.integrate(slopes[a:a + n])
+        if cut is not None:
+            y = d3 * math.pi * cut * float(x[a + n + 1])
+            slope += (y / d3 * (1.0 + y / (h * -math.expm1(-y)))
+                      * next(pdf_cuts) * cut / v)
+        states.append(DualState(v, rule.integrate(users[a:a + n]), slope, c,
+                                rule, x[a:a + n], float(x[a + n])))
+    return states if isinstance(mu, list) else states[0]
 
 
 @dataclass(frozen=True)
@@ -594,21 +632,77 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
     takes Newton's step in t where that is longer, up to mu = 2^261, where
     u is flat; a floor not met there is within rounding of the cap, and the
     cap state meets it.  Then Newton steps in t start from the bracket end
-    nearer the floor, safeguarded by the bracket (``bracketed_newton``, to
-    ``DUAL_TOL`` in t), which they halve where a step is not half the one
-    two points before.  They stop at a u on the floor's side whose Newton
-    step is within ``DUAL_TOL`` in log mu and 10 ``DUAL_TOL`` in t, or once
-    mu is resolved: a price nearer than ``DUAL_GRAIN`` in log mu to an end
-    of the bracket moves that far inside it, and the search ends where no
-    such price is left, at a Newton step within ``DUAL_GRAIN``, or once
-    both ends of the bracket are within 2 ulps of the floor.  The result is
-    the last evaluated state on the floor's satisfied side, or the cap
-    state, so the reported throughput is never below ``u_avg``, and the
-    policy and metrics read it: no kernel runs after the search.
+    nearer the floor, safeguarded by the bracket (``bracketed_newton``'s
+    search, to ``DUAL_TOL`` in t), which they halve where a step is not
+    half the one two points before.  They stop at a u on the floor's side
+    whose Newton step is within ``DUAL_TOL`` in log mu and 10 ``DUAL_TOL``
+    in t, or once mu is resolved: a price nearer than ``DUAL_GRAIN`` in log
+    mu to an end of the bracket moves that far inside it, and the search
+    ends where no such price is left, at a Newton step within
+    ``DUAL_GRAIN``, or once both ends of the bracket are within 2 ulps of
+    the floor.  The result is the last evaluated state on the floor's
+    satisfied side, or the cap state, so the reported throughput is never
+    below ``u_avg``, and the policy and metrics read it: no kernel runs
+    after the search.  ``solve`` is ``solve_many`` at one target.
+    """
+    out, = solve_many([u_avg], dist, p, mode)
+    if isinstance(out, InfeasibleError):
+        raise out
+    return out
+
+
+def solve_many(u_avgs, dist, p: Optional[SystemParams] = None,
+               mode: str = "exact") -> list:
+    """``solve`` at each target of ``u_avgs``, on one Problem: per target its
+    (policy, metrics), or the InfeasibleError ``solve`` raises there.  Any
+    other error is raised, the first in target order.
+
+    The dual searches run in lockstep (``numerics.lockstep``): each round,
+    the prices every unfinished search asks for are evaluated together, in
+    one ``_avg_throughput`` call and so one call of each kernel.  Kernels
+    act elementwise, so each result has the bits of a lone ``solve``.
     """
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
     problem = dist if p is None else Problem(dist, p)
+    return _settled(lockstep([_solved(u, problem, mode) for u in u_avgs],
+                             partial(_prices, problem=problem)))
+
+
+def _settled(results: list) -> list:
+    """A lockstep's results as ``solve_many`` returns them: any error but
+    an InfeasibleError raised, the first in order."""
+    for result in results:
+        if isinstance(result, Exception) \
+                and not isinstance(result, InfeasibleError):
+            raise result
+    return results
+
+
+def _prices(mus: list, problem: Problem, x2=None) -> list:
+    """The ``DualState`` of each price of a round, from one
+    ``_avg_throughput`` call (``x2`` as there); a lone price goes as a
+    float, and with no ``x2`` the call keeps its (mu, dist, p) form."""
+    args = (problem.dist, problem.params) + (() if x2 is None else (x2,))
+    return _avg_throughput(mus, *args) if len(mus) > 1 \
+        else [_avg_throughput(mus[0], *args)]
+
+
+def _solved(u_avg: float, problem: Problem, mode: str = "exact"):
+    """``solve`` at one target as a search (``_dual_search``), which
+    returns the policy at the state it keeps and that state's metrics."""
+    state = yield from _dual_search(u_avg, problem)
+    dist, p = problem.dist, problem.params
+    policy = AdaptationPolicy(state.mu, state.criticals, mode,
+                              dist.lambda_max, p) if mode == "exact" \
+        else policy_for_mu(state.mu, p, dist.lambda_max, mode)
+    return policy, state.metrics(policy)
+
+
+def _dual_search(u_avg: float, problem: Problem):
+    """``solve``'s search at one target, as a generator: it yields each
+    price to evaluate, is sent its ``DualState``, and returns the state
+    that meets the floor, the cap state at the cap."""
     dist, p, cap = problem.dist, problem.params, problem.cap
     problem.check(u_avg)
     mu0 = problem.mu0
@@ -626,7 +720,7 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
         lo, hi = below * (1.0 + DUAL_GRAIN), state.mu * (1.0 - DUAL_GRAIN)
         if not lo < hi:
             return 0.0, None
-        at = _avg_throughput(min(max(mu, lo), hi), dist, p)
+        at = yield min(max(mu, lo), hi)
         u, mu = at.users, at.mu
         if u < u_avg:
             below, u_below = mu, u
@@ -663,14 +757,14 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
         top = 2.0 ** 261  # where the gallop ends
         d_lo, h_lo, s_lo = mu0 * DUAL_GRAIN or below, -math.inf, 0.0
         d_hi = DUAL_FIRST * mu0 or 1.0
-        h_hi, s_hi = gap(mu0 + d_hi)
+        h_hi, s_hi = yield from gap(mu0 + d_hi)
         while h_hi < 0.0 and mu0 + d_hi < top:
             d_lo, h_lo, s_lo = d_hi, h_hi, s_hi
             t_hi = math.log(2.0 * d_hi if d_hi < 64.0 else d_hi * d_hi / 32.0)
             if s_hi and h_hi > -math.inf:
                 t_hi = max(t_hi, math.log(d_hi) - h_hi / s_hi)
             d_hi = min(math.exp(min(t_hi, math.log(top))), top - mu0)
-            h_hi, s_hi = gap(mu0 + d_hi)
+            h_hi, s_hi = yield from gap(mu0 + d_hi)
         if h_hi > 0.0:
             # Newton's first step from the end nearer the floor, else from
             # the other; with neither inside, bracketed_newton halves
@@ -683,16 +777,12 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
             def newton(t: float) -> tuple:
                 """gap at t; a zero slope, and so a halving, where Newton's
                 step is not half the one two points before."""
-                h, slope = gap(mu0 + math.exp(t))
+                h, slope = yield from gap(mu0 + math.exp(t))
                 steps.append(abs(h / slope) if slope else math.inf)
                 if len(steps) > 2 and steps[-1] > 0.5 * steps[-3]:
                     return h, 0.0
                 return h, slope
 
-            bracketed_newton(newton, t_hi, t_lo,
-                             next((t for t in starts if t_lo < t < t_hi),
-                                  math.nan), DUAL_TOL)
-    policy = AdaptationPolicy(state.mu, state.criticals, mode,
-                              dist.lambda_max, p) if mode == "exact" \
-        else policy_for_mu(state.mu, p, dist.lambda_max, mode)
-    return policy, state.metrics(policy)
+            start = next((t for t in starts if t_lo < t < t_hi), math.nan)
+            yield from newton_search(newton, t_hi, t_lo, start, DUAL_TOL)
+    return state

@@ -58,14 +58,14 @@ def test_the_cli_problem_solves_as_its_dist_and_params(config, monkeypatch,
                                                        tmp_path):
     # the one Problem a sweep builds, its cap state read by every row, gives
     # the results of a fresh solve or scheme call on (dist, p)
-    seen = []
-    row = cli._scheme_row
+    seen = []  # the problem of each row
+    rows = cli._policy_rows
 
-    def spy(name, u_avg, problem):
-        seen.append(problem)
-        return row(name, u_avg, problem)
+    def spy(names, u_avgs, problem):
+        seen.extend([problem] * (len(names) * len(u_avgs)))
+        return rows(names, u_avgs, problem)
 
-    monkeypatch.setattr(cli, "_scheme_row", spy)
+    monkeypatch.setattr(cli, "_policy_rows", spy)
     code = cli.main(["sweep", "--u-avg", SWEEP_GRID, "--config", str(config),
                      "--out", str(tmp_path / "sweep.csv")])
     assert code == cli.EXIT_OK

@@ -247,7 +247,18 @@ def test_target_at_the_cap(config, fraction, most, dual_evals, monkeypatch):
             return seen[-1]
         return real(logged, good, bad, x, tol)
 
+    # the dual search's own Newton steps, which run inside the lockstep
+    # driver; the thresholds and the switch-on price call bracketed_newton
+    real_search = optimal.newton_search
+
+    def recording_search(fn, good, bad, x, tol):
+        def logged(t):
+            seen.append((yield from fn(t)))
+            return seen[-1]
+        return real_search(logged, good, bad, x, tol)
+
     monkeypatch.setattr(optimal, "bracketed_newton", recording)
+    monkeypatch.setattr(optimal, "newton_search", recording_search)
     p, dist = cli._build_context(cli._load_config(config))
     u_avg = fraction * max_achievable_throughput(dist, p)
     dual_evals.append(0)

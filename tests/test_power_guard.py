@@ -12,6 +12,7 @@ import struct
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from greencell import scaling
@@ -97,3 +98,83 @@ def test_the_layers_above_report_the_overflow():
                  lambda: scaling.bs_power_x(x, density, P)):
         with pytest.raises(PowerOverflowError, match=MESSAGE):
             call()
+
+
+# --- inputs whose power is a float though a factor of it is not -----------
+
+def _law_oracle(radius: float, density: float) -> float:
+    """The scaling law d1 R^alpha (2^(d2 pi lambda R^2) - 1) in 40 digits."""
+    import mpmath
+    c = derive_constants(P)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(radius) ** 2
+        bits = mpmath.mpf(c.d2) * mpmath.pi * mpmath.mpf(density) * x
+        return float(mpmath.mpf(c.d1) * x ** (mpmath.mpf(P.pathloss_exp) / 2)
+                     * mpmath.expm1(bits * mpmath.log(2)))
+
+
+def _exact_oracle(radius: float, density: float) -> float:
+    """d1 (R^alpha + alpha r0^(alpha+2) / (2 R^2)) (e^ex - 1), ex =
+    (2^(v/W) - 1) pi lambda R^2, in 40 digits."""
+    import mpmath
+    c = derive_constants(P)
+    with mpmath.workdps(40):
+        r, alpha = mpmath.mpf(radius), mpmath.mpf(P.pathloss_exp)
+        ex = mpmath.expm1(mpmath.mpf(c.c2) * mpmath.log(2)) * mpmath.pi \
+            * mpmath.mpf(density) * r * r
+        geom = r ** alpha + alpha * mpmath.mpf(P.ref_distance) ** (alpha + 2) \
+            / (2 * r * r)
+        return float(mpmath.mpf(c.d1) * geom * mpmath.expm1(ex))
+
+
+def test_a_radius_whose_square_underflows_has_the_near_field_power():
+    # R^2 underflows to 0 below about 1e-162 m: the exact law divided by it
+    radius, density = 1e-170, 1e-5
+    assert radius * radius == 0.0
+    exact = scaling.avg_transmit_power_exact(radius, density, P)
+    assert exact > 0.0
+    assert exact == pytest.approx(_exact_oracle(radius, density), rel=1e-13)
+    assert scaling.avg_transmit_power(radius, density, P) == 0.0
+
+
+def test_a_power_whose_path_loss_factor_overflows_is_a_float():
+    # R^alpha is 1e330 at 1e110 m, but the load 2^bits - 1 is about 1e-89
+    radius, density = 1e110, 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = scaling.avg_transmit_power(radius, density, P)
+        exact = scaling.avg_transmit_power_exact(radius, density, P)
+    assert law == pytest.approx(_law_oracle(radius, density), rel=1e-13)
+    assert exact == pytest.approx(_exact_oracle(radius, density), rel=1e-13)
+    assert isinstance(law, float) and isinstance(exact, float)
+    assert 1e240 < law < exact < 1e241
+
+
+def test_validate_scaling_reports_a_radius_whose_square_underflows(tmp_path):
+    from greencell import cli
+    out = tmp_path / "v.csv"
+    code = cli.main(["validate-scaling", "--trials", "10", "--radii",
+                     "1e-170", "--densities", "1e-5", "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION_FAILED)
+    row = out.read_text().splitlines()[1].split(",")
+    assert float(row[3]) == scaling.avg_transmit_power_exact(1e-170, 1e-5, P)
+
+
+@pytest.mark.parametrize("radius", [1.0, 5.0, 250.0, 2_000.0, 1e5])
+@pytest.mark.parametrize("density", [0.0, 1e-9, 1e-5, 1e-3])
+def test_a_finite_product_keeps_its_bits(radius, density):
+    # the log forms serve only where the direct product is not a float
+    c, alpha = derive_constants(P), P.pathloss_exp
+    try:
+        law = scaling.avg_transmit_power(radius, density, P)
+    except PowerOverflowError:
+        return
+    x = radius * radius
+    bits = c.d2 * math.pi * density * x
+    want = float(c.d1 * np.float64(x) ** (0.5 * alpha)
+                 * np.expm1(bits * math.log(2.0)))
+    assert law == want
+    ex = math.expm1(c.c2 * math.log(2.0)) * math.pi * density * radius * radius
+    assert scaling.avg_transmit_power_exact(radius, density, P) == c.d1 * (
+        radius ** alpha + alpha * P.ref_distance ** (alpha + 2.0)
+        / (2.0 * radius * radius)) * math.expm1(ex)

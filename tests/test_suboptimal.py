@@ -10,7 +10,8 @@ from scipy import optimize
 from greencell import cli, optimal, suboptimal
 from greencell import metrics as metrics_module
 from greencell.metrics import evaluate
-from greencell.numerics import conditional_expect, expect, gauss_legendre
+from greencell.numerics import (conditional_expect, expect, gauss_legendre,
+                                lockstep)
 from greencell.optimal import (InfeasibleError, Problem,
                               max_achievable_throughput, solve)
 from greencell.params import SystemParams
@@ -20,6 +21,20 @@ from greencell.suboptimal import (ARW_OFC, ARW_OOFC, FRW_OFC, FRW_OOFC,
 from greencell.traffic import from_table, triangular
 from oracles import (Bracket, accurate_cutoff, arw_tail_users, bisect,
                      density_cdf, minimize_bounded)
+
+
+def _run(search, p):
+    """What one scheme search returns, its tail requests evaluated alone."""
+    out, = lockstep([search], functools.partial(suboptimal._arw_tails, p=p))
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _arw_tail(rule, cutoff, share, p):
+    """The ARw tail integrals at one (cut-off, share) on the cut-off's rule."""
+    return suboptimal._arw_tails([(rule, cutoff, share)], p)[0]
+
 
 P = SystemParams(static_power=60.0)
 DIST = triangular(1e-4)
@@ -400,9 +415,9 @@ def test_level_derivative_matches_central_differences(config):
         share = lowest + frac * (p.max_bs_power - p.static_power - lowest)
         cutoff = accurate_cutoff(share, u, DIST, p)
         rule = suboptimal._tail_rule(Problem(DIST, p), cutoff)
-        tail = suboptimal._arw_tail(rule, cutoff, share, p)
-        du = (suboptimal._arw_tail(rule, cutoff, share + h, p).users
-              - suboptimal._arw_tail(rule, cutoff, share - h, p).users) \
+        tail = _arw_tail(rule, cutoff, share, p)
+        du = (_arw_tail(rule, cutoff, share + h, p).users
+              - _arw_tail(rule, cutoff, share - h, p).users) \
             / (2 * h)
         assert math.pi * tail.level / share == pytest.approx(du, rel=1e-6), \
             frac
@@ -444,11 +459,10 @@ def _family(family, u_avg, dist, p):
     problem = Problem(dist, p)
 
     def at_cap(c, rule):
-        return suboptimal._arw_tail(rule, c, p.max_bs_power - p.static_power,
-                                    p)
-    edge, _, _ = suboptimal._edge(u_avg, problem, at_cap)
-    return edge, lambda c: suboptimal._arw_cut(
-        c, u_avg, problem, math.log(p.max_bs_power - p.static_power))
+        return _arw_tail(rule, c, p.max_bs_power - p.static_power, p)
+    edge, _, _ = _run(suboptimal._edge(u_avg, problem, at_cap), p)
+    return edge, lambda c: _run(suboptimal._arw_cut(
+        c, u_avg, problem, math.log(p.max_bs_power - p.static_power)), p)
 
 
 def _family_cap(family, dist, p):
@@ -888,11 +902,10 @@ def _ofc_edge(scheme, u_avg, dist, p):
     problem = Problem(dist, p)
     if scheme is frw_ofc:
         x_cap = problem.x_cap
-        return suboptimal._edge(u_avg, problem, lambda c, rule: (
-            math.pi * x_cap * rule.integrate(rule.nodes), x_cap))[0]
-    return suboptimal._edge(u_avg, problem, lambda c, rule: (
-        suboptimal._arw_tail(rule, c, p.max_bs_power - p.static_power,
-                             p)))[0]
+        return _run(suboptimal._edge(u_avg, problem, lambda c, rule: (
+            math.pi * x_cap * rule.integrate(rule.nodes), x_cap)), p)[0]
+    return _run(suboptimal._edge(u_avg, problem, lambda c, rule: (
+        _arw_tail(rule, c, p.max_bs_power - p.static_power, p))), p)[0]
 
 
 def _ofc_point(policy, cutoff, u_avg, dist, p):
@@ -904,9 +917,10 @@ def _ofc_point(policy, cutoff, u_avg, dist, p):
     problem = Problem(dist, p)
     if cutoff == policy.cutoff:
         rule = suboptimal._tail_rule(problem, cutoff)
-        return suboptimal._arw_at(rule, cutoff, share, suboptimal._arw_tail(
+        return suboptimal._arw_at(rule, cutoff, share, _arw_tail(
             rule, cutoff, share, p), p)
-    return suboptimal._arw_cut(cutoff, u_avg, problem, math.log(share))
+    return _run(suboptimal._arw_cut(cutoff, u_avg, problem, math.log(share)),
+                p)
 
 
 def _floor_and_root(u_avg, dist, p):
