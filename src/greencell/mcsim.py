@@ -70,12 +70,17 @@ def simulate_total_power(density: float, radius: float, p: SystemParams,
             out = per_trial[done:done + _TRIAL_CHUNK]
             _trial_sums(out, lo, rng.multinomial(out.size, pmf), radius, p,
                         rng)
-    mean = float(per_trial.mean())
+    # mean and std(ddof=1) in numpy's own steps, so with their bits, but
+    # in per_trial itself, with no second array as long as the trials
+    mean = np.add.reduce(per_trial, keepdims=True)
+    mean /= trials
+    se = 0.0
     if trials > 1:
-        se = float(per_trial.std(ddof=1) / math.sqrt(trials))
-    else:
-        se = 0.0
-    return McEstimate(mean=mean, std_err=se, trials=trials)
+        per_trial -= mean
+        np.square(per_trial, out=per_trial)
+        se = math.sqrt(np.add.reduce(per_trial) / (trials - 1)) \
+            / math.sqrt(trials)
+    return McEstimate(mean=float(mean[0]), std_err=se, trials=trials)
 
 
 def _poisson_window(mean: float, p: SystemParams):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -446,13 +446,12 @@ class DualState:
                              peak)
 
 
-def _avg_throughput(mu, dist: DensityDistribution, p: SystemParams,
-                    x2=None):
-    """The ``DualState`` at ``mu``; for a list of prices, the list of their
-    states, each on its own thresholds and rule, from one ``_policy_x``
-    call (``x2`` as there) and so one call of each kernel.  x just above
-    the switch-on cut-off lambda_on, when 0 < lambda_on < lambda_max,
-    rides on it.
+def _avg_throughput(mus: list, dist: DensityDistribution, p: SystemParams,
+                    x2=None) -> list:
+    """The ``DualState`` of each price of ``mus``, each on its own
+    thresholds and rule, from one ``_policy_x`` call (``x2`` as there) and
+    so one call of each kernel.  x just above the switch-on cut-off
+    lambda_on, when 0 < lambda_on < lambda_max, rides on it.
     The slope has two terms.  On the stationary segment x1* solves
     log Pt'(x) = log(mu pi lambda / (a d1)), so dx1*/dmu = x1* / (mu s),
     with s the log-x slope of the left side at x1*; the capped point does
@@ -464,7 +463,6 @@ def _avg_throughput(mu, dist: DensityDistribution, p: SystemParams,
     the term is (y / d3) (1 + y / (h E)) f(lambda_on) lambda_on / mu.
     x is continuous at lambda2, which adds nothing.
     """
-    mus = mu if isinstance(mu, list) else [mu]
     m = dist.lambda_max
     crits = [critical_densities(v, p) for v in mus]
     rules = [gauss_legendre(dist, 0.0, m, _breakpoints(c, m)) for c in crits]
@@ -499,7 +497,7 @@ def _avg_throughput(mu, dist: DensityDistribution, p: SystemParams,
                       * next(pdf_cuts) * cut / v)
         states.append(DualState(v, rule.integrate(users[a:a + n]), slope, c,
                                 rule, x[a:a + n], float(x[a + n])))
-    return states if isinstance(mu, list) else states[0]
+    return states
 
 
 @dataclass(frozen=True)
@@ -643,49 +641,19 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
     the floor.  The result is the last evaluated state on the floor's
     satisfied side, or the cap state, so the reported throughput is never
     below ``u_avg``, and the policy and metrics read it: no kernel runs
-    after the search.  ``solve`` is ``solve_many`` at one target.
-    """
-    out, = solve_many([u_avg], dist, p, mode)
-    if isinstance(out, InfeasibleError):
-        raise out
-    return out
-
-
-def solve_many(u_avgs, dist, p: Optional[SystemParams] = None,
-               mode: str = "exact") -> list:
-    """``solve`` at each target of ``u_avgs``, on one Problem: per target its
-    (policy, metrics), or the InfeasibleError ``solve`` raises there.  Any
-    other error is raised, the first in target order.
-
-    The dual searches run in lockstep (``numerics.lockstep``): each round,
-    the prices every unfinished search asks for are evaluated together, in
-    one ``_avg_throughput`` call and so one call of each kernel.  Kernels
-    act elementwise, so each result has the bits of a lone ``solve``.
+    after the search.  ``numerics.lockstep`` runs the search (``_solved``),
+    each round one ``_avg_throughput`` call; many targets go through
+    ``suboptimal.solve_many(["optimal"], ...)``, as ``sweep``'s do.
     """
     if mode not in ("exact", "hse"):
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
     problem = dist if p is None else Problem(dist, p)
-    return _settled(lockstep([_solved(u, problem, mode) for u in u_avgs],
-                             partial(_prices, problem=problem)))
-
-
-def _settled(results: list) -> list:
-    """A lockstep's results as ``solve_many`` returns them: any error but
-    an InfeasibleError raised, the first in order."""
-    for result in results:
-        if isinstance(result, Exception) \
-                and not isinstance(result, InfeasibleError):
-            raise result
-    return results
-
-
-def _prices(mus: list, problem: Problem, x2=None) -> list:
-    """The ``DualState`` of each price of a round, from one
-    ``_avg_throughput`` call (``x2`` as there); a lone price goes as a
-    float, and with no ``x2`` the call keeps its (mu, dist, p) form."""
-    args = (problem.dist, problem.params) + (() if x2 is None else (x2,))
-    return _avg_throughput(mus, *args) if len(mus) > 1 \
-        else [_avg_throughput(mus[0], *args)]
+    # looked up each round, so that a rebinding of it applies
+    out, = lockstep([_solved(u_avg, problem, mode)], lambda mus:
+                    _avg_throughput(mus, problem.dist, problem.params))
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _solved(u_avg: float, problem: Problem, mode: str = "exact"):

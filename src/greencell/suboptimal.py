@@ -18,7 +18,8 @@ an ARw search yields the (rule, cut-off, share) of each tail integral it
 needs, and ``solve_many`` runs every search of a sweep, ``solve``'s too,
 in one lockstep, whose rounds evaluate the requests of every ARw search,
 and the capped points of every price, in one ``max_range_x`` call
-(``_round``).  FRw needs no kernel, so its searches yield nothing.
+(``_round``).  FRw needs no kernel, so its steps are searches that return
+without yielding.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from types import GeneratorType
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -36,8 +36,8 @@ from .numerics import (as_densities, gauss_legendre, joined, lockstep,
                        newton_search, shaped, split_like)
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import conditional_expect  # noqa: F401
-from .optimal import (InfeasibleError, Problem, _prices, _settled,
-                      _solved)
+from . import optimal
+from .optimal import InfeasibleError, Problem, _solved
 from .params import SystemParams, derive_constants
 from .scaling import bs_power, max_range_x
 
@@ -102,38 +102,29 @@ class _Cut(NamedTuple):
     loss: float
 
 
-def _step(value):
-    """Run ``value`` as a step of the enclosing search if it is a search
-    (a generator), and return its result; else return ``value``, a step
-    that needed no kernel (FRw's)."""
-    if isinstance(value, GeneratorType):
-        value = yield from value
-    return value
-
-
 def _cheapest_cutoff(at_edge: _Cut, point, falls_at_zero: bool, m: float):
     """The cheapest cut-off on [0, edge], from the point at the edge: a
-    search (``_step``).
+    search.
 
     h changes sign at most once there, from - to +.  So the edge wins when
     h(edge) <= 0; when h(0) >= 0 as well (not ``falls_at_zero``) J rises
     from 0, which wins.  Otherwise a secant search finds the root of
     log(gain / loss), of the sign of h and close to linear where h is flat;
-    ``point(c, near)`` gives the family's point at c, or its search, started
+    ``point(c, near)`` is the search for the family's point at c, started
     from the one evaluated last.  The search's point at the root wins
     (h >= 0 there).
     """
     if at_edge.gain <= at_edge.loss:
         return at_edge
     if not falls_at_zero:
-        at_zero = yield from _step(point(0.0, at_edge))
+        at_zero = yield from point(0.0, at_edge)
         return min(at_zero, at_edge, key=lambda at: at.cost)
     edge, g_edge = at_edge.cutoff, math.log(at_edge.gain / at_edge.loss)
     found = {edge: at_edge}
 
     def log_ratio(cutoff: float):
-        at = found[cutoff] = yield from _step(
-            point(cutoff, next(reversed(found.values()))))
+        at = found[cutoff] = yield from point(
+            cutoff, next(reversed(found.values())))
         g = math.log(at.gain / at.loss)
         # the first secant runs through the edge, later ones through the
         # point before, as bracketed_newton draws them
@@ -164,16 +155,16 @@ def _on_mass(rule, cutoff: float) -> float:
 
 def _edge(u_avg: float, problem: Problem, at_cap):
     """The largest cut-off c meeting the floor at the family's cap, by Newton
-    on U(c) - u_avg, with dU/dc = -pi c x(c) f(c): a search (``_step``).
-    ``at_cap(c, rule)`` gives (U, x(c), ...) at the cap on c's rule, or its
-    search.  Returns c, its rule and ``at_cap`` there, kept from the search
+    on U(c) - u_avg, with dU/dc = -pi c x(c) f(c): a search.
+    ``at_cap(c, rule)`` is the search for (U, x(c), ...) at the cap on c's
+    rule.  Returns c, its rule and ``at_cap`` there, kept from the search
     when it evaluated c."""
     m, pdf = problem.dist.lambda_max, problem.dist.pdf
     seen = {}
 
     def gap(c: float):
         rule = _tail_rule(problem, c)
-        at = yield from _step(at_cap(c, rule))
+        at = yield from at_cap(c, rule)
         seen[c] = rule, at
         return at[0] - u_avg, -math.pi * c * at[1] * float(pdf(c))
 
@@ -219,11 +210,18 @@ def _frw_ofc(u_avg: float, problem: Problem):
     """
     problem.check(u_avg, problem.frw_cap)
     p, x_cap = problem.params, problem.x_cap
-    edge, rule, _ = yield from _edge(u_avg, problem, lambda c, rule: (
-        math.pi * x_cap * rule.integrate(rule.nodes), x_cap))
+
+    def at_cap(c: float, rule):  # searches with no kernel to ask for
+        return math.pi * x_cap * rule.integrate(rule.nodes), x_cap
+        yield
+
+    def point(c: float, near: _Cut):
+        return _frw_cut(_tail_rule(problem, c), c, u_avg, p)
+        yield
+
+    edge, rule, _ = yield from _edge(u_avg, problem, at_cap)
     best = yield from _cheapest_cutoff(
-        _frw_cut(rule, edge, u_avg, p),
-        lambda c, near: _frw_cut(_tail_rule(problem, c), c, u_avg, p),
+        _frw_cut(rule, edge, u_avg, p), point,
         p.sleep_power < p.static_power, problem.dist.lambda_max)
     return _result(FRW_OFC, best, problem)
 
@@ -375,10 +373,11 @@ _SEARCHES = {"optimal": _solved, FRW_OFC: _frw_ofc, FRW_OOFC: _frw_oofc,
 
 def _round(requests: list, problem: Problem) -> list:
     """The answers to one round of requests from any mix of searches: the
-    ``DualState`` of each price, from one dual evaluation (``_prices``),
-    and the ``_ArwTail`` of each tail request (``_arw_tails``).  The
-    dual evaluation's capped points and every tail's densities go into
-    one ``max_range_x`` call."""
+    ``DualState`` of each price, from one dual evaluation
+    (``optimal._avg_throughput``, looked up each round), and the
+    ``_ArwTail`` of each tail request (``_arw_tails``).  The dual
+    evaluation's capped points and every tail's densities go into one
+    ``max_range_x`` call, its ``x2`` where the round has tail requests."""
     p = problem.params
     prices = [r for r in requests if not isinstance(r, tuple)]
     tails = [r for r in requests if isinstance(r, tuple)]
@@ -391,8 +390,8 @@ def _round(requests: list, problem: Problem) -> list:
         found.extend(xs[1:])
         return xs[0]
 
-    states = iter(_prices(prices, problem, capped_and_tails if tails
-                          else None) if prices else ())
+    args = (problem.dist, p) + ((capped_and_tails,) if tails else ())
+    states = iter(optimal._avg_throughput(prices, *args) if prices else ())
     answers = iter(_arw_tails(tails, p, found or None) if tails else ())
     return [next(answers) if isinstance(r, tuple) else next(states)
             for r in requests]
@@ -415,7 +414,12 @@ def solve_many(schemes, u_avgs, dist,
     problem = dist if p is None else Problem(dist, p)
     searches = [_SEARCHES[name](u, problem) for name in schemes
                 for u in u_avgs]
-    out = iter(_settled(lockstep(searches, partial(_round, problem=problem))))
+    results = lockstep(searches, partial(_round, problem=problem))
+    for result in results:
+        if isinstance(result, Exception) \
+                and not isinstance(result, InfeasibleError):
+            raise result
+    out = iter(results)
     return [[next(out) for _ in u_avgs] for _ in schemes]
 
 

@@ -125,8 +125,9 @@ def test_each_family_meets_a_floor_at_exactly_its_cap(config, monkeypatch):
     problem = Problem(dist, p)
     states = []
     real = optimal._avg_throughput
-    monkeypatch.setattr(optimal, "_avg_throughput", lambda mu, dist, p:
-                        states.append(real(mu, dist, p)) or states[-1])
+    monkeypatch.setattr(optimal, "_avg_throughput", lambda mus, dist, p:
+                        states.extend(real(mus, dist, p))
+                        or states[-len(mus):])
     for mode in ("exact", "hse"):
         policy, metrics = solve(problem.cap, problem, mode=mode)
         want = optimal.policy_for_mu(math.inf, p, dist.lambda_max, mode)

@@ -26,7 +26,7 @@ GALLOP_END = 2.0 ** 261
 
 
 def _throughput(mu, dist, p):
-    return optimal._avg_throughput(mu, dist, p).users
+    return optimal._avg_throughput([mu], dist, p)[0].users
 
 
 def _smooth_between(mu_lo, mu_hi, dist, p):
@@ -53,7 +53,7 @@ def _slope_error(static, sleep, alpha, dist_name, fraction):
                 - _throughput(mu - step, dist, p)) / (2.0 * step)
 
     want = (4.0 * central(0.5 * h) - central(h)) / 3.0
-    got = optimal._avg_throughput(mu, dist, p).slope
+    got = optimal._avg_throughput([mu], dist, p)[0].slope
     return (pol.case_tag, abs(got - want) / abs(want),
             _smooth_between(mu - h, mu + h, dist, p))
 
@@ -91,9 +91,9 @@ def dual_evals(monkeypatch):
     counts = []
     real = optimal._avg_throughput
 
-    def counting(mu, dist, p):
+    def counting(mus, dist, p):
         counts[-1] += 1
-        return real(mu, dist, p)
+        return real(mus, dist, p)
 
     monkeypatch.setattr(optimal, "_avg_throughput", counting)
     return counts
@@ -282,8 +282,8 @@ def test_dual_evaluations_near_the_cap(dual_evals, monkeypatch):
     prices = []
     counting = optimal._avg_throughput
     monkeypatch.setattr(optimal, "_avg_throughput",
-                        lambda mu, dist, p: prices.append(mu)
-                        or counting(mu, dist, p))
+                        lambda mus, dist, p: prices.extend(mus)
+                        or counting(mus, dist, p))
     p0, tri = cli._build_context(cli._load_config("configs/baseline.json"))
     for dist in (tri, TABLE):
         for static in (20.0, 60.0, 120.0):
@@ -310,7 +310,7 @@ def test_the_gallop_ends_where_a_dual_evaluation_works(dist_name, alpha,
                                                        static):
     p = SystemParams(pathloss_exp=alpha, static_power=static,
                      max_bs_power=static + 40.0)
-    state = optimal._avg_throughput(GALLOP_END, DISTS[dist_name], p)
+    state, = optimal._avg_throughput([GALLOP_END], DISTS[dist_name], p)
     assert math.isfinite(state.users) and math.isfinite(state.slope)
 
 

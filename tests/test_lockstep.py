@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from greencell import optimal, suboptimal
 from greencell.numerics import bracketed_newton, lockstep, newton_search
-from greencell.optimal import InfeasibleError, Problem, solve, solve_many
+from greencell.optimal import InfeasibleError, Problem, solve
 from greencell.params import SystemParams
 from greencell.traffic import from_table, triangular
 
@@ -39,6 +39,12 @@ def _bits(out) -> tuple:
     grid = np.linspace(0.0, policy.lambda_max, 513)
     return (repr(policy.summary()), repr(metrics),
             policy.radius_at(grid).tobytes())
+
+
+def solve_many(u_avgs, problem) -> list:
+    """``solve`` at many targets in one lockstep, as a sweep runs it."""
+    many, = suboptimal.solve_many(["optimal"], u_avgs, problem)
+    return many
 
 
 def _alone(solver, u_avg, problem):
@@ -80,14 +86,6 @@ def test_many_targets_have_the_bits_of_lone_calls(static, sleep, alpha,
             _bits(_alone(SCHEMES[name], u, problem)) for u in us], name
 
 
-def test_hse_mode_reads_the_same_search():
-    problem = Problem(DISTS["table"], SystemParams(static_power=60.0))
-    us = _targets(problem.cap, EDGES)
-    assert [_bits(out) for out in solve_many(us, problem, mode="hse")] == [
-        _bits(_alone(lambda u, q: solve(u, q, mode="hse"), u, problem))
-        for u in us]
-
-
 def test_a_round_evaluates_every_price_in_one_kernel_call(monkeypatch):
     problem = Problem(DISTS["triangular"], SystemParams())  # both regimes
     problem.cap  # the cap state's own x2_star call, before counting
@@ -103,10 +101,10 @@ def test_a_round_evaluates_every_price_in_one_kernel_call(monkeypatch):
 
     real_eval = optimal._avg_throughput
 
-    def evaluation(mu, dist, p):
+    def evaluation(mus, dist, p):
         counts["rounds"] += 1
-        counts["prices"] += len(mu) if isinstance(mu, list) else 1
-        return real_eval(mu, dist, p)
+        counts["prices"] += len(mus)
+        return real_eval(mus, dist, p)
 
     for name in ("x1_star", "x2_star"):
         monkeypatch.setattr(optimal, name, counted(name))

@@ -133,7 +133,7 @@ class TestCriticalDensities:
         tags = [critical_densities(mu, P).case_tag for mu in mus]
         assert sum(a != b for a, b in zip(tags, tags[1:])) == 1
         assert (tags[0], tags[-1]) == (CASE_A, CASE_B)
-        u = np.array([optimal._avg_throughput(mu, DIST, P).users
+        u = np.array([optimal._avg_throughput([mu], DIST, P)[0].users
                       for mu in mus])
         assert np.max(np.abs(np.diff(u)) / u[1:]) <= 1e-11
 
@@ -324,9 +324,10 @@ class TestSolve:
         jump = 3.3
         real = optimal._avg_throughput
         monkeypatch.setattr(optimal, "_avg_throughput",
-                            lambda mu, dist, p: dataclasses.replace(
-                                real(mu, dist, p), slope=None,
-                                users=80.0 if mu >= jump else 20.0))
+                            lambda mus, dist, p: [dataclasses.replace(
+                                state, slope=None,
+                                users=80.0 if state.mu >= jump else 20.0)
+                                for state in real(mus, dist, p)])
         pol, _ = solve(50.0, DIST, P)
         assert jump <= pol.mu <= jump * (1.0 + 1e-12)
 

@@ -31,6 +31,12 @@ def _run(search, p):
     return out
 
 
+def _now(value):
+    """A search that returns ``value`` and asks for nothing, as FRw's do."""
+    return value
+    yield
+
+
 def _arw_tail(rule, cutoff, share, p):
     """The ARw tail integrals at one (cut-off, share) on the cut-off's rule."""
     return suboptimal._arw_tails([(rule, cutoff, share)], p)[0]
@@ -459,7 +465,7 @@ def _family(family, u_avg, dist, p):
     problem = Problem(dist, p)
 
     def at_cap(c, rule):
-        return _arw_tail(rule, c, p.max_bs_power - p.static_power, p)
+        return suboptimal._arw_tail(rule, c, p.max_bs_power - p.static_power)
     edge, _, _ = _run(suboptimal._edge(u_avg, problem, at_cap), p)
     return edge, lambda c: _run(suboptimal._arw_cut(
         c, u_avg, problem, math.log(p.max_bs_power - p.static_power)), p)
@@ -902,10 +908,11 @@ def _ofc_edge(scheme, u_avg, dist, p):
     problem = Problem(dist, p)
     if scheme is frw_ofc:
         x_cap = problem.x_cap
-        return _run(suboptimal._edge(u_avg, problem, lambda c, rule: (
-            math.pi * x_cap * rule.integrate(rule.nodes), x_cap)), p)[0]
+        return _run(suboptimal._edge(u_avg, problem, lambda c, rule: _now((
+            math.pi * x_cap * rule.integrate(rule.nodes), x_cap))), p)[0]
     return _run(suboptimal._edge(u_avg, problem, lambda c, rule: (
-        _arw_tail(rule, c, p.max_bs_power - p.static_power, p))), p)[0]
+        suboptimal._arw_tail(rule, c, p.max_bs_power - p.static_power))),
+        p)[0]
 
 
 def _ofc_point(policy, cutoff, u_avg, dist, p):

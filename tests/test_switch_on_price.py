@@ -54,8 +54,10 @@ def test_every_policy_is_off_below_mu0_and_on_above(static, sleep, alpha,
     p = SystemParams(static_power=static, sleep_power=sleep,
                      pathloss_exp=alpha)
     mu0 = Problem(dist, p).mu0
-    assert optimal._avg_throughput(mu0 * (1.0 - 1e-9), dist, p).users == 0.0
-    assert optimal._avg_throughput(mu0 * (1.0 + 1e-6), dist, p).users > 0.0
+    assert optimal._avg_throughput([mu0 * (1.0 - 1e-9)], dist,
+                                   p)[0].users == 0.0
+    assert optimal._avg_throughput([mu0 * (1.0 + 1e-6)], dist,
+                                   p)[0].users > 0.0
 
 
 @pytest.mark.parametrize("static,alpha,want", [(20.0, 3.0, 0.297),
@@ -87,8 +89,8 @@ def test_no_dual_evaluation_lands_at_or_below_mu0(monkeypatch):
     prices = []
     real = optimal._avg_throughput
     monkeypatch.setattr(optimal, "_avg_throughput",
-                        lambda mu, dist, p: prices.append(mu)
-                        or real(mu, dist, p))
+                        lambda mus, dist, p: prices.extend(mus)
+                        or real(mus, dist, p))
     for static, sleep, alpha, dist_name in SETTINGS:
         problem = Problem(DISTS[dist_name],
                           SystemParams(static_power=static, sleep_power=sleep,
