@@ -150,7 +150,8 @@ def lockstep(searches: Sequence, evaluate: Callable[[list], list]) -> list:
     requests of every unfinished search go into one ``evaluate(requests)``
     call, which answers them in order.  Where a round of several requests
     fails, each is evaluated alone, so that an error reaches only the
-    search that asked; a search does not catch it, and so ends with it.
+    search that asked; a round of one passes its error on as it is.  A
+    search does not catch the error, and so ends with it.
     """
     out = [None] * len(searches)
     asks = {}
@@ -177,8 +178,9 @@ def lockstep(searches: Sequence, evaluate: Callable[[list], list]) -> list:
         requests = [asks.pop(i) for i in ids]
         try:
             replies = [(answer, None) for answer in evaluate(requests)]
-        except Exception:  # noqa: BLE001 - each alone, to place the error
-            replies = [alone(request) for request in requests]
+        except Exception as exc:  # noqa: BLE001 - placed on its search
+            replies = [alone(request) for request in requests] \
+                if len(requests) > 1 else [(None, exc)]
         for i, (answer, error) in zip(ids, replies):
             advance(i, answer, error)
     return out

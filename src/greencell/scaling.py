@@ -133,6 +133,8 @@ def avg_transmit_power_exact(radius: float, density: float,
     Keeps the near-field correction term alpha*r0^(alpha+2)/(2 R^2) and the
     exact exponent base (2^(v/W) - 1 instead of (ln 2) v/W), so it equals the
     expectation of the per-user power over the Poisson population exactly.
+    Inside r0 every user is at r0, so there the geometry factor is its value
+    at R = r0, (alpha+2)/2 r0^alpha.
     Intended for validation; the scaling law above is the modeling surface.
     Where a factor leaves the float range (R^alpha overflows, or R^2
     underflows to 0), the far-field product is formed in logs and the
@@ -150,7 +152,10 @@ def avg_transmit_power_exact(radius: float, density: float,
     _check_load(ex / _LN2)
     near = alpha * p.ref_distance ** (alpha + 2.0)
     try:
-        geom = radius ** alpha + near / (2.0 * radius * radius)
+        if radius < p.ref_distance:  # every user at r0: the far form at r0
+            geom = (alpha + 2.0) / 2.0 * p.ref_distance ** alpha
+        else:
+            geom = radius ** alpha + near / (2.0 * radius * radius)
         power = c.d1 * geom * math.expm1(ex)
     except (OverflowError, ZeroDivisionError):
         power = math.inf

@@ -186,6 +186,22 @@ def test_an_evaluation_error_reaches_only_the_search_that_asked():
     assert isinstance(out[1], ValueError) and "[-1]" in str(out[1])
 
 
+def test_a_failed_lone_round_is_evaluated_once(monkeypatch):
+    real_eval = optimal._avg_throughput
+    calls = []
+
+    def failing(mus, dist, p):
+        calls.append(list(mus))
+        if len(calls) >= 3:
+            raise ArithmeticError(f"evaluation {len(calls)}")
+        return real_eval(mus, dist, p)
+
+    monkeypatch.setattr(optimal, "_avg_throughput", failing)
+    with pytest.raises(ArithmeticError, match="evaluation 3"):
+        solve(30.0, triangular(1e-4), SystemParams())
+    assert len(calls) == 3
+
+
 def test_newton_searches_in_lockstep_find_the_lone_roots():
     def fn(x, c):
         return c - x * x, -2.0 * x

@@ -64,6 +64,17 @@ class TestSimulateTotalPower:
         exact = avg_transmit_power_exact(1000.0, 1e-5, P)
         assert abs(est.mean - exact) <= 3.0 * est.std_err
 
+    @pytest.mark.parametrize("density", [1e-3, 2e-2])
+    @pytest.mark.parametrize("radius", [1.0, 5.0, P.ref_distance,
+                                        2.0 * P.ref_distance])
+    def test_matches_exact_expression_near_the_reference_distance(
+            self, radius, density):
+        # inside r0 every user is at r0; the far-field form there misses
+        # the simulation by 180-6,600 SE at 1 and 5 m
+        est = simulate_total_power(density, radius, P, 200_000, make_rng(1))
+        exact = avg_transmit_power_exact(radius, density, P)
+        assert abs(est.mean - exact) <= 3.0 * est.std_err
+
     def test_halving_bandwidth_increases_power(self):
         narrow = SystemParams(bandwidth_w=P.bandwidth_w / 2)
         a = simulate_total_power(1e-5, 1000.0, P, 5000, make_rng(7))

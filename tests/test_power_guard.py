@@ -115,24 +115,27 @@ def _law_oracle(radius: float, density: float) -> float:
 
 def _exact_oracle(radius: float, density: float) -> float:
     """d1 (R^alpha + alpha r0^(alpha+2) / (2 R^2)) (e^ex - 1), ex =
-    (2^(v/W) - 1) pi lambda R^2, in 40 digits."""
+    (2^(v/W) - 1) pi lambda R^2, in 40 digits; inside r0 the geometry
+    factor is (alpha+2)/2 r0^alpha."""
     import mpmath
     c = derive_constants(P)
     with mpmath.workdps(40):
         r, alpha = mpmath.mpf(radius), mpmath.mpf(P.pathloss_exp)
+        r0 = mpmath.mpf(P.ref_distance)
         ex = mpmath.expm1(mpmath.mpf(c.c2) * mpmath.log(2)) * mpmath.pi \
             * mpmath.mpf(density) * r * r
-        geom = r ** alpha + alpha * mpmath.mpf(P.ref_distance) ** (alpha + 2) \
-            / (2 * r * r)
+        geom = (alpha + 2) / 2 * r0 ** alpha if r < r0 else \
+            r ** alpha + alpha * r0 ** (alpha + 2) / (2 * r * r)
         return float(mpmath.mpf(c.d1) * geom * mpmath.expm1(ex))
 
 
 def test_a_radius_whose_square_underflows_has_the_near_field_power():
-    # R^2 underflows to 0 below about 1e-162 m: the exact law divided by it
+    # R^2 underflows to 0 below about 1e-162 m; inside r0 the exact law is
+    # the load's e^ex - 1 times a constant, and so falls to 0 with it
     radius, density = 1e-170, 1e-5
     assert radius * radius == 0.0
     exact = scaling.avg_transmit_power_exact(radius, density, P)
-    assert exact > 0.0
+    assert exact == 0.0
     assert exact == pytest.approx(_exact_oracle(radius, density), rel=1e-13)
     assert scaling.avg_transmit_power(radius, density, P) == 0.0
 
@@ -175,6 +178,8 @@ def test_a_finite_product_keeps_its_bits(radius, density):
                  * np.expm1(bits * math.log(2.0)))
     assert law == want
     ex = math.expm1(c.c2 * math.log(2.0)) * math.pi * density * radius * radius
-    assert scaling.avg_transmit_power_exact(radius, density, P) == c.d1 * (
-        radius ** alpha + alpha * P.ref_distance ** (alpha + 2.0)
-        / (2.0 * radius * radius)) * math.expm1(ex)
+    geom = (alpha + 2.0) / 2.0 * P.ref_distance ** alpha \
+        if radius < P.ref_distance else radius ** alpha + alpha \
+        * P.ref_distance ** (alpha + 2.0) / (2.0 * radius * radius)
+    assert scaling.avg_transmit_power_exact(radius, density, P) \
+        == c.d1 * geom * math.expm1(ex)
