@@ -22,8 +22,9 @@ from .numerics import (QuadratureRule, as_arrays, as_densities,
 # bound here for perfbench/selftest.py, which checks its tracer rebinds it
 from .numerics import expect  # noqa: F401
 from .params import SystemParams, derive_constants
-from .scaling import (_cap_law, _curve_x, _stationary_law, _stationary_slope,
-                      bs_power_x, max_range_x, transmit_power_x)
+from .scaling import (_cap_law, _curve_x, _hse_root, _stationary_law,
+                      _stationary_slope, bs_power_x, max_range_x,
+                      transmit_power_x)
 from .traffic import DensityDistribution
 
 
@@ -104,7 +105,7 @@ def x1_star(density, mu, p: SystemParams):
     def scalars(mu: float) -> tuple:  # mu pi, log(mu pi / a d1), r^(1/h)
         _check_mu(mu)
         return (mu * math.pi, math.log(mu) + math.log(math.pi / a_d1),
-                (mu / (a_d1 * c.d3)) ** (1.0 / h))
+                _hse_root(mu, a_d1 * c.d3, h))
 
     shape, lam = None, density
     if isinstance(mu, np.ndarray):

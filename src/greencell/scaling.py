@@ -206,6 +206,23 @@ def _cap_law(x, qp, log_rhs, h):
     return h * np.log(x) + y + np.log(em) - log_rhs, h + y / em
 
 
+def _hse_root(num: float, den: float, h: float) -> float:
+    """r^(1/h), r = ``num`` / ``den`` > 0, formed in logs where r overflows
+    (``_curve_x``'s ``root``)."""
+    r = num / den
+    if r < math.inf:
+        return r ** (1.0 / h)
+    return math.exp((math.log(num) - math.log(den)) / h)
+
+
+def _small_load_x(law, qp, rhs, h):
+    """The root of ``law`` where its load y = ``qp`` x is so small that the
+    law is linear in log x: one Newton step from y = 2^-60."""
+    x = 2.0 ** -60 / qp
+    g, slope = law(x, qp, rhs, h)
+    return np.exp(np.log(x) - g / slope)
+
+
 def _curve_x(density, qp1, root, h, given, law=None, log_rhs=None):
     """x on one curve at each density, with qp = ``qp1`` lambda.
 
@@ -215,11 +232,14 @@ def _curve_x(density, qp1, root, h, given, law=None, log_rhs=None):
     Else Newton in log x (``newton_log``) on ``law``, its right side
     ``log_rhs`` (or ``log_rhs(lambda)`` if callable), from that root with
     Winitzki's W; both laws are convex and increasing in log x, so each
-    step after the first descends onto the root.  ``root``, the right side
-    and the value of ``given`` are floats, or arrays aligned with the
-    densities (``by_runs``).  Where the seed, the right side or the root
-    leaves the float range, ValueError names the density and ``given``,
-    the (name, value) of the price or share that set r.
+    step after the first descends onto the root.  Where w = k r^(1/h)
+    underflows, so that this seed is 0 or subnormal, the root's load is
+    tiny too, and the seed is the small-load law's (``_small_load_x``).
+    ``root``, the right side and the value of ``given`` are floats, or
+    arrays aligned with the densities (``by_runs``).  Where the seed, the
+    right side or the root leaves the float range, ValueError names the
+    density and ``given``, the (name, value) of the price or share that
+    set r.
     """
     shape, (lam,) = as_arrays(density)
     normal = (lam >= sys.float_info.min) & (lam <= sys.float_info.max)
@@ -234,11 +254,16 @@ def _curve_x(density, qp1, root, h, given, law=None, log_rhs=None):
             x = lambert_w0(w) / k
         else:
             rhs = log_rhs(lam) if callable(log_rhs) else log_rhs
-            if isinstance(rhs, np.ndarray):  # a right side per density
-                x = newton_log(partial(law, h=h), _winitzki(w) / k, qp, rhs)
+            per_density = isinstance(rhs, np.ndarray)
+            x0 = _winitzki(w) / k
+            small = x0 < sys.float_info.min
+            if np.count_nonzero(small):
+                x0[small] = _small_load_x(
+                    law, qp[small], rhs[small] if per_density else rhs, h)
+            if per_density:  # a right side per density
+                x = newton_log(partial(law, h=h), x0, qp, rhs)
             else:
-                x = newton_log(partial(law, h=h, log_rhs=rhs),
-                               _winitzki(w) / k, qp)
+                x = newton_log(partial(law, h=h, log_rhs=rhs), x0, qp)
     found = (x > 0.0) & (x < math.inf)
     if not all_set(found):
         bad = ~found
@@ -268,7 +293,7 @@ def max_range_x(density, share, p: SystemParams):
         # in parts where the ratio is not a normal float
         if sys.float_info.min <= ratio < math.inf:
             return ratio ** (1.0 / h), math.log(ratio)
-        return ratio ** (1.0 / h), math.log(share) - math.log(a_d1)
+        return _hse_root(share, a_d1, h), math.log(share) - math.log(a_d1)
 
     shape, lam = None, density
     if isinstance(share, np.ndarray):

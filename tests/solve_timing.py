@@ -1,12 +1,12 @@
-"""Interleaved timing of two checkouts in one process.
+"""Interleaved timing of two checkouts in one process, and their outputs.
 
     python3 tests/solve_timing.py PARENT CHANGE [--workload W...] [--repeats N]
 
-PARENT and CHANGE are checkout roots.  Each one's ``src/greencell`` is
-copied into a temporary directory as ``greencell_parent`` or
-``greencell_change``, which its relative imports allow, so one process
-imports both.  Each side runs on its own ``configs/``, with the inputs of
-PARENT's ``perfbench/``.  The workloads W (``solve`` by default):
+PARENT and CHANGE are checkout roots (``. .`` for one tree).  Each one's
+``src/greencell`` is copied into a temporary directory as
+``greencell_parent`` or ``greencell_change``, so one process imports both.
+Each side runs on its own ``configs/``, with the inputs of PARENT's
+``perfbench/``.  The workloads W (``solve`` by default):
 
 - ``solve``: the benchmark's round, ``SOLVE_ROUND`` of ``workloads.py`` on
   the targets and profiles of ``reference.json``, a ``solve`` call each;
@@ -14,26 +14,32 @@ PARENT's ``perfbench/``.  The workloads W (``solve`` by default):
   55.063, 58.705 and 112.954 users on ``configs/baseline.json``;
 - ``optimal20``: ``sweep --schemes optimal`` at 20 targets, 5 to 100 users;
 - ``validate``: ``mcsim.simulate_total_power`` at the 12 points of the
-  benchmark's validate grid, seeded with each point's first key.
+  benchmark's validate grid, seeded with each point's first key;
+- ``digest``: every output a refactor must keep bit for bit, untimed and
+  once whatever N (see ``print_digests``).
 
-Each repeat times every op once on each side, op by op, with garbage
-collected between repeats; which side goes first alternates, and a first,
-untimed repeat warms both up and hashes their outputs.  One process keeps
-the host's drift out of the ratios: on a shared 2-core host, six processes
-of identical code read 1.50 to 2.61 ms at the median solve op, the two
-sides of each within 5%.  Per workload it prints each op's median times
-and their ratio parent / change (above 1: the change is faster), the
-median of the per-op ratios, the repeats whose ops took the change less
-time in total (N is 150 by default), and per side a SHA-256 of its
-outputs' reprs, equal where the change keeps every output bit.
+Each repeat times every op once on each side, with garbage collected
+between repeats; which side goes first alternates, and a first, untimed
+repeat warms both up and hashes their outputs.  One process keeps the
+host's drift out of the ratios: on a shared 2-core host, six processes of
+identical code read 1.50 to 2.61 ms at the median solve op.  Per timed
+workload it prints each op's median times and their ratio parent / change
+(above 1: the change is faster), the median of the per-op ratios, the
+repeats (N, 150 by default) whose ops took the change less time in total,
+and per side a SHA-256 of its outputs' reprs.
 """
 
 import argparse
 import ast
+import contextlib
+import csv
+import dataclasses
 import gc
 import hashlib
 import importlib
+import io
 import json
+import math
 import shutil
 import statistics
 import sys
@@ -47,7 +53,20 @@ SWEEPS = {
     "optimal20": ["--u-avg", ",".join(repr(5.0 * k) for k in range(1, 21)),
                   "--schemes", "optimal"],
 }
-WORKLOADS = ("solve", *SWEEPS, "validate")
+WORKLOADS = ("solve", *SWEEPS, "validate", "digest")
+
+# the digest's solver grid
+SETTINGS = [(20.0, 0.0), (60.0, 30.0), (120.0, 0.0)]  # (Pc, Ps) in W
+ALPHAS = [3.0, 4.5]
+TABLE = ([0.0, 2e-5, 5e-5, 1e-4], [0.3, 1.0, 0.6, 0.1])  # with triangular
+FRACTIONS = [1e-8, 1e-3, 0.05, 0.3, 0.9, 1.0]  # of each family's cap
+# (function, keywords, the Problem's cap its targets are fractions of)
+SOLVERS = [("solve", {}, "cap"), ("solve", {"mode": "hse"}, "cap"),
+           ("frw_ofc", {}, "frw_cap"), ("frw_oofc", {}, "frw_cap"),
+           ("arw_ofc", {}, "cap"), ("arw_oofc", {}, "cap")]
+CONFIGS = ["baseline.json", "low_static.cfg"]
+CLI_FRACTIONS = [0.05, 0.5, 0.95]  # of the cap, for solve and sweep
+SECTIONS = ("solver reprs", "cli solve/sweep/schemes", "cli validate-scaling")
 
 
 def solve_round(root: Path) -> tuple:
@@ -143,6 +162,172 @@ def time_workload(ops: dict, repeats: int) -> None:
         print(f"{digests[side].hexdigest()}  {side} outputs")
 
 
+def solver_outputs(side: str):
+    """(key, output) of each solver call of the grid: the Problem's two
+    caps, then ``(policy.summary(), metrics)`` or the error raised."""
+    pkg = importlib.import_module(f"greencell_{side}")
+    for static, sleep in SETTINGS:
+        for alpha in ALPHAS:
+            p = pkg.SystemParams(static_power=static, sleep_power=sleep,
+                                 pathloss_exp=alpha)
+            for d, dist in enumerate([pkg.triangular(1e-4),
+                                      pkg.from_table(*TABLE)]):
+                problem = pkg.optimal.Problem(dist, p)
+                setting = f"Pc{static:g}/Ps{sleep:g}/alpha{alpha:g}/dist{d}"
+                yield f"{setting}/caps", (problem.cap, problem.frw_cap)
+                for s, (name, kw, cap) in enumerate(SOLVERS):
+                    for fraction in FRACTIONS:
+                        key = f"{setting}/solver{s}/{fraction:g}"
+                        try:
+                            policy, metrics = getattr(pkg, name)(
+                                fraction * getattr(problem, cap), problem,
+                                **kw)
+                            yield key, (policy.summary(), metrics)
+                        except ValueError as exc:
+                            yield key, exc
+
+
+def cli_files(side: str, config: Path, out_dir: Path, sources: set):
+    """(name, bytes hashed, (key, float) of each number) of the stdout,
+    output file and manifest of each CLI run on ``config``.  A manifest is
+    hashed without its ``source_sha256``, which goes to ``sources``."""
+    cli = importlib.import_module(f"greencell_{side}.cli")
+    p, dist = cli._build_context(cli._load_config(str(config)))
+    problem = cli.optimal.Problem(dist, p)
+    targets = [repr(float(f * problem.cap)) for f in CLI_FRACTIONS]
+    runs = [["solve", "--u-avg", target, "--mode", mode]
+            for target in targets for mode in ("exact", "hse")]
+    runs += [["sweep", "--u-avg",
+              ",".join([*targets, repr(float(1.1 * problem.cap))])],
+             ["schemes", "--u-avg", repr(float(0.3 * problem.frw_cap))],
+             ["validate-scaling", "--trials", "2000"]]
+    for i, argv in enumerate(runs):
+        for fmt in ("csv", "json"):
+            out = out_dir / f"{config.stem}-{i}-{argv[0]}.{fmt}"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main([*argv, "--config", str(config),
+                                 "--format", fmt, "--out", str(out)])
+            text = stdout.getvalue()
+            yield (out.name, repr((code, text)).encode(),
+                   cell_floats(f"{out.name}/stdout", text, ".json"))
+            data = out.read_bytes() if out.exists() else b"missing"
+            yield out.name, data, cell_floats(out.name, data.decode(),
+                                              out.suffix)
+            manifest, data = Path(str(out) + ".manifest.json"), b"missing"
+            if manifest.exists():
+                doc = json.loads(manifest.read_text())
+                sources.add(doc.pop("source_sha256", "none"))
+                data = (json.dumps(doc, indent=2, sort_keys=True)
+                        + "\n").encode()
+            yield manifest.name, data, ()
+
+
+def floats(key: str, value):
+    """(key/field, float) for every number in ``value``, a nest of
+    dicts, sequences and dataclasses."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        for field, item in value.items():
+            yield from floats(f"{key}/{field}", item)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from floats(f"{key}/{i}", item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield key, float(value)
+
+
+def cell_floats(key: str, text: str, suffix: str) -> list:
+    """(key/row/column, float) of each numeric CSV cell, or the numbers of
+    a JSON text; none for other text."""
+    if suffix != ".csv":
+        try:
+            return list(floats(key, json.loads(text)))
+        except ValueError:
+            return []
+    cells = []
+    for i, row in enumerate(csv.DictReader(io.StringIO(text))):
+        for column, cell in row.items():
+            try:
+                cells.append((f"{key}/{i}/{column}", float(cell)))
+            except (TypeError, ValueError):
+                pass
+    return cells
+
+
+def side_digest(side: str, root: Path, tmp: Path) -> tuple:
+    """(lines, values) of one side: its total digest, one digest per
+    section and its ``source_sha256``; and its every output float."""
+    digest = hashlib.sha256()
+    sections = {name: hashlib.sha256() for name in SECTIONS}
+    counts = dict.fromkeys(SECTIONS, 0)
+    values, sources = {}, set()
+
+    def add(section: str, data: bytes) -> None:
+        digest.update(data)
+        sections[section].update(data)
+        counts[section] += 1
+
+    for key, output in solver_outputs(side):
+        add("solver reprs", repr(output).encode() + b"\n")
+        if not isinstance(output, Exception):
+            values.update(floats(key, output))
+    out_dir = tmp / f"digest-{side}"
+    out_dir.mkdir()
+    for config in CONFIGS:
+        for name, data, numbers in cli_files(
+                side, root / "configs" / config, out_dir, sources):
+            add(SECTIONS[2] if "-validate-scaling." in name else SECTIONS[1],
+                name.encode() + b"\0" + data)
+            values.update(numbers)
+    lines = [f"{digest.hexdigest()}  {counts[SECTIONS[0]]} reprs, "
+             f"{counts[SECTIONS[1]] + counts[SECTIONS[2]]} CLI outputs"]
+    lines += [f"{sections[name].hexdigest()}  {name} ({counts[name]})"
+              for name in SECTIONS]
+    lines.append(f"{' '.join(sorted(sources))}  source_sha256 (not in the "
+                 "digests)")
+    return lines, values
+
+
+def print_digests(roots: dict, tmp: Path) -> None:
+    """Per side, a SHA-256 over the reprs of ``solve`` in both modes and
+    the four schemes on the grid above, with each Problem's caps, and over
+    what the CLI's ``solve``, ``sweep``, ``schemes`` and
+    ``validate-scaling`` write on the side's configs in CSV and JSON; then
+    one per section, and the manifests' ``source_sha256`` (not hashed).  A
+    float that turns into a numpy scalar changes its repr.  Where a digest
+    differs, it prints per field the largest relative difference of the
+    sides' floats at its first key in sorted order, and keys one side lacks.
+    """
+    digests = {}
+    for side in SIDES:
+        digests[side] = side_digest(side, roots[side], tmp)
+        print(f"-- {side}", *digests[side][0], sep="\n")
+    (lines_a, a), (lines_b, b) = digests.values()
+    if lines_a[:-1] == lines_b[:-1]:
+        return
+    worst = {}
+    both = sorted(a.keys() & b.keys())
+    for key in both:
+        x, y = a[key], b[key]
+        rel = 0.0 if x == y or math.isnan(x) and math.isnan(y) else (
+            abs(x - y) / max(abs(x), abs(y)))
+        rel = math.inf if math.isnan(rel) else rel
+        # the key's last part that is not a row or sequence index
+        field = next(part for part in reversed(key.split("/"))
+                     if not part.isdigit())
+        if field not in worst or rel > worst[field][0]:
+            worst[field] = (rel, key, x, y)
+    print(f"{len(both)} values on both sides")
+    for field, (rel, key, x, y) in sorted(worst.items()):
+        where = f"  at {key}: {x!r} vs {y!r}" if rel else ""
+        print(f"{field:24s} {rel:.3g}{where}")
+    for side, only in zip(SIDES, (a.keys() - b.keys(), b.keys() - a.keys())):
+        if only:
+            print(f"{len(only)} keys only in {side}, e.g. {min(only)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -161,8 +346,12 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         for workload in args.workload:
             print(f"== {workload}")
-            time_workload({side: side_ops(workload, side, roots, ref, tmp)
-                           for side in SIDES}, args.repeats)
+            if workload == "digest":
+                print_digests(roots, Path(tmp))
+            else:
+                time_workload({side: side_ops(workload, side, roots, ref,
+                                              tmp) for side in SIDES},
+                              args.repeats)
     return 0
 
 
