@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -143,46 +143,28 @@ def newton_search(fn, good: float, bad: float, x: float, tol: float):
 
 
 def lockstep(searches: Sequence, evaluate: Callable[[list], list]) -> list:
-    """Run generator ``searches`` together; what each returns, or the
-    exception it raised, in order.
+    """Run generator ``searches`` together; what each returns, in order.
 
     A search yields a request and is sent its answer.  Each round, the
     requests of every unfinished search go into one ``evaluate(requests)``
-    call, which answers them in order.  Where a round of several requests
-    fails, each is evaluated alone, so that an error reaches only the
-    search that asked; a round of one passes its error on as it is.  A
-    search does not catch the error, and so ends with it.
+    call, which answers them in order.  An exception, raised by a search or
+    by ``evaluate``, propagates at once.
     """
     out = [None] * len(searches)
     asks = {}
 
-    def advance(i: int, answer=None, error: Optional[Exception] = None):
+    def advance(i: int, answer=None):
         try:
-            asks[i] = searches[i].send(answer) if error is None \
-                else searches[i].throw(error)
+            asks[i] = searches[i].send(answer)
         except StopIteration as stop:
             out[i] = stop.value
-        except Exception as exc:  # noqa: BLE001 - the search's own result
-            out[i] = exc
-
-    def alone(request) -> tuple:  # (answer, error) of one request
-        try:
-            return evaluate([request])[0], None
-        except Exception as exc:  # noqa: BLE001 - passed to its search
-            return None, exc
 
     for i in range(len(searches)):
         advance(i)
     while asks:
         ids = list(asks)
-        requests = [asks.pop(i) for i in ids]
-        try:
-            replies = [(answer, None) for answer in evaluate(requests)]
-        except Exception as exc:  # noqa: BLE001 - placed on its search
-            replies = [alone(request) for request in requests] \
-                if len(requests) > 1 else [(None, exc)]
-        for i, (answer, error) in zip(ids, replies):
-            advance(i, answer, error)
+        for i, answer in zip(ids, evaluate([asks.pop(i) for i in ids])):
+            advance(i, answer)
     return out
 
 

@@ -238,7 +238,7 @@ def hse_x1(density, mu: float, p: SystemParams):
     c = derive_constants(p)
     h = 0.5 * p.pathloss_exp
     return _curve_x(density, c.d3 * math.pi,
-                    (mu / (p.amp_scaling * c.d1 * c.d3)) ** (1.0 / h), h,
+                    _hse_root(mu, p.amp_scaling * c.d1 * c.d3, h), h,
                     ("mu", mu))
 
 
@@ -650,11 +650,8 @@ def solve(u_avg: float, dist, p: Optional[SystemParams] = None,
         raise ValueError(f"mode must be 'exact' or 'hse', got {mode}")
     problem = dist if p is None else Problem(dist, p)
     # looked up each round, so that a rebinding of it applies
-    out, = lockstep([_solved(u_avg, problem, mode)], lambda mus:
-                    _avg_throughput(mus, problem.dist, problem.params))
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return lockstep([_solved(u_avg, problem, mode)], lambda mus:
+                    _avg_throughput(mus, problem.dist, problem.params))[0]
 
 
 def _solved(u_avg: float, problem: Problem, mode: str = "exact"):

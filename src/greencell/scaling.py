@@ -234,7 +234,9 @@ def _curve_x(density, qp1, root, h, given, law=None, log_rhs=None):
     Winitzki's W; both laws are convex and increasing in log x, so each
     step after the first descends onto the root.  Where w = k r^(1/h)
     underflows, so that this seed is 0 or subnormal, the root's load is
-    tiny too, and the seed is the small-load law's (``_small_load_x``).
+    tiny too, and the seed is the small-load law's (``_small_load_x``);
+    where w overflows, the seed is W(w) / k, W from its asymptotic series
+    in L = log k + log r^(1/h) (Corless et al. 1996).
     ``root``, the right side and the value of ``given`` are floats, or
     arrays aligned with the densities (``by_runs``).  Where the seed, the
     right side or the root leaves the float range, ValueError names the
@@ -260,6 +262,10 @@ def _curve_x(density, qp1, root, h, given, law=None, log_rhs=None):
             if np.count_nonzero(small):
                 x0[small] = _small_load_x(
                     law, qp[small], rhs[small] if per_density else rhs, h)
+            big = ~np.isfinite(w)
+            if np.count_nonzero(big):  # W(e^L) = L - log L + log L / L + ...
+                L = (np.log(k) + np.log(root))[big]
+                x0[big] = (L - np.log(L) + np.log(L) / L) / k[big]
             if per_density:  # a right side per density
                 x = newton_log(partial(law, h=h), x0, qp, rhs)
             else:

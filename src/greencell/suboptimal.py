@@ -397,13 +397,21 @@ def _round(requests: list, problem: Problem) -> list:
             for r in requests]
 
 
+def _row(search):
+    """``search``, whose InfeasibleError (``Problem.check``'s, before its
+    first request) is its result."""
+    try:
+        return (yield from search)
+    except InfeasibleError as exc:
+        return exc
+
+
 def solve_many(schemes, u_avgs, dist,
                p: Optional[SystemParams] = None) -> list:
     """Each policy of ``schemes`` (names: "optimal" for ``solve``, or a
     scheme's) at each target of ``u_avgs``, on one Problem: per policy,
     per target its (policy, metrics), or the InfeasibleError its lone call
-    raises there.  Any other error is raised, the first in (policy,
-    target) order.
+    raises there.  Any other error is raised where it happens.
 
     Every search runs in one lockstep (``numerics.lockstep``): each round,
     the prices every dual search asks for go into one dual evaluation, and
@@ -412,23 +420,18 @@ def solve_many(schemes, u_avgs, dist,
     result has the bits of a lone call.
     """
     problem = dist if p is None else Problem(dist, p)
-    searches = [_SEARCHES[name](u, problem) for name in schemes
-                for u in u_avgs]
-    results = lockstep(searches, partial(_round, problem=problem))
-    for result in results:
-        if isinstance(result, Exception) \
-                and not isinstance(result, InfeasibleError):
-            raise result
-    out = iter(results)
+    out = iter(lockstep([_row(_SEARCHES[name](u, problem))
+                         for name in schemes for u in u_avgs],
+                        partial(_round, problem=problem)))
     return [[next(out) for _ in u_avgs] for _ in schemes]
 
 
 def _alone(scheme: str, u_avg: float, dist, p: Optional[SystemParams]):
-    """``scheme`` at one target: its (policy, metrics), or its error."""
-    (out,), = solve_many([scheme], [u_avg], dist, p)
-    if isinstance(out, InfeasibleError):
-        raise out
-    return out
+    """``scheme`` at one target: its one search, run on ``lockstep`` with
+    ``_round``."""
+    problem = dist if p is None else Problem(dist, p)
+    return lockstep([_SEARCHES[scheme](u_avg, problem)],
+                    partial(_round, problem=problem))[0]
 
 
 def frw_ofc(u_avg: float, dist,

@@ -613,12 +613,9 @@ def test_max_range_x_takes_a_right_side_below_the_float_range(density, share):
 
 # the seed W(k r^(1/h)) / k underflowed to 0 or overflowed to NaN, and
 # newton_log failed on its own seed check; the hse forms gave 0 or NaN.
-# Still open: x1_star's root at 1e-300 has a load y below the float range,
-# and max_range_x's seed at 1e300 overflows
+# Still open: x1_star's root at 1e-300 has a load y below the float range
 @pytest.mark.parametrize("call, density, value", [
-    (optimal.x1_star, 1e-300, 1e-300),
-    (optimal.hse_x1, 1e-300, 1e-300), (optimal.hse_x1, 1e-4, 1e300),
-    (scaling.max_range_x, 1e300, 1e300)],
+    (optimal.x1_star, 1e-300, 1e-300), (optimal.hse_x1, 1e-300, 1e-300)],
     ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_a_root_search_that_leaves_the_float_range_names_its_inputs(
         call, density, value):
@@ -630,9 +627,11 @@ def test_a_root_search_that_leaves_the_float_range_names_its_inputs(
 
 
 # these raised "leaves the float range": k r^(1/h) underflowed to 0, so the
-# seed was 0 (max_range_x), or r = mu / (a d1 d3) overflowed (x1_star)
+# seed was 0 (max_range_x at 1e-300), r = mu / (a d1 d3) overflowed
+# (x1_star at 1e-4), or w = k r^(1/h) overflowed, so the seed was NaN
 @pytest.mark.parametrize("call, density, value", [
-    (scaling.max_range_x, 1e-300, 1e-300), (optimal.x1_star, 1e-4, 1e300)],
+    (scaling.max_range_x, 1e-300, 1e-300), (optimal.x1_star, 1e-4, 1e300),
+    (scaling.max_range_x, 1e300, 1e300), (optimal.x1_star, 1e300, 1e300)],
     ids=lambda v: getattr(v, "__name__", repr(v)))
 def test_a_seed_past_the_float_range_still_finds_the_root(call, density,
                                                           value):
@@ -647,9 +646,29 @@ def test_a_seed_past_the_float_range_still_finds_the_root(call, density,
             return lhs + y + math.log(h * -math.expm1(-y) + y) - (
                 math.log(value) + math.log(math.pi) + math.log(density))
         return lhs + y + math.log(-math.expm1(-y)) - math.log(value)
-    want = bisect(law, grow_bracket(law, 1.0, 2.0), rel_tol=1e-15)
-    # measured: 6.3e-15 (max_range_x) and 0 (x1_star)
+    scale = 1.0  # a power of 2 below the root, so that x = scale t is exact
+    while law(scale) >= 0.0:
+        scale *= 0.5
+
+    def law_t(t):
+        return law(scale * t)
+    want = scale * bisect(law_t, grow_bracket(law_t, 1.0, 2.0), rel_tol=1e-15)
+    # measured: 6.3e-15, 0, 2.1e-16 and 0, in order
     assert call(density, value, P) == pytest.approx(want, rel=1e-14)
+
+
+# r = mu / (a d1 d3) overflowed, so the closed form raised "leaves the float
+# range"; r^(1/h) is now formed in logs, as x1_star forms it
+def test_hse_x1_past_the_float_range_finds_its_closed_form_root():
+    density, mu = 1e-4, 1e300
+    c, h = derive_constants(P), 0.5 * P.pathloss_exp
+
+    def law(x):  # h log x + qp x = log r
+        return h * math.log(x) + c.d3 * math.pi * density * x - (
+            math.log(mu) - math.log(P.amp_scaling * c.d1 * c.d3))
+    want = bisect(law, grow_bracket(law, 1.0, 2.0), rel_tol=1e-15)
+    # measured: 1.4e-16
+    assert optimal.hse_x1(density, mu, P) == pytest.approx(want, rel=1e-14)
 
 
 @given(density=st.floats(min_value=sys.float_info.min,

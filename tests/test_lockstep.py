@@ -2,6 +2,7 @@
 target the bits of a lone call, and each round evaluates once."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,18 +173,37 @@ def test_an_infeasible_target_is_its_rows_error_and_a_bad_one_raises():
     assert isinstance(out[0], InfeasibleError) and len(out) == 2
 
 
-def test_an_evaluation_error_reaches_only_the_search_that_asked():
+def test_an_evaluation_error_propagates_from_its_one_call():
     def search(v):
         return (yield v)
 
-    def evaluate(requests):
-        if any(r < 0 for r in requests):
-            raise ValueError(f"negative request in {requests}")
-        return [2 * r for r in requests]
+    calls = []
 
-    out = lockstep([search(1), search(-1), search(3)], evaluate)
-    assert out[0] == 2 and out[2] == 6
-    assert isinstance(out[1], ValueError) and "[-1]" in str(out[1])
+    def evaluate(requests):
+        calls.append(list(requests))
+        raise ValueError(f"bad round {requests}")
+
+    with pytest.raises(ValueError, match=re.escape("bad round [1, 2, 3]")):
+        lockstep([search(1), search(2), search(3)], evaluate)
+    assert calls == [[1, 2, 3]]
+
+
+def test_a_failed_sweep_round_is_evaluated_once(monkeypatch):
+    problem = Problem(DISTS["triangular"], SystemParams())
+    us = [f * problem.cap for f in (0.2, 0.5, 0.8)]
+    real_eval = optimal._avg_throughput
+    calls = []
+
+    def failing(mus, dist, p):
+        calls.append(list(mus))
+        if len(calls) >= 2:
+            raise ArithmeticError(f"evaluation {len(calls)}")
+        return real_eval(mus, dist, p)
+
+    monkeypatch.setattr(optimal, "_avg_throughput", failing)
+    with pytest.raises(ArithmeticError, match="evaluation 2"):
+        suboptimal.solve_many(["optimal"], us, problem)
+    assert len(calls) == 2
 
 
 def test_a_failed_lone_round_is_evaluated_once(monkeypatch):
