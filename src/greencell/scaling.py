@@ -55,9 +55,11 @@ def stpc_power(distance, n_users, p: SystemParams):
     reference distance.  Accepts numpy arrays for either argument.  The
     power is a constant times the path-loss factor max(d/r0, 1)^alpha and
     the bandwidth-sharing factor (2^(n v/W) - 1) / n, the same for every
-    user of a drop.  An ``n_users`` below 1 or NaN, or a distance that is
-    negative or not finite, raises ValueError, and a load exponent n v/W
-    above ``EXPONENT_GUARD_BITS``, or a power past the float range,
+    user of a drop.  Where that product is not a float (the path-loss
+    factor overflows while the other is tiny), it is formed in logs.  An
+    ``n_users`` below 1 or NaN, or a distance that is negative or not
+    finite, raises ValueError, and a load exponent n v/W above
+    ``EXPONENT_GUARD_BITS``, or a power past the float range,
     PowerOverflowError.
     """
     c = derive_constants(p)
@@ -75,9 +77,12 @@ def stpc_power(distance, n_users, p: SystemParams):
         scale = (p.snr_gap * p.noise_psd * p.bandwidth_w
                  / (p.ref_pathloss * c.c1)) * (np.expm1(bits * _LN2) / n)
         # max(d, r0) / r0 has the bits of max(d / r0, 1)
-        out = (np.maximum(d, p.ref_distance)
-               / p.ref_distance) ** p.pathloss_exp * scale
-    _check_power(out)
+        ratio = np.maximum(d, p.ref_distance) / p.ref_distance
+        out = ratio ** p.pathloss_exp * scale
+        if not all_set(np.isfinite(out)):
+            out = np.where(np.isfinite(out), out, np.exp(
+                p.pathloss_exp * np.log(ratio) + np.log(scale)))
+            _check_power(out)
     return out if out.ndim else float(out)
 
 
@@ -229,14 +234,16 @@ def _curve_x(density, qp1, root, h, given, law=None, log_rhs=None):
     With the -1 of e^y - 1 dropped, both laws read h log x + qp x = log r,
     whose root x = W(k r^(1/h)) / k, k = qp / h (Corless et al. 1996), is
     the hse closed form, returned with no ``law``; ``root`` is r^(1/h).
-    Else Newton in log x (``newton_log``) on ``law``, its right side
-    ``log_rhs`` (or ``log_rhs(lambda)`` if callable), from that root with
-    Winitzki's W; both laws are convex and increasing in log x, so each
-    step after the first descends onto the root.  Where w = k r^(1/h)
-    underflows, so that this seed is 0 or subnormal, the root's load is
-    tiny too, and the seed is the small-load law's (``_small_load_x``);
-    where w overflows, the seed is W(w) / k, W from its asymptotic series
-    in L = log k + log r^(1/h) (Corless et al. 1996).
+    Where w = k r^(1/h) overflows, W is formed in logs: its asymptotic
+    series in L = log k + log r^(1/h) (Corless et al. 1996), within 5e-8
+    relative from L = log 2^1024 up, then two Newton steps on W + log W =
+    L (one reaches 4e-16).  Else Newton in log x (``newton_log``) on
+    ``law``, its right side ``log_rhs`` (or ``log_rhs(lambda)`` if
+    callable), from that root with Winitzki's W; both laws are convex and
+    increasing in log x, so each step after the first descends onto the
+    root.  Where w underflows, so that this seed is 0 or subnormal, the
+    root's load is tiny too, and the seed is the small-load law's
+    (``_small_load_x``); where w overflows, the seed is the series' W / k.
     ``root``, the right side and the value of ``given`` are floats, or
     arrays aligned with the densities (``by_runs``).  Where the seed, the
     right side or the root leaves the float range, ValueError names the
@@ -252,8 +259,16 @@ def _curve_x(density, qp1, root, h, given, law=None, log_rhs=None):
     k = qp / h
     with np.errstate(all="ignore"):  # a non-finite x is reported below
         w = k * root
+        big = ~np.isfinite(w)
+        if np.count_nonzero(big):  # W(e^L) = L - log L + log L / L + ...
+            L = (np.log(k) + np.log(root))[big]
+            w_big = L - np.log(L) + np.log(L) / L
         if law is None:
             x = lambert_w0(w) / k
+            if np.count_nonzero(big):  # Newton on W + log W = L, twice
+                for _ in range(2):
+                    w_big -= (w_big + np.log(w_big) - L) / (1.0 + 1.0 / w_big)
+                x[big] = w_big / k[big]
         else:
             rhs = log_rhs(lam) if callable(log_rhs) else log_rhs
             per_density = isinstance(rhs, np.ndarray)
@@ -262,10 +277,8 @@ def _curve_x(density, qp1, root, h, given, law=None, log_rhs=None):
             if np.count_nonzero(small):
                 x0[small] = _small_load_x(
                     law, qp[small], rhs[small] if per_density else rhs, h)
-            big = ~np.isfinite(w)
-            if np.count_nonzero(big):  # W(e^L) = L - log L + log L / L + ...
-                L = (np.log(k) + np.log(root))[big]
-                x0[big] = (L - np.log(L) + np.log(L) / L) / k[big]
+            if np.count_nonzero(big):
+                x0[big] = w_big / k[big]
             if per_density:  # a right side per density
                 x = newton_log(partial(law, h=h), x0, qp, rhs)
             else:

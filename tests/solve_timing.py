@@ -15,8 +15,8 @@ Each side runs on its own ``configs/``, with the inputs of PARENT's
 - ``optimal20``: ``sweep --schemes optimal`` at 20 targets, 5 to 100 users;
 - ``validate``: ``mcsim.simulate_total_power`` at the 12 points of the
   benchmark's validate grid, seeded with each point's first key;
-- ``digest``: every output a refactor must keep bit for bit, untimed and
-  once whatever N (see ``print_digests``).
+- ``digest``: the outputs a refactor must keep bit for bit and the code
+  its CLI runs reach, untimed and once whatever N (see ``print_digests``).
 
 Each repeat times every op once on each side, with garbage collected
 between repeats; which side goes first alternates, and a first, untimed
@@ -187,13 +187,20 @@ def solver_outputs(side: str):
                             yield key, exc
 
 
-def cli_files(side: str, config: Path, out_dir: Path, sources: set):
+def cli_files(side: str, config: Path, out_dir: Path, sources: set,
+              called: set):
     """(name, bytes hashed, (key, float) of each number) of the stdout,
     output file and manifest of each CLI run on ``config``.  A manifest is
-    hashed without its ``source_sha256``, which goes to ``sources``."""
+    hashed without its ``source_sha256``, which goes to ``sources``, and
+    (file, first line) of each code object ``cli.main`` calls to ``called``."""
     cli = importlib.import_module(f"greencell_{side}.cli")
     p, dist = cli._build_context(cli._load_config(str(config)))
     problem = cli.optimal.Problem(dist, p)
+
+    def record(frame, event, _, add=called.add):  # sees C calls, returns
+        if event == "call":
+            add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
     targets = [repr(float(f * problem.cap)) for f in CLI_FRACTIONS]
     runs = [["solve", "--u-avg", target, "--mode", mode]
             for target in targets for mode in ("exact", "hse")]
@@ -205,9 +212,13 @@ def cli_files(side: str, config: Path, out_dir: Path, sources: set):
         for fmt in ("csv", "json"):
             out = out_dir / f"{config.stem}-{i}-{argv[0]}.{fmt}"
             stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli.main([*argv, "--config", str(config),
-                                 "--format", fmt, "--out", str(out)])
+            sys.setprofile(record)
+            try:
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main([*argv, "--config", str(config),
+                                     "--format", fmt, "--out", str(out)])
+            finally:
+                sys.setprofile(None)
             text = stdout.getvalue()
             yield (out.name, repr((code, text)).encode(),
                    cell_floats(f"{out.name}/stdout", text, ".json"))
@@ -256,9 +267,34 @@ def cell_floats(key: str, text: str, suffix: str) -> list:
     return cells
 
 
+def defined_functions(package: Path) -> dict:
+    """{(file, first line of its code object): qualified name} of every
+    function and method in ``package``'s modules, nested ones too, as
+    ``outer.inner``."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                # a decorated function's code starts at its first decorator
+                first = min(n.lineno for n in [child, *child.decorator_list])
+                found[(str(path), first)] = f"{path.stem}.{name}"
+                name += "."
+            elif isinstance(child, ast.ClassDef):
+                name = f"{prefix}{child.name}."
+            visit(child, path, name)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    return found
+
+
 def side_digest(side: str, root: Path, tmp: Path) -> tuple:
-    """(lines, values) of one side: its total digest, one digest per
-    section and its ``source_sha256``; and its every output float."""
+    """(lines, values, reached, missed) of one side: its digests, its
+    ``source_sha256`` and reach count; its every output float; the names of
+    the functions its CLI runs call; and (name, file, line) of the rest."""
     digest = hashlib.sha256()
     sections = {name: hashlib.sha256() for name in SECTIONS}
     counts = dict.fromkeys(SECTIONS, 0)
@@ -275,19 +311,26 @@ def side_digest(side: str, root: Path, tmp: Path) -> tuple:
             values.update(floats(key, output))
     out_dir = tmp / f"digest-{side}"
     out_dir.mkdir()
+    called = set()
     for config in CONFIGS:
         for name, data, numbers in cli_files(
-                side, root / "configs" / config, out_dir, sources):
+                side, root / "configs" / config, out_dir, sources, called):
             add(SECTIONS[2] if "-validate-scaling." in name else SECTIONS[1],
                 name.encode() + b"\0" + data)
             values.update(numbers)
+    defined = defined_functions(tmp / f"greencell_{side}")
+    missed = sorted((name, Path(path).name, line)
+                    for (path, line), name in defined.items()
+                    if (path, line) not in called)
     lines = [f"{digest.hexdigest()}  {counts[SECTIONS[0]]} reprs, "
              f"{counts[SECTIONS[1]] + counts[SECTIONS[2]]} CLI outputs"]
     lines += [f"{sections[name].hexdigest()}  {name} ({counts[name]})"
               for name in SECTIONS]
-    lines.append(f"{' '.join(sorted(sources))}  source_sha256 (not in the "
-                 "digests)")
-    return lines, values
+    lines += [f"{' '.join(sorted(sources))}  source_sha256 (not in the "
+              "digests)", f"{len(missed)} of {len(defined)} functions not "
+              "called by its CLI runs"]
+    reached = {name for key, name in defined.items() if key in called}
+    return lines, values, reached, missed
 
 
 def print_digests(roots: dict, tmp: Path) -> None:
@@ -295,17 +338,25 @@ def print_digests(roots: dict, tmp: Path) -> None:
     the four schemes on the grid above, with each Problem's caps, and over
     what the CLI's ``solve``, ``sweep``, ``schemes`` and
     ``validate-scaling`` write on the side's configs in CSV and JSON; then
-    one per section, and the manifests' ``source_sha256`` (not hashed).  A
-    float that turns into a numpy scalar changes its repr.  Where a digest
-    differs, it prints per field the largest relative difference of the
-    sides' floats at its first key in sorted order, and keys one side lacks.
+    one per section, the manifests' ``source_sha256`` (not hashed), and
+    how many of ``defined_functions`` the CLI runs do not call, recorded by
+    ``sys.setprofile``; then the change's uncalled functions, and those one
+    side's runs call and the other's do not.  A float that turns into a
+    numpy scalar changes its repr.  Where a digest differs, it prints per
+    field the largest relative difference of the sides' floats at its
+    first key in sorted order, and keys one side lacks.
     """
     digests = {}
     for side in SIDES:
         digests[side] = side_digest(side, roots[side], tmp)
         print(f"-- {side}", *digests[side][0], sep="\n")
-    (lines_a, a), (lines_b, b) = digests.values()
-    if lines_a[:-1] == lines_b[:-1]:
+    (lines_a, a, reach_a, _), (lines_b, b, reach_b, missed) = digests.values()
+    for name, file, line in missed:
+        print(f"{name}  ({file}:{line})")
+    for side, only in zip(SIDES, (reach_a - reach_b, reach_b - reach_a)):
+        for name in sorted(only):
+            print(f"{name}  called by {side}'s CLI runs only")
+    if lines_a[:-2] == lines_b[:-2]:
         return
     worst = {}
     both = sorted(a.keys() & b.keys())

@@ -671,6 +671,47 @@ def test_hse_x1_past_the_float_range_finds_its_closed_form_root():
     assert optimal.hse_x1(density, mu, P) == pytest.approx(want, rel=1e-14)
 
 
+def _hse_root_oracle(density: float, log_r, p: SystemParams):
+    """The root x of h log x + qp x = log r, qp = d3 pi ``density``, by a
+    40-digit mpmath bisection in log x; ``log_r`` an mpmath number."""
+    import mpmath
+    c, h = derive_constants(p), 0.5 * p.pathloss_exp
+    with mpmath.workdps(40):
+        qp = mpmath.mpf(c.d3) * mpmath.pi * mpmath.mpf(density)
+        lo, hi = mpmath.mpf(-800), mpmath.mpf(800)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if h * mid + qp * mpmath.exp(mid) > log_r:
+                hi = mid
+            else:
+                lo = mid
+        return float(mpmath.exp(lo))
+
+
+# w = k r^(1/h) overflowed, so the closed form W(w) / k was NaN and raised
+# "leaves the float range"; W is now formed in logs where w overflows
+@pytest.mark.parametrize("kernel, density, mu", [
+    ("hse_x1", 1e300, 1e300), ("hse_x1", 1e200, 1e250),
+    ("hse_x2", 1e305, None)])
+def test_an_hse_closed_form_whose_w_overflows_finds_its_root(kernel, density,
+                                                             mu):
+    import mpmath
+    p = SystemParams()
+    c, m = derive_constants(p), mpmath.mpf
+    with mpmath.workdps(40):
+        if kernel == "hse_x1":  # r = mu / (a d1 d3)
+            log_r = mpmath.log(m(mu) / (m(p.amp_scaling) * m(c.d1)
+                                        * m(c.d3)))
+            x = optimal.hse_x1(density, mu, p)
+        else:  # r = (Pmax - Pc) / (a d1)
+            log_r = mpmath.log((m(p.max_bs_power) - m(p.static_power))
+                               / (m(p.amp_scaling) * m(c.d1)))
+            x = optimal.hse_x2(density, p)
+    # measured: 1.2e-16, 4.0e-17 and 3.3e-16, in order; at most 2.6e-16 on
+    # the 52 such points of a 3 alpha x 13 density x 13 price grid
+    assert x == pytest.approx(_hse_root_oracle(density, log_r, p), rel=1e-15)
+
+
 @given(density=st.floats(min_value=sys.float_info.min,
                          max_value=sys.float_info.max),
        value=st.floats(min_value=5e-324, max_value=sys.float_info.max),

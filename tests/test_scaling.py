@@ -4,13 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from greencell.params import SystemParams
+from greencell.params import SystemParams, derive_constants
 from greencell.scaling import (InfeasibleBudgetError, PowerOverflowError,
                                avg_transmit_power, avg_transmit_power_exact,
                                bs_power, max_range_x, stpc_power)
 from oracles import stpc_power_formula
 
 P = SystemParams()
+
+
+def _stpc_oracle(distance: float, n_users: int) -> float:
+    """``stpc_power`` at ``P`` in 40 digits: the constant times the load
+    factor (2^(n v/W) - 1) / n times max(d/r0, 1)^alpha."""
+    import mpmath
+    c = derive_constants(P)
+    with mpmath.workdps(40):
+        m = mpmath.mpf
+        const = m(P.snr_gap) * m(P.noise_psd) * m(P.bandwidth_w) / (
+            m(P.ref_pathloss) * m(c.c1))
+        load = mpmath.expm1(n_users * m(c.c2) * mpmath.log(2)) / n_users
+        ratio = max(m(distance), m(P.ref_distance)) / m(P.ref_distance)
+        return float(const * load * ratio ** m(P.pathloss_exp))
 
 
 class TestStpcPower:
@@ -36,6 +50,21 @@ class TestStpcPower:
     def test_overflow_guard(self):
         with pytest.raises(PowerOverflowError):
             stpc_power(10.0, 10 ** 6, P)
+
+    def test_a_power_whose_path_loss_factor_overflows_is_a_float(self):
+        # (d/r0)^alpha is 1e309 at 1e104 m, but the rest of the product is
+        # about 4e-7 W, so the power is a float, yet it raised
+        # PowerOverflowError; formed in logs, its exp carries about
+        # |log P| eps, 1.6e-13 at most
+        want = _stpc_oracle(1e104, 1)  # about 4.18e302 W
+        assert stpc_power(1e104, 1, P) == pytest.approx(want, rel=2e-13)
+        out = stpc_power(np.array([10.0, 1e104]), 1, P)
+        assert out[0] == stpc_power(10.0, 1, P)  # a float product: its bits
+        assert out[1] == pytest.approx(want, rel=2e-13)
+        # measured: 1.6e-14 here, at most 1.5e-13 over alpha 2.2-6, 1-20
+        # users and 1e20-1e160 m; 4.2e320 W at 1e110 m is past the range
+        with pytest.raises(PowerOverflowError, match="not a finite float"):
+            stpc_power(1e110, 1, P)
 
     def test_rejects_zero_users(self):
         with pytest.raises(ValueError):

@@ -32,11 +32,17 @@ def run(capsys, monkeypatch):
 
 
 def digest_lines(text: str) -> dict:
-    """side -> its five digest lines, and the report below them."""
+    """side -> its five digest lines; "reach" -> side -> its reach count
+    line; "uncalled" -> the change's functions that its CLI runs do not
+    call; and the report below them."""
     _, parent, change = re.split(r"^-- (?:parent|change)\n", text,
                                  flags=re.MULTILINE)
-    return {"parent": parent.splitlines(), "change": change.splitlines()[:5],
-            "report": change.splitlines()[5:]}
+    parent, change = parent.splitlines(), change.splitlines()
+    uncalled = int(change[5].split()[0])
+    return {"parent": parent[:-1], "change": change[:5],
+            "reach": {"parent": parent[-1], "change": change[5]},
+            "uncalled": change[6:6 + uncalled],
+            "report": change[6 + uncalled:]}
 
 
 def test_every_workload_reads_equal_digests_against_itself(run):
@@ -48,6 +54,14 @@ def test_every_workload_reads_equal_digests_against_itself(run):
             lines = digest_lines(text)
             assert len(lines["parent"]) == 5
             assert lines["parent"] == lines["change"]
+            assert lines["reach"]["parent"] == lines["reach"]["change"]
+            assert lines["reach"]["change"].endswith(
+                " functions not called by its CLI runs")
+            # bound only for the benchmark's tracer; the entry point
+            assert any(line.startswith("numerics.expect  (numerics.py:")
+                       for line in lines["uncalled"])
+            assert not any(line.startswith("cli.main  ")
+                           for line in lines["uncalled"])
             assert lines["report"] == []
             continue
         assert "change won" in text, workload
@@ -72,5 +86,7 @@ def test_a_looser_dual_tolerance_shows_in_the_digest_and_the_report(
     assert [a != b for a, b in zip(lines["parent"], lines["change"])] == [
         True, True, True, False, True]
     report = {line.split()[0]: line.split() for line in lines["report"][1:]}
+    # the same reach: equal counts, and no one-sided call before the values
+    assert lines["reach"]["parent"] == lines["reach"]["change"]
     assert lines["report"][0].endswith(" values on both sides")
     assert 0.0 < float(report["avg_power_w"][1]) < 1e-10
